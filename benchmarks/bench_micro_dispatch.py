@@ -13,26 +13,17 @@ engine's dispatch loop and nothing else:
   dominated by allocator + shadow poisoning, exercising the memoized
   ``object_codes`` tables and the fill-pattern cache.
 
-A third kernel targets the shadow plane instead of the engine:
-
-* ``shadow_traffic`` — large-region guardian scans, superblock
-  covering-range scans, and bulk redzone repaints against a 1 MiB
-  object, run on both shadow backends.  This is the workload the
-  vectorized numpy plane exists for; the kernel asserts the two
-  backends produce identical CheckStats before reporting the speedup.
-
 Results are written to ``benchmarks/results/bench_micro_dispatch.json``.
 ``--assert-speedup X`` exits non-zero unless the compiled engine beats
-the tree walker by at least ``X``x on the dispatch kernel, and
-``--assert-shadow-speedup X`` does the same for the numpy shadow plane
-on the shadow-traffic kernel — the CI smoke gates that keep either
-accelerator from silently regressing into a slower curiosity.
+the tree walker by at least ``X``x on the dispatch kernel — the CI
+smoke gate that keeps the compiled engine from silently regressing
+into a slower curiosity.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_micro_dispatch.py
     PYTHONPATH=src python benchmarks/bench_micro_dispatch.py \
-        --assert-speedup 1.3 --assert-shadow-speedup 3.0 --repeat 3
+        --assert-speedup 1.3 --repeat 3
 """
 
 import argparse
@@ -55,13 +46,6 @@ ENGINES = ("tree", "compiled")
 #: session setup, small enough for a CI smoke leg.
 DISPATCH_ITERATIONS = 40_000
 CHURN_ROUNDS = 1_500
-
-#: Shadow-traffic kernel: object size and scan rounds.  1 MiB = 128 Ki
-#: shadow segments per scan, deep in vectorized territory.
-SHADOW_REGION_BYTES = 1 << 20
-SHADOW_ROUNDS = 100
-
-SHADOW_BACKENDS = ("bytearray", "numpy")
 
 
 def _build_dispatch_kernel(iterations: int):
@@ -136,70 +120,6 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
     }
 
 
-def _time_shadow_cell(backend: str, repeat: int) -> dict:
-    """Best-of-``repeat`` wall clock for the shadow-traffic kernel on
-    one backend; returns timing plus the CheckStats the run produced so
-    the caller can assert backend equivalence."""
-    from repro.errors import AccessType
-    from repro.sanitizers import SANITIZER_FACTORIES
-    from repro.shadow import giantsan_encoding
-    from repro.shadow.oracle import bulk_region_is_addressable
-
-    def once():
-        asan = SANITIZER_FACTORIES["ASan"](shadow_backend=backend)
-        giant = SANITIZER_FACTORIES["GiantSan"](shadow_backend=backend)
-        obj_a = asan.malloc(SHADOW_REGION_BYTES)
-        obj_g = giant.malloc(SHADOW_REGION_BYTES)
-        # repaint target: the untouched heap tail keeps its pre-poison
-        # code, so rewriting the same value is semantically a no-op
-        tail_index = (obj_a.chunk_end >> 3) + 8
-        tail_count = min(1 << 16, len(asan.shadow) - tail_index)
-        tail_code = asan.shadow.load(tail_index)
-        segments = SHADOW_REGION_BYTES >> 3
-        started = time.perf_counter()
-        for _ in range(SHADOW_ROUNDS):
-            # ASan guardian scan over the whole object (one shadow load
-            # per segment in the model; one bulk scan in the backend)
-            assert asan.check_region(
-                obj_a.base, obj_a.base + SHADOW_REGION_BYTES, AccessType.READ
-            )
-            # superblock covering-range scan (the fold-hook fast path)
-            assert (
-                asan.fold_access_checks(
-                    segments, obj_a.base, 8, 8, AccessType.READ
-                )
-                is not None
-            )
-            # GiantSan whole-range addressability reduction
-            ok, _ = bulk_region_is_addressable(
-                giant.shadow,
-                obj_g.base,
-                obj_g.base + SHADOW_REGION_BYTES,
-                giantsan_encoding.addressable_prefix,
-            )
-            assert ok
-            # bulk redzone repaint
-            asan.shadow.fill(tail_index, tail_count, tail_code)
-        elapsed = time.perf_counter() - started
-        return elapsed, asan.stats.as_dict()
-
-    once()
-    timings = []
-    stats = None
-    for _ in range(repeat):
-        elapsed, run_stats = once()
-        timings.append(elapsed)
-        if stats is None:
-            stats = run_stats
-        else:
-            assert stats == run_stats, "shadow kernel must be deterministic"
-    return {
-        "seconds": round(min(timings), 4),
-        "all_runs": [round(t, 4) for t in timings],
-        "_stats": stats,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -209,14 +129,6 @@ def main(argv=None) -> int:
         metavar="X",
         help="fail unless compiled beats tree by at least Xx on the "
         "dispatch kernel",
-    )
-    parser.add_argument(
-        "--assert-shadow-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail unless the numpy shadow backend beats bytearray by "
-        "at least Xx on the shadow-traffic kernel",
     )
     parser.add_argument(
         "--repeat",
@@ -241,33 +153,11 @@ def main(argv=None) -> int:
         results[kernel_name] = cells
         print(f"{kernel_name:13s} speedup   {speedup:7.2f}x")
 
-    shadow_cells = {}
-    shadow_stats = {}
-    for backend in SHADOW_BACKENDS:
-        cell = _time_shadow_cell(backend, options.repeat)
-        shadow_stats[backend] = cell.pop("_stats")
-        shadow_cells[backend] = cell
-        print(
-            f"shadow_traffic {backend:9s} {cell['seconds']:8.4f}s"
-        )
-    assert shadow_stats["bytearray"] == shadow_stats["numpy"], (
-        "shadow backends disagree on CheckStats - not a fair race"
-    )
-    shadow_speedup = (
-        shadow_cells["bytearray"]["seconds"]
-        / shadow_cells["numpy"]["seconds"]
-    )
-    shadow_cells["speedup_numpy_vs_bytearray"] = round(shadow_speedup, 2)
-    results["shadow_traffic"] = shadow_cells
-    print(f"shadow_traffic speedup  {shadow_speedup:7.2f}x")
-
     payload = {
         "benchmark": "micro-dispatch",
         "python": sys.version.split()[0],
         "dispatch_iterations": DISPATCH_ITERATIONS,
         "churn_rounds": CHURN_ROUNDS,
-        "shadow_region_bytes": SHADOW_REGION_BYTES,
-        "shadow_rounds": SHADOW_ROUNDS,
         "kernels": results,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -286,20 +176,6 @@ def main(argv=None) -> int:
         print(
             f"OK: compiled engine {achieved:.2f}x >= "
             f"{options.assert_speedup:.2f}x"
-        )
-    if options.assert_shadow_speedup is not None:
-        achieved = results["shadow_traffic"]["speedup_numpy_vs_bytearray"]
-        if achieved < options.assert_shadow_speedup:
-            print(
-                f"FAIL: numpy shadow {achieved:.2f}x < required "
-                f"{options.assert_shadow_speedup:.2f}x on shadow-traffic "
-                "kernel",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: numpy shadow {achieved:.2f}x >= "
-            f"{options.assert_shadow_speedup:.2f}x"
         )
     return 0
 

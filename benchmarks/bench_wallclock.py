@@ -25,11 +25,8 @@ Times the full Table 2 sweep four ways and writes the committed
 gate that the warm fabric is not slower than the single-process
 compiled engine.
 
-Each configuration is then repeated with ``REPRO_SHADOW=numpy`` (cells
-keyed ``<name>+numpy-shadow``), producing the full 4-configuration x
-2-shadow-backend matrix.  The geomean identity check spans *all* cells:
-neither the engine nor the shadow plane is allowed to change a single
-Table 2 number.
+The geomean identity check spans all four cells: no configuration is
+allowed to change a single Table 2 number.
 
 Each run is also appended to ``benchmarks/results/bench_history.jsonl``
 with a timestamp and git revision, giving a cross-PR wall-clock
@@ -142,26 +139,21 @@ def main(argv=None) -> int:
     }
     results = {}
     for name, config in configurations.items():
-        for shadow in ("bytearray", "numpy"):
-            cell = name if shadow == "bytearray" else f"{name}+numpy-shadow"
-            os.environ["REPRO_FASTPATH"] = "1" if config["fastpath"] else "0"
-            os.environ["REPRO_INSTRUMENT_CACHE"] = (
-                "1" if config["memoize"] else "0"
-            )
-            os.environ["REPRO_ENGINE"] = config["engine"]
-            os.environ["REPRO_SHADOW"] = shadow
-            results[cell] = _sweep(config["jobs"], scale)
-            results[cell]["engine"] = config["engine"]
-            results[cell]["shadow"] = shadow
-            print(
-                f"{cell:22s} engine={config['engine']:<8s} "
-                f"jobs={config['jobs']:<2d} "
-                f"{results[cell]['seconds']:8.2f}s"
-            )
+        os.environ["REPRO_FASTPATH"] = "1" if config["fastpath"] else "0"
+        os.environ["REPRO_INSTRUMENT_CACHE"] = (
+            "1" if config["memoize"] else "0"
+        )
+        os.environ["REPRO_ENGINE"] = config["engine"]
+        results[name] = _sweep(config["jobs"], scale)
+        results[name]["engine"] = config["engine"]
+        print(
+            f"{name:9s} engine={config['engine']:<8s} "
+            f"jobs={config['jobs']:<2d} "
+            f"{results[name]['seconds']:8.2f}s"
+        )
     os.environ.pop("REPRO_FASTPATH", None)
     os.environ.pop("REPRO_INSTRUMENT_CACHE", None)
     os.environ.pop("REPRO_ENGINE", None)
-    os.environ.pop("REPRO_SHADOW", None)
 
     # The geomeans are the correctness check: every configuration must
     # reproduce the same Table 2 numbers.
@@ -187,18 +179,6 @@ def main(argv=None) -> int:
         # the fabric headline: warm persistent workers vs the best
         # single-process configuration (>= 1.0 means the fabric wins)
         "speedup_parallel_vs_compiled": round(compiled_s / parallel_s, 2),
-        # numpy-shadow cell vs its bytearray twin, per configuration.
-        # Full sweeps are dominated by small-region checks (which stay
-        # on the scalar path by design), so these hover near 1.0; the
-        # scan-bound win lives in the shadow-traffic micro-benchmark.
-        "numpy_shadow_speedups": {
-            name: round(
-                results[name]["seconds"]
-                / results[f"{name}+numpy-shadow"]["seconds"],
-                2,
-            )
-            for name in configurations
-        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     _append_history(payload)

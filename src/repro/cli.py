@@ -19,9 +19,7 @@ Experiment sweeps accept ``--jobs N`` to fan cells out across worker
 processes; results are identical to ``--jobs 1``.  They also accept
 ``--engine {tree,compiled}`` to pick the execution engine (identical
 observables, the compiled engine is just faster); the default honours
-``REPRO_ENGINE``.  Likewise ``--shadow {bytearray,numpy}`` picks the
-shadow-plane backend (identical observables, the numpy plane vectorizes
-bulk scans and poisoning); the default honours ``REPRO_SHADOW``.
+``REPRO_ENGINE``.
 """
 
 from __future__ import annotations
@@ -374,7 +372,14 @@ def _cmd_analyze(args) -> str:
 
 def _cmd_serve(args) -> str:
     """Run the sanitizer-as-a-service control plane (REST over HTTP)."""
-    from .server import create_app
+    try:
+        from .server import create_app
+    except ImportError as exc:
+        if exc.name != "pydantic":
+            raise
+        raise SystemExit(
+            "repro serve needs pydantic: pip install 'repro[server]'"
+        ) from None
     from .server.config import config_from_env
     from .server.http import run
 
@@ -491,14 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="execution engine (default: REPRO_ENGINE or tree); "
                 "observables are identical, compiled is faster",
-            )
-            sub.add_argument(
-                "--shadow",
-                choices=["bytearray", "numpy"],
-                default=None,
-                help="shadow-plane backend (default: REPRO_SHADOW or "
-                "bytearray); observables are identical, numpy vectorizes "
-                "bulk shadow scans and poisoning",
             )
         if name == "table2":
             sub.add_argument(
@@ -638,15 +635,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("\n".join(lines))
         return 0
     handler, _ = _COMMANDS[args.command]
-    if getattr(args, "engine", None) or getattr(args, "shadow", None):
+    if getattr(args, "engine", None):
         # exported via the environment (not threaded through every
         # runner) so Sessions in pool workers pick it up too
         import os
 
-        if getattr(args, "engine", None):
-            os.environ["REPRO_ENGINE"] = args.engine
-        if getattr(args, "shadow", None):
-            os.environ["REPRO_SHADOW"] = args.shadow
+        os.environ["REPRO_ENGINE"] = args.engine
     if args.command in _PARALLEL_COMMANDS:
         # SIGTERM as SystemExit so the finally block (and atexit) run:
         # fabric workers get retired and their shared-memory scratch

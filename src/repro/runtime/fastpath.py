@@ -35,12 +35,10 @@ every edge case runs through the reference implementation):
 Set ``REPRO_FASTPATH=0`` to disable globally (the differential test
 suite runs every proxy both ways and asserts identical results).
 
-The fold hooks' whole-range addressability scans dispatch through the
-session's shadow backend (``repro.shadow.ShadowMemory.find_not_full``),
-so under ``REPRO_SHADOW=numpy`` a superblock's covering-range scan is a
-single vectorized comparison reduction instead of a per-segment walk —
-the fast path and the shadow plane compose without either knowing about
-the other.
+The fold hooks' whole-range addressability scans go through
+``repro.shadow.ShadowMemory.find_not_full``, so a superblock's
+covering-range scan is one C-level ``translate``/``find`` over the
+shadow slice instead of a per-segment walk.
 """
 
 from __future__ import annotations

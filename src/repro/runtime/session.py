@@ -74,13 +74,6 @@ class Session:
     engine in :mod:`repro.runtime.compiler`, observation-equivalent and
     differentially tested).  None resolves the ``REPRO_ENGINE`` process
     default, which is ``tree``.
-
-    ``shadow`` selects the shadow-plane backend the sanitizer is built
-    on: ``"bytearray"`` (the reference plane) or ``"numpy"`` (the
-    vectorized plane in :mod:`repro.shadow.numpy_shadow`, byte-identical
-    and differentially tested).  None resolves the ``REPRO_SHADOW``
-    process default, which is ``bytearray``.  Only valid with a tool
-    *name* — a pre-built Sanitizer already owns its shadow plane.
     """
 
     def __init__(
@@ -94,12 +87,11 @@ class Session:
         audit_elisions: bool = False,
         telemetry: bool | Telemetry | None = None,
         engine: str | None = None,
-        shadow: str | None = None,
         interprocedural: bool | None = None,
         **sanitizer_kwargs,
     ):
         if isinstance(tool, Sanitizer):
-            if sanitizer_kwargs or shadow is not None:
+            if sanitizer_kwargs:
                 raise ValueError(
                     "pass sanitizer kwargs only with a tool *name*"
                 )
@@ -112,7 +104,6 @@ class Session:
                 raise ValueError(
                     f"unknown tool {tool!r}; known tools: {known}"
                 ) from None
-            sanitizer_kwargs.setdefault("shadow_backend", shadow)
             self.sanitizer = factory(**sanitizer_kwargs)
         self.cost_model = cost_model
         self.max_instructions = max_instructions

@@ -101,7 +101,7 @@ class ASan(Sanitizer):
     def _poison_alloc(self, allocation: Allocation) -> None:
         # shadow-store traffic is charged as the bytes the poisoning
         # actually wrote (the encoding reports them), so the counter
-        # stays comparable across shadow backends and size policies
+        # stays comparable across size policies
         self.stats.shadow_stores += enc.poison_allocation(
             self.shadow, allocation
         )
@@ -201,11 +201,11 @@ class ASan(Sanitizer):
         ASan ignores ``anchor`` — it protects only the touched bytes,
         which is what makes its redzones bypassable (paper §4.4.1).
 
-        Implemented with the backend's zero-copy bulk shadow scan (no
-        snapshot is taken) but *accounted* per segment: shadow loads and
-        segments scanned are charged for every segment the reference
-        walk would have visited, so CheckStats are byte-identical across
-        both engines and both shadow backends.
+        Implemented with the zero-copy bulk shadow scan (no snapshot is
+        taken) but *accounted* per segment: shadow loads and segments
+        scanned are charged for every segment the reference walk would
+        have visited, so CheckStats are byte-identical across both
+        engines.
         """
         if end <= start:
             return True

@@ -35,7 +35,7 @@ from ..memory import (
     exact_size_policy,
 )
 from ..memory.layout import DEFAULT_QUARANTINE_BYTES
-from ..shadow import make_shadow
+from ..shadow import ShadowMemory
 
 
 @dataclass
@@ -150,14 +150,10 @@ class Sanitizer:
         quarantine_bytes: int = DEFAULT_QUARANTINE_BYTES,
         halt_on_error: bool = False,
         size_policy=exact_size_policy,
-        shadow_backend: Optional[str] = None,
     ):
         self.layout = layout or ArenaLayout()
         self.space = AddressSpace(self.layout)
-        # shadow plane backend: "bytearray" (reference) or "numpy"
-        # (vectorized); None honours the REPRO_SHADOW process default.
-        # Byte-identical observables either way.
-        self.shadow = make_shadow(self.layout.total_size, shadow_backend)
+        self.shadow = ShadowMemory(self.layout.total_size)
         # bounds used on every single check: cached as plain attributes
         # so hot paths skip the layout attribute chain
         self._total_size = self.layout.total_size

@@ -122,7 +122,7 @@ class GiantSan(Sanitizer):
 
     def _poison_alloc(self, allocation: Allocation) -> None:
         # charge the bytes the encoding reports having written, keeping
-        # the counter honest across shadow backends and size policies
+        # the counter honest across size policies
         self.stats.shadow_stores += enc.poison_allocation(
             self.shadow, allocation
         )

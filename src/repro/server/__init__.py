@@ -3,7 +3,7 @@
 ``repro serve`` turns :class:`~repro.runtime.session.Session` from a
 library entry point into a multi-tenant runtime: an ASGI application
 (:func:`repro.server.app.create_app`) accepts jobs over REST — run an
-IR program under a chosen (tool × engine × shadow × fastpath) config,
+IR program under a chosen (tool × engine × fastpath) config,
 run a table/figure sweep, launch a bounded fuzz campaign — executes
 them on an async job manager backed by the persistent sharded fabric,
 and exposes job status, results, telemetry, and error reports via

@@ -3,7 +3,7 @@
 Per-job execution settings travel inside each request's validated
 model (see :mod:`repro.server.models`); this module only holds the
 process-level knobs of the control plane itself.  Execution *defaults*
-(engine, shadow, fastpath, interprocedural) are captured once at app
+(engine, fastpath, interprocedural) are captured once at app
 creation in :class:`ExecutionDefaults` so that a running job can never
 observe another job's configuration through the environment.
 """
@@ -80,7 +80,6 @@ class ExecutionDefaults(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
     engine: str
-    shadow: str
     fastpath: bool
     interprocedural: bool
     jobs: int = 1
@@ -90,11 +89,9 @@ class ExecutionDefaults(BaseModel):
         from ..dataflow.summaries import interprocedural_default
         from ..runtime.compiler import engine_default
         from ..runtime.fastpath import fastpath_enabled_default
-        from ..shadow import shadow_backend_default
 
         return cls(
             engine=engine_default(),
-            shadow=shadow_backend_default(),
             fastpath=fastpath_enabled_default(),
             interprocedural=interprocedural_default(),
         )

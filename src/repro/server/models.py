@@ -1,8 +1,8 @@
 """Validated request/response models for the control plane.
 
 Everything a job needs is carried in its request model — the (tool ×
-engine × shadow × fastpath) execution config included — so sessions
-are constructed from validated data instead of process environment
+engine × fastpath) execution config included — so sessions are
+constructed from validated data instead of process environment
 variables.  Invalid configs are rejected at submission time with a
 422; a job that validated can only fail for runtime reasons.
 """
@@ -26,7 +26,7 @@ SWEEP_TARGETS = ("table2", "table3", "table4", "table5", "fig10", "fig11")
 
 
 class ExecutionConfig(BaseModel):
-    """The (tool × engine × shadow × fastpath) cell a run job executes in.
+    """The (tool × engine × fastpath) cell a run job executes in.
 
     ``None`` fields fall back to the defaults the server captured at
     startup (:class:`repro.server.config.ExecutionDefaults`), never to
@@ -37,7 +37,6 @@ class ExecutionConfig(BaseModel):
 
     tool: str = "GiantSan"
     engine: Optional[Literal["tree", "compiled"]] = None
-    shadow: Optional[Literal["bytearray", "numpy"]] = None
     fastpath: Optional[bool] = None
     interprocedural: Optional[bool] = None
     telemetry: bool = True
@@ -127,7 +126,6 @@ class SweepJobRequest(BaseModel):
     scale: Optional[int] = Field(default=None, ge=1, le=64)
     jobs: int = Field(default=1, ge=1)
     engine: Optional[Literal["tree", "compiled"]] = None
-    shadow: Optional[Literal["bytearray", "numpy"]] = None
 
 
 class FuzzJobRequest(BaseModel):

@@ -271,9 +271,9 @@ def resolve_corpus(ref: str) -> Tuple[Program, Optional[List[int]]]:
     if ref == "demo":
         return build_demo_program(), None
     if ref == "callheavy":
-        from ..workloads import build_callheavy_program
+        from ..workloads.callheavy import DEFAULT_SCALE, build_callheavy_program
 
-        return build_callheavy_program(), None
+        return build_callheavy_program(), [DEFAULT_SCALE]
     kind, _, name = ref.partition(":")
     if kind == "spec":
         from ..workloads import SPEC_BY_NAME

@@ -7,8 +7,8 @@ so a completed campaign's summary is byte-identical to the
 ``repro fuzz`` CLI at the same seed/iterations — and a cancelled one
 reports exactly the prefix it finished.
 
-Fuzz Sessions resolve process defaults (engine/shadow) at run time, so
-the body holds the environment lease like the sweep service does.
+Fuzz Sessions resolve the process default engine at run time, so the
+body holds the environment lease like the sweep service does.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""The run-job service: one IR program, one (tool × engine × shadow ×
-fastpath) cell, executed through a Session built from the validated
-request — not from environment variables — so concurrent jobs cannot
-contaminate each other's configuration.
+"""The run-job service: one IR program, one (tool × engine × fastpath)
+cell, executed through a Session built from the validated request —
+not from environment variables — so concurrent jobs cannot contaminate
+each other's configuration.
 
 The result payload carries the full observable surface of the run:
 return value, cycle/instruction counts, CheckStats, the structured
@@ -32,7 +32,6 @@ def build_session(
         max_instructions=max_instructions,
         fastpath=resolved(config.fastpath, defaults.fastpath),
         engine=resolved(config.engine, defaults.engine),
-        shadow=resolved(config.shadow, defaults.shadow),
         interprocedural=resolved(
             config.interprocedural, defaults.interprocedural
         ),

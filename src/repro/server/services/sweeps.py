@@ -96,11 +96,7 @@ def execute_sweep_job(
     defaults: ExecutionDefaults,
 ) -> Dict[str, Any]:
     started = time.perf_counter()
-    overrides = {
-        "REPRO_ENGINE": request.engine,
-        "REPRO_SHADOW": request.shadow,
-    }
-    with env_lease(context, overrides):
+    with env_lease(context, {"REPRO_ENGINE": request.engine}):
         if request.target == "table2":
             payload = _run_table2(context, request)
         else:

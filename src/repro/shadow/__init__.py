@@ -1,18 +1,10 @@
 """Shadow memory and the two shadow encodings (ASan, GiantSan).
 
-The shadow plane has two interchangeable backends — the reference
-``bytearray`` plane and a vectorized ``numpy`` plane — selected through
-:func:`make_shadow` / ``REPRO_SHADOW`` exactly like the execution-engine
-switch.
+Both encodings write into one store, the ``bytearray`` plane of
+:class:`ShadowMemory`.
 """
 
-from .shadow_memory import (
-    SHADOW_BACKENDS,
-    ShadowMemory,
-    make_shadow,
-    resolve_shadow_backend,
-    shadow_backend_default,
-)
+from .shadow_memory import ShadowMemory
 from .folding import (
     MAX_DEGREE,
     floor_log2,
@@ -25,10 +17,6 @@ from . import asan_encoding, giantsan_encoding, oracle
 
 __all__ = [
     "ShadowMemory",
-    "SHADOW_BACKENDS",
-    "make_shadow",
-    "resolve_shadow_backend",
-    "shadow_backend_default",
     "MAX_DEGREE",
     "floor_log2",
     "degree_for_remaining",

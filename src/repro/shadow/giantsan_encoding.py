@@ -111,17 +111,8 @@ def classify(code: int) -> ErrorKind:
     return ErrorKind.UNKNOWN
 
 
-#: Objects with at least this many good segments build their code
-#: sequence through the vectorized ``np.repeat`` expansion; below it the
-#: plain bytes-multiply loop wins (run counts are O(log n) either way,
-#: the crossover is the numpy call overhead).  The produced bytes are
-#: identical on both sides (property-tested), so the threshold is purely
-#: a build-cost knob.
-_VECTORIZE_MIN_SEGMENTS = 256
-
-
 def _expand_codes(runs, tail: int) -> bytes:
-    """Reference run expansion: degree runs then the partial tail."""
+    """Run expansion: degree runs then the partial tail."""
     codes = bytearray()
     for degree, run in runs:
         codes.extend(bytes([encode_folded(degree)]) * run)
@@ -133,14 +124,7 @@ def _expand_codes(runs, tail: int) -> bytes:
 @lru_cache(maxsize=4096)
 def _object_codes_cached(size: int) -> bytes:
     good, tail = divmod(size, SEGMENT_SIZE)
-    runs = run_lengths(good)
-    if good >= _VECTORIZE_MIN_SEGMENTS:
-        try:
-            from .numpy_shadow import expand_codes_array
-        except ImportError:
-            return _expand_codes(runs, tail)
-        return expand_codes_array(runs, tail)
-    return _expand_codes(runs, tail)
+    return _expand_codes(run_lengths(good), tail)
 
 
 def object_codes(size: int) -> bytes:

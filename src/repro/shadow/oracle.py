@@ -85,13 +85,13 @@ def first_poison_code(
 # The per-segment walk above is the reference semantics.  The bulk scans
 # below answer the same question over a whole shadow *slice*: every code
 # maps to a one-byte full/partial flag and the first non-full segment is
-# located by the shadow backend's ``find_not_full`` primitive (C-level
-# ``translate``/``find`` on the bytearray plane, a comparison reduction
-# on the numpy plane).  Only that single segment then needs the per-code
-# arithmetic, so a region of N segments costs O(N) C/SIMD-level work —
-# zero-copy, straight over the live shadow storage — instead of N
-# Python-level iterations.  Property tests cross-validate both backends
-# against :func:`region_is_addressable` on randomized shadow states.
+# located by the shadow plane's ``find_not_full`` primitive (a C-level
+# ``translate``/``find``).  Only that single segment then needs the
+# per-code arithmetic, so a region of N segments costs O(N) C-level
+# work — zero-copy, straight over the live shadow storage — instead of
+# N Python-level iterations.  Property tests cross-validate the bulk
+# scans against :func:`region_is_addressable` on randomized shadow
+# states.
 
 #: 256-entry tables per prefix function, built once and memoized.
 _TABLE_CACHE: dict = {}
@@ -166,10 +166,10 @@ def scan_region(
     """Bulk equivalent of :func:`region_is_addressable`, zero-copy.
 
     Same contract as :func:`scan_codes`, but the slice search runs
-    through the shadow backend's ``find_not_full`` primitive directly on
+    through the shadow plane's ``find_not_full`` primitive directly on
     live shadow storage — no snapshot is taken.  ``segments_visited`` is
     exactly the number of segments the reference walk would have
-    examined, on every backend.
+    examined.
     """
     if end <= start:
         return True, None, 0

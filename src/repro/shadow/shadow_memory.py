@@ -5,35 +5,15 @@ index ``a >> 3`` (paper §2.2).  This module stores the shadow array and
 moves bytes; *what the bytes mean* is defined by the encoding modules
 (:mod:`repro.shadow.asan_encoding`, :mod:`repro.shadow.giantsan_encoding`).
 
-Two interchangeable backends implement the store:
-
-* ``bytearray`` — this module's :class:`ShadowMemory`, the reference
-  plane: plain ``bytearray`` with C-level ``translate``/``find`` bulk
-  scans;
-* ``numpy`` — :class:`repro.shadow.numpy_shadow.NumpyShadowMemory`, a
-  ``numpy.uint8`` view over the *same* buffer with vectorized fills and
-  comparison-reduction scans.
-
-Select one per sanitizer with ``Session(shadow=...)``, process wide with
-``REPRO_SHADOW``, or on the CLI with ``--shadow`` — exactly the switch
-shape the execution engine uses.  Both backends are byte-identical in
-every observable (codes, stats, error reports); the differential suite
-runs the full engine × shadow matrix to prove it.
+The store is a plain ``bytearray``: bulk fills are slice writes from
+the shared fill-pattern cache, and bulk scans are one C-level
+``translate`` + ``find`` over the slice.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from ..memory.fillcache import fill_pattern
 from ..memory.layout import SEGMENT_SHIFT, SEGMENT_SIZE
-
-
-def shadow_backend_default() -> str:
-    """Process-wide default shadow backend (``REPRO_SHADOW``)."""
-    value = os.environ.get("REPRO_SHADOW", "bytearray").strip().lower()
-    return value or "bytearray"
 
 
 class ShadowMemory:
@@ -43,11 +23,6 @@ class ShadowMemory:
     :meth:`index_of` to map an address.  All values are unsigned bytes
     (0..255); ASan's signed interpretation is applied by its encoding.
     """
-
-    #: Registry name of this backend (subclasses override).
-    backend = "bytearray"
-    #: True when bulk kernels run as vectorized array ops.
-    vectorized = False
 
     def __init__(self, memory_size: int):
         if memory_size % SEGMENT_SIZE:
@@ -97,7 +72,7 @@ class ShadowMemory:
         """Write a precomputed code sequence from any bytes-like view.
 
         Unlike :meth:`write_codes` this is documented to accept a
-        ``memoryview`` (or any buffer, including a ``numpy`` array),
+        ``memoryview`` (or any other buffer),
         letting allocator hooks hand the cached poison tables straight
         through without a copy.
         """
@@ -128,7 +103,7 @@ class ShadowMemory:
         return self.region(first, last - first + 1)
 
     # ------------------------------------------------------------------
-    # bulk scanning primitive (backend-dispatched)
+    # bulk scanning primitive
     # ------------------------------------------------------------------
     def find_not_full(self, index: int, count: int, full_flags: bytes) -> int:
         """Offset of the first non-fully-addressable segment, or -1.
@@ -136,47 +111,9 @@ class ShadowMemory:
         ``full_flags`` is a 256-entry table mapping fully-addressable
         codes to ``0`` and everything else to ``1`` (see
         :func:`repro.shadow.oracle.scan_tables`).  This is the one
-        primitive every bulk region scan reduces to, so backends override
-        it with their fastest whole-slice search: here a C-level
-        ``translate`` + ``find``, in the numpy backend a comparison
-        reduction.
+        primitive every bulk region scan reduces to: a C-level
+        ``translate`` + ``find`` over the slice.
         """
         self._range_check(index, count)
         return self._shadow[index : index + count].translate(full_flags).find(1)
 
-
-#: Backend registry, engine-switch style.  The numpy backend registers
-#: itself on import; :func:`resolve_shadow_backend` imports it lazily so
-#: a bytearray-only process never pays the numpy import.
-SHADOW_BACKENDS = {"bytearray": ShadowMemory}
-
-_KNOWN_BACKENDS = ("bytearray", "numpy")
-
-
-def resolve_shadow_backend(backend: Optional[str]) -> type:
-    """Map a backend name (or None = process default) to its class."""
-    name = (
-        shadow_backend_default()
-        if backend is None
-        else str(backend).strip().lower()
-    )
-    if name == "numpy" and name not in SHADOW_BACKENDS:
-        try:
-            from . import numpy_shadow  # noqa: F401  (registers itself)
-        except ImportError as exc:
-            raise ValueError(
-                "the numpy shadow backend needs the numpy package "
-                f"(import failed: {exc})"
-            ) from None
-    try:
-        return SHADOW_BACKENDS[name]
-    except KeyError:
-        known = ", ".join(_KNOWN_BACKENDS)
-        raise ValueError(
-            f"unknown shadow backend {name!r}; known backends: {known}"
-        ) from None
-
-
-def make_shadow(memory_size: int, backend: Optional[str] = None) -> ShadowMemory:
-    """Construct a shadow plane on the selected backend."""
-    return resolve_shadow_backend(backend)(memory_size)

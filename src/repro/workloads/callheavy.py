@@ -32,6 +32,9 @@ from ..ir.program import Program
 #: Bytes of the shared table every kernel walks.
 TABLE_BYTES = 64
 
+#: Entry argument (``scale``) used when a caller gives none.
+DEFAULT_SCALE = 6
+
 
 def build_callheavy_program() -> Program:
     """The call-heavy acceptance workload; entry takes ``scale``."""

@@ -50,3 +50,29 @@ class TestExecution:
     def test_demo_other_tool(self, capsys):
         assert main(["demo", "--tool", "ASan"]) == 0
         assert "ASan" in capsys.readouterr().out
+
+
+class TestServeWithoutPydantic:
+    def test_exits_with_install_hint(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys; sys.modules['pydantic'] = None; "
+            "from repro.cli import main; sys.exit(main(['serve']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.strip().splitlines() == [
+            "repro serve needs pydantic: pip install 'repro[server]'"
+        ]

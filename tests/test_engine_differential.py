@@ -8,11 +8,6 @@ engines — with the superblock fast path both on and off — and every
 observable must match exactly: CheckStats, simulated cycle totals,
 instruction counts, Figure 10 protection categories, return values,
 full error reports, telemetry counters, and elision-audit replays.
-
-The vectorized shadow backend (:mod:`repro.shadow.numpy_shadow`) is the
-same kind of claim on the other axis, so the matrix here gains a shadow
-dimension: tree/bytearray is the single reference cell and every other
-(engine × shadow) combination must reproduce it exactly.
 """
 
 import pytest
@@ -27,8 +22,6 @@ from repro.workloads.spec import SPEC_TABLE2_ROWS
 SCALE = 2
 
 TOOLS = ["Native", "GiantSan", "ASan", "ASan--", "LFP"]
-
-SHADOWS = ["bytearray", "numpy"]
 
 #: Corpus slice: enough seeds to cover mallocs/frees/loops/planted bugs
 #: without dominating tier-1 wall clock.
@@ -65,13 +58,12 @@ def _observables(result):
     }
 
 
-def _run(program, tool, engine, fastpath, args=None, shadow=None, **kwargs):
+def _run(program, tool, engine, fastpath, args=None, **kwargs):
     session = Session(
         tool,
         engine=engine,
         fastpath=fastpath,
         memoize=False,
-        shadow=shadow,
         **kwargs,
     )
     return session.run(program, args)
@@ -324,89 +316,21 @@ def test_fuzz_corpus_elision_audit_matches():
 
 
 # ----------------------------------------------------------------------
-# Shadow-backend matrix: tree/bytearray is the reference cell; every
-# other (engine x shadow x fastpath) combination must reproduce it.
+# Configuration matrix: tree with the fast path on is the reference
+# cell; every other (engine x fastpath) combination must reproduce it.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "spec", SPEC_TABLE2_ROWS[:6], ids=lambda s: s.name
 )
 @pytest.mark.parametrize("tool", ["GiantSan", "ASan"])
-def test_numpy_shadow_matches_reference_matrix(spec, tool):
+def test_engine_fastpath_matrix_matches_reference(spec, tool):
     program = spec.build()
-    reference = _observables(
-        _run(program, tool, "tree", True, args=[SCALE], shadow="bytearray")
-    )
+    reference = _observables(_run(program, tool, "tree", True, args=[SCALE]))
     for engine in ("tree", "compiled"):
-        for shadow in SHADOWS:
-            for fastpath in (True, False):
-                if (engine, shadow, fastpath) == ("tree", "bytearray", True):
-                    continue
-                got = _observables(
-                    _run(
-                        program,
-                        tool,
-                        engine,
-                        fastpath,
-                        args=[SCALE],
-                        shadow=shadow,
-                    )
-                )
-                assert got == reference, (engine, shadow, fastpath)
-
-
-@pytest.mark.parametrize("index", range(8))
-def test_numpy_shadow_matches_reference_on_fuzz_case(index):
-    """Fuzz soup (planted bugs included): full error reports and stats
-    must be byte-identical on the numpy shadow plane, both engines."""
-    case = generate_case(case_seed_for(FUZZ_SEED, index))
-    program = build_case(case)
-    for tool in ("GiantSan", "ASan"):
-        reference = _observables(
-            _run(
-                program,
-                tool,
-                "tree",
-                True,
-                max_instructions=CASE_MAX_INSTRUCTIONS,
-                shadow="bytearray",
-            )
-        )
-        for engine in ("tree", "compiled"):
+        for fastpath in (True, False):
+            if (engine, fastpath) == ("tree", True):
+                continue
             got = _observables(
-                _run(
-                    program,
-                    tool,
-                    engine,
-                    True,
-                    max_instructions=CASE_MAX_INSTRUCTIONS,
-                    shadow="numpy",
-                )
+                _run(program, tool, engine, fastpath, args=[SCALE])
             )
-            assert got == reference, (index, tool, engine)
-
-
-@pytest.mark.parametrize(
-    "spec", SPEC_TABLE2_ROWS[:3], ids=lambda s: s.name
-)
-def test_numpy_shadow_telemetry_matches(spec):
-    program = spec.build()
-    tree = _run(
-        program,
-        "GiantSan",
-        "tree",
-        True,
-        args=[SCALE],
-        shadow="bytearray",
-        telemetry=True,
-    )
-    vec = _run(
-        program,
-        "GiantSan",
-        "compiled",
-        True,
-        args=[SCALE],
-        shadow="numpy",
-        telemetry=True,
-    )
-    assert _observables(tree) == _observables(vec)
-    assert _telemetry_view(tree) == _telemetry_view(vec)
+            assert got == reference, (engine, fastpath)

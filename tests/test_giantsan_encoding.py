@@ -1,11 +1,12 @@
 """Tests for GiantSan's shadow encoding (Definition 1, Figure 5)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ErrorKind
 from repro.memory import AddressSpace, HeapAllocator
 from repro.shadow import ShadowMemory, giantsan_encoding as enc
+from repro.shadow.folding import MAX_DEGREE, fold_degrees
 
 
 class TestStateCodes:
@@ -105,6 +106,29 @@ class TestObjectCodes:
             assert index * 8 + guaranteed <= size + 7  # partial tail rounds up
             if guaranteed:
                 assert index * 8 + guaranteed <= (size // 8) * 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=1 << 16))
+    def test_matches_per_segment_encoding(self, size):
+        """The memoized run expansion equals encoding each segment."""
+        good, tail = divmod(size, 8)
+        expected = bytes(enc.encode_folded(d) for d in fold_degrees(good))
+        if tail:
+            expected += bytes([enc.encode_partial(tail)])
+        assert enc.object_codes(size) == expected
+
+    def test_expand_codes_degree_cap(self):
+        """A run at the degree-63 fold cap expands correctly."""
+        runs = [(MAX_DEGREE, 5), (0, 1)]
+        assert enc._expand_codes(runs, 3) == (
+            bytes([64 - MAX_DEGREE]) * 5 + bytes([64]) + bytes([72 - 3])
+        )
+
+    def test_expand_codes_rejects_bad_degree_and_tail(self):
+        with pytest.raises(ValueError):
+            enc._expand_codes([(MAX_DEGREE + 1, 1)], 0)
+        with pytest.raises(ValueError):
+            enc._expand_codes([(0, 1)], 8)
 
     def test_fast_poisoning_matches_slow(self, shadow):
         for size in (0, 1, 8, 63, 68, 100, 1024, 4096):

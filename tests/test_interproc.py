@@ -510,17 +510,13 @@ class TestCallHeavyAcceptance:
             assert semantics[True] == semantics[False], tool
 
     @pytest.mark.parametrize("engine", ["tree", "compiled"])
-    @pytest.mark.parametrize("shadow", ["bytearray", "numpy"])
     @pytest.mark.parametrize("fastpath", [False, True])
-    def test_matrix_identity(self, engine, shadow, fastpath):
-        pytest.importorskip("numpy") if shadow == "numpy" else None
+    def test_matrix_identity(self, engine, fastpath):
         program = build_callheavy_program()
-        baseline = None
         session = Session(
             "GiantSan",
             memoize=False,
             engine=engine,
-            shadow=shadow,
             fastpath=fastpath,
             interprocedural=True,
         )

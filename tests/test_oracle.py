@@ -13,6 +13,7 @@ from repro.shadow.oracle import (
     giantsan_region_is_addressable,
     region_is_addressable,
     scan_codes,
+    scan_region,
 )
 
 
@@ -183,3 +184,10 @@ class TestBulkScanCrossValidation:
                 None,
             )
             assert scan_codes(b"", 0, 40, 40, encoding) == (True, None, 0)
+
+    def test_scan_region_empty_region(self):
+        """An empty region is addressable even on a fully poisoned plane."""
+        shadow = ShadowMemory(8 * SEGMENT_SIZE)
+        shadow.fill(0, len(shadow), 0xFA)
+        for encoding in _ENCODINGS:
+            assert scan_region(shadow, 40, 40, encoding) == (True, None, 0)

@@ -8,7 +8,7 @@ Three families of guarantees:
     fuzz/sweep drivers).  The server adds transport, never semantics.
 (b) **Isolation** — concurrent jobs build their sessions from validated
     request models plus startup-captured defaults; one job's config
-    (engine/shadow/tool, telemetry registry) can never leak into a
+    (engine/tool, telemetry registry) can never leak into a
     neighbour, and sweep env overrides are restored on exit.
 (c) **Lifecycle** — submissions validate at the door (422 with a
     FastAPI-shaped detail body), cancellation lands mid-run at the next
@@ -28,6 +28,7 @@ from repro.reporting import format_all_reports
 from repro.server import ServerConfig, create_app
 from repro.server.config import ExecutionDefaults, config_from_env
 from repro.server.programs import build_demo_program, load_program
+from repro.server.services.runner import run_result_payload
 from repro.server.testclient import TestClient
 
 
@@ -120,6 +121,15 @@ class TestSubmissionValidation:
             "/jobs/run", json={"program": {"corpus": "spec:nope"}}
         )
         assert response.status_code == 422
+
+    def test_shadow_field_is_422(self, client):
+        # one shadow plane: the request models offer no backend choice
+        for kind, payload in (
+            ("run", {"program": {"corpus": "demo"},
+                     "config": {"shadow": "bytearray"}}),
+            ("sweep", {"target": "fig11", "shadow": "bytearray"}),
+        ):
+            assert client.post(f"/jobs/{kind}", json=payload).status_code == 422
 
     def test_corpus_and_ir_both_is_422(self, client):
         response = client.post(
@@ -256,6 +266,24 @@ class TestRunJobs:
         )
         assert detail["status"] == "done", detail["error"]
         assert detail["result"]["errors"] == []
+
+    def test_callheavy_corpus_uses_default_scale(self, client):
+        from repro.workloads import build_callheavy_program
+        from repro.workloads.callheavy import DEFAULT_SCALE
+
+        detail = _submit_and_wait(
+            client, "run", {"program": {"corpus": "callheavy"}}
+        )
+        assert detail["status"] == "done", detail["error"]
+
+        session = Session("GiantSan", telemetry=True)
+        result = session.run(build_callheavy_program(), [DEFAULT_SCALE])
+        expected = run_result_payload(session, result)
+        served = detail["result"]
+        assert _normalized_telemetry(served.pop("telemetry")) == (
+            _normalized_telemetry(expected.pop("telemetry"))
+        )
+        assert served == expected
 
     def test_juliet_unknown_case_fails_at_run_time(self, client):
         detail = _submit_and_wait(
