@@ -100,12 +100,10 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
     instrumentation, folding tables) so the timed runs measure steady
     state for both engines symmetrically.
     """
-    from repro.runtime import Session
+    from repro.runtime import ExecConfig, Session
 
     def once() -> float:
-        session = Session(
-            "GiantSan", engine=engine, fastpath=True, memoize=True
-        )
+        session = Session("GiantSan", ExecConfig(engine=engine))
         started = time.perf_counter()
         result = session.run(program)
         elapsed = time.perf_counter() - started

@@ -63,13 +63,13 @@ def _repeat_count() -> int:
     return max(int(os.environ.get("REPRO_BENCH_REPEAT", "2")), 1)
 
 
-def _sweep(jobs: int, scale) -> dict:
-    """Best-of-N timed Table 2 sweeps; fastpath/memoize/engine come from
-    the REPRO_* environment variables the caller pinned (workers inherit
-    them through the fabric key).  Single-process repeats start from
-    cold instrumentation caches; fabric workers persist across repeats
-    by design (warm caches across sweeps are the feature under test),
-    so the parallel cell's best-of-N reports the warm-fabric sweep."""
+def _sweep(jobs: int, scale, config) -> dict:
+    """Best-of-N timed Table 2 sweeps under ``config`` (an ExecConfig,
+    which fabric workers receive in every work unit).  Single-process
+    repeats start from cold instrumentation caches; fabric workers
+    persist across repeats by design (warm caches across sweeps are the
+    feature under test), so the parallel cell's best-of-N reports the
+    warm-fabric sweep."""
     from repro.analysis import PERFORMANCE_TOOLS, run_overhead_study
     from repro.passes.instrument import clear_instrumentation_cache
 
@@ -78,7 +78,8 @@ def _sweep(jobs: int, scale) -> dict:
         clear_instrumentation_cache()
         started = time.perf_counter()
         study = run_overhead_study(
-            tools=list(PERFORMANCE_TOOLS), scale=scale, jobs=jobs
+            tools=list(PERFORMANCE_TOOLS), scale=scale, jobs=jobs,
+            config=config,
         )
         timings.append(time.perf_counter() - started)
     elapsed = min(timings)
@@ -100,9 +101,9 @@ def _sweep(jobs: int, scale) -> dict:
 
 def main(argv=None) -> int:
     import argparse
-    import os
 
     from repro.analysis.parallel import default_jobs
+    from repro.runtime import ExecConfig
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -117,43 +118,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = bench_scale()
+    compiled = ExecConfig(engine="compiled")
     configurations = {
-        "baseline": dict(
-            fastpath=False, memoize=False, engine="tree", jobs=1
-        ),
-        "fastpath": dict(
-            fastpath=True, memoize=True, engine="tree", jobs=1
-        ),
-        "compiled": dict(
-            fastpath=True, memoize=True, engine="compiled", jobs=1
-        ),
+        "baseline": (ExecConfig(fastpath=False, memoize=False), 1),
+        "fastpath": (ExecConfig(), 1),
+        "compiled": (compiled, 1),
         # affinity-aware worker count (cgroup quotas respected), floored
         # at two so single-core machines still exercise the fabric
         # instead of collapsing to the inline runner
-        "parallel": dict(
-            fastpath=True,
-            memoize=True,
-            engine="compiled",
-            jobs=max(default_jobs(), 2),
-        ),
+        "parallel": (compiled, max(default_jobs(), 2)),
     }
     results = {}
-    for name, config in configurations.items():
-        os.environ["REPRO_FASTPATH"] = "1" if config["fastpath"] else "0"
-        os.environ["REPRO_INSTRUMENT_CACHE"] = (
-            "1" if config["memoize"] else "0"
-        )
-        os.environ["REPRO_ENGINE"] = config["engine"]
-        results[name] = _sweep(config["jobs"], scale)
-        results[name]["engine"] = config["engine"]
+    for name, (config, jobs) in configurations.items():
+        results[name] = _sweep(jobs, scale, config)
+        results[name]["engine"] = config.engine
         print(
-            f"{name:9s} engine={config['engine']:<8s} "
-            f"jobs={config['jobs']:<2d} "
+            f"{name:9s} engine={config.engine:<8s} "
+            f"jobs={jobs:<2d} "
             f"{results[name]['seconds']:8.2f}s"
         )
-    os.environ.pop("REPRO_FASTPATH", None)
-    os.environ.pop("REPRO_INSTRUMENT_CACHE", None)
-    os.environ.pop("REPRO_ENGINE", None)
 
     # The geomeans are the correctness check: every configuration must
     # reproduce the same Table 2 numbers.

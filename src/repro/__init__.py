@@ -34,6 +34,7 @@ from .passes import instrument, InstrumentedProgram
 from .runtime import (
     CostModel,
     DEFAULT_COST_MODEL,
+    ExecConfig,
     RunResult,
     Session,
     geometric_mean,
@@ -58,6 +59,7 @@ __all__ = [
     "ASan",
     "ASanMinusMinus",
     "C",
+    "ExecConfig",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "ErrorKind",

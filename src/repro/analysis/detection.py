@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime import Session
+from ..runtime import ExecConfig, Session
 from ..workloads.juliet import (
     JulietCase,
     TABLE3_CWES,
@@ -48,6 +48,7 @@ def run_juliet_study(
     tools: Optional[List[str]] = None,
     cases: Optional[List[JulietCase]] = None,
     jobs: int = 1,
+    config: Optional[ExecConfig] = None,
 ) -> JulietResults:
     """Run every Juliet case under every tool (Table 3).
 
@@ -56,6 +57,7 @@ def run_juliet_study(
     sequential run exactly.  Explicit ``cases`` always run inline (the
     workers regenerate the canonical suite by index).
     """
+    config = ExecConfig.from_env() if config is None else config
     tools = tools or DETECTION_TOOLS
     use_parallel = jobs > 1 and cases is None
     cases = cases if cases is not None else juliet_suite_cached()
@@ -70,21 +72,22 @@ def run_juliet_study(
         # a straggling slice; case-index keyed results keep the merge
         # byte-identical to the sequential run for any granularity
         payloads = [
-            (lo, hi, tools) for lo, hi in steal_spans(len(cases), jobs)
+            (lo, hi, tools, config)
+            for lo, hi in steal_spans(len(cases), jobs)
         ]
         outcomes: Dict[int, Dict[str, bool]] = {}
         for slice_outcomes in parallel_map(
             juliet_worker,
             payloads,
             jobs,
-            shard_keys=[("juliet", lo) for lo, _, _ in payloads],
+            shard_keys=[("juliet", lo) for lo, *_ in payloads],
         ):
             for index, row in slice_outcomes:
                 outcomes[index] = row
         errored = lambda case_index, tool: outcomes[case_index][tool]
     else:
         errored = lambda case_index, tool: bool(
-            Session(tool).run(cases[case_index].program).errors
+            Session(tool, config).run(cases[case_index].program).errors
         )
     for case_index, case in enumerate(cases):
         if case.buggy:
@@ -122,8 +125,10 @@ def run_linux_flaw_study(
     tools: Optional[List[str]] = None,
     scenarios: Optional[List[CveScenario]] = None,
     jobs: int = 1,
+    config: Optional[ExecConfig] = None,
 ) -> CveResults:
     """Run every CVE scenario under every tool (Table 4)."""
+    config = ExecConfig.from_env() if config is None else config
     tools = tools or DETECTION_TOOLS
     use_parallel = jobs > 1 and scenarios is None
     scenarios = scenarios if scenarios is not None else TABLE4_SCENARIOS
@@ -131,7 +136,7 @@ def run_linux_flaw_study(
     if use_parallel:
         from .parallel import linux_flaw_worker, parallel_map
 
-        payloads = [(index, tools) for index in range(len(scenarios))]
+        payloads = [(i, tools, config) for i in range(len(scenarios))]
         for cve_id, row in parallel_map(
             linux_flaw_worker,
             payloads,
@@ -141,12 +146,18 @@ def run_linux_flaw_study(
             outcomes[cve_id] = row
         return CveResults(outcomes=outcomes, scenarios=list(scenarios))
     for scenario in scenarios:
-        row: Dict[str, bool] = {}
-        for tool in tools:
-            result = Session(tool).run(scenario.build())
-            row[tool] = bool(result.errors)
-        outcomes[scenario.cve_id] = row
+        outcomes[scenario.cve_id] = cve_row(scenario, tools, config)
     return CveResults(outcomes=outcomes, scenarios=list(scenarios))
+
+
+def cve_row(
+    scenario: CveScenario, tools: List[str], config: ExecConfig
+) -> Dict[str, bool]:
+    """One Table 4 row: whether each tool reports ``scenario``."""
+    return {
+        tool: bool(Session(tool, config).run(scenario.build()).errors)
+        for tool in tools
+    }
 
 
 @dataclass
@@ -160,14 +171,17 @@ class MagmaResults:
         return [label for label, _, _ in TABLE5_CONFIGS]
 
 
-def run_magma_study(projects=None, jobs: int = 1) -> MagmaResults:
+def run_magma_study(
+    projects=None, jobs: int = 1, config: Optional[ExecConfig] = None
+) -> MagmaResults:
     """Run the Magma corpora under the five redzone configurations."""
+    config = ExecConfig.from_env() if config is None else config
     use_parallel = jobs > 1 and projects is None
     projects = projects if projects is not None else TABLE5_PROJECTS
     if use_parallel:
         from .parallel import magma_worker, parallel_map
 
-        payloads = [(index,) for index in range(len(projects))]
+        payloads = [(index, config) for index in range(len(projects))]
         detected = {}
         totals = {}
         for name, per_config, total in parallel_map(
@@ -184,15 +198,19 @@ def run_magma_study(projects=None, jobs: int = 1) -> MagmaResults:
     detected: Dict[str, Dict[str, int]] = {}
     totals: Dict[str, int] = {}
     for project in projects:
-        cases = generate_project_cases(project)
         totals[project.name] = project.total
-        per_config: Dict[str, int] = {}
-        for label, tool, kwargs in TABLE5_CONFIGS:
-            count = 0
-            for case in cases:
-                result = Session(tool, **kwargs).run(case.build())
-                if result.errors:
-                    count += 1
-            per_config[label] = count
-        detected[project.name] = per_config
+        detected[project.name] = magma_row(project, config)
     return MagmaResults(detected=detected, totals=totals)
+
+
+def magma_row(project, config: ExecConfig) -> Dict[str, int]:
+    """One Table 5 row: detections per redzone configuration."""
+    cases = generate_project_cases(project)
+    per_config: Dict[str, int] = {}
+    for label, tool, kwargs in TABLE5_CONFIGS:
+        per_config[label] = sum(
+            1
+            for case in cases
+            if Session(tool, config, **kwargs).run(case.build()).errors
+        )
+    return per_config

@@ -10,9 +10,10 @@ invocation shares:
 * **Persistent workers.**  Workers survive across ``map`` calls, so the
   instrumentation memo cache (:mod:`repro.passes.instrument`) and the
   compiled closures memoized on the cached programs stay warm from one
-  table to the next.  Only a worker-count or ``REPRO_*`` environment
-  change retires a fabric — and that retirement *drains* (finish
-  in-flight units, then exit) rather than terminating mid-unit.
+  table to the next.  Work units carry their execution config in the
+  payload, so only a worker-count change retires a fabric — and that
+  retirement *drains* (finish in-flight units, then exit) rather than
+  terminating mid-unit.
 
 * **Sharded dispatch with work stealing.**  Every work unit carries a
   shard key (typically the program name); a deterministic CRC of the key
@@ -52,17 +53,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-#: Default size of each worker's shared-memory scratch segment.  Table
+#: Size of each worker's shared-memory scratch segment.  Table
 #: rows (RunResult bundles) pickle to a few hundred KiB at most; results
 #: that outgrow the segment transparently fall back to queue transport.
 DEFAULT_SCRATCH_BYTES = 1 << 20
-
-
-def _scratch_bytes() -> int:
-    try:
-        return max(int(os.environ.get("REPRO_FABRIC_SHM_BYTES", "")), 4096)
-    except ValueError:
-        return DEFAULT_SCRATCH_BYTES
 
 
 def worker_ref(func: Callable) -> str:
@@ -260,7 +254,7 @@ class ExecutionFabric:
                 for _ in range(workers):
                     self._scratch.append(
                         shared_memory.SharedMemory(
-                            create=True, size=_scratch_bytes()
+                            create=True, size=DEFAULT_SCRATCH_BYTES
                         )
                     )
             except Exception:  # no /dev/shm etc.: inline transport
@@ -400,9 +394,9 @@ class ExecutionFabric:
     def drain(self, timeout: float = 30.0) -> DrainReport:
         """Graceful shutdown: let every worker finish and exit cleanly.
 
-        This is the *invalidation* path (worker count or ``REPRO_*``
-        environment changed): no in-flight unit is killed unless its
-        worker ignores ``stop`` past ``timeout``.  The returned
+        This is the *invalidation* path (the worker count changed): no
+        in-flight unit is killed unless its worker ignores ``stop`` past
+        ``timeout``.  The returned
         :class:`DrainReport` accounts for everything a non-clean drain
         left behind — stuck workers, the in-flight units they dropped,
         results no map will ever claim, and never-dispatched units —

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..runtime import DEFAULT_COST_MODEL, CostModel, Session
+from ..runtime import DEFAULT_COST_MODEL, CostModel, ExecConfig, Session
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
 from ..workloads.traversals import FIGURE11_PATTERNS, FIGURE11_SIZES
 
@@ -64,12 +64,14 @@ class CheckBreakdown:
 
 
 def measure_check_breakdown(
-    spec: SpecProgram, scale: Optional[int] = None
+    spec: SpecProgram,
+    scale: Optional[int] = None,
+    config: Optional[ExecConfig] = None,
 ) -> CheckBreakdown:
     """Run one proxy under GiantSan and collect Figure 10 categories."""
     program = spec.build()
     args = [scale if scale is not None else spec.default_scale]
-    result = Session("GiantSan").run(program, args)
+    result = Session("GiantSan", config).run(program, args)
     counts = {
         category: result.protection_counts.get(category, 0)
         for category in FIG10_CATEGORIES + ["elided"]
@@ -89,21 +91,15 @@ def run_figure10_study(
     programs: Optional[List[SpecProgram]] = None,
     scale: Optional[int] = None,
     jobs: int = 1,
+    config: Optional[ExecConfig] = None,
 ) -> List[CheckBreakdown]:
-    from ..workloads.spec import SPEC_BY_NAME
-    from .parallel import figure10_worker, parallel_map
+    from .parallel import figure10_worker, map_specs
 
-    programs = programs or SPEC_TABLE2_ROWS
-    if jobs > 1 and all(
-        SPEC_BY_NAME.get(spec.name) is spec for spec in programs
-    ):
-        return parallel_map(
-            figure10_worker,
-            [(spec.name, scale) for spec in programs],
-            jobs,
-            shard_keys=[spec.name for spec in programs],
-        )
-    return [measure_check_breakdown(spec, scale) for spec in programs]
+    config = ExecConfig.from_env() if config is None else config
+    return map_specs(
+        figure10_worker, measure_check_breakdown,
+        programs or SPEC_TABLE2_ROWS, (scale, config), jobs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -156,19 +152,21 @@ def run_figure11_study(
     sizes: Optional[List[int]] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
+    config: Optional[ExecConfig] = None,
 ) -> TraversalStudy:
     """The three traversal patterns over the buffer-size sweep."""
     from .parallel import figure11_worker, parallel_map
 
+    config = ExecConfig.from_env() if config is None else config
     sizes = sizes or FIGURE11_SIZES
     payloads = [
-        (pattern_index, size, cost_model)
+        (pattern_index, size, cost_model, config)
         for pattern_index in range(len(FIGURE11_PATTERNS))
         for size in sizes
     ]
     study = TraversalStudy()
     shard_keys = [
-        ("fig11", pattern_index) for pattern_index, _, _ in payloads
+        ("fig11", pattern_index) for pattern_index, *_ in payloads
     ]
     for points in parallel_map(
         figure11_worker, payloads, jobs, shard_keys=shard_keys

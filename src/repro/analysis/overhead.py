@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..runtime import DEFAULT_COST_MODEL, CostModel, RunResult, Session
+from ..runtime.session import ExecConfig
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
 
 #: The tool columns of Table 2's performance study.
@@ -54,6 +55,7 @@ def measure_program(
     tools: List[str],
     scale: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
+    config: Optional[ExecConfig] = None,
 ) -> ProgramOverheads:
     """Run one SPEC proxy under Native plus ``tools``; returns ratios.
 
@@ -63,11 +65,14 @@ def measure_program(
     """
     program = spec.build()
     args = [scale if scale is not None else spec.default_scale]
-    native = Session("Native", cost_model=cost_model).run(program, args)
-    baseline = native.total_cycles(cost_model)
+
+    def run(tool: str) -> RunResult:
+        return Session(tool, config, cost_model=cost_model).run(program, args)
+
+    baseline = run("Native").total_cycles(cost_model)
     row = ProgramOverheads(program=spec.name, native_cycles=baseline)
     for tool in tools:
-        result = Session(tool, cost_model=cost_model).run(program, args)
+        result = run(tool)
         row.ratios[tool] = result.total_cycles(cost_model) / baseline
         row.results[tool] = result
     return row
@@ -79,6 +84,7 @@ def run_overhead_study(
     scale: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
+    config: Optional[ExecConfig] = None,
 ) -> OverheadStudy:
     """The full Table 2 sweep (24 programs by default).
 
@@ -86,25 +92,12 @@ def run_overhead_study(
     (row order and values are identical to the sequential run); custom
     ``programs`` outside the canonical registry always run inline.
     """
-    from ..workloads.spec import SPEC_BY_NAME
-    from .parallel import overhead_worker, parallel_map
+    from .parallel import map_specs, overhead_worker
 
+    config = ExecConfig.from_env() if config is None else config
     tools = tools or PERFORMANCE_TOOLS
-    programs = programs or SPEC_TABLE2_ROWS
-    if jobs > 1 and all(
-        SPEC_BY_NAME.get(spec.name) is spec for spec in programs
-    ):
-        rows = parallel_map(
-            overhead_worker,
-            [(spec.name, tools, scale, cost_model) for spec in programs],
-            jobs,
-            # shard by program: consecutive tables touching the same
-            # proxy land on the same warm fabric worker
-            shard_keys=[spec.name for spec in programs],
-        )
-    else:
-        rows = [
-            measure_program(spec, tools, scale=scale, cost_model=cost_model)
-            for spec in programs
-        ]
+    rows = map_specs(
+        overhead_worker, measure_program, programs or SPEC_TABLE2_ROWS,
+        (tools, scale, cost_model, config), jobs,
+    )
     return OverheadStudy(rows=rows, tools=tools)

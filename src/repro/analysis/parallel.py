@@ -19,10 +19,11 @@ no multiprocessing machinery at all; anything larger uses the shared
 fabric.  Custom program lists that are not in the canonical registries
 fall back to inline execution since workers cannot rebuild them.
 
-The fabric persists across ``parallel_map`` calls — consecutive tables
-of one sweep invocation reuse warm workers (and their instrumentation
-memo / compiled-closure caches).  It is retired only when the worker
-count or the ``REPRO_*`` environment changes, and that retirement is a
+Every payload carries its :class:`~repro.runtime.session.ExecConfig`,
+so one fabric serves any mix of configs.  The fabric persists across
+``parallel_map`` calls — consecutive tables of one sweep invocation
+reuse warm workers (and their instrumentation memo / compiled-closure
+caches).  It is retired only when the worker count changes, as a
 graceful *drain* (workers finish in-flight units and exit cleanly); the
 hard ``terminate`` path is reserved for process exit.
 """
@@ -32,20 +33,18 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .fabric import DrainReport, ExecutionFabric
 
 T = TypeVar("T")
 U = TypeVar("U")
 
-#: The shared fabric and the (worker count, REPRO_* environment) key it
-#: was created under.  One ``repro`` sweep invocation runs many tables
+#: The shared fabric.  One ``repro`` sweep invocation runs many tables
 #: back to back; recreating workers per table paid fork + cold caches
 #: every time, which is what made ``--jobs 2`` lose to ``--jobs 1`` in
 #: earlier BENCH_interpreter.json snapshots.
 _FABRIC: Optional[ExecutionFabric] = None
-_FABRIC_KEY: Optional[Tuple] = None
 
 #: Serializes every touch of the shared fabric.  A fabric ``map`` is a
 #: stateful conversation (scheduler, in-flight table, event queue);
@@ -70,25 +69,8 @@ def default_jobs() -> int:
         return max(os.cpu_count() or 1, 1)
 
 
-def _pool_key(processes: int) -> Tuple:
-    """Fabric identity: worker count plus the REPRO_* environment.
-
-    Fork workers inherit the parent's environment at creation time, so a
-    fabric created under one configuration (engine, fastpath, shadow, …)
-    must not serve a sweep running under another.
-    """
-    toggles = tuple(
-        sorted(
-            (key, value)
-            for key, value in os.environ.items()
-            if key.startswith("REPRO_")
-        )
-    )
-    return (processes, toggles)
-
-
 def drain_pool(timeout: float = 30.0) -> Optional[DrainReport]:
-    """Gracefully retire the shared fabric (key-change invalidation).
+    """Gracefully retire the shared fabric (worker-count change).
 
     Workers finish any in-flight unit, then exit cleanly — nothing is
     killed unless a worker wedges past ``timeout``.  Returns the
@@ -96,24 +78,22 @@ def drain_pool(timeout: float = 30.0) -> Optional[DrainReport]:
     fabric was live) so callers can see — and re-queue — anything a
     non-clean drain dropped.
     """
-    global _FABRIC, _FABRIC_KEY
+    global _FABRIC
     with _FABRIC_LOCK:
         report = None
         if _FABRIC is not None:
             report = _FABRIC.drain(timeout=timeout)
         _FABRIC = None
-        _FABRIC_KEY = None
         return report
 
 
 def shutdown_pool() -> None:
     """Hard-stop the shared fabric (atexit hook and test isolation)."""
-    global _FABRIC, _FABRIC_KEY
+    global _FABRIC
     with _FABRIC_LOCK:
         if _FABRIC is not None:
             _FABRIC.terminate()
         _FABRIC = None
-        _FABRIC_KEY = None
 
 
 atexit.register(shutdown_pool)
@@ -121,14 +101,16 @@ atexit.register(shutdown_pool)
 
 def _shared_fabric(processes: int) -> ExecutionFabric:
     """The persistent fabric for ``processes`` workers, recreated only
-    when the worker count or the REPRO_* environment changed."""
-    global _FABRIC, _FABRIC_KEY
-    key = _pool_key(processes)
-    if _FABRIC is not None and _FABRIC_KEY == key and not _FABRIC._closed:
+    when the worker count changed."""
+    global _FABRIC
+    if (
+        _FABRIC is not None
+        and _FABRIC.workers == processes
+        and not _FABRIC._closed
+    ):
         return _FABRIC
     drain_pool()
     _FABRIC = ExecutionFabric(processes)
-    _FABRIC_KEY = key
     return _FABRIC
 
 
@@ -210,32 +192,48 @@ def steal_spans(total: int, jobs: int) -> List[tuple]:
     return chunk_ranges(total, jobs * STEAL_GRANULARITY)
 
 
+def map_specs(worker, measure, programs, args, jobs) -> list:
+    """``measure(spec, *args)`` for every SPEC proxy, in order.
+
+    Registry proxies run as ``worker((name, *args))`` units sharded by
+    program, so consecutive tables touching the same proxy land on the
+    same warm fabric worker; other programs run inline, since workers
+    rebuild programs by name.
+    """
+    from ..workloads.spec import SPEC_BY_NAME
+
+    if all(SPEC_BY_NAME.get(spec.name) is spec for spec in programs):
+        names = [spec.name for spec in programs]
+        return parallel_map(
+            worker, [(name, *args) for name in names], jobs, names
+        )
+    return [measure(spec, *args) for spec in programs]
+
+
 # ----------------------------------------------------------------------
 # module-level workers (must be importable for the fabric)
 # ----------------------------------------------------------------------
 def overhead_worker(payload):
     """One Table 2 row: run one SPEC proxy under every tool."""
-    name, tools, scale, cost_model = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .overhead import measure_program
 
-    return measure_program(
-        SPEC_BY_NAME[name], tools, scale=scale, cost_model=cost_model
-    )
+    name, *args = payload
+    return measure_program(SPEC_BY_NAME[name], *args)
 
 
 def figure10_worker(payload):
     """One Figure 10 bar: GiantSan check breakdown for one proxy."""
-    name, scale = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .figures import measure_check_breakdown
 
-    return measure_check_breakdown(SPEC_BY_NAME[name], scale)
+    name, *args = payload
+    return measure_check_breakdown(SPEC_BY_NAME[name], *args)
 
 
 def figure11_worker(payload):
     """One Figure 11 cell: one traversal pattern at one size, all tools."""
-    pattern_index, size, cost_model = payload
+    pattern_index, size, cost_model, config = payload
     from ..runtime import Session
     from ..workloads.traversals import FIGURE11_PATTERNS
     from .figures import FIGURE11_TOOLS, TraversalPoint
@@ -244,7 +242,7 @@ def figure11_worker(payload):
     program = pattern.build(size)
     points = []
     for tool in FIGURE11_TOOLS:
-        result = Session(tool, cost_model=cost_model).run(program)
+        result = Session(tool, config, cost_model=cost_model).run(program)
         points.append(
             TraversalPoint(
                 pattern=pattern.name,
@@ -258,11 +256,11 @@ def figure11_worker(payload):
 
 def profile_worker(payload):
     """One ``repro profile`` row: telemetry run of one SPEC proxy."""
-    name, tool, scale = payload
     from ..workloads.spec import SPEC_BY_NAME
     from .profile import profile_program
 
-    return profile_program(SPEC_BY_NAME[name], tool, scale)
+    name, *args = payload
+    return profile_program(SPEC_BY_NAME[name], *args)
 
 
 def juliet_worker(payload):
@@ -273,7 +271,7 @@ def juliet_worker(payload):
     from scratch for every slice, which made each unit pay O(total
     suite) generation work for an O(slice) run.
     """
-    lo, hi, tools = payload
+    lo, hi, tools, config = payload
     from ..runtime import Session
     from ..workloads.juliet import juliet_suite_cached
 
@@ -281,7 +279,7 @@ def juliet_worker(payload):
     outcomes = []
     for offset, case in enumerate(cases):
         row = {
-            tool: bool(Session(tool).run(case.program).errors)
+            tool: bool(Session(tool, config).run(case.program).errors)
             for tool in tools
         }
         outcomes.append((lo + offset, row))
@@ -290,35 +288,19 @@ def juliet_worker(payload):
 
 def linux_flaw_worker(payload):
     """One Table 4 row: run one CVE scenario under every tool."""
-    scenario_index, tools = payload
-    from ..runtime import Session
+    scenario_index, tools, config = payload
     from ..workloads.linux_flaw import TABLE4_SCENARIOS
+    from .detection import cve_row
 
     scenario = TABLE4_SCENARIOS[scenario_index]
-    row = {
-        tool: bool(Session(tool).run(scenario.build()).errors)
-        for tool in tools
-    }
-    return scenario.cve_id, row
+    return scenario.cve_id, cve_row(scenario, tools, config)
 
 
 def magma_worker(payload):
     """One Table 5 row: one Magma project under every configuration."""
-    (project_index,) = payload
-    from ..runtime import Session
-    from ..workloads.magma import (
-        TABLE5_CONFIGS,
-        TABLE5_PROJECTS,
-        generate_project_cases,
-    )
+    project_index, config = payload
+    from ..workloads.magma import TABLE5_PROJECTS
+    from .detection import magma_row
 
     project = TABLE5_PROJECTS[project_index]
-    cases = generate_project_cases(project)
-    per_config = {}
-    for label, tool, kwargs in TABLE5_CONFIGS:
-        count = 0
-        for case in cases:
-            if Session(tool, **kwargs).run(case.build()).errors:
-                count += 1
-        per_config[label] = count
-    return project.name, per_config, project.total
+    return project.name, magma_row(project, config), project.total

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..runtime import ExecConfig, Session
 from ..sanitizers import SANITIZER_FACTORIES
 from ..telemetry import TelemetrySnapshot
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
@@ -64,13 +65,12 @@ class ProfileStudy:
 def profile_program(
     spec: SpecProgram, tool: str = DEFAULT_PROFILE_TOOL,
     scale: Optional[int] = None,
+    config: Optional[ExecConfig] = None,
 ) -> ProgramProfile:
     """Run one Table 2 proxy with telemetry on and snapshot it."""
-    from ..runtime import Session
-
     program = spec.build()
     args = [scale if scale is not None else spec.default_scale]
-    session = Session(tool, telemetry=True)
+    session = Session(tool, config, telemetry=True)
     started = time.perf_counter()
     result = session.run(program, args)
     elapsed = time.perf_counter() - started
@@ -87,26 +87,19 @@ def run_profile_study(
     programs: Optional[List[SpecProgram]] = None,
     scale: Optional[int] = None,
     jobs: int = 1,
+    config: Optional[ExecConfig] = None,
 ) -> ProfileStudy:
     """Profile the Table 2 kernel sweep (or a subset) under one tool."""
-    from ..workloads.spec import SPEC_BY_NAME
-    from .parallel import parallel_map, profile_worker
+    from .parallel import map_specs, profile_worker
 
     if tool not in SANITIZER_FACTORIES:
         known = ", ".join(sorted(SANITIZER_FACTORIES))
         raise ValueError(f"unknown tool {tool!r}; known tools: {known}")
-    programs = programs or SPEC_TABLE2_ROWS
-    if jobs > 1 and all(
-        SPEC_BY_NAME.get(spec.name) is spec for spec in programs
-    ):
-        rows = parallel_map(
-            profile_worker,
-            [(spec.name, tool, scale) for spec in programs],
-            jobs,
-            shard_keys=[spec.name for spec in programs],
-        )
-    else:
-        rows = [profile_program(spec, tool, scale) for spec in programs]
+    config = ExecConfig.from_env() if config is None else config
+    rows = map_specs(
+        profile_worker, profile_program, programs or SPEC_TABLE2_ROWS,
+        (tool, scale, config), jobs,
+    )
     return ProfileStudy(tool=tool, rows=rows)
 
 

@@ -6,7 +6,7 @@ from typing import Dict, List, Optional
 
 from ..ir import CheckAccess, CheckCached, CheckRegion, walk
 from ..passes import instrument
-from ..runtime import Session
+from ..runtime import ExecConfig, Session
 from ..sanitizers import SANITIZER_FACTORIES
 from ..workloads.juliet import TABLE3_CWES
 from ..workloads.magma import TABLE5_CONFIGS, TABLE5_PROJECTS
@@ -29,10 +29,11 @@ def _static_checks(program) -> int:
     )
 
 
-def render_table1(n: int = 64) -> str:
+def render_table1(n: int = 64, config: Optional[ExecConfig] = None) -> str:
     """Table 1: #checks under operation-level vs instruction-level
     protection, measured by actually instrumenting and running each
     pattern under GiantSan and ASan."""
+    config = ExecConfig.from_env() if config is None else config
     lines = [
         "Table 1: operation-level vs instruction-level protection",
         f"{'Analysis Method':24s} {'op-level static':>16s} "
@@ -41,11 +42,14 @@ def render_table1(n: int = 64) -> str:
     ]
     for pattern in TABLE1_PATTERNS:
         program = pattern.build()
-        giant = Session("GiantSan")
-        iprog = instrument(program, tool=giant.sanitizer)
+        giant = Session("GiantSan", config)
+        iprog = instrument(
+            program, tool=giant.sanitizer,
+            interprocedural=config.interprocedural,
+        )
         static_checks = _static_checks(iprog.program)
-        giant_run = Session("GiantSan").run(program)
-        asan_run = Session("ASan").run(program)
+        giant_run = Session("GiantSan", config).run(program)
+        asan_run = Session("ASan", config).run(program)
         giant_checks = giant_run.stats.checks_executed
         asan_checks = (
             asan_run.stats.checks_executed + asan_run.stats.segments_scanned
@@ -229,3 +233,28 @@ def render_figure11(study: TraversalStudy) -> str:
             f"{study.speedup_vs_asan(pattern):.2f}x"
         )
     return "\n".join(lines)
+
+
+def render_study(
+    target: str,
+    jobs: int = 1,
+    scale: Optional[int] = None,
+    config: Optional[ExecConfig] = None,
+) -> str:
+    """Run Table 1, 3, 4 or 5 or Figure 10 or 11 and render it as
+    ``repro <target>`` prints it (``scale`` applies to Figure 10)."""
+    from . import detection, figures
+
+    if target == "table1":
+        return render_table1(config=config)
+    if target == "fig10":
+        return render_figure10(
+            figures.run_figure10_study(scale=scale, jobs=jobs, config=config)
+        )
+    run, render = {
+        "table3": (detection.run_juliet_study, render_table3),
+        "table4": (detection.run_linux_flaw_study, render_table4),
+        "table5": (detection.run_magma_study, render_table5),
+        "fig11": (figures.run_figure11_study, render_figure11),
+    }[target]
+    return render(run(jobs=jobs, config=config))

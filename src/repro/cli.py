@@ -18,8 +18,9 @@ Usage (installed as ``python -m repro``)::
 Experiment sweeps accept ``--jobs N`` to fan cells out across worker
 processes; results are identical to ``--jobs 1``.  They also accept
 ``--engine {tree,compiled}`` to pick the execution engine (identical
-observables, the compiled engine is just faster); the default honours
-``REPRO_ENGINE``.
+observables, the compiled engine is just faster).  :func:`main` resolves
+the :class:`~repro.runtime.session.ExecConfig` once — ``--engine`` over
+the ``REPRO_*`` switches — and passes it to the command.
 """
 
 from __future__ import annotations
@@ -27,16 +28,21 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 
-def _cmd_table1(args) -> str:
-    from .analysis import render_table1
+def _cmd_study(args, config) -> str:
+    """Tables 1 and 3-5, Figures 10 and 11."""
+    from .analysis import render_study
 
-    return render_table1()
+    return render_study(
+        args.command, getattr(args, "jobs", 1), getattr(args, "scale", None),
+        config,
+    )
 
 
-def _cmd_table2(args) -> str:
+def _cmd_table2(args, config) -> str:
     from .analysis import (
         ABLATION_TOOLS,
         PERFORMANCE_TOOLS,
@@ -50,7 +56,9 @@ def _cmd_table2(args) -> str:
     tools = list(PERFORMANCE_TOOLS)
     if args.ablation:
         tools += ABLATION_TOOLS
-    study = run_overhead_study(tools=tools, scale=args.scale, jobs=args.jobs)
+    study = run_overhead_study(
+        tools=tools, scale=args.scale, jobs=args.jobs, config=config
+    )
     if args.format == "csv":
         return to_csv(overhead_to_rows(study)).rstrip()
     if args.format == "json":
@@ -58,37 +66,7 @@ def _cmd_table2(args) -> str:
     return render_table2(study)
 
 
-def _cmd_table3(args) -> str:
-    from .analysis import render_table3, run_juliet_study
-
-    return render_table3(run_juliet_study(jobs=args.jobs))
-
-
-def _cmd_table4(args) -> str:
-    from .analysis import render_table4, run_linux_flaw_study
-
-    return render_table4(run_linux_flaw_study(jobs=args.jobs))
-
-
-def _cmd_table5(args) -> str:
-    from .analysis import render_table5, run_magma_study
-
-    return render_table5(run_magma_study(jobs=args.jobs))
-
-
-def _cmd_fig10(args) -> str:
-    from .analysis import render_figure10, run_figure10_study
-
-    return render_figure10(run_figure10_study(scale=args.scale, jobs=args.jobs))
-
-
-def _cmd_fig11(args) -> str:
-    from .analysis import render_figure11, run_figure11_study
-
-    return render_figure11(run_figure11_study(jobs=args.jobs))
-
-
-def _cmd_bench(args) -> str:
+def _cmd_bench(args, config) -> str:
     """Time the full Table 2 sweep; the wall-clock benchmark entry point."""
     import time
 
@@ -97,7 +75,8 @@ def _cmd_bench(args) -> str:
 
     started = time.perf_counter()
     study = run_overhead_study(
-        tools=list(PERFORMANCE_TOOLS), scale=args.scale, jobs=args.jobs
+        tools=list(PERFORMANCE_TOOLS), scale=args.scale, jobs=args.jobs,
+        config=config,
     )
     elapsed = time.perf_counter() - started
     lines = [
@@ -110,7 +89,7 @@ def _cmd_bench(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_profile(args) -> str:
+def _cmd_profile(args, config) -> str:
     """Telemetry profile: fast/slow split, quasi-bound convergence, phases."""
     from .analysis import (
         profile_to_json,
@@ -133,7 +112,7 @@ def _cmd_profile(args) -> str:
     try:
         study = run_profile_study(
             tool=args.tool, programs=programs, scale=args.scale,
-            jobs=args.jobs,
+            jobs=args.jobs, config=config,
         )
     except ValueError as exc:  # unknown tool
         raise SystemExit(str(exc))
@@ -154,15 +133,17 @@ def _cmd_profile(args) -> str:
     return output
 
 
-def _cmd_fuzz(args) -> str:
+def _cmd_fuzz(args, config) -> str:
     """Differential fuzzing sweep: all tools, fastpath on and off."""
-    from .analysis.parallel import parallel_map, steal_spans
-    from .fuzz.driver import FuzzSummary, fuzz_worker, run_case
+    from .analysis.parallel import steal_spans
+    from .fuzz.driver import fuzz_spans, run_case
     from .fuzz.generator import case_seed_for, generate_case
 
     if args.repro is not None:
         case = generate_case(args.repro, bug_probability=args.bug_probability)
-        report = run_case(case, audit_elisions=args.audit_elisions)
+        report = run_case(
+            case, audit_elisions=args.audit_elisions, config=config
+        )
         lines = [case.describe(), ""]
         if report.clean:
             lines.append(
@@ -177,26 +158,11 @@ def _cmd_fuzz(args) -> str:
     # steal-friendly spans: finer than one per worker so a case that
     # shrinks slowly doesn't serialize the sweep; ascending-span merge
     # keeps the summary byte-identical to --jobs 1 at any granularity
-    spans = steal_spans(args.iterations, args.jobs)
-    payloads = [
-        (
-            args.seed,
-            start,
-            stop,
-            args.bug_probability,
-            not args.no_shrink,
-            args.audit_elisions,
-        )
-        for start, stop in spans
-    ]
-    summary = FuzzSummary()
-    for partial in parallel_map(
-        fuzz_worker,
-        payloads,
-        jobs=args.jobs,
-        shard_keys=[("fuzz", start) for start, _ in spans],
-    ):
-        summary.merge(partial)
+    summary = fuzz_spans(
+        steal_spans(args.iterations, args.jobs), args.jobs, args.seed,
+        args.bug_probability, not args.no_shrink, args.audit_elisions,
+        config,
+    )
     audited = " + elision audit" if args.audit_elisions else ""
     lines = [
         f"fuzzed {summary.cases} cases (seed={args.seed}, "
@@ -258,7 +224,7 @@ def _analyze_corpus(args) -> list:
     return [(name, build_spec_program(name), None) for name in names]
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args, config) -> str:
     """Static dataflow analysis over a corpus (no execution)."""
     import json
 
@@ -272,7 +238,7 @@ def _cmd_analyze(args) -> str:
     except KeyError:
         known = ", ".join(sorted(SANITIZER_FACTORIES))
         raise SystemExit(f"unknown tool {args.tool!r}; known tools: {known}")
-    interproc = not args.no_interproc
+    interproc = config.interprocedural and not args.no_interproc
     corpus = _analyze_corpus(args)
     rows = []
     findings_all = []
@@ -370,7 +336,7 @@ def _cmd_analyze(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve(args) -> str:
+def _cmd_serve(args, defaults) -> str:
     """Run the sanitizer-as-a-service control plane (REST over HTTP)."""
     try:
         from .server import create_app
@@ -386,7 +352,7 @@ def _cmd_serve(args) -> str:
     config = config_from_env(
         host=args.host, port=args.port, max_concurrency=args.concurrency
     )
-    app = create_app(config)
+    app = create_app(config, defaults=defaults)
     print(
         f"repro control plane on http://{config.host}:{config.port} "
         f"(jobs: {config.max_concurrency} concurrent, "
@@ -401,7 +367,7 @@ def _cmd_serve(args) -> str:
     return "server stopped"
 
 
-def _cmd_demo(args) -> str:
+def _cmd_demo(args, config) -> str:
     from . import ProgramBuilder, Session
     from .reporting import format_all_reports
 
@@ -411,19 +377,19 @@ def _cmd_demo(args) -> str:
         with f.loop("i", 0, 26, bounded=False) as i:
             f.store("buf", i * 4, 4, i)
         f.free("buf")
-    session = Session(args.tool)
+    session = Session(args.tool, config)
     session.run(builder.build())
     return format_all_reports(session.sanitizer)
 
 
 _COMMANDS = {
-    "table1": (_cmd_table1, "Table 1: op-level vs instruction-level checks"),
+    "table1": (_cmd_study, "Table 1: op-level vs instruction-level checks"),
     "table2": (_cmd_table2, "Table 2: SPEC proxy overheads"),
-    "table3": (_cmd_table3, "Table 3: Juliet-style detection"),
-    "table4": (_cmd_table4, "Table 4: Linux Flaw CVE detection"),
-    "table5": (_cmd_table5, "Table 5: Magma redzone study"),
-    "fig10": (_cmd_fig10, "Figure 10: check-type breakdown"),
-    "fig11": (_cmd_fig11, "Figure 11: traversal patterns"),
+    "table3": (_cmd_study, "Table 3: Juliet-style detection"),
+    "table4": (_cmd_study, "Table 4: Linux Flaw CVE detection"),
+    "table5": (_cmd_study, "Table 5: Magma redzone study"),
+    "fig10": (_cmd_study, "Figure 10: check-type breakdown"),
+    "fig11": (_cmd_study, "Figure 11: traversal patterns"),
     "bench": (_cmd_bench, "Time the Table 2 sweep (wall-clock benchmark)"),
     "profile": (_cmd_profile, "Telemetry profile: fast/slow split + phases"),
     "fuzz": (_cmd_fuzz, "Differential fuzz: all tools, fastpath on+off"),
@@ -635,12 +601,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("\n".join(lines))
         return 0
     handler, _ = _COMMANDS[args.command]
-    if getattr(args, "engine", None):
-        # exported via the environment (not threaded through every
-        # runner) so Sessions in pool workers pick it up too
-        import os
+    from .runtime.session import ExecConfig
 
-        os.environ["REPRO_ENGINE"] = args.engine
+    try:
+        config = ExecConfig.from_env()
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    if getattr(args, "engine", None):
+        config = replace(config, engine=args.engine)
     if args.command in _PARALLEL_COMMANDS:
         # SIGTERM as SystemExit so the finally block (and atexit) run:
         # fabric workers get retired and their shared-memory scratch
@@ -648,7 +617,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _install_sigterm_exit()
     interrupted = False
     try:
-        print(handler(args))
+        print(handler(args, config))
     except BrokenPipeError:  # e.g. `python -m repro table2 | head`
         try:
             sys.stdout.close()

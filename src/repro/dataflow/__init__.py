@@ -71,7 +71,6 @@ from .summaries import (
     call_frees_nothing,
     compute_summaries,
     conservative_summary,
-    interprocedural_default,
 )
 from .interproc import (
     InterproceduralContext,
@@ -123,7 +122,6 @@ __all__ = [
     "call_frees_nothing",
     "compute_summaries",
     "conservative_summary",
-    "interprocedural_default",
     "InterproceduralContext",
     "render_whole_program",
     "whole_program_data",

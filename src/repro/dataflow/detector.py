@@ -322,22 +322,20 @@ def _describe(instr: Instr) -> str:
 def analyze_program(
     program: Program,
     summaries=None,
-    interprocedural: Optional[bool] = None,
+    interprocedural: bool = True,
 ) -> List[StaticFinding]:
     """Definite findings for every function of ``program``.
 
     Analyzes a clone with site ids assigned, so the input program is
     never mutated and findings carry stable site identifiers.  When
-    ``interprocedural`` (default: the ``REPRO_INTERPROC`` switch) is on
-    and no ``summaries`` are supplied, they are computed on the clone.
+    ``interprocedural`` is on and no ``summaries`` are supplied, they
+    are computed on the clone.
     """
     from ..ir.program import assign_site_ids
-    from .summaries import compute_summaries, interprocedural_default
+    from .summaries import compute_summaries
 
     clone = program.clone()
     assign_site_ids(clone)
-    if interprocedural is None:
-        interprocedural = interprocedural_default()
     if summaries is None and interprocedural:
         summaries = compute_summaries(clone)
     elif not interprocedural:

@@ -36,13 +36,12 @@ The lattice ordering is "fewer claimed effects is above": ⊤ claims
 every effect (may free anything, accesses unknown) and guarantees none
 (no checked ranges, no fresh return).  Every consumer treats an absent
 summary as ⊤, which makes summaries an optional refinement: disable
-them (``REPRO_INTERPROC=0``) and every analysis behaves byte-for-byte
-as before.
+them (``ExecConfig(interprocedural=False)``, or ``REPRO_INTERPROC=0``)
+and every analysis behaves byte-for-byte as before.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -67,15 +66,6 @@ from .callgraph import CallGraph, build_call_graph
 from .cfg import lower_function
 from .intervals import TOP, Interval, IntervalAnalysis, const, eval_expr
 from .solver import solve
-
-
-def interprocedural_default() -> bool:
-    """Process default for summary-based analysis (``REPRO_INTERPROC``)."""
-    return os.environ.get("REPRO_INTERPROC", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
 
 
 @dataclass(frozen=True)

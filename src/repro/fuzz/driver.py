@@ -34,10 +34,10 @@ cases to minimal reproducers (see :mod:`repro.fuzz.shrinker`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.session import Session
+from ..runtime.session import ExecConfig, Session
 from .expectations import ALL_TOOLS, expected_verdict, verdict_matches
 from .generator import FuzzCase, build_case, case_seed_for, generate_case
 from .invariants import ShadowInvariantChecker
@@ -89,35 +89,29 @@ def observables(result) -> dict:
     }
 
 
-def _run_one(
-    program, tool: str, fastpath: bool, check_invariants: bool
-) -> Tuple[object, Optional[ShadowInvariantChecker]]:
-    session = Session(
+def _session(tool: str, config: ExecConfig, audit=False, **overrides):
+    """An unmemoized, budget-capped Session over ``config``."""
+    return Session(
         tool,
-        fastpath=fastpath,
-        memoize=False,
+        replace(config, memoize=False, **overrides),
         max_instructions=CASE_MAX_INSTRUCTIONS,
+        audit_elisions=audit,
     )
-    checker = (
-        ShadowInvariantChecker.attach(session.sanitizer)
-        if check_invariants
-        else None
-    )
+
+
+def _run_one(
+    program, tool: str, config: ExecConfig, fastpath: bool
+) -> Tuple[object, ShadowInvariantChecker]:
+    session = _session(tool, config, fastpath=fastpath)
+    checker = ShadowInvariantChecker.attach(session.sanitizer)
     return session.run(program), checker
 
 
 def _audit_elisions(
-    program, tool: str, case: FuzzCase, baseline_obs: dict
+    program, tool: str, config: ExecConfig, case: FuzzCase, baseline_obs: dict
 ) -> List[Divergence]:
     """Replay every elision decision against the shadow oracle."""
-    session = Session(
-        tool,
-        fastpath=False,
-        memoize=False,
-        max_instructions=CASE_MAX_INSTRUCTIONS,
-        audit_elisions=True,
-    )
-    result = session.run(program)
+    result = _session(tool, config, audit=True, fastpath=False).run(program)
     divergences: List[Divergence] = []
     for failure in result.elision_audit_failures:
         divergences.append(
@@ -144,7 +138,7 @@ def _audit_elisions(
 
 
 def _interproc_differential(
-    program, tool: str, case: FuzzCase, baseline
+    program, tool: str, config: ExecConfig, case: FuzzCase, baseline
 ) -> List[Divergence]:
     """Summaries-on vs summaries-off semantic equivalence.
 
@@ -156,14 +150,9 @@ def _interproc_differential(
     semantic surface: whether anything was reported at all, the ground
     truth verdict, and the checksum of a clean execution.
     """
-    session = Session(
-        tool,
-        fastpath=False,
-        memoize=False,
-        max_instructions=CASE_MAX_INSTRUCTIONS,
-        interprocedural=False,
-    )
-    plain = session.run(program)
+    plain = _session(
+        tool, config, fastpath=False, interprocedural=False
+    ).run(program)
     divergences: List[Divergence] = []
     if bool(plain.errors) != bool(baseline.errors):
         divergences.append(
@@ -201,25 +190,28 @@ def _interproc_differential(
 def run_case(
     case: FuzzCase,
     tools: Sequence[str] = ALL_TOOLS,
-    check_invariants: bool = True,
     audit_elisions: bool = False,
+    config: Optional[ExecConfig] = None,
 ) -> CaseReport:
     """Run ``case`` through the full differential matrix."""
+    config = ExecConfig.from_env() if config is None else config
     divergences: List[Divergence] = []
     invariant_checks = 0
     program = build_case(case)
     returns: Dict[str, int] = {}
     for tool in tools:
         try:
-            off, checker_off = _run_one(program, tool, False, check_invariants)
-            on, checker_on = _run_one(program, tool, True, check_invariants)
+            off, checker_off = _run_one(program, tool, config, False)
+            on, checker_on = _run_one(program, tool, config, True)
             if audit_elisions:
                 divergences.extend(
-                    _audit_elisions(program, tool, case, observables(off))
+                    _audit_elisions(
+                        program, tool, config, case, observables(off)
+                    )
                 )
             if tool in INTERPROC_TOOLS:
                 divergences.extend(
-                    _interproc_differential(program, tool, case, off)
+                    _interproc_differential(program, tool, config, case, off)
                 )
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             divergences.append(
@@ -243,8 +235,6 @@ def run_case(
             )
 
         for checker in (checker_off, checker_on):
-            if checker is None:
-                continue
             invariant_checks += checker.checks_run
             for violation in checker.violations:
                 divergences.append(
@@ -316,10 +306,12 @@ def fuzz_span(
     shrink: bool = True,
     tools: Sequence[str] = ALL_TOOLS,
     audit_elisions: bool = False,
+    config: Optional[ExecConfig] = None,
 ) -> FuzzSummary:
     """Fuzz case indices ``[start, stop)`` for the base ``seed``."""
     from .shrinker import shrink_case  # local: avoids an import cycle
 
+    config = ExecConfig.from_env() if config is None else config
     summary = FuzzSummary()
     for index in range(start, stop):
         case = generate_case(
@@ -328,11 +320,11 @@ def fuzz_span(
         summary.cases += 1
         if case.bug is not None:
             summary.buggy_cases += 1
-        report = run_case(case, tools=tools, audit_elisions=audit_elisions)
+        report = run_case(case, tools, audit_elisions, config)
         summary.invariant_checks += report.invariant_checks
         if report.clean:
             continue
-        reduced = shrink_case(case, tools=tools) if shrink else case
+        reduced = shrink_case(case, tools, config=config) if shrink else case
         for divergence in report.divergences:
             summary.findings.append(
                 {
@@ -348,12 +340,35 @@ def fuzz_span(
 
 def fuzz_worker(payload) -> FuzzSummary:
     """Module-level worker for :func:`repro.analysis.parallel.parallel_map`."""
-    seed, start, stop, bug_probability, shrink, audit_elisions = payload
+    seed, start, stop, bug_probability, shrink, audit, config = payload
     return fuzz_span(
-        seed,
-        start,
-        stop,
-        bug_probability=bug_probability,
-        shrink=shrink,
-        audit_elisions=audit_elisions,
+        seed, start, stop, bug_probability, shrink,
+        audit_elisions=audit, config=config,
     )
+
+
+def fuzz_spans(
+    spans: Sequence[Tuple[int, int]],
+    jobs: int,
+    seed: int,
+    bug_probability: float,
+    shrink: bool,
+    audit_elisions: bool,
+    config: ExecConfig,
+) -> FuzzSummary:
+    """Fuzz every ``(start, stop)`` span across up to ``jobs`` fabric
+    workers; spans merge in order, so any ``jobs`` gives one summary."""
+    from ..analysis.parallel import parallel_map
+
+    summary = FuzzSummary()
+    for partial in parallel_map(
+        fuzz_worker,
+        [
+            (seed, lo, hi, bug_probability, shrink, audit_elisions, config)
+            for lo, hi in spans
+        ],
+        jobs,
+        shard_keys=[("fuzz", lo) for lo, _ in spans],
+    ):
+        summary.merge(partial)
+    return summary

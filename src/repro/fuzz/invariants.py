@@ -26,7 +26,7 @@ accumulate in ``checker.violations`` (fuzz-driver usage).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..memory.allocator import AllocationState
 from ..memory.layout import SEGMENT_SIZE, segment_index
@@ -317,13 +317,3 @@ class ShadowInvariantChecker:
                 )
         return failures
 
-
-def maybe_attach(
-    sanitizer: Sanitizer, enabled: bool, raise_on_violation: bool = True
-) -> Optional[ShadowInvariantChecker]:
-    """Session-config helper: attach a checker when ``enabled``."""
-    if not enabled:
-        return None
-    return ShadowInvariantChecker.attach(
-        sanitizer, raise_on_violation=raise_on_violation
-    )

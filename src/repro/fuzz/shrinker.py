@@ -47,6 +47,7 @@ def shrink_case(
     case: FuzzCase,
     tools: Sequence[str] = ALL_TOOLS,
     max_runs: int = 120,
+    config=None,
 ) -> FuzzCase:
     """Smallest case found that still shows the original signature."""
     from .driver import divergence_signature, run_case
@@ -56,7 +57,7 @@ def shrink_case(
     def signature(candidate: FuzzCase) -> frozenset:
         nonlocal runs
         runs += 1
-        return divergence_signature(run_case(candidate, tools=tools))
+        return divergence_signature(run_case(candidate, tools, config=config))
 
     target = signature(case)
     if not target:

@@ -116,15 +116,6 @@ def build_pipeline(
     return passes
 
 
-def _resolve_interprocedural(interprocedural: Optional[bool]) -> bool:
-    """None means "follow the REPRO_INTERPROC process default"."""
-    if interprocedural is not None:
-        return interprocedural
-    from ..dataflow.summaries import interprocedural_default
-
-    return interprocedural_default()
-
-
 def _resolve_config(
     tool: Optional[Sanitizer], caps: Optional[Capabilities]
 ) -> tuple:
@@ -173,18 +164,17 @@ def instrument_cached(
     tool: Optional[Sanitizer] = None,
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
-    interprocedural: Optional[bool] = None,
+    interprocedural: bool = True,
 ) -> InstrumentedProgram:
     """Like :func:`instrument`, memoized by (fingerprint, config)."""
     global _MEMO_HITS, _MEMO_MISSES
     caps, protect = _resolve_config(tool, caps)
-    interproc = _resolve_interprocedural(interprocedural)
     key = (
         program_fingerprint(source),
         caps,
         protect,
         audit_elisions,
-        interproc,
+        interprocedural,
     )
     cached = _MEMO.get(key)
     if cached is None:
@@ -196,7 +186,7 @@ def instrument_cached(
             tool=tool,
             caps=caps,
             audit_elisions=audit_elisions,
-            interprocedural=interproc,
+            interprocedural=interprocedural,
         )
         _MEMO[key] = cached
     else:
@@ -226,7 +216,7 @@ def instrument(
     tool: Optional[Sanitizer] = None,
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
-    interprocedural: Optional[bool] = None,
+    interprocedural: bool = True,
 ) -> InstrumentedProgram:
     """Clone and instrument ``source`` for ``tool`` (or raw ``caps``)."""
     caps, protect = _resolve_config(tool, caps)
@@ -236,7 +226,7 @@ def instrument(
         caps,
         protect=protect,
         audit_elisions=audit_elisions,
-        interprocedural=_resolve_interprocedural(interprocedural),
+        interprocedural=interprocedural,
     )
     stats = PassManager(pipeline).run(program)
     remaining = 0

@@ -11,18 +11,16 @@ from .compiler import (
     CompiledEngine,
     compile_function,
     compile_program,
-    engine_default,
     resolve_engine,
 )
-from .fastpath import LoopPlan, analyze_loop, fastpath_enabled_default
-from .interpreter import BudgetExceeded, Interpreter, RunResult, run_program
-from .session import Session, run_with_tools
+from .fastpath import LoopPlan, analyze_loop
+from .interpreter import BudgetExceeded, Interpreter, RunResult
+from .session import ExecConfig, Session, run_with_tools
 
 __all__ = [
     "CompiledEngine",
     "compile_function",
     "compile_program",
-    "engine_default",
     "resolve_engine",
     "CostModel",
     "DEFAULT_COST_MODEL",
@@ -31,11 +29,10 @@ __all__ = [
     "geometric_mean",
     "LoopPlan",
     "analyze_loop",
-    "fastpath_enabled_default",
     "BudgetExceeded",
     "Interpreter",
     "RunResult",
-    "run_program",
+    "ExecConfig",
     "Session",
     "run_with_tools",
 ]

@@ -34,14 +34,13 @@ flush the local counters, hand :func:`repro.runtime.fastpath.try_execute`
 a dict view of the live slots, and sync the slots back on success, so
 ``fastpath`` × ``engine`` compose.
 
-Select the engine per session with ``Session(engine="compiled")`` or
-process-wide with ``REPRO_ENGINE=compiled``; the tree-walker remains the
-default and the reference.
+Select the engine with ``Session(config=ExecConfig(engine="compiled"))``
+or ``REPRO_ENGINE=compiled``; the tree-walker remains the default and
+the reference.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
 from ..ir.nodes import (
@@ -88,12 +87,6 @@ from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 #: programs shared through the instrumentation memo cache therefore
 #: compile once per process, like fastpath loop plans.
 _TABLE_ATTR = "_closure_tables"
-
-
-def engine_default() -> str:
-    """Process-wide default execution engine (``REPRO_ENGINE``)."""
-    value = os.environ.get("REPRO_ENGINE", "tree").strip().lower()
-    return value or "tree"
 
 
 class _Uncompilable(Exception):
@@ -786,9 +779,9 @@ ENGINES = {
 }
 
 
-def resolve_engine(engine: Optional[str]) -> type:
-    """Map an engine name (or None = process default) to its class."""
-    name = engine_default() if engine is None else str(engine).strip().lower()
+def resolve_engine(engine: str) -> type:
+    """Map an engine name to its class."""
+    name = str(engine).strip().lower()
     try:
         return ENGINES[name]
     except KeyError:

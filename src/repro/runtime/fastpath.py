@@ -32,8 +32,9 @@ every edge case runs through the reference implementation):
    categories are charged arithmetically (count × per-iteration
    events), matching the tree-walker to the last counter.
 
-Set ``REPRO_FASTPATH=0`` to disable globally (the differential test
-suite runs every proxy both ways and asserts identical results).
+Disable it with ``ExecConfig(fastpath=False)`` or ``REPRO_FASTPATH=0``
+(the differential test suite runs every proxy both ways and asserts
+identical results).
 
 The fold hooks' whole-range addressability scans go through
 ``repro.shadow.ShadowMemory.find_not_full``, so a superblock's
@@ -43,7 +44,6 @@ shadow slice instead of a per-segment walk.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -74,15 +74,6 @@ _PLAN_ATTR = "_fastpath_plan"
 #: setup cost (invariant evaluation, folding, closure entry) only pays
 #: off once several iterations are amortized over it.
 MIN_TRIP_COUNT = 4
-
-
-def fastpath_enabled_default() -> bool:
-    """Process-wide default for the superblock fast path."""
-    return os.environ.get("REPRO_FASTPATH", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
 
 
 # ----------------------------------------------------------------------

@@ -133,7 +133,7 @@ class Interpreter:
         sanitizer: Sanitizer,
         native_costs: NativeCosts = NativeCosts(),
         max_instructions: int = 50_000_000,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
         telemetry: Optional[object] = None,
     ):
         self.san = sanitizer
@@ -143,11 +143,8 @@ class Interpreter:
         )
         self.costs = native_costs
         self.max_instructions = max_instructions
-        #: Superblock fast path (see :mod:`repro.runtime.fastpath`);
-        #: None resolves from the ``REPRO_FASTPATH`` environment toggle.
-        self.fastpath = (
-            _fastpath.fastpath_enabled_default() if fastpath is None else fastpath
-        )
+        #: Superblock fast path (see :mod:`repro.runtime.fastpath`).
+        self.fastpath = fastpath
         #: Telemetry registry (:class:`repro.telemetry.Telemetry`) or
         #: None; gated per loop execution / cached-check site, never per
         #: instruction, so the disabled path stays at reference speed.
@@ -511,14 +508,3 @@ class Interpreter:
         else:
             self.protection_counts["full_check"] += 1
 
-
-def run_program(
-    sanitizer: Sanitizer,
-    iprogram: InstrumentedProgram,
-    args: Optional[List[int]] = None,
-    max_instructions: int = 50_000_000,
-) -> RunResult:
-    """One-shot convenience: interpret ``iprogram`` under ``sanitizer``."""
-    return Interpreter(
-        sanitizer, max_instructions=max_instructions
-    ).run(iprogram, args)

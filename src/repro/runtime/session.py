@@ -3,13 +3,17 @@
 A session owns a fresh sanitizer, instruments a program for it, runs the
 program, and returns the :class:`RunResult`.  The benchmark harness and
 the examples both drive everything through this module.
+
+How a session executes is one frozen :class:`ExecConfig`;
+:meth:`ExecConfig.from_env` is the only reader of the ``REPRO_*``
+execution switches, and everything else receives the value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 import os
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional
 
 from ..ir.program import Program
 from ..passes.instrument import (
@@ -19,75 +23,87 @@ from ..passes.instrument import (
 )
 from ..sanitizers import SANITIZER_FACTORIES
 from ..sanitizers.base import Sanitizer
-from ..telemetry import Telemetry, telemetry_enabled_default
-from .compiler import resolve_engine
+from ..telemetry import Telemetry
+from .compiler import ENGINES, resolve_engine
 from .cost_model import CostModel, DEFAULT_COST_MODEL
 from .interpreter import Interpreter, RunResult
 
-
-def _memoize_default() -> bool:
-    return os.environ.get("REPRO_INSTRUMENT_CACHE", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
+_TRUE = ("1", "true", "on", "yes")
+_FALSE = ("0", "false", "off", "no")
 
 
-def _invariants_default() -> bool:
-    return os.environ.get("REPRO_INVARIANTS", "0").lower() in (
-        "1",
-        "true",
-        "on",
-    )
+def _switch(default, env: str):
+    """A field that :meth:`ExecConfig.from_env` reads from ``env``."""
+    return field(default=default, metadata={"env": env})
+
+
+@dataclass(frozen=True)
+class ExecConfig:
+    """The execution cell a session runs in.
+
+    ``engine`` (``"tree"`` or ``"compiled"``), the superblock
+    ``fastpath``, ``interprocedural`` check elision and the
+    instrumentation ``memoize`` cache never change a result;
+    ``invariants`` attaches a raising
+    :class:`~repro.fuzz.invariants.ShadowInvariantChecker`.
+    """
+
+    engine: str = _switch("tree", "REPRO_ENGINE")
+    fastpath: bool = _switch(True, "REPRO_FASTPATH")
+    interprocedural: bool = _switch(True, "REPRO_INTERPROC")
+    memoize: bool = _switch(True, "REPRO_INSTRUMENT_CACHE")
+    invariants: bool = _switch(False, "REPRO_INVARIANTS")
+
+    @classmethod
+    def from_env(cls) -> "ExecConfig":
+        """The config named by the ``REPRO_*`` switches; unset (or
+        empty) ones keep their defaults.
+
+        Booleans accept ``1/true/on/yes`` and ``0/false/off/no`` in any
+        case; anything else raises ``ValueError`` naming the variable.
+        """
+        values = {}
+        for switch in fields(cls):
+            var = switch.metadata["env"]
+            raw = os.environ.get(var, "")
+            value = raw.strip().lower()
+            boolean = isinstance(switch.default, bool)
+            accepted = _TRUE + _FALSE if boolean else sorted(ENGINES)
+            if value and value not in accepted:
+                raise ValueError(
+                    f"invalid {var}={raw!r}: expected one of "
+                    f"{', '.join(accepted)}"
+                )
+            if value:
+                values[switch.name] = value in _TRUE if boolean else value
+        return cls(**values)
 
 
 class Session:
     """One tool + one program, ready to execute.
 
-    ``fastpath`` toggles the superblock fast path (None = the
-    ``REPRO_FASTPATH`` process default); ``memoize`` reuses memoized
-    instrumentation across sessions (None = the ``REPRO_INSTRUMENT_CACHE``
-    process default).  Both are result-invariant accelerations.
-    ``invariants`` attaches a raising
-    :class:`~repro.fuzz.invariants.ShadowInvariantChecker` to the
-    sanitizer so every allocator/frame event re-verifies shadow and
-    accounting invariants (None = the ``REPRO_INVARIANTS`` process
-    default, normally off).  ``audit_elisions`` keeps statically elided
-    checks as :class:`~repro.ir.nodes.CheckElided` markers that the
-    interpreter replays against the shadow oracle, surfacing unsound
-    elisions in ``RunResult.elision_audit_failures``.
-    ``interprocedural`` turns the summary-based analysis layer on or
-    off for the static pipeline (None = the ``REPRO_INTERPROC`` process
-    default, normally on): call sites consume function summaries
-    instead of clobbering every dataflow fact, enabling cross-call
-    check elision.
+    ``config`` is the :class:`ExecConfig` to run under (None =
+    :meth:`ExecConfig.from_env`).  ``audit_elisions`` keeps statically
+    elided checks as :class:`~repro.ir.nodes.CheckElided` markers that
+    the interpreter replays against the shadow oracle, surfacing
+    unsound elisions in ``RunResult.elision_audit_failures``.
 
     ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
-    registry (None = the ``REPRO_TELEMETRY`` process default, normally
-    off; pass an existing registry to share counters across sessions of
-    the *same* sanitizer).  When on, each run's ``RunResult.telemetry``
-    carries a counter snapshot; when off, nothing is attached and the
-    run is byte-identical to a pre-telemetry session.
-
-    ``engine`` selects the execution engine: ``"tree"`` (the reference
-    tree-walking interpreter) or ``"compiled"`` (the compile-to-closures
-    engine in :mod:`repro.runtime.compiler`, observation-equivalent and
-    differentially tested).  None resolves the ``REPRO_ENGINE`` process
-    default, which is ``tree``.
+    registry (pass an existing registry to share counters across
+    sessions of the *same* sanitizer).  When on, each run's
+    ``RunResult.telemetry`` carries a counter snapshot; when off,
+    nothing is attached and the run is byte-identical to a
+    pre-telemetry session.
     """
 
     def __init__(
         self,
         tool: str | Sanitizer,
+        config: Optional[ExecConfig] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         max_instructions: int = 50_000_000,
-        fastpath: bool | None = None,
-        memoize: bool | None = None,
-        invariants: bool | None = None,
         audit_elisions: bool = False,
-        telemetry: bool | Telemetry | None = None,
-        engine: str | None = None,
-        interprocedural: bool | None = None,
+        telemetry: bool | Telemetry = False,
         **sanitizer_kwargs,
     ):
         if isinstance(tool, Sanitizer):
@@ -105,15 +121,11 @@ class Session:
                     f"unknown tool {tool!r}; known tools: {known}"
                 ) from None
             self.sanitizer = factory(**sanitizer_kwargs)
+        self.config = ExecConfig.from_env() if config is None else config
         self.cost_model = cost_model
         self.max_instructions = max_instructions
-        self.fastpath = fastpath
-        self.engine = resolve_engine(engine)
-        self.memoize = _memoize_default() if memoize is None else memoize
+        self.engine = resolve_engine(self.config.engine)
         self.audit_elisions = audit_elisions
-        self.interprocedural = interprocedural
-        if telemetry is None:
-            telemetry = telemetry_enabled_default()
         self.telemetry = None
         if telemetry:
             self.telemetry = (
@@ -122,10 +134,8 @@ class Session:
                 else Telemetry()
             )
             self.telemetry.attach(self.sanitizer)
-        if invariants is None:
-            invariants = _invariants_default()
         self.invariant_checker = None
-        if invariants:
+        if self.config.invariants:
             # local import: repro.fuzz itself drives Sessions
             from ..fuzz.invariants import ShadowInvariantChecker
 
@@ -134,18 +144,12 @@ class Session:
             )
 
     def instrument(self, program: Program) -> InstrumentedProgram:
-        if self.memoize:
-            return instrument_cached(
-                program,
-                tool=self.sanitizer,
-                audit_elisions=self.audit_elisions,
-                interprocedural=self.interprocedural,
-            )
-        return instrument(
+        run = instrument_cached if self.config.memoize else instrument
+        return run(
             program,
             tool=self.sanitizer,
             audit_elisions=self.audit_elisions,
-            interprocedural=self.interprocedural,
+            interprocedural=self.config.interprocedural,
         )
 
     def run(
@@ -156,7 +160,7 @@ class Session:
         interpreter = self.engine(
             self.sanitizer,
             max_instructions=self.max_instructions,
-            fastpath=self.fastpath,
+            fastpath=self.config.fastpath,
             telemetry=self.telemetry,
         )
         return interpreter.run(iprogram, args)

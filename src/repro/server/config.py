@@ -2,16 +2,14 @@
 
 Per-job execution settings travel inside each request's validated
 model (see :mod:`repro.server.models`); this module only holds the
-process-level knobs of the control plane itself.  Execution *defaults*
-(engine, fastpath, interprocedural) are captured once at app
-creation in :class:`ExecutionDefaults` so that a running job can never
-observe another job's configuration through the environment.
+process-level knobs of the control plane itself.  The execution
+*defaults* are one :class:`~repro.runtime.session.ExecConfig`, resolved
+once when the app is created and passed to every job.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from pydantic import BaseModel, ConfigDict, Field
 
@@ -66,37 +64,3 @@ def config_from_env(**overrides) -> ServerConfig:
         {key: value for key, value in overrides.items() if value is not None}
     )
     return ServerConfig(**values)
-
-
-class ExecutionDefaults(BaseModel):
-    """Process execution defaults, resolved once at app creation.
-
-    Jobs construct Sessions from these explicit values (plus their
-    request's overrides) instead of reading ``REPRO_*`` at run time, so
-    concurrent jobs cannot contaminate each other through the process
-    environment.
-    """
-
-    model_config = ConfigDict(extra="forbid")
-
-    engine: str
-    fastpath: bool
-    interprocedural: bool
-    jobs: int = 1
-
-    @classmethod
-    def capture(cls) -> "ExecutionDefaults":
-        from ..dataflow.summaries import interprocedural_default
-        from ..runtime.compiler import engine_default
-        from ..runtime.fastpath import fastpath_enabled_default
-
-        return cls(
-            engine=engine_default(),
-            fastpath=fastpath_enabled_default(),
-            interprocedural=interprocedural_default(),
-        )
-
-
-def resolved(value: Optional[object], default: object) -> object:
-    """Request override if given, else the captured process default."""
-    return default if value is None else value

@@ -28,9 +28,9 @@ SWEEP_TARGETS = ("table2", "table3", "table4", "table5", "fig10", "fig11")
 class ExecutionConfig(BaseModel):
     """The (tool × engine × fastpath) cell a run job executes in.
 
-    ``None`` fields fall back to the defaults the server captured at
-    startup (:class:`repro.server.config.ExecutionDefaults`), never to
-    a live environment read.
+    ``None`` fields fall back to the server's
+    :class:`~repro.runtime.session.ExecConfig` defaults, resolved once
+    at app creation, never to a live environment read.
     """
 
     model_config = ConfigDict(extra="forbid")

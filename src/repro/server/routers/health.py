@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..asgi import Router
 
 router = Router()
@@ -26,7 +28,7 @@ async def stats(request):
     return {
         "jobs": state.manager.counts(),
         "config": state.config.model_dump(),
-        "defaults": state.defaults.model_dump(),
+        "defaults": dataclasses.asdict(state.defaults),
         "fabric": fabric_stats(),
         "instrumentation_cache": instrumentation_cache_stats(),
         "telemetry_totals": state.telemetry_totals.as_dict(),

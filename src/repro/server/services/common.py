@@ -1,66 +1,17 @@
-"""Shared service plumbing: env leases and telemetry aggregation.
+"""Shared service plumbing: telemetry aggregation.
 
-**Environment lease.**  Run jobs construct their Session from the
-validated request model plus the defaults captured at app creation —
-they never read ``REPRO_*`` at run time and can execute concurrently.
-The sweep and fuzz services reuse the existing study runners, whose
-worker Sessions *do* resolve process defaults (and whose fabric is
-keyed on the ``REPRO_*`` environment), so any job that needs the
-environment — to read it or to override it — must hold the process-wide
-lease for the duration.  That serializes sweeps/fuzz campaigns against
-each other while leaving run jobs fully concurrent, and it means a
-sweep's ``engine=compiled`` override can never leak into a neighbour
-job's sessions.
-
-**Telemetry aggregation.**  Each run job's snapshot is merged into a
-per-tool process aggregate via the explicit
-:func:`repro.telemetry.merge_snapshots` API; ``GET /stats`` serves the
-totals.  Registries themselves stay scoped to one Session — the
-aggregate only ever sees immutable snapshots.
+Each run job's snapshot is merged into a per-tool process aggregate via
+the explicit :func:`repro.telemetry.merge_snapshots` API; ``GET /stats``
+serves the totals.  Registries themselves stay scoped to one Session —
+the aggregate only ever sees immutable snapshots.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
 from ...telemetry import TelemetrySnapshot, merge_snapshots
-
-#: Serializes every environment-dependent job (see module docstring).
-_ENV_LEASE = threading.RLock()
-
-
-def acquire_env_lease(context) -> None:
-    """Take the lease, honouring cancellation while waiting."""
-    while not _ENV_LEASE.acquire(timeout=0.2):
-        context.check_cancelled()
-
-
-def release_env_lease() -> None:
-    _ENV_LEASE.release()
-
-
-@contextlib.contextmanager
-def env_lease(context, overrides: Optional[Dict[str, Optional[str]]] = None):
-    """Hold the lease, with optional ``REPRO_*`` overrides restored on exit."""
-    acquire_env_lease(context)
-    saved: Dict[str, Optional[str]] = {}
-    try:
-        for key, value in (overrides or {}).items():
-            if value is None:
-                continue
-            saved[key] = os.environ.get(key)
-            os.environ[key] = str(value)
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        release_env_lease()
 
 
 class TelemetryAggregate:

@@ -1,7 +1,6 @@
 """The run-job service: one IR program, one (tool × engine × fastpath)
-cell, executed through a Session built from the validated request —
-not from environment variables — so concurrent jobs cannot contaminate
-each other's configuration.
+cell, executed through a Session built from the validated request over
+the server's :class:`~repro.runtime.session.ExecConfig` defaults.
 
 The result payload carries the full observable surface of the run:
 return value, cycle/instruction counts, CheckStats, the structured
@@ -12,11 +11,11 @@ program), and the telemetry snapshot when the request asked for one.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict
 
 from ...reporting import format_all_reports
-from ...runtime.session import Session
-from ..config import ExecutionDefaults, resolved
+from ...runtime.session import ExecConfig, Session
 from ..jobs import JobContext
 from ..models import RunJobRequest
 from ..programs import build_job_program
@@ -24,17 +23,16 @@ from .common import TelemetryAggregate
 
 
 def build_session(
-    config, defaults: ExecutionDefaults, max_instructions: int
+    config, defaults: ExecConfig, max_instructions: int
 ) -> Session:
-    """A Session for an :class:`ExecutionConfig`, env-independent."""
+    """A Session for an :class:`ExecutionConfig` over ``defaults``."""
+    overrides = config.model_dump(
+        include={"engine", "fastpath", "interprocedural"}, exclude_none=True
+    )
     return Session(
         config.tool,
+        replace(defaults, **overrides),
         max_instructions=max_instructions,
-        fastpath=resolved(config.fastpath, defaults.fastpath),
-        engine=resolved(config.engine, defaults.engine),
-        interprocedural=resolved(
-            config.interprocedural, defaults.interprocedural
-        ),
         telemetry=config.telemetry,
     )
 
@@ -72,7 +70,7 @@ def run_result_payload(session: Session, result) -> Dict[str, Any]:
 def execute_run_job(
     context: JobContext,
     request: RunJobRequest,
-    defaults: ExecutionDefaults,
+    defaults: ExecConfig,
     aggregate: TelemetryAggregate,
 ) -> Dict[str, Any]:
     program, args = build_job_program(request.program)

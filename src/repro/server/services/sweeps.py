@@ -8,31 +8,32 @@ whole (they are seconds-scale).  Results include the rendered text
 exactly as the CLI prints it, so a sweep job is byte-comparable to
 ``python -m repro <target>``.
 
-Sweep workers resolve ``REPRO_*`` process defaults (and the fabric is
-keyed on them), so the whole body holds the environment lease; see
-:mod:`repro.server.services.common`.
+Every runner receives the job's :class:`~repro.runtime.session.ExecConfig`
+(the server defaults plus the request's ``engine``), so sweeps never
+read or write the process environment and run concurrently.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Dict
 
-from ..config import ExecutionDefaults
+from ...runtime.session import ExecConfig
 from ..jobs import JobContext
 from ..models import SweepJobRequest
-from .common import env_lease
 
 
-def _run_table2(context: JobContext, request: SweepJobRequest) -> Dict[str, Any]:
+def _run_table2(
+    context: JobContext, request: SweepJobRequest, config: ExecConfig
+) -> Dict[str, Any]:
     from ...analysis import (
         PERFORMANCE_TOOLS,
         OverheadStudy,
         overhead_to_rows,
         render_table2,
+        run_overhead_study,
     )
-    from ...analysis.parallel import overhead_worker, parallel_map
-    from ...runtime.cost_model import DEFAULT_COST_MODEL
     from ...workloads.spec import SPEC_TABLE2_ROWS
 
     tools = list(PERFORMANCE_TOOLS)
@@ -43,18 +44,13 @@ def _run_table2(context: JobContext, request: SweepJobRequest) -> Dict[str, Any]
     programs = list(SPEC_TABLE2_ROWS)
     for start in range(0, len(programs), chunk):
         context.check_cancelled()
-        batch = programs[start:start + chunk]
-        rows.extend(
-            parallel_map(
-                overhead_worker,
-                [
-                    (spec.name, tools, request.scale, DEFAULT_COST_MODEL)
-                    for spec in batch
-                ],
-                request.jobs,
-                shard_keys=[spec.name for spec in batch],
-            )
-        )
+        rows += run_overhead_study(
+            tools,
+            programs[start:start + chunk],
+            request.scale,
+            jobs=request.jobs,
+            config=config,
+        ).rows
         context.progress(
             "table2 progress", completed=len(rows), total=len(programs)
         )
@@ -66,44 +62,28 @@ def _run_table2(context: JobContext, request: SweepJobRequest) -> Dict[str, Any]
     }
 
 
-def _run_simple_target(
-    context: JobContext, request: SweepJobRequest
-) -> Dict[str, Any]:
-    from ... import analysis
-
-    context.check_cancelled()
-    if request.target == "table3":
-        study = analysis.run_juliet_study(jobs=request.jobs)
-        return {"rendered": analysis.render_table3(study)}
-    if request.target == "table4":
-        study = analysis.run_linux_flaw_study(jobs=request.jobs)
-        return {"rendered": analysis.render_table4(study)}
-    if request.target == "table5":
-        study = analysis.run_magma_study(jobs=request.jobs)
-        return {"rendered": analysis.render_table5(study)}
-    if request.target == "fig10":
-        study = analysis.run_figure10_study(
-            scale=request.scale, jobs=request.jobs
-        )
-        return {"rendered": analysis.render_figure10(study)}
-    study = analysis.run_figure11_study(jobs=request.jobs)
-    return {"rendered": analysis.render_figure11(study)}
-
-
 def execute_sweep_job(
     context: JobContext,
     request: SweepJobRequest,
-    defaults: ExecutionDefaults,
+    defaults: ExecConfig,
 ) -> Dict[str, Any]:
-    started = time.perf_counter()
-    with env_lease(context, {"REPRO_ENGINE": request.engine}):
-        if request.target == "table2":
-            payload = _run_table2(context, request)
-        else:
-            payload = _run_simple_target(context, request)
-        from ...analysis.parallel import fabric_stats
+    from ...analysis import render_study
+    from ...analysis.parallel import fabric_stats
 
-        stats = fabric_stats()
+    started = time.perf_counter()
+    config = defaults
+    if request.engine is not None:
+        config = replace(defaults, engine=request.engine)
+    if request.target == "table2":
+        payload = _run_table2(context, request, config)
+    else:
+        context.check_cancelled()
+        payload = {
+            "rendered": render_study(
+                request.target, request.jobs, request.scale, config
+            )
+        }
+    stats = fabric_stats()
     payload.update(
         {
             "target": request.target,

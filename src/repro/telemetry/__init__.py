@@ -9,7 +9,6 @@ from .registry import (
     Telemetry,
     TelemetrySnapshot,
     merge_snapshots,
-    telemetry_enabled_default,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "Telemetry",
     "TelemetrySnapshot",
     "merge_snapshots",
-    "telemetry_enabled_default",
 ]

@@ -22,28 +22,17 @@ it measures:
   attach-style probes and explicitly gated call sites in the
   interpreter and fast path.
 
-Enable per session with ``Session(tool, telemetry=True)`` or process
-wide with ``REPRO_TELEMETRY=1``; read the result from
-``RunResult.telemetry`` (a :class:`TelemetrySnapshot`), the
+Enable per session with ``Session(tool, telemetry=True)``; read the
+result from ``RunResult.telemetry`` (a :class:`TelemetrySnapshot`), the
 ``repro profile`` CLI, or :func:`repro.analysis.export.telemetry_to_rows`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from .profiler import PhaseProfiler, PhaseStat
-
-
-def telemetry_enabled_default() -> bool:
-    """Process-wide default for telemetry (off unless REPRO_TELEMETRY)."""
-    return os.environ.get("REPRO_TELEMETRY", "0").lower() in (
-        "1",
-        "true",
-        "on",
-    )
 
 
 #: CheckStats fields mirrored into every snapshot, renamed to the

@@ -13,11 +13,11 @@ from repro.ir.nodes import Const, Var
 from repro.runtime import (
     BudgetExceeded,
     CompiledEngine,
+    ExecConfig,
     Interpreter,
     Session,
     compile_function,
     compile_program,
-    engine_default,
     resolve_engine,
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
@@ -56,19 +56,15 @@ def test_resolve_engine_rejects_unknown():
         resolve_engine("jit")
 
 
-def test_engine_default_reads_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert engine_default() == "tree"
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    assert engine_default() == "compiled"
-    assert resolve_engine(None) is CompiledEngine
+def _config(engine):
+    return ExecConfig(engine=engine, memoize=False)
 
 
 def test_session_engine_parameter():
-    assert Session("Native", engine="compiled").engine is CompiledEngine
-    assert Session("Native", engine="tree").engine is Interpreter
+    assert Session("Native", _config("compiled")).engine is CompiledEngine
+    assert Session("Native", _config("tree")).engine is Interpreter
     with pytest.raises(ValueError):
-        Session("Native", engine="bytecode")
+        Session("Native", _config("bytecode"))
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +95,7 @@ def test_may_undefined_read_declines():
         compile_function(function, COSTS, False, False) is None
     )
     # ... but the engine still runs it, via per-function fallback.
-    result = Session("Native", engine="compiled", memoize=False).run(
+    result = Session("Native", _config("compiled")).run(
         program
     )
     assert result.return_value == 42
@@ -139,7 +135,7 @@ def test_budget_exceeded_message_matches_tree():
     messages = {}
     for engine in ("tree", "compiled"):
         session = Session(
-            "Native", engine=engine, memoize=False, max_instructions=100
+            "Native", _config(engine), max_instructions=100
         )
         with pytest.raises(BudgetExceeded) as excinfo:
             session.run(program)
@@ -158,7 +154,7 @@ def test_wrong_argc_message_matches_tree():
     program = builder.build()
     messages = {}
     for engine in ("tree", "compiled"):
-        session = Session("Native", engine=engine, memoize=False)
+        session = Session("Native", _config(engine))
         with pytest.raises(TypeError) as excinfo:
             session.run(program)
         messages[engine] = str(excinfo.value)
@@ -183,8 +179,8 @@ def test_compiled_calls_interop_with_tree_fallback():
     program = builder.build()
     table = _compile(program)
     assert "main" in table and "helper" not in table
-    tree = Session("Native", engine="tree", memoize=False).run(program)
-    compiled = Session("Native", engine="compiled", memoize=False).run(
+    tree = Session("Native", _config("tree")).run(program)
+    compiled = Session("Native", _config("compiled")).run(
         program
     )
     assert compiled.return_value == tree.return_value == 5 + sum(range(5))

@@ -39,7 +39,7 @@ from repro.passes import instrument
 from repro.passes.base import PassStats
 from repro.passes.instrument import InstrumentedProgram
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.session import Session
+from repro.runtime.session import ExecConfig, Session
 from repro.sanitizers import ASanMinusMinus, GiantSan
 
 
@@ -364,12 +364,11 @@ class TestElisionAudit:
         assert all(isinstance(m.inner, CheckAccess) for m in markers)
 
     def test_audit_replay_is_invisible(self):
-        plain = Session("ASan--", memoize=False, fastpath=False).run(
+        config = ExecConfig(fastpath=False, memoize=False)
+        plain = Session("ASan--", config).run(_elidable_program())
+        audited = Session("ASan--", config, audit_elisions=True).run(
             _elidable_program()
         )
-        audited = Session(
-            "ASan--", memoize=False, fastpath=False, audit_elisions=True
-        ).run(_elidable_program())
         assert audited.elision_audit_failures == []
         assert audited.stats.as_dict() == plain.stats.as_dict()
         assert audited.native_cycles == plain.native_cycles

@@ -15,7 +15,7 @@ import pytest
 from repro.fuzz import build_case, case_seed_for, generate_case
 from repro.fuzz.driver import CASE_MAX_INSTRUCTIONS
 from repro.ir.builder import ProgramBuilder
-from repro.runtime import Session
+from repro.runtime import ExecConfig, Session
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 #: Reduced iteration scale keeps the proxy matrix quick.
@@ -61,9 +61,7 @@ def _observables(result):
 def _run(program, tool, engine, fastpath, args=None, **kwargs):
     session = Session(
         tool,
-        engine=engine,
-        fastpath=fastpath,
-        memoize=False,
+        ExecConfig(engine=engine, fastpath=fastpath, memoize=False),
         **kwargs,
     )
     return session.run(program, args)

@@ -11,9 +11,13 @@ so each gets a pinned, deterministic test here.
 import pytest
 
 from repro.ir.builder import ProgramBuilder
-from repro.runtime import Session
+from repro.runtime import ExecConfig, Session
 
 TOOLS = ["Native", "GiantSan", "ASan", "ASan--", "LFP", "HWASan"]
+
+
+def _config(fastpath):  # the engine follows REPRO_ENGINE (CI matrix)
+    return ExecConfig(ExecConfig.from_env().engine, fastpath, memoize=False)
 
 
 def _observables(result):
@@ -29,8 +33,8 @@ def _observables(result):
 
 def _assert_paths_match(program, expect_errors_from=()):
     for tool in TOOLS:
-        on = Session(tool, fastpath=True, memoize=False).run(program)
-        off = Session(tool, fastpath=False, memoize=False).run(program)
+        on = Session(tool, _config(True)).run(program)
+        off = Session(tool, _config(False)).run(program)
         assert _observables(on) == _observables(off), tool
         if tool in expect_errors_from:
             assert off.errors, f"{tool} missed the planted bug"
@@ -75,7 +79,7 @@ def test_reverse_walk_in_bounds():
         f.ret(total)
     program = builder.build()
     _assert_paths_match(program)
-    result = Session("Native", fastpath=False, memoize=False).run(program)
+    result = Session("Native", _config(False)).run(program)
     assert result.return_value == sum(range(16))
 
 
@@ -110,7 +114,7 @@ def test_final_access_exactly_at_usable_boundary():
     program = builder.build()
     _assert_paths_match(program)
     for tool in TOOLS:
-        result = Session(tool, fastpath=True, memoize=False).run(program)
+        result = Session(tool, _config(True)).run(program)
         assert not result.errors, tool
 
 
@@ -127,7 +131,7 @@ def test_final_partial_segment_on_redzone_boundary():
     program = builder.build()
     _assert_paths_match(program)
     for tool in TOOLS:
-        result = Session(tool, fastpath=True, memoize=False).run(program)
+        result = Session(tool, _config(True)).run(program)
         assert not result.errors, tool
 
 

@@ -9,7 +9,7 @@ semantic change; this suite is the proof.
 
 import pytest
 
-from repro.runtime import Session
+from repro.runtime import ExecConfig, Session
 from repro.runtime.fastpath import analyze_loop
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Loop
@@ -19,6 +19,10 @@ from repro.workloads.spec import SPEC_TABLE2_ROWS
 SCALE = 2
 
 TOOLS = ["Native", "GiantSan", "ASan", "ASan--", "LFP"]
+
+
+def _config(fastpath):  # the engine follows REPRO_ENGINE (CI matrix)
+    return ExecConfig(ExecConfig.from_env().engine, fastpath, memoize=False)
 
 
 def _observables(result):
@@ -33,7 +37,7 @@ def _observables(result):
 
 
 def _run(spec, tool, fastpath):
-    session = Session(tool, fastpath=fastpath, memoize=False)
+    session = Session(tool, _config(fastpath))
     return session.run(spec.build(), [SCALE])
 
 
@@ -75,8 +79,8 @@ def test_fastpath_falls_back_on_data_dependent_loop():
                 f.store("buf", i * 4, 4, i)
         f.free("buf")
     program = builder.build()
-    on = Session("GiantSan", fastpath=True, memoize=False).run(program)
-    off = Session("GiantSan", fastpath=False, memoize=False).run(program)
+    on = Session("GiantSan", _config(True)).run(program)
+    off = Session("GiantSan", _config(False)).run(program)
     assert on.native_cycles == off.native_cycles
     assert on.stats.as_dict() == off.stats.as_dict()
 
@@ -97,8 +101,8 @@ def test_fastpath_preserves_memory_effects():
     program = builder.build()
     expected = sum(i * 1000 + 7 for i in range(32))
     for tool in TOOLS:
-        on = Session(tool, fastpath=True, memoize=False).run(program)
-        off = Session(tool, fastpath=False, memoize=False).run(program)
+        on = Session(tool, _config(True)).run(program)
+        off = Session(tool, _config(False)).run(program)
         assert on.return_value == expected
         assert off.return_value == expected
         assert on.stats.as_dict() == off.stats.as_dict()

@@ -30,7 +30,7 @@ from repro.fuzz.expectations import (
 )
 from repro.fuzz.generator import BugSpec, BufferDecl, FuzzCase, drop_op
 from repro.fuzz.shrinker import _shrunk_numbers
-from repro.runtime import Session
+from repro.runtime import ExecConfig, Session
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +81,9 @@ class TestGenerator:
         for index in range(25):
             case = generate_case(case_seed_for(5, index))
             program = build_case(case)
-            result = Session("Native", memoize=False).run(program)
+            result = Session("Native", ExecConfig(memoize=False)).run(
+                program
+            )
             assert result.return_value is not None
 
     def test_drop_op_removes_buffer_dependents(self):
@@ -286,14 +288,7 @@ class TestInvariantChecker:
             checker.verify("planted")
 
     def test_session_toggle_attaches_checker(self):
-        session = Session("GiantSan", invariants=True, memoize=False)
-        assert session.invariant_checker is not None
-        session_off = Session("GiantSan", memoize=False)
-        assert session_off.invariant_checker is None
-
-    def test_session_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INVARIANTS", "1")
-        session = Session("ASan", memoize=False)
-        assert session.invariant_checker is not None
-        monkeypatch.setenv("REPRO_INVARIANTS", "0")
-        assert Session("ASan", memoize=False).invariant_checker is None
+        on = ExecConfig(invariants=True, memoize=False)
+        assert Session("GiantSan", on).invariant_checker is not None
+        off = ExecConfig(memoize=False)
+        assert Session("GiantSan", off).invariant_checker is None

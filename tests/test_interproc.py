@@ -31,7 +31,7 @@ from repro.ir.nodes import Call, V
 from repro.ir.program import Function, Program
 from repro.passes.alias import ProvenanceMap
 from repro.passes.instrument import instrument
-from repro.runtime.session import Session
+from repro.runtime.session import ExecConfig, Session
 from repro.sanitizers import SANITIZER_FACTORIES
 from repro.workloads import build_callheavy_program
 
@@ -368,8 +368,7 @@ class TestCrossCallElision:
         program = build_callheavy_program()
         for tool in ("GiantSan", "ASan--"):
             session = Session(
-                tool, memoize=False, audit_elisions=True,
-                interprocedural=True,
+                tool, ExecConfig(memoize=False), audit_elisions=True
             )
             result = session.run(program, args=[6])
             assert result.elision_audit_failures == []
@@ -379,8 +378,9 @@ class TestCrossCallElision:
 # ----------------------------------------------------------------------
 # degenerate shapes fall back byte-identically
 # ----------------------------------------------------------------------
-def _observables(tool, program, args=None, **kwargs):
-    session = Session(tool, memoize=False, **kwargs)
+def _observables(tool, program, args=None, interprocedural=True):
+    config = ExecConfig(memoize=False, interprocedural=interprocedural)
+    session = Session(tool, config)
     result = session.run(program, args)
     return {
         "return_value": result.return_value,
@@ -499,7 +499,9 @@ class TestCallHeavyAcceptance:
             counts = {}
             semantics = {}
             for ipo in (True, False):
-                session = Session(tool, memoize=False, interprocedural=ipo)
+                session = Session(
+                    tool, ExecConfig(memoize=False, interprocedural=ipo)
+                )
                 result = session.run(program, args=[10])
                 counts[ipo] = result.stats.checks_executed
                 semantics[ipo] = (
@@ -515,19 +517,16 @@ class TestCallHeavyAcceptance:
         program = build_callheavy_program()
         session = Session(
             "GiantSan",
-            memoize=False,
-            engine=engine,
-            fastpath=fastpath,
-            interprocedural=True,
+            ExecConfig(engine=engine, fastpath=fastpath, memoize=False),
         )
         result = session.run(program, args=[5])
         observed = (
             result.return_value,
             [(e.kind, e.address) for e in result.errors],
         )
-        reference = Session(
-            "GiantSan", memoize=False, interprocedural=True
-        ).run(program, args=[5])
+        reference = Session("GiantSan", ExecConfig(memoize=False)).run(
+            program, args=[5]
+        )
         baseline = (
             reference.return_value,
             [(e.kind, e.address) for e in reference.errors],

@@ -9,8 +9,9 @@ Three families of guarantees:
 (b) **Warm-cache reuse** — consecutive tables on one fabric must hit
     the per-worker instrumentation memo (the whole point of persistent
     workers), observable through the fabric's worker stats.
-(c) **Graceful lifecycle** — a REPRO_* environment change retires the
-    old fabric by *draining* it (workers exit cleanly, exit code 0),
+(c) **Graceful lifecycle** — work units carry their ExecConfig, so a
+    config change reuses the live fabric; only a worker-count change
+    retires it, by *draining* (workers exit cleanly, exit code 0),
     never by killing in-flight work.
 """
 
@@ -20,6 +21,7 @@ import pytest
 
 from repro.analysis import run_overhead_study
 from repro.analysis.detection import run_juliet_study, run_linux_flaw_study
+from repro.analysis import fabric as fabric_module
 from repro.analysis.fabric import ExecutionFabric, _Scheduler, shard_slot
 from repro.analysis import parallel
 from repro.analysis.parallel import (
@@ -30,7 +32,16 @@ from repro.analysis.parallel import (
     shutdown_pool,
     steal_spans,
 )
-from repro.fuzz.driver import FuzzSummary, fuzz_worker
+from repro.fuzz.driver import fuzz_spans
+from repro.runtime import ExecConfig
+
+#: Hand-built payloads carry the environment's config (CI matrix).
+CONFIG = ExecConfig.from_env()
+
+
+def _units(*names, config=CONFIG):
+    """figure10_worker payloads at scale 2."""
+    return [(name, 2, config) for name in names]
 
 
 @pytest.fixture(autouse=True)
@@ -84,19 +95,9 @@ class TestByteIdenticalResults:
 
     def test_fuzz_jobs_matrix(self):
         def sweep(jobs):
-            spans = steal_spans(60, jobs)
-            payloads = [
-                (11, start, stop, 0.55, False, False)
-                for start, stop in spans
-            ]
-            summary = FuzzSummary()
-            for partial in parallel_map(
-                fuzz_worker,
-                payloads,
-                jobs,
-                shard_keys=[("fuzz", start) for start, _ in spans],
-            ):
-                summary.merge(partial)
+            summary = fuzz_spans(
+                steal_spans(60, jobs), jobs, 11, 0.55, False, False, CONFIG
+            )
             return (
                 summary.cases,
                 summary.buggy_cases,
@@ -191,25 +192,26 @@ class TestWarmCaches:
 
 
 class TestLifecycle:
-    def test_env_change_drains_gracefully(self, monkeypatch):
-        parallel_map(
-            figure10_worker,
-            [("505.mcf_r", 2), ("519.lbm_r", 2), ("508.namd_r", 2)],
-            2,
-        )
+    def test_config_change_reuses_fabric(self):
+        fabric = None
+        for config in (ExecConfig("tree", False), ExecConfig("compiled")):
+            units = _units("505.mcf_r", "519.lbm_r", config=config)
+            results = parallel_map(figure10_worker, units, 2)
+            fabric = fabric or parallel._FABRIC
+            assert parallel._FABRIC is fabric
+            assert results == [figure10_worker(unit) for unit in units]
+
+    def test_worker_count_change_drains_gracefully(self):
+        parallel_map(figure10_worker, _units("505.mcf_r", "519.lbm_r"), 2)
         old = parallel._FABRIC
         assert old is not None
-        old_processes = old.processes
-        monkeypatch.setenv("REPRO_FABRIC_TEST_TOGGLE", "flip")
-        parallel_map(
-            figure10_worker, [("505.mcf_r", 2), ("519.lbm_r", 2)], 2
-        )
+        parallel_map(figure10_worker, _units("505.mcf_r", "519.lbm_r"), 3)
         assert parallel._FABRIC is not old
         # drained, not terminated: every worker exited cleanly
-        assert [p.exitcode for p in old_processes] == [0, 0]
+        assert [p.exitcode for p in old.processes] == [0, 0]
 
     def test_shutdown_pool_is_idempotent(self):
-        parallel_map(figure10_worker, [("505.mcf_r", 2), ("519.lbm_r", 2)], 2)
+        parallel_map(figure10_worker, _units("505.mcf_r", "519.lbm_r"), 2)
         shutdown_pool()
         shutdown_pool()
         assert fabric_stats() is None
@@ -218,7 +220,7 @@ class TestLifecycle:
         with pytest.raises(Exception) as excinfo:
             parallel_map(
                 figure10_worker,
-                [("505.mcf_r", 2), ("no-such-program", 2)],
+                _units("505.mcf_r", "no-such-program"),
                 2,
             )
         assert "no-such-program" in str(excinfo.value) or "KeyError" in str(
@@ -226,7 +228,7 @@ class TestLifecycle:
         )
         # the fabric survives a unit failure and keeps serving
         results = parallel_map(
-            figure10_worker, [("505.mcf_r", 2), ("519.lbm_r", 2)], 2
+            figure10_worker, _units("505.mcf_r", "519.lbm_r"), 2
         )
         assert [r.program for r in results] == ["505.mcf_r", "519.lbm_r"]
 
@@ -300,14 +302,14 @@ class TestFabricDirect:
     def test_ordered_results_with_skewed_shards(self):
         fabric = ExecutionFabric(2)
         try:
-            payloads = [("505.mcf_r", 2)] * 1  # warm-up
+            payloads = _units("505.mcf_r")  # warm-up
             fabric.map(figure10_worker, payloads, shard_keys=["x"])
             names = ["505.mcf_r", "519.lbm_r", "508.namd_r", "557.xz_r"]
             # all units on ONE shard: the other worker must steal, yet
             # results come back in submission order
             results = fabric.map(
                 figure10_worker,
-                [(name, 2) for name in names],
+                _units(*names),
                 shard_keys=["hot"] * len(names),
             )
             assert [r.program for r in results] == names
@@ -321,7 +323,7 @@ class TestFabricDirect:
         try:
             results = fabric.map(
                 figure10_worker,
-                [("505.mcf_r", 2)],
+                _units("505.mcf_r"),
                 shard_keys=["only"],
             )
             assert results[0].program == "505.mcf_r"
@@ -343,6 +345,11 @@ def wedge_worker(payload):
 
 def quick_worker(payload):
     return payload * 2
+
+
+def sized_worker(payload):
+    """A result of ``payload`` list items (~``payload`` pickled KiB)."""
+    return [payload] * (payload * 512)
 
 
 class TestDrainReport:
@@ -401,6 +408,17 @@ class TestDrainReport:
         assert report.stuck_workers == []
         assert report.lost_units == []
         assert report.unclaimed_results == 1
+
+    def test_oversized_results_fall_back_to_queue_transport(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(fabric_module, "DEFAULT_SCRATCH_BYTES", 4096)
+        payloads = [1, 16, 2, 32]  # small results and >4 KiB ones mixed
+        results = parallel_map(
+            sized_worker, payloads, jobs=2, shard_keys=list("abcd")
+        )
+        assert fabric_stats()["shared_memory"]
+        assert results == [sized_worker(payload) for payload in payloads]
 
     def test_drain_pool_returns_report(self):
         assert parallel.drain_pool() is None  # no fabric yet

@@ -6,27 +6,28 @@ Three families of guarantees:
     reports are byte-identical to running the same configuration
     directly through :class:`repro.runtime.session.Session` (or the
     fuzz/sweep drivers).  The server adds transport, never semantics.
-(b) **Isolation** — concurrent jobs build their sessions from validated
-    request models plus startup-captured defaults; one job's config
-    (engine/tool, telemetry registry) can never leak into a
-    neighbour, and sweep env overrides are restored on exit.
+(b) **Isolation** — concurrent jobs run under explicit ExecConfigs; one
+    job's config (engine/tool, telemetry registry) can never leak into a
+    neighbour, and no job touches the process environment.
 (c) **Lifecycle** — submissions validate at the door (422 with a
     FastAPI-shaped detail body), cancellation lands mid-run at the next
     checkpoint, and shutdown drains the job manager and the shared
     execution fabric (no orphaned workers, no leaked shared memory).
 """
 
+import dataclasses
 import os
 import threading
 import time
 
 import pytest
 
-from repro import ProgramBuilder, Session
+from repro import ExecConfig, ProgramBuilder, Session
 from repro.analysis import parallel
 from repro.reporting import format_all_reports
+from repro.runtime import CompiledEngine, Interpreter
 from repro.server import ServerConfig, create_app
-from repro.server.config import ExecutionDefaults, config_from_env
+from repro.server.config import config_from_env
 from repro.server.programs import build_demo_program, load_program
 from repro.server.services.runner import run_result_payload
 from repro.server.testclient import TestClient
@@ -233,7 +234,9 @@ class TestRunJobs:
         assert served["tool"] == "ASan"
 
         session = Session(
-            "ASan", engine="compiled", fastpath=False, telemetry=True
+            "ASan",
+            ExecConfig(engine="compiled", fastpath=False),
+            telemetry=True,
         )
         session.run(build_demo_program())
         assert served["reports"] == format_all_reports(session.sanitizer)
@@ -336,15 +339,65 @@ class TestConcurrentJobIsolation:
             )
             assert served == expected[job_id], "telemetry cross-contaminated"
 
-    def test_sweep_env_override_does_not_leak(self, client):
-        before = os.environ.get("REPRO_ENGINE")
-        detail = _submit_and_wait(
-            client,
-            "sweep",
-            {"target": "fig11", "jobs": 1, "engine": "compiled"},
-        )
+    def test_sweep_job_never_writes_environ(self, client, monkeypatch):
+        def refuse(*args):  # os.environ writes go through these two
+            raise AssertionError(f"a job wrote os.environ: {args}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "putenv", refuse)
+            patch.setattr(os, "unsetenv", refuse)
+            detail = _submit_and_wait(
+                client, "sweep", {"target": "fig11", "engine": "compiled"}
+            )
         assert detail["status"] == "done", detail["error"]
-        assert os.environ.get("REPRO_ENGINE") == before
+
+    def test_concurrent_sweeps_run_in_parallel(self, client, monkeypatch):
+        """Sweeps under two engines overlap, and each renders exactly
+        what ``repro fig11 --engine <engine>`` prints."""
+        from repro.analysis import figures, render_figure11
+
+        # neither study may start until both are in flight: a server
+        # that serializes sweeps times out here and fails both jobs
+        barrier = threading.Barrier(2, timeout=60)
+        study = figures.run_figure11_study
+
+        def rendezvous(**kwargs):
+            barrier.wait()
+            return study(**kwargs)
+
+        monkeypatch.setattr(figures, "run_figure11_study", rendezvous)
+        ids = {
+            engine: client.post(
+                "/jobs/sweep", json={"target": "fig11", "engine": engine}
+            ).json()["id"]
+            for engine in ("compiled", "tree")
+        }
+        details = {e: client.wait_for_job(i) for e, i in ids.items()}
+        monkeypatch.setattr(figures, "run_figure11_study", study)
+        first, second = details.values()
+        # both reported running at once: their running spans overlap
+        assert first["started_at"] < second["finished_at"]
+        assert second["started_at"] < first["finished_at"]
+        for engine, detail in details.items():
+            assert detail["status"] == "done", detail["error"]
+            # what `repro fig11 --engine <engine>` prints
+            assert detail["result"]["rendered"] == render_figure11(
+                study(config=ExecConfig(engine))
+            )
+
+    def test_sweep_runs_under_app_defaults_not_env(self, monkeypatch):
+        runs, run = [], Interpreter.run  # the engine class of every run
+        monkeypatch.setattr(Interpreter, "run", lambda self, *args: (
+            runs.append(type(self)) or run(self, *args)
+        ))
+        monkeypatch.setenv("REPRO_ENGINE", "tree")
+        app = create_app(ServerConfig(), defaults=ExecConfig("compiled"))
+        with TestClient(app) as client:
+            detail = _submit_and_wait(client, "sweep", {"target": "fig11"})
+            assert detail["status"] == "done", detail["error"]
+            stats = client.get("/stats").json()
+        assert stats["defaults"]["engine"] == "compiled"
+        assert runs and set(runs) == {CompiledEngine}
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +412,9 @@ class TestCampaignJobs:
         assert detail["status"] == "done", detail["error"]
         served = detail["result"]
 
-        from repro.fuzz.driver import fuzz_worker
+        from repro.fuzz.driver import fuzz_span
 
-        direct = fuzz_worker((11, 0, 20, 0.6, True, False))
+        direct = fuzz_span(11, 0, 20, 0.6, config=ExecConfig.from_env())
         assert served["cases"] == direct.cases == 20
         assert served["buggy_cases"] == direct.buggy_cases
         assert served["invariant_checks"] == direct.invariant_checks
@@ -479,15 +532,15 @@ class TestConfig:
         with pytest.raises(SystemExit):
             config_from_env()
 
-    def test_defaults_capture_matches_process_defaults(self, monkeypatch):
+    def test_create_app_resolves_defaults_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "compiled")
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        defaults = ExecutionDefaults.capture()
-        assert defaults.engine == "compiled"
-        assert defaults.fastpath is False
+        defaults = create_app(ServerConfig()).state.defaults
+        assert defaults == ExecConfig.from_env()
+        assert (defaults.engine, defaults.fastpath) == ("compiled", False)
 
     def test_stats_reports_config_echo(self, client):
         stats = client.get("/stats").json()
         assert stats["config"]["max_concurrency"] == 2
-        assert stats["defaults"]["engine"] in ("tree", "compiled")
+        assert stats["defaults"] == dataclasses.asdict(ExecConfig.from_env())
         assert stats["jobs"]["queued"] == 0

@@ -10,6 +10,7 @@ must agree with both.
 import pytest
 
 from repro import ProgramBuilder, Session
+from repro.runtime import ExecConfig
 from repro.analysis import (
     ProfileStudy,
     profile_program,
@@ -27,7 +28,6 @@ from repro.telemetry import (
     PhaseProfiler,
     Telemetry,
     TelemetrySnapshot,
-    telemetry_enabled_default,
 )
 from repro.workloads.spec import SPEC_BY_NAME
 
@@ -139,14 +139,6 @@ class TestTelemetryRegistry:
         snap = tele.snapshot()
         assert snap.quarantine_peak_bytes >= allocation.chunk_size
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert telemetry_enabled_default() is False
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert telemetry_enabled_default() is True
-        monkeypatch.setenv("REPRO_TELEMETRY", "off")
-        assert telemetry_enabled_default() is False
-
     def test_snapshot_as_dict_schema(self):
         snap = TelemetrySnapshot(
             tool="GiantSan",
@@ -187,11 +179,6 @@ class TestSessionIntegration:
         assert result.telemetry.tool == "GiantSan"
         assert result.telemetry.counters["allocations"] == 1
 
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        session = Session("GiantSan")
-        assert session.telemetry is not None
-
     def test_shared_registry_accumulates(self):
         tele = Telemetry()
         session = Session("GiantSan", telemetry=tele)
@@ -203,10 +190,11 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_results_invariant_under_telemetry(self, fastpath):
         spec = SPEC_BY_NAME["505.mcf_r"]
-        plain = Session("GiantSan", fastpath=fastpath).run(spec.build(), [1])
-        traced = Session(
-            "GiantSan", fastpath=fastpath, telemetry=True
-        ).run(spec.build(), [1])
+        config = ExecConfig(fastpath=fastpath)
+        plain = Session("GiantSan", config).run(spec.build(), [1])
+        traced = Session("GiantSan", config, telemetry=True).run(
+            spec.build(), [1]
+        )
         assert plain.stats.as_dict() == traced.stats.as_dict()
         assert plain.errors == traced.errors
         assert plain.protection_counts == traced.protection_counts
@@ -275,7 +263,7 @@ def run_with_ground_truth_shim(name: str):
     san.check_cached = shim_cached
 
     spec = SPEC_BY_NAME[name]
-    result = Session(san, fastpath=False, telemetry=tele).run(
+    result = Session(san, ExecConfig(fastpath=False), telemetry=tele).run(
         spec.build(), [1]
     )
     return result, calls, oracle_disagreements
@@ -343,7 +331,9 @@ class TestConvergence:
 
     def test_interpreter_tracks_per_site_convergence(self):
         spec = SPEC_BY_NAME["520.omnetpp_r"]
-        result = Session("GiantSan", fastpath=False, telemetry=True).run(
+        result = Session(
+            "GiantSan", ExecConfig(fastpath=False), telemetry=True
+        ).run(
             spec.build(), [1]
         )
         snap = result.telemetry
