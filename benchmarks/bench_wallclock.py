@@ -118,10 +118,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = bench_scale()
-    compiled = ExecConfig(engine="compiled")
+    # Each cell pins engine, fastpath and memoize; REPRO_INTERPROC and
+    # REPRO_INVARIANTS still come from the environment.
+    def cell(engine, fast):
+        return ExecConfig.from_env(engine=engine, fastpath=fast, memoize=fast)
+
+    compiled = cell("compiled", True)
     configurations = {
-        "baseline": (ExecConfig(fastpath=False, memoize=False), 1),
-        "fastpath": (ExecConfig(), 1),
+        "baseline": (cell("tree", False), 1),
+        "fastpath": (cell("tree", True), 1),
         "compiled": (compiled, 1),
         # affinity-aware worker count (cgroup quotas respected), floored
         # at two so single-core machines still exercise the fabric

@@ -11,9 +11,10 @@ invocation shares:
   instrumentation memo cache (:mod:`repro.passes.instrument`) and the
   compiled closures memoized on the cached programs stay warm from one
   table to the next.  Work units carry their execution config in the
-  payload, so only a worker-count change retires a fabric — and that
-  retirement *drains* (finish in-flight units, then exit) rather than
-  terminating mid-unit.
+  payload, and a map may run on just the first ``workers`` workers, so
+  only a request for more workers than it has retires a fabric — and
+  that retirement *drains* (finish in-flight units, then exit) rather
+  than terminating mid-unit.
 
 * **Sharded dispatch with work stealing.**  Every work unit carries a
   shard key (typically the program name); a deterministic CRC of the key
@@ -287,8 +288,10 @@ class ExecutionFabric:
         worker: Callable,
         payloads: Sequence,
         shard_keys: Optional[Sequence] = None,
+        workers: Optional[int] = None,
     ) -> List:
-        """Ordered map over ``payloads`` across the fabric's workers."""
+        """Ordered map over ``payloads`` across the fabric's first
+        ``workers`` workers (all of them by default)."""
         if self._closed:
             raise RuntimeError("fabric has been shut down")
         payloads = list(payloads)
@@ -300,11 +303,16 @@ class ExecutionFabric:
         units = [
             (seq, ref, payload) for seq, payload in enumerate(payloads)
         ]
+        # The scheduler is empty between maps, so re-homing its shards
+        # onto the active workers cannot strand a unit.
+        active = min(workers or self.workers, self.workers)
+        self._scheduler.workers = active
         self._scheduler.submit(units, shard_keys)
         results: Dict[int, object] = {}
         errors: List[str] = []
         for worker_id in sorted(self._idle):
-            self._assign(worker_id)
+            if worker_id < active:
+                self._assign(worker_id)
         while len(results) + len(errors) < len(payloads):
             message = self._next_event()
             kind, worker_id = message[0], message[1]
@@ -394,7 +402,7 @@ class ExecutionFabric:
     def drain(self, timeout: float = 30.0) -> DrainReport:
         """Graceful shutdown: let every worker finish and exit cleanly.
 
-        This is the *invalidation* path (the worker count changed): no
+        This is the *invalidation* path (a map needs more workers): no
         in-flight unit is killed unless its worker ignores ``stop`` past
         ``timeout``.  The returned
         :class:`DrainReport` accounts for everything a non-clean drain

@@ -23,7 +23,9 @@ Every payload carries its :class:`~repro.runtime.session.ExecConfig`,
 so one fabric serves any mix of configs.  The fabric persists across
 ``parallel_map`` calls — consecutive tables of one sweep invocation
 reuse warm workers (and their instrumentation memo / compiled-closure
-caches).  It is retired only when the worker count changes, as a
+caches).  A map asking for fewer workers than the fabric has runs on
+the first ``jobs`` of them, so concurrent sweeps with different
+``--jobs`` share it; only a request for *more* workers retires it, as a
 graceful *drain* (workers finish in-flight units and exit cleanly); the
 hard ``terminate`` path is reserved for process exit.
 """
@@ -70,7 +72,7 @@ def default_jobs() -> int:
 
 
 def drain_pool(timeout: float = 30.0) -> Optional[DrainReport]:
-    """Gracefully retire the shared fabric (worker-count change).
+    """Gracefully retire the shared fabric (it had too few workers).
 
     Workers finish any in-flight unit, then exit cleanly — nothing is
     killed unless a worker wedges past ``timeout``.  Returns the
@@ -100,12 +102,12 @@ atexit.register(shutdown_pool)
 
 
 def _shared_fabric(processes: int) -> ExecutionFabric:
-    """The persistent fabric for ``processes`` workers, recreated only
-    when the worker count changed."""
+    """A persistent fabric with at least ``processes`` workers, recreated
+    only when the live one is smaller."""
     global _FABRIC
     if (
         _FABRIC is not None
-        and _FABRIC.workers == processes
+        and _FABRIC.workers >= processes
         and not _FABRIC._closed
     ):
         return _FABRIC
@@ -156,7 +158,7 @@ def parallel_map(
     # threads concurrently.
     with _FABRIC_LOCK:
         return _shared_fabric(jobs).map(
-            worker, payloads, shard_keys=shard_keys
+            worker, payloads, shard_keys=shard_keys, workers=jobs
         )
 
 

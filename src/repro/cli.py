@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 
@@ -603,13 +602,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler, _ = _COMMANDS[args.command]
     from .runtime.session import ExecConfig
 
+    pinned = {"engine": args.engine} if getattr(args, "engine", None) else {}
     try:
-        config = ExecConfig.from_env()
+        config = ExecConfig.from_env(**pinned)
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "engine", None):
-        config = replace(config, engine=args.engine)
     if args.command in _PARALLEL_COMMANDS:
         # SIGTERM as SystemExit so the finally block (and atexit) run:
         # fabric workers get retired and their shared-memory scratch

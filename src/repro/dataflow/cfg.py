@@ -26,7 +26,7 @@ Block shapes produced::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..ir.nodes import If, Instr, Loop, Return
 from ..ir.program import Function
@@ -112,18 +112,6 @@ class CFG:
                 order.append(index)
         order.reverse()
         return order
-
-    def instruction_blocks(self) -> Dict[int, int]:
-        """``id(instr) -> block index`` for every lowered instruction."""
-        mapping: Dict[int, int] = {}
-        for block in self.blocks:
-            for instr in block.instrs:
-                mapping[id(instr)] = block.index
-            if block.loop is not None:
-                mapping[id(block.loop)] = block.index
-            if block.branch is not None:
-                mapping[id(block.branch)] = block.index
-        return mapping
 
 
 def lower_function(function: Function) -> CFG:

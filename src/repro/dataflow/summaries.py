@@ -127,11 +127,6 @@ class FunctionSummary:
             and self.frees_nothing
         )
 
-    def facts_for(self, index: int) -> ParamFacts:
-        if 0 <= index < len(self.param_facts):
-            return self.param_facts[index]
-        return TOP_PARAM
-
     def as_dict(self) -> dict:
         return {
             "params": list(self.params),

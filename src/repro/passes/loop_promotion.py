@@ -48,10 +48,6 @@ from .loop_bounds import (
     trip_range,
 )
 
-#: Loop bodies containing these cannot be promoted safely: a call may
-#: free the object, a free certainly may.
-_LOOP_BARRIERS = (Call, Free)
-
 
 def _body_has_barrier(loop: Loop, summaries=None) -> bool:
     """A free — or a call that may free — bars promotion out of a loop.

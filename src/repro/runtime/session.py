@@ -55,9 +55,10 @@ class ExecConfig:
     invariants: bool = _switch(False, "REPRO_INVARIANTS")
 
     @classmethod
-    def from_env(cls) -> "ExecConfig":
+    def from_env(cls, **pinned) -> "ExecConfig":
         """The config named by the ``REPRO_*`` switches; unset (or
-        empty) ones keep their defaults.
+        empty) ones keep their defaults, and ``pinned`` fields override
+        them (``--engine``, or a test's or bench cell's own switches).
 
         Booleans accept ``1/true/on/yes`` and ``0/false/off/no`` in any
         case; anything else raises ``ValueError`` naming the variable.
@@ -76,7 +77,7 @@ class ExecConfig:
                 )
             if value:
                 values[switch.name] = value in _TRUE if boolean else value
-        return cls(**values)
+        return cls(**{**values, **pinned})
 
 
 class Session:

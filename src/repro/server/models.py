@@ -19,9 +19,6 @@ from pydantic import (
     model_validator,
 )
 
-JobKind = Literal["run", "sweep", "fuzz"]
-JobStatusName = Literal["queued", "running", "done", "failed", "cancelled"]
-
 SWEEP_TARGETS = ("table2", "table3", "table4", "table5", "fig10", "fig11")
 
 
@@ -140,22 +137,3 @@ class FuzzJobRequest(BaseModel):
     shrink: bool = True
     audit_elisions: bool = False
 
-
-class JobSummary(BaseModel):
-    """The list/submission view of a job."""
-
-    id: str
-    kind: JobKind
-    status: JobStatusName
-    created_at: float
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-
-
-class JobDetail(JobSummary):
-    """The ``GET /jobs/{id}`` view: summary plus request echo/outcome."""
-
-    request: Dict[str, Any]
-    error: Optional[str] = None
-    result: Optional[Dict[str, Any]] = None
-    events: int = 0

@@ -345,13 +345,6 @@ def generate_cwe590() -> List[JulietCase]:
     return cases
 
 
-#: Extended CWE families beyond Table 3's eight.
-EXTENDED_CWES = [
-    ("CWE415", "Double Free"),
-    ("CWE590", "Free of Memory not on the Heap"),
-]
-
-
 def generate_extended_suite() -> List[JulietCase]:
     """The extra CWE families (separate so Table 3 stays faithful)."""
     return generate_cwe415() + generate_cwe590()

@@ -57,14 +57,17 @@ def test_resolve_engine_rejects_unknown():
 
 
 def _config(engine):
-    return ExecConfig(engine=engine, memoize=False)
+    return ExecConfig.from_env(engine=engine, memoize=False)
 
 
 def test_session_engine_parameter():
-    assert Session("Native", _config("compiled")).engine is CompiledEngine
-    assert Session("Native", _config("tree")).engine is Interpreter
+    def engine(name):
+        return Session("Native", ExecConfig.from_env(engine=name)).engine
+
+    assert engine("compiled") is CompiledEngine
+    assert engine("tree") is Interpreter
     with pytest.raises(ValueError):
-        Session("Native", _config("bytecode"))
+        engine("bytecode")
 
 
 # ----------------------------------------------------------------------

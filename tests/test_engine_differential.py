@@ -61,7 +61,7 @@ def _observables(result):
 def _run(program, tool, engine, fastpath, args=None, **kwargs):
     session = Session(
         tool,
-        ExecConfig(engine=engine, fastpath=fastpath, memoize=False),
+        ExecConfig.from_env(engine=engine, fastpath=fastpath, memoize=False),
         **kwargs,
     )
     return session.run(program, args)

@@ -77,6 +77,14 @@ def test_from_env_rejects_typos(_env, var, raw):
         ExecConfig.from_env()
 
 
+def test_pinned_fields_override_env_but_typos_still_fail(_env):
+    _env({"REPRO_ENGINE": "compiled", "REPRO_FASTPATH": "0"})
+    assert ExecConfig.from_env(engine="tree") == ExecConfig(fastpath=False)
+    _env({"REPRO_ENGINE": "jit"})
+    with pytest.raises(ValueError, match="REPRO_ENGINE"):
+        ExecConfig.from_env(engine="tree")
+
+
 def test_no_config_honours_reference_cell(_env, monkeypatch):
     """Session() and run_overhead_study() resolve the environment."""
     _env(REFERENCE_ENV)

@@ -16,8 +16,8 @@ from repro.runtime import ExecConfig, Session
 TOOLS = ["Native", "GiantSan", "ASan", "ASan--", "LFP", "HWASan"]
 
 
-def _config(fastpath):  # the engine follows REPRO_ENGINE (CI matrix)
-    return ExecConfig(ExecConfig.from_env().engine, fastpath, memoize=False)
+def _config(fastpath):
+    return ExecConfig.from_env(fastpath=fastpath, memoize=False)
 
 
 def _observables(result):

@@ -21,8 +21,8 @@ SCALE = 2
 TOOLS = ["Native", "GiantSan", "ASan", "ASan--", "LFP"]
 
 
-def _config(fastpath):  # the engine follows REPRO_ENGINE (CI matrix)
-    return ExecConfig(ExecConfig.from_env().engine, fastpath, memoize=False)
+def _config(fastpath):
+    return ExecConfig.from_env(fastpath=fastpath, memoize=False)
 
 
 def _observables(result):

@@ -81,9 +81,8 @@ class TestGenerator:
         for index in range(25):
             case = generate_case(case_seed_for(5, index))
             program = build_case(case)
-            result = Session("Native", ExecConfig(memoize=False)).run(
-                program
-            )
+            config = ExecConfig.from_env(memoize=False)
+            result = Session("Native", config).run(program)
             assert result.return_value is not None
 
     def test_drop_op_removes_buffer_dependents(self):
@@ -288,7 +287,7 @@ class TestInvariantChecker:
             checker.verify("planted")
 
     def test_session_toggle_attaches_checker(self):
-        on = ExecConfig(invariants=True, memoize=False)
+        on = ExecConfig.from_env(invariants=True, memoize=False)
         assert Session("GiantSan", on).invariant_checker is not None
-        off = ExecConfig(memoize=False)
+        off = ExecConfig.from_env(invariants=False, memoize=False)
         assert Session("GiantSan", off).invariant_checker is None

@@ -368,7 +368,9 @@ class TestCrossCallElision:
         program = build_callheavy_program()
         for tool in ("GiantSan", "ASan--"):
             session = Session(
-                tool, ExecConfig(memoize=False), audit_elisions=True
+                tool,
+                ExecConfig.from_env(memoize=False, interprocedural=True),
+                audit_elisions=True,
             )
             result = session.run(program, args=[6])
             assert result.elision_audit_failures == []
@@ -378,8 +380,10 @@ class TestCrossCallElision:
 # ----------------------------------------------------------------------
 # degenerate shapes fall back byte-identically
 # ----------------------------------------------------------------------
-def _observables(tool, program, args=None, interprocedural=True):
-    config = ExecConfig(memoize=False, interprocedural=interprocedural)
+def _observables(tool, program, args=None, *, interprocedural):
+    config = ExecConfig.from_env(
+        memoize=False, interprocedural=interprocedural
+    )
     session = Session(tool, config)
     result = session.run(program, args)
     return {
@@ -499,10 +503,8 @@ class TestCallHeavyAcceptance:
             counts = {}
             semantics = {}
             for ipo in (True, False):
-                session = Session(
-                    tool, ExecConfig(memoize=False, interprocedural=ipo)
-                )
-                result = session.run(program, args=[10])
+                config = ExecConfig.from_env(memoize=False, interprocedural=ipo)
+                result = Session(tool, config).run(program, args=[10])
                 counts[ipo] = result.stats.checks_executed
                 semantics[ipo] = (
                     result.return_value,
@@ -515,16 +517,14 @@ class TestCallHeavyAcceptance:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_matrix_identity(self, engine, fastpath):
         program = build_callheavy_program()
-        session = Session(
-            "GiantSan",
-            ExecConfig(engine=engine, fastpath=fastpath, memoize=False),
-        )
-        result = session.run(program, args=[5])
+        ipo = dict(memoize=False, interprocedural=True)
+        config = ExecConfig.from_env(engine=engine, fastpath=fastpath, **ipo)
+        result = Session("GiantSan", config).run(program, args=[5])
         observed = (
             result.return_value,
             [(e.kind, e.address) for e in result.errors],
         )
-        reference = Session("GiantSan", ExecConfig(memoize=False)).run(
+        reference = Session("GiantSan", ExecConfig.from_env(**ipo)).run(
             program, args=[5]
         )
         baseline = (

@@ -10,12 +10,14 @@ Three families of guarantees:
     the per-worker instrumentation memo (the whole point of persistent
     workers), observable through the fabric's worker stats.
 (c) **Graceful lifecycle** — work units carry their ExecConfig, so a
-    config change reuses the live fabric; only a worker-count change
-    retires it, by *draining* (workers exit cleanly, exit code 0),
-    never by killing in-flight work.
+    config change reuses the live fabric, and so does a map asking for
+    fewer workers; only a request for more workers retires it, by
+    *draining* (workers exit cleanly, exit code 0), never by killing
+    in-flight work.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -209,6 +211,31 @@ class TestLifecycle:
         assert parallel._FABRIC is not old
         # drained, not terminated: every worker exited cleanly
         assert [p.exitcode for p in old.processes] == [0, 0]
+
+    def test_fewer_workers_share_fabric_concurrently(self):
+        units = _units("505.mcf_r", "519.lbm_r", "531.deepsjeng_r")
+        expected = [figure10_worker(unit) for unit in units]
+        assert parallel_map(figure10_worker, units, 3) == expected
+        fabric, results = parallel._FABRIC, {}
+        idle = fabric_stats()["worker_stats"][2]["units_executed"]
+        assert parallel_map(figure10_worker, units, 2) == expected
+        # a jobs=2 map runs on the first two workers only
+        assert fabric_stats()["worker_stats"][2]["units_executed"] == idle
+
+        def job(jobs):  # two concurrent jobs take turns map by map
+            results[jobs] = [
+                parallel_map(figure10_worker, units, jobs) for _ in range(3)
+            ]
+
+        threads = [threading.Thread(target=job, args=(n,)) for n in (2, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {2: [expected] * 3, 3: [expected] * 3}
+        # no drain between the jobs' maps: the same live workers
+        assert parallel._FABRIC is fabric
+        assert all(p.exitcode is None for p in fabric.processes)
 
     def test_shutdown_pool_is_idempotent(self):
         parallel_map(figure10_worker, _units("505.mcf_r", "519.lbm_r"), 2)

@@ -235,7 +235,7 @@ class TestRunJobs:
 
         session = Session(
             "ASan",
-            ExecConfig(engine="compiled", fastpath=False),
+            ExecConfig.from_env(engine="compiled", fastpath=False),
             telemetry=True,
         )
         session.run(build_demo_program())
@@ -382,7 +382,7 @@ class TestConcurrentJobIsolation:
             assert detail["status"] == "done", detail["error"]
             # what `repro fig11 --engine <engine>` prints
             assert detail["result"]["rendered"] == render_figure11(
-                study(config=ExecConfig(engine))
+                study(config=ExecConfig.from_env(engine=engine))
             )
 
     def test_sweep_runs_under_app_defaults_not_env(self, monkeypatch):

@@ -9,8 +9,7 @@ must agree with both.
 
 import pytest
 
-from repro import ProgramBuilder, Session
-from repro.runtime import ExecConfig
+from repro import ExecConfig, ProgramBuilder, Session
 from repro.analysis import (
     ProfileStudy,
     profile_program,
@@ -190,7 +189,7 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_results_invariant_under_telemetry(self, fastpath):
         spec = SPEC_BY_NAME["505.mcf_r"]
-        config = ExecConfig(fastpath=fastpath)
+        config = ExecConfig.from_env(fastpath=fastpath)
         plain = Session("GiantSan", config).run(spec.build(), [1])
         traced = Session("GiantSan", config, telemetry=True).run(
             spec.build(), [1]
@@ -263,9 +262,8 @@ def run_with_ground_truth_shim(name: str):
     san.check_cached = shim_cached
 
     spec = SPEC_BY_NAME[name]
-    result = Session(san, ExecConfig(fastpath=False), telemetry=tele).run(
-        spec.build(), [1]
-    )
+    config = ExecConfig.from_env(fastpath=False)
+    result = Session(san, config, telemetry=tele).run(spec.build(), [1])
     return result, calls, oracle_disagreements
 
 
@@ -332,7 +330,7 @@ class TestConvergence:
     def test_interpreter_tracks_per_site_convergence(self):
         spec = SPEC_BY_NAME["520.omnetpp_r"]
         result = Session(
-            "GiantSan", ExecConfig(fastpath=False), telemetry=True
+            "GiantSan", ExecConfig.from_env(fastpath=False), telemetry=True
         ).run(
             spec.build(), [1]
         )
