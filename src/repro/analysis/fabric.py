@@ -187,8 +187,14 @@ def _worker_main(worker_id: int, inbox, events, scratch) -> None:
     # cleanup ran — leaking /dev/shm scratch segments whose unlink raced
     # the dying children.  Workers ignore SIGINT; the parent owns
     # interrupt cleanup and retires them via ``stop`` or terminate().
+    # A forked worker also inherits the parent's SIGTERM handler and
+    # signal wakeup fd (``repro serve``'s, the CLI's): reset both, so
+    # terminate() gets the default action and a signal sent to a worker
+    # never wakes the parent.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
     units_executed = 0

@@ -98,6 +98,19 @@ def shutdown_pool() -> None:
         _FABRIC = None
 
 
+def kill_workers() -> None:
+    """Kill the shared fabric's workers without taking the fabric lock.
+
+    For an abort while a map holds that lock: the map sees its workers
+    die within a second, retires the fabric and raises, which frees the
+    lock for :func:`shutdown_pool`.
+    """
+    fabric = _FABRIC
+    if fabric is not None:
+        for process in fabric.processes:
+            process.terminate()
+
+
 atexit.register(shutdown_pool)
 
 

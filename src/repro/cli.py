@@ -346,14 +346,15 @@ def _cmd_serve(args, defaults) -> str:
             "repro serve needs pydantic: pip install 'repro[server]'"
         ) from None
     from .server.config import config_from_env
-    from .server.http import run
+    from .server.http import Server, serve
 
     config = config_from_env(
         host=args.host, port=args.port, max_concurrency=args.concurrency
     )
-    app = create_app(config, defaults=defaults)
+    server = Server(create_app(config, defaults=defaults), config.host,
+                    config.port)
     print(
-        f"repro control plane on http://{config.host}:{config.port} "
+        f"repro control plane on http://{config.host}:{server.port} "
         f"(jobs: {config.max_concurrency} concurrent, "
         f"worker cap {config.worker_cap})"
     )
@@ -362,7 +363,7 @@ def _cmd_serve(args, defaults) -> str:
         "GET /jobs  GET /healthz  GET /stats"
     )
     sys.stdout.flush()
-    run(app, config.host, config.port)
+    serve(server)
     return "server stopped"
 
 

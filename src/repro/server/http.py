@@ -1,212 +1,279 @@
-"""A small stdlib asyncio HTTP/1.1 server for the ASGI app.
+"""The HTTP transport of ``repro serve``: one threaded stdlib server.
 
-``repro serve`` must run on the stock toolchain, so this module plays
-the uvicorn role: accept connections, parse one request at a time,
-translate it into ASGI ``http`` scope messages, and write the
-response back — chunked transfer for streaming responses (SSE),
-content-length otherwise.  Connections are ``Connection: close``;
-this is a lab control plane, not a production edge.
+:class:`Server` is a :class:`http.server.ThreadingHTTPServer` whose
+single request handler dispatches a ``(method, path template) →
+handler`` table (:class:`App`) to plain ``def`` handlers.  Every
+connection gets its own thread and carries one request
+(``Connection: close``); this is a lab control plane, not a
+production edge.
 
-``serve_forever`` installs SIGINT/SIGTERM handlers that trigger one
-graceful shutdown pass: stop accepting, run the app's lifespan
-shutdown (which drains the job manager and the execution fabric), and
-return.  A second signal aborts immediately.
+What this module checks, because it comes from outside the program:
+JSON bodies (422 with FastAPI's ``{"detail": [{loc, msg, type}]}``
+shape, via :func:`validate`), unknown routes (404) and methods (405),
+bodies above ``_MAX_BODY_BYTES`` (413); ``http.server`` itself answers
+oversized request lines and headers with 414/431.  A handler bug is a
+500 carrying the traceback.
+
+A handler returns ``(status, body)``: a dict is sent as JSON, anything
+else is an iterator of event dicts, written straight to the socket as
+server-sent events until it ends.
+
+:func:`serve` blocks until SIGINT/SIGTERM, then runs
+:meth:`Server.stop` — stop accepting, drain the job manager (which
+drains the execution fabric), close the socket.  A second signal
+aborts the drain: it cancels every job, kills the fabric workers and
+raises ``KeyboardInterrupt``.
 """
 
 from __future__ import annotations
 
-import asyncio
+import json
 import signal
-from typing import Optional
+import threading
+import traceback
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from urllib.parse import parse_qsl, urlsplit
 
-from .asgi import App, LifespanManager
+import pydantic
 
-_MAX_HEADER_BYTES = 65536
+from ..analysis.parallel import kill_workers
+
 _MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
-class _Connection:
-    """One accepted socket; serves a single request then closes."""
+class HTTPError(Exception):
+    """Raise from a handler to produce a JSON error response."""
 
-    def __init__(self, app: App, reader, writer):
-        self.app = app
-        self.reader = reader
-        self.writer = writer
-
-    async def handle(self) -> None:
-        try:
-            scope, body = await self._read_request()
-            if scope is None:
-                return
-            await self._respond(scope, body)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                self.writer.close()
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(self):
-        try:
-            head = await self.reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            await self._plain_error(431, "headers too large")
-            return None, b""
-        if len(head) > _MAX_HEADER_BYTES:
-            await self._plain_error(431, "headers too large")
-            return None, b""
-        request_line, *header_lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = request_line.split(" ", 2)
-        except ValueError:
-            await self._plain_error(400, "malformed request line")
-            return None, b""
-        headers = []
-        for line in header_lines:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers.append(
-                (name.strip().lower().encode("latin-1"),
-                 value.strip().encode("latin-1"))
-            )
-        length = 0
-        for name, value in headers:
-            if name == b"content-length":
-                try:
-                    length = int(value)
-                except ValueError:
-                    await self._plain_error(400, "bad content-length")
-                    return None, b""
-        if length > _MAX_BODY_BYTES:
-            await self._plain_error(413, "body too large")
-            return None, b""
-        body = await self.reader.readexactly(length) if length else b""
-        path, _, query = target.partition("?")
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method.upper(),
-            "path": path,
-            "query_string": query.encode("latin-1"),
-            "headers": headers,
-        }
-        return scope, body
-
-    async def _respond(self, scope: dict, body: bytes) -> None:
-        incoming = [{"type": "http.request", "body": body, "more_body": False}]
-
-        async def receive():
-            if incoming:
-                return incoming.pop(0)
-            return {"type": "http.disconnect"}
-
-        state = {"started": False, "streaming": False}
-
-        async def send(message):
-            if message["type"] == "http.response.start":
-                state["status"] = message["status"]
-                state["headers"] = list(message.get("headers", []))
-            elif message["type"] == "http.response.body":
-                chunk = message.get("body", b"")
-                more = message.get("more_body", False)
-                if not state["started"]:
-                    state["started"] = True
-                    state["streaming"] = more
-                    self._write_head(
-                        state["status"], state["headers"],
-                        streaming=more, length=len(chunk),
-                    )
-                if state["streaming"]:
-                    if chunk:
-                        self.writer.write(
-                            b"%x\r\n%s\r\n" % (len(chunk), chunk)
-                        )
-                    if not more:
-                        self.writer.write(b"0\r\n\r\n")
-                else:
-                    self.writer.write(chunk)
-                await self.writer.drain()
-
-        await self.app(scope, receive, send)
-
-    def _write_head(self, status, headers, streaming, length) -> None:
-        lines = [b"HTTP/1.1 %d %s" % (status, _reason(status))]
-        for name, value in headers:
-            lines.append(name + b": " + value)
-        if streaming:
-            lines.append(b"transfer-encoding: chunked")
-        else:
-            lines.append(b"content-length: %d" % length)
-        lines.append(b"connection: close")
-        self.writer.write(b"\r\n".join(lines) + b"\r\n\r\n")
-
-    async def _plain_error(self, status: int, message: str) -> None:
-        body = message.encode("utf-8")
-        self._write_head(
-            status,
-            [(b"content-type", b"text/plain; charset=utf-8")],
-            streaming=False,
-            length=len(body),
-        )
-        self.writer.write(body)
-        await self.writer.drain()
+    def __init__(self, status: int, detail: Any):
+        super().__init__(f"{status}: {detail}")
+        self.status = status
+        self.detail = detail
 
 
-def _reason(status: int) -> bytes:
-    return {
-        200: b"OK", 202: b"Accepted", 204: b"No Content",
-        400: b"Bad Request", 404: b"Not Found", 405: b"Method Not Allowed",
-        409: b"Conflict", 413: b"Payload Too Large",
-        422: b"Unprocessable Entity", 431: b"Headers Too Large",
-        500: b"Internal Server Error", 503: b"Service Unavailable",
-    }.get(status, b"Status")
+def validate(model: type, payload: Any) -> Any:
+    """Validate ``payload`` against a pydantic model or raise a 422.
 
-
-async def serve(
-    app: App,
-    host: str,
-    port: int,
-    ready: Optional[asyncio.Event] = None,
-    stop: Optional[asyncio.Event] = None,
-) -> None:
-    """Run the app on ``host:port`` until ``stop`` (or a signal) fires.
-
-    ``ready`` is set once the socket is listening and lifespan startup
-    has completed — tests use it to know when to connect.
+    The 422 body mirrors FastAPI's shape: ``{"detail": [{loc, msg,
+    type}, ...]}`` so clients written against the real framework keep
+    working.
     """
-    stop = stop or asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
+    try:
+        return model.model_validate(payload)
+    except pydantic.ValidationError as exc:
+        detail = [
+            {
+                "loc": list(error.get("loc", ())),
+                "msg": error.get("msg", "invalid"),
+                "type": error.get("type", "value_error"),
+            }
+            for error in exc.errors()
+        ]
+        raise HTTPError(422, detail) from None
+
+
+class Request:
+    """One routed request: app state, path/query parameters, body."""
+
+    def __init__(
+        self,
+        state: SimpleNamespace,
+        path_params: Dict[str, str],
+        query: str,
+        body: bytes,
+    ):
+        self.state = state
+        self.path_params = path_params
+        self.query_params: Dict[str, str] = dict(parse_qsl(query))
+        self.body = body
+
+    def json(self) -> Any:
+        """The body parsed as JSON; 422 on malformed input."""
+        if not self.body:
+            raise HTTPError(
+                422,
+                [{"loc": ["body"], "msg": "request body required",
+                  "type": "value_error.missing"}],
+            )
         try:
-            loop.add_signal_handler(signum, stop.set)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            return json.loads(self.body)
+        except ValueError:
+            raise HTTPError(
+                422,
+                [{"loc": ["body"], "msg": "invalid JSON body",
+                  "type": "value_error.json"}],
+            ) from None
+
+
+Handler = Callable[[Request], Tuple[int, Any]]
+
+
+def _segments(path: str) -> Tuple[str, ...]:
+    return tuple(part for part in path.strip("/").split("/") if part)
+
+
+def _match(
+    template: Tuple[str, ...], parts: Tuple[str, ...]
+) -> Optional[Dict[str, str]]:
+    if len(template) != len(parts):
+        return None
+    params: Dict[str, str] = {}
+    for expected, actual in zip(template, parts):
+        if expected.startswith("{") and expected.endswith("}"):
+            params[expected[1:-1]] = actual
+        elif expected != actual:
+            return None
+    return params
+
+
+class App:
+    """The route table plus the state every handler reads."""
+
+    def __init__(self, routes: Dict[Tuple[str, str], Handler], **state):
+        self.state = SimpleNamespace(**state)
+        self.routes = [
+            (method, _segments(path), handler)
+            for (method, path), handler in routes.items()
+        ]
+
+    def dispatch(
+        self, method: str, path: str, query: str, body: bytes
+    ) -> Tuple[int, Any]:
+        parts = _segments(path)
+        allowed = False
+        for route_method, template, handler in self.routes:
+            params = _match(template, parts)
+            if params is None:
+                continue
+            if route_method != method:
+                allowed = True
+                continue
+            try:
+                return handler(Request(self.state, params, query, body))
+            except HTTPError as exc:
+                return exc.status, {"detail": exc.detail}
+            except Exception:  # noqa: BLE001 - map handler bugs to 500
+                return 500, {"detail": "internal server error",
+                             "traceback": traceback.format_exc()}
+        if allowed:
+            return 405, {"detail": "method not allowed"}
+        return 404, {"detail": "not found"}
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: "Server"
+
+    def _handle(self) -> None:
+        try:
+            length = int(self.headers.get("content-length") or 0)
+        except ValueError:
+            self._send_json(400, {"detail": "bad content-length"})
+            return
+        if length > _MAX_BODY_BYTES:
+            self._send_json(413, {"detail": "body too large"})
+            return
+        body = self.rfile.read(length) if length else b""
+        url = urlsplit(self.path)
+        status, payload = self.server.app.dispatch(
+            self.command, url.path, url.query, body
+        )
+        if isinstance(payload, dict):
+            self._send_json(status, payload)
+        else:
+            self._send_events(status, payload)
+
+    do_GET = do_POST = do_DELETE = do_PUT = do_PATCH = _handle
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self.send_response(status)
+        self.send_header("content-type", "application/json")
+        self.send_header("content-length", str(len(body)))
+        self.send_header("connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_events(self, status: int, events: Iterable[dict]) -> None:
+        # no content-length: the stream ends when the connection closes
+        self.send_response(status)
+        self.send_header("content-type", "text/event-stream")
+        self.send_header("cache-control", "no-cache")
+        self.send_header("connection", "close")
+        self.end_headers()
+        try:
+            for event in events:
+                self.wfile.write(
+                    f"event: {event['type']}\n"
+                    f"data: {json.dumps(event, sort_keys=True)}\n\n"
+                    .encode("utf-8")
+                )
+                self.wfile.flush()
+        except ConnectionError:  # client went away mid-stream
             pass
 
-    lifespan = LifespanManager(app)
-    await lifespan.startup()
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # no per-request access log
 
-    async def on_connection(reader, writer):
-        await _Connection(app, reader, writer).handle()
 
-    server = await asyncio.start_server(on_connection, host=host, port=port)
+class Server(ThreadingHTTPServer):
+    """``app`` bound to ``host:port`` (port 0 picks a free one)."""
+
+    def __init__(self, app: App, host: str, port: int):
+        super().__init__((host, port), _Handler)
+        self.app = app
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def start(self) -> None:
+        """Serve requests on a daemon thread."""
+        threading.Thread(
+            target=self.serve_forever, name="repro-http", daemon=True
+        ).start()
+
+    def stop(self) -> None:
+        """Stop accepting, drain the job manager, close the socket."""
+        self.shutdown()
+        self.app.state.manager.shutdown()
+        self.server_close()
+
+
+class _Shutdown(Exception):
+    pass
+
+
+def serve(server: Server) -> None:
+    """Serve until SIGINT/SIGTERM, then :meth:`Server.stop`."""
+
+    def stop_on_signal(signum, frame):
+        signal.signal(signal.SIGINT, abort_on_signal)
+        signal.signal(signal.SIGTERM, abort_on_signal)
+        raise _Shutdown
+
+    def abort_on_signal(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = {
+        signum: signal.signal(signum, stop_on_signal)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
-        if ready is not None:
-            ready.set()
-        await stop.wait()
+        try:
+            server.start()
+            while True:
+                signal.pause()
+        except _Shutdown:
+            pass
+        try:
+            server.stop()
+        except KeyboardInterrupt:  # second signal: stop waiting for jobs
+            for job in server.app.state.manager.snapshot():
+                job.cancel_event.set()
+            kill_workers()
+            raise
     finally:
-        server.close()
-        await server.wait_closed()
-        await lifespan.shutdown()
-        for signum in installed:
-            loop.remove_signal_handler(signum)
-
-
-def run(app: App, host: str, port: int) -> None:
-    """Blocking entry point used by ``repro serve``."""
-    asyncio.run(serve(app, host, port))
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)

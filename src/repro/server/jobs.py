@@ -1,11 +1,12 @@
-"""Async job manager: lifecycle, store, cancellation, graceful drain.
+"""Job manager: lifecycle, store, cancellation, graceful drain.
 
-Jobs move ``queued → running → done | failed | cancelled``.  The
-manager lives on the server's event loop; job bodies are synchronous
-sanitizer work, so they run on a small thread pool via
-``run_in_executor`` while the loop keeps serving status reads and new
-submissions.  Real parallelism inside a job comes from the persistent
-execution fabric (``--jobs`` style), not from the thread pool.
+Jobs move ``queued → running → done | failed | cancelled``.  Job
+bodies are synchronous sanitizer work; each runs on a thread of a
+``ThreadPoolExecutor`` with ``max_concurrency`` workers, which is the
+concurrency bound, while the HTTP server's own threads keep serving
+status reads and new submissions.  Real parallelism inside a job comes
+from the persistent execution fabric (``--jobs`` style), not from the
+thread pool.
 
 Cancellation is cooperative: every job carries a ``threading.Event``
 and the services poll it between work units (fuzz spans, sweep rows).
@@ -13,28 +14,28 @@ and the services poll it between work units (fuzz spans, sweep rows).
 starts, a running one raises :class:`JobCancelled` at its next
 checkpoint.
 
-Graceful shutdown (lifespan shutdown, so both ``repro serve`` signal
-handlers and in-process test clients exercise it): stop accepting,
+Graceful shutdown (:meth:`JobManager.shutdown`, run by both ``repro
+serve``'s signal handler and the test client's exit): stop accepting,
 cancel queued jobs, give running jobs ``drain_timeout`` seconds, then
-cancel them too — and finally drain the shared execution fabric off
-the event loop so worker processes exit cleanly and their
-shared-memory scratch segments are released.
+cancel them too — and finally drain the shared execution fabric so
+worker processes exit cleanly and their shared-memory scratch segments
+are released.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import itertools
 import threading
 import time
 import traceback
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .config import ServerConfig
+from .http import HTTPError
 
 
 class JobCancelled(Exception):
@@ -65,10 +66,10 @@ class Job:
     finished_at: Optional[float] = None
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    #: Append-only event feed ({seq, time, type, ...}); list appends are
-    #: atomic under the GIL, so job threads write and the event loop
-    #: reads without extra locking.
+    #: Append-only event feed ({seq, time, type, ...}); appended under
+    #: ``changed``, which wakes every follower of the feed.
     events: List[Dict[str, Any]] = field(default_factory=list)
+    changed: threading.Condition = field(default_factory=threading.Condition)
     cancel_event: threading.Event = field(default_factory=threading.Event)
     _event_seq: "itertools.count" = field(default_factory=itertools.count)
 
@@ -77,14 +78,27 @@ class Job:
         return self.status in TERMINAL
 
     def post_event(self, event_type: str, **data) -> None:
-        self.events.append(
-            {
-                "seq": next(self._event_seq),
-                "time": time.time(),
-                "type": event_type,
-                **data,
-            }
-        )
+        with self.changed:
+            self.events.append(
+                {
+                    "seq": next(self._event_seq),
+                    "time": time.time(),
+                    "type": event_type,
+                    **data,
+                }
+            )
+            self.changed.notify_all()
+
+    def set_status(self, status: JobStatus) -> None:
+        """Move to ``status`` and post its event in one step, so no
+        follower sees a settled job whose last event is missing."""
+        with self.changed:
+            self.status = status
+            if status is JobStatus.RUNNING:
+                self.started_at = time.time()
+            elif status in TERMINAL:
+                self.finished_at = time.time()
+            self.post_event("status", status=status.value)
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -131,41 +145,31 @@ class JobManager:
         self.config = config
         self.jobs: Dict[str, Job] = {}
         self.accepting = True
+        self._lock = threading.Lock()  # the store; handlers are threads
+        self._futures: set = set()
         self._executor = ThreadPoolExecutor(
             max_workers=config.max_concurrency,
             thread_name_prefix="repro-job",
         )
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._tasks: set = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    # ------------------------------------------------------------------
-    # lifecycle hooks (wired into the app's lifespan)
-    # ------------------------------------------------------------------
-    async def startup(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._semaphore = asyncio.Semaphore(self.config.max_concurrency)
-
-    async def shutdown(self) -> None:
+    def shutdown(self) -> None:
         """Graceful drain; see the module docstring for the order."""
-        self.accepting = False
-        for job in self.jobs.values():
+        with self._lock:
+            self.accepting = False
+            futures = set(self._futures)
+        for job in self.snapshot():
             if job.status is JobStatus.QUEUED:
                 job.cancel_event.set()
-        if self._tasks:
-            done, pending = await asyncio.wait(
-                set(self._tasks), timeout=self.config.drain_timeout
-            )
-            if pending:
-                for job in self.jobs.values():
-                    if not job.is_terminal:
-                        job.cancel_event.set()
-                await asyncio.wait(pending, timeout=self.config.drain_timeout)
+        _, pending = wait(futures, timeout=self.config.drain_timeout)
+        if pending:
+            for job in self.snapshot():
+                if not job.is_terminal:
+                    job.cancel_event.set()
+            wait(pending, timeout=self.config.drain_timeout)
         self._executor.shutdown(wait=True, cancel_futures=True)
-        # Retire the fabric off the loop: drain blocks on worker joins.
         from ..analysis.parallel import drain_pool
 
-        await asyncio.get_running_loop().run_in_executor(None, drain_pool)
+        drain_pool()
 
     # ------------------------------------------------------------------
     # submission + execution
@@ -177,46 +181,32 @@ class JobManager:
         runner: Callable[[JobContext], Dict[str, Any]],
     ) -> Job:
         """Register a job and schedule it; returns immediately."""
-        from .asgi import HTTPError
-
-        if not self.accepting:
-            raise HTTPError(503, "server is shutting down")
-        self._evict_terminal()
-        job = Job(id=uuid.uuid4().hex[:12], kind=kind, request=request)
-        self.jobs[job.id] = job
-        job.post_event("status", status=job.status.value)
-        task = asyncio.get_running_loop().create_task(
-            self._drive(job, runner)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        with self._lock:
+            if not self.accepting:
+                raise HTTPError(503, "server is shutting down")
+            self._evict_terminal()
+            job = Job(id=uuid.uuid4().hex[:12], kind=kind, request=request)
+            self.jobs[job.id] = job
+            job.post_event("status", status=job.status.value)
+            future = self._executor.submit(self._drive, job, runner)
+            self._futures.add(future)
+        future.add_done_callback(self._futures.discard)
         return job
 
-    async def _drive(self, job: Job, runner) -> None:
-        async with self._semaphore:
-            if job.cancel_event.is_set():
-                self._finish(job, JobStatus.CANCELLED)
-                return
-            job.status = JobStatus.RUNNING
-            job.started_at = time.time()
-            job.post_event("status", status=job.status.value)
-            context = JobContext(job)
-            try:
-                job.result = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, runner, context
-                )
-            except JobCancelled:
-                self._finish(job, JobStatus.CANCELLED)
-            except Exception:  # noqa: BLE001 - job bodies report, not raise
-                job.error = traceback.format_exc()
-                self._finish(job, JobStatus.FAILED)
-            else:
-                self._finish(job, JobStatus.DONE)
-
-    def _finish(self, job: Job, status: JobStatus) -> None:
-        job.status = status
-        job.finished_at = time.time()
-        job.post_event("status", status=status.value)
+    def _drive(self, job: Job, runner) -> None:
+        if job.cancel_event.is_set():
+            job.set_status(JobStatus.CANCELLED)
+            return
+        job.set_status(JobStatus.RUNNING)
+        try:
+            job.result = runner(JobContext(job))
+        except JobCancelled:
+            job.set_status(JobStatus.CANCELLED)
+        except Exception:  # noqa: BLE001 - job bodies report, not raise
+            job.error = traceback.format_exc()
+            job.set_status(JobStatus.FAILED)
+        else:
+            job.set_status(JobStatus.DONE)
 
     def _evict_terminal(self) -> None:
         """Bound the store: oldest terminal jobs fall out first."""
@@ -233,9 +223,12 @@ class JobManager:
     # ------------------------------------------------------------------
     # queries + cancellation
     # ------------------------------------------------------------------
-    def get(self, job_id: str) -> Job:
-        from .asgi import HTTPError
+    def snapshot(self) -> List[Job]:
+        """Every stored job, in submission order."""
+        with self._lock:
+            return list(self.jobs.values())
 
+    def get(self, job_id: str) -> Job:
         try:
             return self.jobs[job_id]
         except KeyError:
@@ -251,26 +244,30 @@ class JobManager:
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {status.value: 0 for status in JobStatus}
-        for job in self.jobs.values():
+        for job in self.snapshot():
             counts[job.status.value] += 1
         return counts
 
     # ------------------------------------------------------------------
     # event streaming
     # ------------------------------------------------------------------
-    async def follow_events(self, job: Job, after: int = -1):
+    def follow_events(self, job: Job, after: int = -1) -> Iterator[dict]:
         """Yield events (dicts) past ``after`` until the job settles.
 
-        Terminal jobs replay and return; live jobs are followed with a
-        short poll — cheap at control-plane rates and loop-agnostic.
+        Terminal jobs replay and return; live jobs are followed by
+        waiting on the job's ``changed`` condition.
         """
         index = 0
         while True:
-            while index < len(job.events):
-                event = job.events[index]
-                index += 1
+            with job.changed:
+                job.changed.wait_for(
+                    lambda: index < len(job.events) or job.is_terminal
+                )
+                batch = job.events[index:]
+                settled = job.is_terminal
+            index += len(batch)
+            for event in batch:
                 if event["seq"] > after:
                     yield event
-            if job.is_terminal and index >= len(job.events):
+            if settled:
                 return
-            await asyncio.sleep(0.05)

@@ -4,28 +4,22 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..asgi import Router
 
-router = Router()
-
-
-@router.get("/healthz")
-async def healthz(request):
+def healthz(request):
     manager = request.state.manager
-    return {
+    return 200, {
         "status": "ok" if manager.accepting else "draining",
         "accepting": manager.accepting,
         "jobs": manager.counts(),
     }
 
 
-@router.get("/stats")
-async def stats(request):
+def stats(request):
     from ...analysis.parallel import fabric_stats
     from ...passes.instrument import instrumentation_cache_stats
 
     state = request.state
-    return {
+    return 200, {
         "jobs": state.manager.counts(),
         "config": state.config.model_dump(),
         "defaults": dataclasses.asdict(state.defaults),
@@ -33,3 +27,9 @@ async def stats(request):
         "instrumentation_cache": instrumentation_cache_stats(),
         "telemetry_totals": state.telemetry_totals.as_dict(),
     }
+
+
+ROUTES = {
+    ("GET", "/healthz"): healthz,
+    ("GET", "/stats"): stats,
+}

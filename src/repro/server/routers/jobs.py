@@ -9,14 +9,11 @@ client can follow queued → running → done without polling.
 from __future__ import annotations
 
 import functools
-import json
 
-from ..asgi import HTTPError, JSONResponse, Router, StreamingResponse, validate
+from ..http import HTTPError, validate
 from ..jobs import JobManager
 from ..models import FuzzJobRequest, RunJobRequest, SweepJobRequest
 from ..services import execute_fuzz_job, execute_run_job, execute_sweep_job
-
-router = Router()
 
 
 def _manager(request) -> JobManager:
@@ -33,8 +30,7 @@ def _cap(value: int, cap: int, what: str) -> None:
         )
 
 
-@router.post("/jobs/run")
-async def submit_run(request):
+def submit_run(request):
     payload = validate(RunJobRequest, request.json())
     state = request.state
     runner = functools.partial(
@@ -46,11 +42,10 @@ async def submit_run(request):
     job = _manager(request).submit(
         "run", payload.model_dump(mode="json"), runner
     )
-    return JSONResponse(job.summary(), status=202)
+    return 202, job.summary()
 
 
-@router.post("/jobs/sweep")
-async def submit_sweep(request):
+def submit_sweep(request):
     payload = validate(SweepJobRequest, request.json())
     state = request.state
     _cap(payload.jobs, state.config.worker_cap, "jobs")
@@ -60,11 +55,10 @@ async def submit_sweep(request):
     job = _manager(request).submit(
         "sweep", payload.model_dump(mode="json"), runner
     )
-    return JSONResponse(job.summary(), status=202)
+    return 202, job.summary()
 
 
-@router.post("/jobs/fuzz")
-async def submit_fuzz(request):
+def submit_fuzz(request):
     payload = validate(FuzzJobRequest, request.json())
     state = request.state
     _cap(payload.jobs, state.config.worker_cap, "jobs")
@@ -77,28 +71,25 @@ async def submit_fuzz(request):
     job = _manager(request).submit(
         "fuzz", payload.model_dump(mode="json"), runner
     )
-    return JSONResponse(job.summary(), status=202)
+    return 202, job.summary()
 
 
-@router.get("/jobs")
-async def list_jobs(request):
+def list_jobs(request):
     manager = _manager(request)
     status = request.query_params.get("status")
     jobs = [
         job.summary()
-        for job in manager.jobs.values()
+        for job in manager.snapshot()
         if status is None or job.status.value == status
     ]
-    return {"jobs": jobs, "counts": manager.counts()}
+    return 200, {"jobs": jobs, "counts": manager.counts()}
 
 
-@router.get("/jobs/{job_id}")
-async def job_detail(request):
-    return _manager(request).get(request.path_params["job_id"]).detail()
+def job_detail(request):
+    return 200, _manager(request).get(request.path_params["job_id"]).detail()
 
 
-@router.get("/jobs/{job_id}/result")
-async def job_result(request):
+def job_result(request):
     job = _manager(request).get(request.path_params["job_id"])
     if job.status.value in ("queued", "running"):
         raise HTTPError(409, f"job {job.id} is still {job.status.value}")
@@ -106,46 +97,48 @@ async def job_result(request):
         raise HTTPError(
             409, f"job {job.id} {job.status.value} without a result"
         )
-    return {"id": job.id, "status": job.status.value, "result": job.result}
+    return 200, {
+        "id": job.id, "status": job.status.value, "result": job.result
+    }
 
 
-@router.get("/jobs/{job_id}/telemetry")
-async def job_telemetry(request):
+def job_telemetry(request):
     job = _manager(request).get(request.path_params["job_id"])
     if job.result is None or "telemetry" not in job.result:
         raise HTTPError(409, f"job {job.id} has no telemetry snapshot")
-    return {"id": job.id, "telemetry": job.result["telemetry"]}
+    return 200, {"id": job.id, "telemetry": job.result["telemetry"]}
 
 
-@router.get("/jobs/{job_id}/events")
-async def job_events(request):
+def job_events(request):
     manager = _manager(request)
     job = manager.get(request.path_params["job_id"])
     try:
         after = int(request.query_params.get("after", -1))
     except ValueError:
         raise HTTPError(422, "'after' must be an integer") from None
-
-    async def stream():
-        async for event in manager.follow_events(job, after=after):
-            yield (
-                f"event: {event['type']}\n"
-                f"data: {json.dumps(event, sort_keys=True)}\n\n"
-            )
-
-    return StreamingResponse(stream())
+    return 200, manager.follow_events(job, after=after)
 
 
-async def _cancel(request):
+def cancel_job(request):
     manager = _manager(request)
     job = manager.get(request.path_params["job_id"])
     changed = manager.cancel(job)
-    return {
+    return 200, {
         "id": job.id,
         "status": job.status.value,
         "cancel_requested": changed,
     }
 
 
-router.add("POST", "/jobs/{job_id}/cancel", _cancel)
-router.add("DELETE", "/jobs/{job_id}", _cancel)
+ROUTES = {
+    ("POST", "/jobs/run"): submit_run,
+    ("POST", "/jobs/sweep"): submit_sweep,
+    ("POST", "/jobs/fuzz"): submit_fuzz,
+    ("GET", "/jobs"): list_jobs,
+    ("GET", "/jobs/{job_id}"): job_detail,
+    ("GET", "/jobs/{job_id}/result"): job_result,
+    ("GET", "/jobs/{job_id}/telemetry"): job_telemetry,
+    ("GET", "/jobs/{job_id}/events"): job_events,
+    ("POST", "/jobs/{job_id}/cancel"): cancel_job,
+    ("DELETE", "/jobs/{job_id}"): cancel_job,
+}

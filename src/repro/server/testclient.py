@@ -1,24 +1,24 @@
-"""In-process ASGI test client (the httpx/starlette TestClient niche).
+"""A test client that talks to the shipped server over a loopback socket.
 
-The client owns a private event loop on a background thread; the app,
-its lifespan, and every submitted job live on that loop, so a
-synchronous test can POST a job, keep polling ``GET /jobs/{id}`` with
-ordinary blocking calls, and watch the job progress between requests —
-exactly the shape the httpx ``TestClient`` provides, without the
-dependency.
+Entering the client binds :class:`repro.server.http.Server` to
+``127.0.0.1:0`` and serves it on a daemon thread; every request is a
+real HTTP exchange sent with :mod:`http.client`.  A synchronous test
+can POST a job, keep polling ``GET /jobs/{id}``, and watch the job
+progress between requests — the shape of the httpx ``TestClient``,
+without the dependency.
 
-Use as a context manager: entry runs lifespan startup, exit runs the
-graceful shutdown path (so every test also exercises the drain logic).
+Leaving the client runs :meth:`Server.stop`, the same shutdown
+``repro serve`` runs on SIGTERM, so every test also exercises the drain.
 """
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import json as jsonlib
-import threading
-from typing import Any, Dict, List, Optional, Tuple
+import time
+from typing import Any, Dict, List, Optional
 
-from .asgi import App, LifespanManager
+from .http import App, Server
 
 
 class ClientResponse:
@@ -47,41 +47,22 @@ class ClientResponse:
 
 
 class TestClient:
-    """Drive an :class:`repro.server.asgi.App` without a socket."""
+    """Serve an :class:`repro.server.http.App` on loopback and call it."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __init__(self, app: App, timeout: float = 120.0):
         self.app = app
         self.timeout = timeout
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-testclient", daemon=True
-        )
-        self._lifespan: Optional[LifespanManager] = None
+        self._server: Optional[Server] = None
 
-    # ------------------------------------------------------------------
     def __enter__(self) -> "TestClient":
-        self._thread.start()
-        self._lifespan = self._call(self._make_lifespan())
-        self._call(self._lifespan.startup())
+        self._server = Server(self.app, "127.0.0.1", 0)
+        self._server.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            if self._lifespan is not None:
-                self._call(self._lifespan.shutdown())
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=self.timeout)
-            self._loop.close()
-
-    async def _make_lifespan(self) -> LifespanManager:
-        return LifespanManager(self.app)
-
-    def _call(self, coroutine):
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=self.timeout)
+        self._server.stop()
 
     # ------------------------------------------------------------------
     def request(
@@ -93,7 +74,19 @@ class TestClient:
     ) -> ClientResponse:
         if json is not None:
             body = jsonlib.dumps(json).encode("utf-8")
-        return self._call(self._request(method.upper(), path, body))
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", self._server.port, timeout=self.timeout
+        )
+        try:
+            connection.request(method.upper(), path, body=body)
+            response = connection.getresponse()
+            return ClientResponse(
+                response.status,
+                {key.lower(): value for key, value in response.getheaders()},
+                response.read(),
+            )
+        finally:
+            connection.close()
 
     def get(self, path: str) -> ClientResponse:
         return self.request("GET", path)
@@ -104,56 +97,11 @@ class TestClient:
     def delete(self, path: str) -> ClientResponse:
         return self.request("DELETE", path)
 
-    async def _request(
-        self, method: str, path: str, body: bytes
-    ) -> ClientResponse:
-        path, _, query = path.partition("?")
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method,
-            "path": path,
-            "query_string": query.encode("latin-1"),
-            "headers": [(b"host", b"testserver")],
-        }
-        incoming = [{"type": "http.request", "body": body, "more_body": False}]
-
-        async def receive():
-            if incoming:
-                return incoming.pop(0)
-            return {"type": "http.disconnect"}
-
-        status_headers: List[Tuple[int, Dict[str, str]]] = []
-        chunks: List[bytes] = []
-
-        async def send(message):
-            if message["type"] == "http.response.start":
-                status_headers.append(
-                    (
-                        message["status"],
-                        {
-                            key.decode("latin-1"): value.decode("latin-1")
-                            for key, value in message.get("headers", [])
-                        },
-                    )
-                )
-            elif message["type"] == "http.response.body":
-                chunks.append(message.get("body", b""))
-
-        await self.app(scope, receive, send)
-        if not status_headers:
-            raise RuntimeError(f"app sent no response for {method} {path}")
-        status, headers = status_headers[0]
-        return ClientResponse(status, headers, b"".join(chunks))
-
     # ------------------------------------------------------------------
     def wait_for_job(
         self, job_id: str, timeout: float = 60.0, poll: float = 0.02
     ) -> Dict[str, Any]:
         """Poll ``GET /jobs/{id}`` until the job settles; returns detail."""
-        import time
-
         deadline = time.monotonic() + timeout
         while True:
             detail = self.get(f"/jobs/{job_id}").json()

@@ -17,6 +17,7 @@ Three families of guarantees:
 """
 
 import os
+import signal
 import threading
 
 import pytest
@@ -356,6 +357,24 @@ class TestFabricDirect:
             assert results[0].program == "505.mcf_r"
         finally:
             fabric.drain()
+
+    def test_workers_take_the_default_sigterm_action(self):
+        # a parent SIGTERM handler (the CLI's, repro serve's) must not
+        # survive the fork: SIGTERM kills a worker outright
+        previous = signal.signal(signal.SIGTERM, lambda *args: None)
+        try:
+            fabric = ExecutionFabric(1)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        worker = fabric.processes[0]
+        try:
+            assert fabric.map(quick_worker, [21]) == [42]  # past setup
+            os.kill(worker.pid, signal.SIGTERM)
+            worker.join(timeout=10)
+            assert worker.exitcode == -signal.SIGTERM
+        finally:
+            worker.kill()
+            fabric.terminate()
 
 
 # ----------------------------------------------------------------------

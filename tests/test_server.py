@@ -1,4 +1,4 @@
-"""The sanitizer-as-a-service control plane, end to end over ASGI.
+"""The sanitizer-as-a-service control plane, end to end over a socket.
 
 Three families of guarantees:
 
