@@ -96,18 +96,22 @@ KERNELS = {
 def _time_cell(program, engine: str, repeat: int) -> dict:
     """Best-of-``repeat`` wall clock for one (kernel, engine) cell.
 
+    The engine is picked by class, not by the session's per-run rule.
     A throwaway warm-up run pays one-time costs (closure compilation,
     instrumentation, folding tables) so the timed runs measure steady
     state for both engines symmetrically.
     """
-    from repro.runtime import ExecConfig, Session
+    from repro.runtime import CompiledEngine, ExecConfig, Interpreter, Session
 
-    config = ExecConfig.from_env(engine=engine, fastpath=True, memoize=True)
+    engine_class = {"tree": Interpreter, "compiled": CompiledEngine}[engine]
+    config = ExecConfig.from_env(fastpath=True, memoize=True)
 
     def once() -> float:
         session = Session("GiantSan", config)
         started = time.perf_counter()
-        result = session.run(program)
+        result = engine_class(session.sanitizer, fastpath=True).run(
+            session.instrument(program)
+        )
         elapsed = time.perf_counter() - started
         assert not result.errors
         return elapsed

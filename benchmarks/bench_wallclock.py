@@ -1,16 +1,16 @@
-"""Wall-clock benchmark: Table 2 sweep across execution engines.
+"""Wall-clock benchmark: Table 2 sweep across execution configurations.
 
-Times the full Table 2 sweep four ways and writes the committed
+Times the full Table 2 sweep three ways and writes the committed
 ``BENCH_interpreter.json`` at the repository root:
 
-* ``baseline`` — tree walker, fast path off, instrumentation cache off,
-  one process (the seed interpreter's configuration);
-* ``fastpath`` — tree walker with superblock fast path +
-  instrumentation memo cache on, one process;
-* ``compiled`` — the compile-to-closures engine
-  (:mod:`repro.runtime.compiler`) with the same accelerations, one
-  process;
-* ``parallel`` — the compiled engine plus ``--jobs max(default_jobs(), 2)``
+* ``baseline`` — fast path off, instrumentation cache off, one process
+  (the seed interpreter's configuration: with the memo off every run
+  is a first run, so the tree walker runs everything);
+* ``default`` — superblock fast path + instrumentation memo cache on,
+  one process; a session then runs a memoized program on the
+  compile-to-closures engine once its last run was long
+  (:data:`repro.runtime.session.COMPILE_AFTER_INSTRUCTIONS`);
+* ``parallel`` — the default cell plus ``--jobs max(default_jobs(), 2)``
   fabric workers (``default_jobs`` honours the CPU affinity mask, so
   containerized runs don't oversubscribe), floored at two so the
   persistent-fabric path is genuinely exercised even on one-core boxes.
@@ -21,11 +21,11 @@ Times the full Table 2 sweep four ways and writes the committed
   deployment sees).
 
 ``--assert-parallel-speedup MIN`` exits non-zero when
-``compiled_seconds / parallel_seconds`` falls below ``MIN`` — the CI
+``default_seconds / parallel_seconds`` falls below ``MIN`` — the CI
 gate that the warm fabric is not slower than the single-process
-compiled engine.
+default sweep.
 
-The geomean identity check spans all four cells: no configuration is
+The geomean identity check spans all three cells: no configuration is
 allowed to change a single Table 2 number.
 
 Each run is also appended to ``benchmarks/results/bench_history.jsonl``
@@ -40,7 +40,7 @@ Run directly::
 (the committed numbers use the full per-program scales).  Each
 configuration is timed ``REPRO_BENCH_REPEAT`` times (default 2) and the
 best run is recorded: single-shot sweeps on a busy box showed ~15%
-run-to-run swing, enough to drown the engine comparison in noise.
+run-to-run swing, enough to drown the comparison in noise.
 """
 
 import json
@@ -111,35 +111,32 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="MIN",
-        help="exit non-zero unless compiled_s / parallel_s >= MIN "
+        help="exit non-zero unless default_s / parallel_s >= MIN "
         "(CI gate: the warm fabric must not trail the single-process "
-        "compiled engine)",
+        "default sweep)",
     )
     args = parser.parse_args(argv)
 
     scale = bench_scale()
-    # Each cell pins engine, fastpath and memoize; REPRO_INTERPROC and
+    # Each cell pins fastpath and memoize; REPRO_INTERPROC and
     # REPRO_INVARIANTS still come from the environment.
-    def cell(engine, fast):
-        return ExecConfig.from_env(engine=engine, fastpath=fast, memoize=fast)
+    def cell(fast):
+        return ExecConfig.from_env(fastpath=fast, memoize=fast)
 
-    compiled = cell("compiled", True)
+    default = cell(True)
     configurations = {
-        "baseline": (cell("tree", False), 1),
-        "fastpath": (cell("tree", True), 1),
-        "compiled": (compiled, 1),
+        "baseline": (cell(False), 1),
+        "default": (default, 1),
         # affinity-aware worker count (cgroup quotas respected), floored
         # at two so single-core machines still exercise the fabric
         # instead of collapsing to the inline runner
-        "parallel": (compiled, max(default_jobs(), 2)),
+        "parallel": (default, max(default_jobs(), 2)),
     }
     results = {}
     for name, (config, jobs) in configurations.items():
         results[name] = _sweep(jobs, scale, config)
-        results[name]["engine"] = config.engine
         print(
-            f"{name:9s} engine={config.engine:<8s} "
-            f"jobs={jobs:<2d} "
+            f"{name:9s} jobs={jobs:<2d} "
             f"{results[name]['seconds']:8.2f}s"
         )
 
@@ -151,38 +148,32 @@ def main(argv=None) -> int:
             raise SystemExit(f"configuration {name!r} changed the results")
 
     baseline_s = results["baseline"]["seconds"]
-    fastpath_s = results["fastpath"]["seconds"]
-    compiled_s = results["compiled"]["seconds"]
+    default_s = results["default"]["seconds"]
     parallel_s = results["parallel"]["seconds"]
     payload = {
         "benchmark": "table2-sweep-wallclock",
         "scale": "full" if scale is None else scale,
         "python": sys.version.split()[0],
         "configurations": results,
-        "speedup_fastpath_vs_baseline": round(baseline_s / fastpath_s, 2),
-        "speedup_compiled_vs_baseline": round(baseline_s / compiled_s, 2),
-        "speedup_compiled_vs_fastpath": round(fastpath_s / compiled_s, 2),
+        "speedup_default_vs_baseline": round(baseline_s / default_s, 2),
         "speedup_parallel_vs_baseline": round(baseline_s / parallel_s, 2),
-        "speedup_parallel_vs_fastpath": round(fastpath_s / parallel_s, 2),
-        # the fabric headline: warm persistent workers vs the best
-        # single-process configuration (>= 1.0 means the fabric wins)
-        "speedup_parallel_vs_compiled": round(compiled_s / parallel_s, 2),
+        # the fabric headline: warm persistent workers vs the same
+        # configuration in one process (>= 1.0 means the fabric wins)
+        "speedup_parallel_vs_default": round(default_s / parallel_s, 2),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     _append_history(payload)
     print(
-        f"\nfastpath {baseline_s / fastpath_s:.2f}x  "
-        f"compiled {baseline_s / compiled_s:.2f}x "
-        f"(vs fastpath {fastpath_s / compiled_s:.2f}x)  "
-        f"fabric-vs-compiled {compiled_s / parallel_s:.2f}x"
+        f"\ndefault {baseline_s / default_s:.2f}x  "
+        f"fabric-vs-default {default_s / parallel_s:.2f}x"
         f"  -> {OUTPUT.name}"
     )
     if args.assert_parallel_speedup is not None:
-        achieved = compiled_s / parallel_s
+        achieved = default_s / parallel_s
         if achieved < args.assert_parallel_speedup:
             print(
                 f"FABRIC REGRESSION: parallel sweep is only "
-                f"{achieved:.2f}x the compiled single-process sweep "
+                f"{achieved:.2f}x the default single-process sweep "
                 f"(gate: {args.assert_parallel_speedup:.2f}x)"
             )
             return 1

@@ -16,11 +16,9 @@ Usage (installed as ``python -m repro``)::
     python -m repro demo                         # quickstart bug report
 
 Experiment sweeps accept ``--jobs N`` to fan cells out across worker
-processes; results are identical to ``--jobs 1``.  They also accept
-``--engine {tree,compiled}`` to pick the execution engine (identical
-observables, the compiled engine is just faster).  :func:`main` resolves
-the :class:`~repro.runtime.session.ExecConfig` once — ``--engine`` over
-the ``REPRO_*`` switches — and passes it to the command.
+processes; results are identical to ``--jobs 1``.  :func:`main`
+resolves the :class:`~repro.runtime.session.ExecConfig` once from the
+``REPRO_*`` switches and passes it to the command.
 """
 
 from __future__ import annotations
@@ -455,14 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="concurrent job threads "
                 "(default: REPRO_SERVE_CONCURRENCY or 2)",
             )
-        if name in _PARALLEL_COMMANDS or name in ("demo", "serve"):
-            sub.add_argument(
-                "--engine",
-                choices=["tree", "compiled"],
-                default=None,
-                help="execution engine (default: REPRO_ENGINE or tree); "
-                "observables are identical, compiled is faster",
-            )
         if name == "table2":
             sub.add_argument(
                 "--ablation",
@@ -603,9 +593,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler, _ = _COMMANDS[args.command]
     from .runtime.session import ExecConfig
 
-    pinned = {"engine": args.engine} if getattr(args, "engine", None) else {}
     try:
-        config = ExecConfig.from_env(**pinned)
+        config = ExecConfig.from_env()
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2

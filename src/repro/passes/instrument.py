@@ -36,12 +36,18 @@ from .safe_access import SafeAccessElimination
 
 @dataclass
 class InstrumentedProgram:
-    """An instrumented program plus instrumentation-time statistics."""
+    """An instrumented program plus instrumentation-time statistics.
+
+    ``last_instructions`` is the instruction count of the latest
+    finished run; :meth:`repro.runtime.session.Session.run` picks the
+    next run's engine from it.
+    """
 
     program: Program
     stats: PassStats
     style: str
     cache_count: int = 0
+    last_instructions: int = 0
 
     @property
     def static_checks(self) -> int:
@@ -146,9 +152,10 @@ def program_fingerprint(program: Program) -> str:
 #: Memoized instrumentation results, keyed by
 #: (program fingerprint, capabilities, protect).  Instrumented programs
 #: are immutable at runtime (the interpreter keeps all mutable state in
-#: its own environment/caches), so sharing one instance across runs and
-#: sessions is safe — the 5-tool Table 2 sweep instruments each proxy
-#: once per configuration instead of once per run.
+#: its own environment/caches; ``last_instructions`` only picks an
+#: engine), so sharing one instance across runs and sessions is safe —
+#: the 5-tool Table 2 sweep instruments each proxy once per
+#: configuration instead of once per run.
 _MEMO: dict = {}
 _MEMO_LIMIT = 256
 #: Hit/miss counters for the memo, exposed through

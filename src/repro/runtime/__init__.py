@@ -11,7 +11,6 @@ from .compiler import (
     CompiledEngine,
     compile_function,
     compile_program,
-    resolve_engine,
 )
 from .fastpath import LoopPlan, analyze_loop
 from .interpreter import BudgetExceeded, Interpreter, RunResult
@@ -21,7 +20,6 @@ __all__ = [
     "CompiledEngine",
     "compile_function",
     "compile_program",
-    "resolve_engine",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "NativeCosts",

@@ -32,11 +32,11 @@ reference semantics.
 The superblock fast path still engages from compiled code: loop headers
 flush the local counters, hand :func:`repro.runtime.fastpath.try_execute`
 a dict view of the live slots, and sync the slots back on success, so
-``fastpath`` × ``engine`` compose.
+the fast path and the compiled engine compose.
 
-Select the engine with ``Session(config=ExecConfig(engine="compiled"))``
-or ``REPRO_ENGINE=compiled``; the tree-walker remains the default and
-the reference.
+:meth:`repro.runtime.session.Session.run` runs a memoized program on
+this engine once its last run was long (``COMPILE_AFTER_INSTRUCTIONS``);
+the tree-walker runs everything else and remains the reference.
 """
 
 from __future__ import annotations
@@ -771,21 +771,3 @@ class CompiledEngine(Interpreter):
             lambda: self.san.check_access(address, inner.width, inner.access),
         )
 
-
-#: Engine registry used by Session.
-ENGINES = {
-    "tree": Interpreter,
-    "compiled": CompiledEngine,
-}
-
-
-def resolve_engine(engine: str) -> type:
-    """Map an engine name to its class."""
-    name = str(engine).strip().lower()
-    try:
-        return ENGINES[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINES))
-        raise ValueError(
-            f"unknown engine {name!r}; known engines: {known}"
-        ) from None

@@ -6,7 +6,10 @@ the examples both drive everything through this module.
 
 How a session executes is one frozen :class:`ExecConfig`;
 :meth:`ExecConfig.from_env` is the only reader of the ``REPRO_*``
-execution switches, and everything else receives the value.
+execution switches, and everything else receives the value.  Which
+engine runs is not a switch: :meth:`Session.run` picks it per run from
+the instrumented program's previous run (see
+:data:`COMPILE_AFTER_INSTRUCTIONS`).
 """
 
 from __future__ import annotations
@@ -24,12 +27,22 @@ from ..passes.instrument import (
 from ..sanitizers import SANITIZER_FACTORIES
 from ..sanitizers.base import Sanitizer
 from ..telemetry import Telemetry
-from .compiler import ENGINES, resolve_engine
+from .compiler import CompiledEngine
 from .cost_model import CostModel, DEFAULT_COST_MODEL
 from .interpreter import Interpreter, RunResult
 
 _TRUE = ("1", "true", "on", "yes")
 _FALSE = ("0", "false", "off", "no")
+
+#: A memoized program whose last run executed at least this many IR
+#: instructions runs next on the :class:`CompiledEngine`; every other
+#: run (a first run, any run with ``memoize`` off) tree-walks.
+#: Compiling pays only over long runs, and the corpora split cleanly:
+#: Table 2 runs execute 6,399-441,987 instructions each, detection
+#: runs (Tables 3-5) at most 1,332 and fuzz cases at most 312.  Both
+#: engines produce identical observables, so the choice never changes
+#: a result.
+COMPILE_AFTER_INSTRUCTIONS = 4096
 
 
 def _switch(default, env: str):
@@ -41,14 +54,12 @@ def _switch(default, env: str):
 class ExecConfig:
     """The execution cell a session runs in.
 
-    ``engine`` (``"tree"`` or ``"compiled"``), the superblock
-    ``fastpath``, ``interprocedural`` check elision and the
-    instrumentation ``memoize`` cache never change a result;
+    The superblock ``fastpath``, ``interprocedural`` check elision
+    and the instrumentation ``memoize`` cache never change a result;
     ``invariants`` attaches a raising
     :class:`~repro.fuzz.invariants.ShadowInvariantChecker`.
     """
 
-    engine: str = _switch("tree", "REPRO_ENGINE")
     fastpath: bool = _switch(True, "REPRO_FASTPATH")
     interprocedural: bool = _switch(True, "REPRO_INTERPROC")
     memoize: bool = _switch(True, "REPRO_INSTRUMENT_CACHE")
@@ -58,9 +69,9 @@ class ExecConfig:
     def from_env(cls, **pinned) -> "ExecConfig":
         """The config named by the ``REPRO_*`` switches; unset (or
         empty) ones keep their defaults, and ``pinned`` fields override
-        them (``--engine``, or a test's or bench cell's own switches).
+        them (a test's or bench cell's own switches).
 
-        Booleans accept ``1/true/on/yes`` and ``0/false/off/no`` in any
+        Each accepts ``1/true/on/yes`` and ``0/false/off/no`` in any
         case; anything else raises ``ValueError`` naming the variable.
         """
         values = {}
@@ -68,15 +79,13 @@ class ExecConfig:
             var = switch.metadata["env"]
             raw = os.environ.get(var, "")
             value = raw.strip().lower()
-            boolean = isinstance(switch.default, bool)
-            accepted = _TRUE + _FALSE if boolean else sorted(ENGINES)
-            if value and value not in accepted:
+            if value and value not in _TRUE + _FALSE:
                 raise ValueError(
                     f"invalid {var}={raw!r}: expected one of "
-                    f"{', '.join(accepted)}"
+                    f"{', '.join(_TRUE + _FALSE)}"
                 )
             if value:
-                values[switch.name] = value in _TRUE if boolean else value
+                values[switch.name] = value in _TRUE
         return cls(**{**values, **pinned})
 
 
@@ -125,7 +134,6 @@ class Session:
         self.config = ExecConfig.from_env() if config is None else config
         self.cost_model = cost_model
         self.max_instructions = max_instructions
-        self.engine = resolve_engine(self.config.engine)
         self.audit_elisions = audit_elisions
         self.telemetry = None
         if telemetry:
@@ -156,15 +164,19 @@ class Session:
     def run(
         self, program: Program, args: Optional[List[int]] = None
     ) -> RunResult:
-        """Instrument and execute ``program`` under this session's tool."""
+        """Instrument and execute ``program`` under this session's tool,
+        on the engine :data:`COMPILE_AFTER_INSTRUCTIONS` picks."""
         iprogram = self.instrument(program)
-        interpreter = self.engine(
+        long_before = iprogram.last_instructions >= COMPILE_AFTER_INSTRUCTIONS
+        engine = CompiledEngine if long_before else Interpreter
+        result = engine(
             self.sanitizer,
             max_instructions=self.max_instructions,
             fastpath=self.config.fastpath,
             telemetry=self.telemetry,
-        )
-        return interpreter.run(iprogram, args)
+        ).run(iprogram, args)
+        iprogram.last_instructions = result.instructions_executed
+        return result
 
 
 def run_with_tools(

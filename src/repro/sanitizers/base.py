@@ -17,6 +17,7 @@ Concrete tools: :mod:`repro.sanitizers.native`, ``asan``, ``asanmm``,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -165,7 +166,13 @@ class Sanitizer:
         )
         self.stack = StackAllocator(self.space, redzone=max(redzone, 8))
         self.globals = GlobalAllocator(self.space, redzone=max(redzone, 8))
-        self.quarantine = Quarantine(quarantine_bytes, self._evict_chunk)
+        # a weak hook: a bound method would close a quarantine <->
+        # sanitizer cycle and keep every finished run's address space
+        # and shadow alive until the cyclic GC ran
+        evict = weakref.WeakMethod(self._evict_chunk)
+        self.quarantine = Quarantine(
+            quarantine_bytes, lambda allocation: evict()(allocation)
+        )
         self.log = ErrorLog(halt_on_error=halt_on_error)
         self.stats = CheckStats()
         #: Telemetry registry (:class:`repro.telemetry.Telemetry`) when a

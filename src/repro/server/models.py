@@ -1,7 +1,7 @@
 """Validated request/response models for the control plane.
 
 Everything a job needs is carried in its request model — the (tool ×
-engine × fastpath) execution config included — so sessions are
+fastpath × interprocedural) execution config included — so sessions are
 constructed from validated data instead of process environment
 variables.  Invalid configs are rejected at submission time with a
 422; a job that validated can only fail for runtime reasons.
@@ -23,7 +23,7 @@ SWEEP_TARGETS = ("table2", "table3", "table4", "table5", "fig10", "fig11")
 
 
 class ExecutionConfig(BaseModel):
-    """The (tool × engine × fastpath) cell a run job executes in.
+    """The (tool × fastpath × interprocedural) cell a run job executes in.
 
     ``None`` fields fall back to the server's
     :class:`~repro.runtime.session.ExecConfig` defaults, resolved once
@@ -33,7 +33,6 @@ class ExecutionConfig(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
     tool: str = "GiantSan"
-    engine: Optional[Literal["tree", "compiled"]] = None
     fastpath: Optional[bool] = None
     interprocedural: Optional[bool] = None
     telemetry: bool = True
@@ -122,7 +121,6 @@ class SweepJobRequest(BaseModel):
     target: Literal[SWEEP_TARGETS]  # type: ignore[valid-type]
     scale: Optional[int] = Field(default=None, ge=1, le=64)
     jobs: int = Field(default=1, ge=1)
-    engine: Optional[Literal["tree", "compiled"]] = None
 
 
 class FuzzJobRequest(BaseModel):

@@ -8,15 +8,14 @@ whole (they are seconds-scale).  Results include the rendered text
 exactly as the CLI prints it, so a sweep job is byte-comparable to
 ``python -m repro <target>``.
 
-Every runner receives the job's :class:`~repro.runtime.session.ExecConfig`
-(the server defaults plus the request's ``engine``), so sweeps never
+Every runner receives the server's
+:class:`~repro.runtime.session.ExecConfig` defaults, so sweeps never
 read or write the process environment and run concurrently.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Any, Dict
 
 from ...runtime.session import ExecConfig
@@ -71,16 +70,13 @@ def execute_sweep_job(
     from ...analysis.parallel import fabric_stats
 
     started = time.perf_counter()
-    config = defaults
-    if request.engine is not None:
-        config = replace(defaults, engine=request.engine)
     if request.target == "table2":
-        payload = _run_table2(context, request, config)
+        payload = _run_table2(context, request, defaults)
     else:
         context.check_cancelled()
         payload = {
             "rendered": render_study(
-                request.target, request.jobs, request.scale, config
+                request.target, request.jobs, request.scale, defaults
             )
         }
     stats = fabric_stats()

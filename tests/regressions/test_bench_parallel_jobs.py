@@ -25,7 +25,7 @@ class TestBenchArtifact:
 
     def test_serial_configurations_record_one_worker(self):
         payload = json.loads(BENCH.read_text())
-        for name in ("baseline", "fastpath"):
+        for name in ("baseline", "default"):
             assert payload["configurations"][name]["jobs"] == 1
             assert payload["configurations"][name]["workers"] == 1
 

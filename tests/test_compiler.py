@@ -3,11 +3,14 @@
 The differential suite (:mod:`tests.test_engine_differential`) proves
 observation-equivalence end to end; these tests pin the compiler's own
 contract: which functions it declines, how declines fall back, how the
-compile cache is keyed, and how the engine is selected.
+compile cache is keyed, and when a session picks the compiled engine.
 """
+
+import importlib
 
 import pytest
 
+from engines import run_on
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Const, Var
 from repro.runtime import (
@@ -18,9 +21,9 @@ from repro.runtime import (
     Session,
     compile_function,
     compile_program,
-    resolve_engine,
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
+from repro.runtime.session import COMPILE_AFTER_INSTRUCTIONS
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 COSTS = DEFAULT_COST_MODEL.native
@@ -43,31 +46,78 @@ def _simple_program():
     return builder.build()
 
 
+def _long_program():
+    """A loop of well over COMPILE_AFTER_INSTRUCTIONS instructions."""
+    builder = ProgramBuilder()
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        total = f.assign("total", 0)
+        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+            f.store("buf", (i % 8) * 8, 8, i)
+            f.assign("total", total + i)
+        f.free("buf")
+        f.ret(total)
+    return builder.build()
+
+
 # ----------------------------------------------------------------------
-# engine selection
+# engine selection: compile a memoized program once its last run was long
 # ----------------------------------------------------------------------
-def test_resolve_engine_names():
-    assert resolve_engine("tree") is Interpreter
-    assert resolve_engine("compiled") is CompiledEngine
+@pytest.fixture
+def engines_run(monkeypatch):
+    """The engine class of every run, in order, over an empty memo."""
+    # the module, not the function ``repro.passes.instrument`` exports
+    memo_module = importlib.import_module("repro.passes.instrument")
+    monkeypatch.setattr(memo_module, "_MEMO", {})
+    runs, run = [], Interpreter.run
+    monkeypatch.setattr(Interpreter, "run", lambda self, *args: (
+        runs.append(type(self)) or run(self, *args)
+    ))
+    return runs
 
 
-def test_resolve_engine_rejects_unknown():
-    with pytest.raises(ValueError, match="compiled"):
-        resolve_engine("jit")
+def _session_run(program, memoize=True):
+    return Session("GiantSan", ExecConfig(memoize=memoize)).run(program)
 
 
-def _config(engine):
-    return ExecConfig.from_env(engine=engine, memoize=False)
+def _observables(result):
+    return (
+        result.return_value,
+        result.native_cycles,
+        result.instructions_executed,
+        result.stats.as_dict(),
+        dict(result.protection_counts),
+        [(e.kind, e.address, e.size) for e in result.errors],
+    )
 
 
-def test_session_engine_parameter():
-    def engine(name):
-        return Session("Native", ExecConfig.from_env(engine=name)).engine
+def test_memoized_first_run_is_a_tree_run(engines_run):
+    result = _session_run(_long_program())
+    assert engines_run == [Interpreter]
+    assert result.instructions_executed >= COMPILE_AFTER_INSTRUCTIONS
 
-    assert engine("compiled") is CompiledEngine
-    assert engine("tree") is Interpreter
-    with pytest.raises(ValueError):
-        engine("bytecode")
+
+def test_rerun_after_a_long_run_is_compiled(engines_run):
+    program = _long_program()
+    for _ in range(3):
+        _session_run(program)
+    assert engines_run == [Interpreter, CompiledEngine, CompiledEngine]
+
+
+def test_short_program_stays_on_the_tree_engine(engines_run):
+    program = _simple_program()
+    results = [_session_run(program) for _ in range(3)]
+    assert engines_run == [Interpreter] * 3
+    assert results[-1].instructions_executed < COMPILE_AFTER_INSTRUCTIONS
+
+
+def test_memoize_off_always_tree_walks_with_equal_observables(engines_run):
+    program = _long_program()
+    fresh = [_session_run(program, memoize=False) for _ in range(2)]
+    memoized = [_session_run(program) for _ in range(2)]
+    assert engines_run == [Interpreter] * 3 + [CompiledEngine]
+    observed = [_observables(result) for result in fresh + memoized]
+    assert observed == observed[:1] * 4
 
 
 # ----------------------------------------------------------------------
@@ -98,9 +148,7 @@ def test_may_undefined_read_declines():
         compile_function(function, COSTS, False, False) is None
     )
     # ... but the engine still runs it, via per-function fallback.
-    result = Session("Native", _config("compiled")).run(
-        program
-    )
+    result = run_on(CompiledEngine, program, "Native")
     assert result.return_value == 42
 
 
@@ -136,15 +184,12 @@ def test_budget_exceeded_message_matches_tree():
         f.ret(0)
     program = builder.build()
     messages = {}
-    for engine in ("tree", "compiled"):
-        session = Session(
-            "Native", _config(engine), max_instructions=100
-        )
+    for engine in (Interpreter, CompiledEngine):
         with pytest.raises(BudgetExceeded) as excinfo:
-            session.run(program)
+            run_on(engine, program, "Native", max_instructions=100)
         messages[engine] = str(excinfo.value)
-    assert messages["tree"] == messages["compiled"]
-    assert "100" in messages["tree"]
+    assert messages[Interpreter] == messages[CompiledEngine]
+    assert "100" in messages[Interpreter]
 
 
 def test_wrong_argc_message_matches_tree():
@@ -156,12 +201,11 @@ def test_wrong_argc_message_matches_tree():
         f.ret(0)
     program = builder.build()
     messages = {}
-    for engine in ("tree", "compiled"):
-        session = Session("Native", _config(engine))
+    for engine in (Interpreter, CompiledEngine):
         with pytest.raises(TypeError) as excinfo:
-            session.run(program)
+            run_on(engine, program, "Native")
         messages[engine] = str(excinfo.value)
-    assert messages["tree"] == messages["compiled"]
+    assert messages[Interpreter] == messages[CompiledEngine]
 
 
 def test_compiled_calls_interop_with_tree_fallback():
@@ -182,10 +226,8 @@ def test_compiled_calls_interop_with_tree_fallback():
     program = builder.build()
     table = _compile(program)
     assert "main" in table and "helper" not in table
-    tree = Session("Native", _config("tree")).run(program)
-    compiled = Session("Native", _config("compiled")).run(
-        program
-    )
+    tree = run_on(Interpreter, program, "Native")
+    compiled = run_on(CompiledEngine, program, "Native")
     assert compiled.return_value == tree.return_value == 5 + sum(range(5))
     assert compiled.instructions_executed == tree.instructions_executed
     assert compiled.native_cycles == tree.native_cycles

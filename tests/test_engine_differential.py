@@ -12,10 +12,11 @@ full error reports, telemetry counters, and elision-audit replays.
 
 import pytest
 
+from engines import run_on
 from repro.fuzz import build_case, case_seed_for, generate_case
 from repro.fuzz.driver import CASE_MAX_INSTRUCTIONS
 from repro.ir.builder import ProgramBuilder
-from repro.runtime import ExecConfig, Session
+from repro.runtime import CompiledEngine, ExecConfig, Interpreter
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 #: Reduced iteration scale keeps the proxy matrix quick.
@@ -59,22 +60,18 @@ def _observables(result):
 
 
 def _run(program, tool, engine, fastpath, args=None, **kwargs):
-    session = Session(
-        tool,
-        ExecConfig.from_env(engine=engine, fastpath=fastpath, memoize=False),
-        **kwargs,
-    )
-    return session.run(program, args)
+    config = ExecConfig.from_env(fastpath=fastpath, memoize=False)
+    return run_on(engine, program, tool, config, args, **kwargs)
 
 
 def _assert_engines_match(program, tools=TOOLS, args=None, **kwargs):
     for tool in tools:
         for fastpath in (True, False):
             tree = _run(
-                program, tool, "tree", fastpath, args=args, **kwargs
+                program, tool, Interpreter, fastpath, args=args, **kwargs
             )
             compiled = _run(
-                program, tool, "compiled", fastpath, args=args, **kwargs
+                program, tool, CompiledEngine, fastpath, args=args, **kwargs
             )
             assert _observables(tree) == _observables(compiled), (
                 tool,
@@ -91,8 +88,8 @@ def test_compiled_matches_tree_on_spec(spec, tool):
     """Every proxy x tool cell, superblock fast path on (the default
     production configuration)."""
     program = spec.build()
-    tree = _run(program, tool, "tree", True, args=[SCALE])
-    compiled = _run(program, tool, "compiled", True, args=[SCALE])
+    tree = _run(program, tool, Interpreter, True, args=[SCALE])
+    compiled = _run(program, tool, CompiledEngine, True, args=[SCALE])
     assert _observables(tree) == _observables(compiled)
 
 
@@ -100,8 +97,8 @@ def test_compiled_matches_tree_on_spec(spec, tool):
 def test_compiled_matches_tree_without_fastpath(spec):
     """Fast path off exercises the compiled per-iteration loop bodies."""
     program = spec.build()
-    tree = _run(program, "GiantSan", "tree", False, args=[SCALE])
-    compiled = _run(program, "GiantSan", "compiled", False, args=[SCALE])
+    tree = _run(program, "GiantSan", Interpreter, False, args=[SCALE])
+    compiled = _run(program, "GiantSan", CompiledEngine, False, args=[SCALE])
     assert _observables(tree) == _observables(compiled)
 
 
@@ -199,14 +196,14 @@ def test_compiled_matches_tree_on_fuzz_case(index):
             tree = _run(
                 program,
                 tool,
-                "tree",
+                Interpreter,
                 fastpath,
                 max_instructions=CASE_MAX_INSTRUCTIONS,
             )
             compiled = _run(
                 program,
                 tool,
-                "compiled",
+                CompiledEngine,
                 fastpath,
                 max_instructions=CASE_MAX_INSTRUCTIONS,
             )
@@ -240,10 +237,10 @@ def _telemetry_view(result):
 def test_telemetry_counters_match(spec):
     program = spec.build()
     tree = _run(
-        program, "GiantSan", "tree", True, args=[SCALE], telemetry=True
+        program, "GiantSan", Interpreter, True, args=[SCALE], telemetry=True
     )
     compiled = _run(
-        program, "GiantSan", "compiled", True, args=[SCALE], telemetry=True
+        program, "GiantSan", CompiledEngine, True, args=[SCALE], telemetry=True
     )
     assert _observables(tree) == _observables(compiled)
     assert _telemetry_view(tree) == _telemetry_view(compiled)
@@ -258,8 +255,8 @@ def test_telemetry_counters_match_on_planted_bug():
         f.free("buf")
         f.ret(0)
     program = builder.build()
-    tree = _run(program, "GiantSan", "tree", True, telemetry=True)
-    compiled = _run(program, "GiantSan", "compiled", True, telemetry=True)
+    tree = _run(program, "GiantSan", Interpreter, True, telemetry=True)
+    compiled = _run(program, "GiantSan", CompiledEngine, True, telemetry=True)
     assert tree.errors and compiled.errors
     assert _telemetry_view(tree) == _telemetry_view(compiled)
 
@@ -274,7 +271,7 @@ def test_elision_audit_matches(spec):
     tree = _run(
         program,
         "GiantSan",
-        "tree",
+        Interpreter,
         False,
         args=[SCALE],
         audit_elisions=True,
@@ -282,7 +279,7 @@ def test_elision_audit_matches(spec):
     compiled = _run(
         program,
         "GiantSan",
-        "compiled",
+        CompiledEngine,
         False,
         args=[SCALE],
         audit_elisions=True,
@@ -297,7 +294,7 @@ def test_fuzz_corpus_elision_audit_matches():
         tree = _run(
             program,
             "GiantSan",
-            "tree",
+            Interpreter,
             False,
             max_instructions=CASE_MAX_INSTRUCTIONS,
             audit_elisions=True,
@@ -305,7 +302,7 @@ def test_fuzz_corpus_elision_audit_matches():
         compiled = _run(
             program,
             "GiantSan",
-            "compiled",
+            CompiledEngine,
             False,
             max_instructions=CASE_MAX_INSTRUCTIONS,
             audit_elisions=True,
@@ -323,10 +320,12 @@ def test_fuzz_corpus_elision_audit_matches():
 @pytest.mark.parametrize("tool", ["GiantSan", "ASan"])
 def test_engine_fastpath_matrix_matches_reference(spec, tool):
     program = spec.build()
-    reference = _observables(_run(program, tool, "tree", True, args=[SCALE]))
-    for engine in ("tree", "compiled"):
+    reference = _observables(
+        _run(program, tool, Interpreter, True, args=[SCALE])
+    )
+    for engine in (Interpreter, CompiledEngine):
         for fastpath in (True, False):
-            if (engine, fastpath) == ("tree", True):
+            if (engine, fastpath) == (Interpreter, True):
                 continue
             got = _observables(
                 _run(program, tool, engine, fastpath, args=[SCALE])

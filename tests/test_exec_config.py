@@ -16,15 +16,16 @@ import repro
 from repro import ExecConfig, Session
 from repro.analysis import overhead
 from repro.cli import main
-from repro.runtime import Interpreter
 from repro.workloads.spec import SPEC_BY_NAME
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWITCHES = [field.metadata["env"] for field in dataclasses.fields(ExecConfig)]
-#: The benchmark's reference cell, set the way its harness sets it.
-REFERENCE_ENV = {"REPRO_ENGINE": "tree", "REPRO_SHADOW": "bytearray",
-                 "REPRO_FASTPATH": "0", "REPRO_INTERPROC": "0"}
-REFERENCE_CELL = ExecConfig(fastpath=False, interprocedural=False)
+#: The reference cell: with the memo off every run is a first run, so
+#: the tree engine runs it.
+REFERENCE_ENV = {"REPRO_SHADOW": "bytearray", "REPRO_FASTPATH": "0",
+                 "REPRO_INTERPROC": "0", "REPRO_INSTRUMENT_CACHE": "0"}
+REFERENCE_CELL = ExecConfig(fastpath=False, interprocedural=False,
+                            memoize=False)
 
 
 @pytest.fixture(autouse=True)
@@ -34,9 +35,9 @@ def _env(monkeypatch):
     return lambda env: [monkeypatch.setenv(k, v) for k, v in env.items()]
 
 
-def test_five_fields_and_their_defaults():
+def test_four_boolean_fields_and_their_defaults():
     assert dataclasses.asdict(ExecConfig()) == {
-        "engine": "tree", "fastpath": True, "interprocedural": True,
+        "fastpath": True, "interprocedural": True,
         "memoize": True, "invariants": False,
     }
 
@@ -52,8 +53,8 @@ def test_five_fields_and_their_defaults():
     ({"REPRO_FASTPATH": "FALSE", "REPRO_INVARIANTS": "On\n"},
      ExecConfig(fastpath=False, invariants=True)),
     ({"REPRO_INSTRUMENT_CACHE": "0"}, ExecConfig(memoize=False)),
-    ({"REPRO_ENGINE": " Compiled ", "REPRO_FASTPATH": "true"},
-     ExecConfig("compiled")),
+    ({"REPRO_INVARIANTS": " 1 ", "REPRO_FASTPATH": "true"},
+     ExecConfig(invariants=True)),
     ({"REPRO_FASTPATH": ""}, ExecConfig()),  # empty counts as unset
     # names ExecConfig does not own are ignored
     ({"REPRO_SHADOW": "numpy", "REPRO_TELEMETRY": "x",
@@ -68,28 +69,28 @@ def test_from_env(_env, env, expected):
 @pytest.mark.parametrize("var, raw", [
     ("REPRO_FASTPATH", "maybe"), ("REPRO_INSTRUMENT_CACHE", "2"),
     ("REPRO_INVARIANTS", "enabled"), ("REPRO_INTERPROC", "nope"),
-    ("REPRO_ENGINE", "jit"),
 ])
 def test_from_env_rejects_typos(_env, var, raw):
     _env({var: raw})
-    accepted = "compiled, tree" if var == "REPRO_ENGINE" else "1, true"
-    with pytest.raises(ValueError, match=f"{var}='{raw}'.*{accepted}"):
+    with pytest.raises(ValueError, match=f"{var}='{raw}'.*1, true"):
         ExecConfig.from_env()
 
 
 def test_pinned_fields_override_env_but_typos_still_fail(_env):
-    _env({"REPRO_ENGINE": "compiled", "REPRO_FASTPATH": "0"})
-    assert ExecConfig.from_env(engine="tree") == ExecConfig(fastpath=False)
-    _env({"REPRO_ENGINE": "jit"})
-    with pytest.raises(ValueError, match="REPRO_ENGINE"):
-        ExecConfig.from_env(engine="tree")
+    _env({"REPRO_FASTPATH": "0", "REPRO_INTERPROC": "0"})
+    assert ExecConfig.from_env(fastpath=True) == ExecConfig(
+        interprocedural=False
+    )
+    _env({"REPRO_FASTPATH": "maybe"})
+    with pytest.raises(ValueError, match="REPRO_FASTPATH"):
+        ExecConfig.from_env(fastpath=True)
 
 
 def test_no_config_honours_reference_cell(_env, monkeypatch):
     """Session() and run_overhead_study() resolve the environment."""
     _env(REFERENCE_ENV)
     session = Session("GiantSan")
-    assert (session.config, session.engine) == (REFERENCE_CELL, Interpreter)
+    assert session.config == REFERENCE_CELL
     seen = set()
     monkeypatch.setattr(overhead, "Session", lambda tool, config, **kwargs: (
         seen.add(config) or Session(tool, config, **kwargs)
@@ -100,24 +101,27 @@ def test_no_config_honours_reference_cell(_env, monkeypatch):
     assert seen == {REFERENCE_CELL}
 
 
-def test_cli_engine_flag_does_not_write_environ(_env, capsys, monkeypatch):
+def test_cli_passes_its_config_without_writing_environ(
+    _env, capsys, monkeypatch
+):
     seen = []
     monkeypatch.setattr(repro, "Session", lambda tool, config: (
         seen.append(config) or Session(tool, config)
     ))
-    _env({"REPRO_ENGINE": "tree"})
-    assert main(["demo", "--engine", "compiled"]) == 0
+    _env({"REPRO_FASTPATH": "0"})
+    before = dict(os.environ)
+    assert main(["demo"]) == 0
     assert "heap-buffer-overflow" in capsys.readouterr().out
-    assert seen == [ExecConfig("compiled")]
-    assert os.environ["REPRO_ENGINE"] == "tree"
+    assert seen == [ExecConfig(fastpath=False)]
+    assert dict(os.environ) == before
 
 
 def test_bad_switch_is_one_stderr_line_without_traceback(_env, capsys):
-    _env({"REPRO_ENGINE": "jit"})
+    _env({"REPRO_FASTPATH": "maybe"})
     assert main(["table1"]) == 2
     assert capsys.readouterr() == (
-        "", "repro: invalid REPRO_ENGINE='jit': expected one of compiled, "
-        "tree\n",
+        "", "repro: invalid REPRO_FASTPATH='maybe': expected one of 1, "
+        "true, on, yes, 0, false, off, no\n",
     )
 
 

@@ -12,6 +12,7 @@ semantics stay identical across the engine x shadow x fastpath matrix.
 
 import pytest
 
+from engines import run_on
 from repro.dataflow import (
     LIVE,
     MAYBE,
@@ -31,6 +32,7 @@ from repro.ir.nodes import Call, V
 from repro.ir.program import Function, Program
 from repro.passes.alias import ProvenanceMap
 from repro.passes.instrument import instrument
+from repro.runtime import CompiledEngine, Interpreter
 from repro.runtime.session import ExecConfig, Session
 from repro.sanitizers import SANITIZER_FACTORIES
 from repro.workloads import build_callheavy_program
@@ -513,13 +515,15 @@ class TestCallHeavyAcceptance:
             assert counts[True] < counts[False], tool
             assert semantics[True] == semantics[False], tool
 
-    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    @pytest.mark.parametrize(
+        "engine", [Interpreter, CompiledEngine], ids=["tree", "compiled"]
+    )
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_matrix_identity(self, engine, fastpath):
         program = build_callheavy_program()
         ipo = dict(memoize=False, interprocedural=True)
-        config = ExecConfig.from_env(engine=engine, fastpath=fastpath, **ipo)
-        result = Session("GiantSan", config).run(program, args=[5])
+        config = ExecConfig.from_env(fastpath=fastpath, **ipo)
+        result = run_on(engine, program, "GiantSan", config, args=[5])
         observed = (
             result.return_value,
             [(e.kind, e.address) for e in result.errors],

@@ -197,7 +197,8 @@ class TestWarmCaches:
 class TestLifecycle:
     def test_config_change_reuses_fabric(self):
         fabric = None
-        for config in (ExecConfig("tree", False), ExecConfig("compiled")):
+        for config in (ExecConfig(fastpath=False, memoize=False),
+                       ExecConfig()):
             units = _units("505.mcf_r", "519.lbm_r", config=config)
             results = parallel_map(figure10_worker, units, 2)
             fabric = fabric or parallel._FABRIC

@@ -7,7 +7,7 @@ Three families of guarantees:
     directly through :class:`repro.runtime.session.Session` (or the
     fuzz/sweep drivers).  The server adds transport, never semantics.
 (b) **Isolation** — concurrent jobs run under explicit ExecConfigs; one
-    job's config (engine/tool, telemetry registry) can never leak into a
+    job's config (tool/fastpath, telemetry registry) can never leak into a
     neighbour, and no job touches the process environment.
 (c) **Lifecycle** — submissions validate at the door (422 with a
     FastAPI-shaped detail body), cancellation lands mid-run at the next
@@ -25,7 +25,7 @@ import pytest
 from repro import ExecConfig, ProgramBuilder, Session
 from repro.analysis import parallel
 from repro.reporting import format_all_reports
-from repro.runtime import CompiledEngine, Interpreter
+from repro.runtime import Interpreter
 from repro.server import ServerConfig, create_app
 from repro.server.config import config_from_env
 from repro.server.programs import build_demo_program, load_program
@@ -132,6 +132,17 @@ class TestSubmissionValidation:
         ):
             assert client.post(f"/jobs/{kind}", json=payload).status_code == 422
 
+    def test_engine_field_is_422(self, client):
+        # the session picks the engine per run: no request can choose it
+        for kind, payload in (
+            ("run", {"program": {"corpus": "demo"},
+                     "config": {"engine": "compiled"}}),
+            ("sweep", {"target": "fig11", "engine": "compiled"}),
+        ):
+            response = client.post(f"/jobs/{kind}", json=payload)
+            assert response.status_code == 422
+            assert response.json()["detail"][0]["loc"][-1] == "engine"
+
     def test_corpus_and_ir_both_is_422(self, client):
         response = client.post(
             "/jobs/run",
@@ -219,14 +230,13 @@ class TestRunJobs:
     def test_explicit_cell_is_honoured_not_env(self, client, monkeypatch):
         # the server must use the request cell + captured defaults, not
         # whatever the environment says at run time
-        monkeypatch.setenv("REPRO_ENGINE", "tree")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         detail = _submit_and_wait(
             client,
             "run",
             {
                 "program": {"corpus": "demo"},
-                "config": {"tool": "ASan", "engine": "compiled",
-                           "fastpath": False},
+                "config": {"tool": "ASan", "fastpath": False},
             },
         )
         assert detail["status"] == "done", detail["error"]
@@ -235,7 +245,7 @@ class TestRunJobs:
 
         session = Session(
             "ASan",
-            ExecConfig.from_env(engine="compiled", fastpath=False),
+            ExecConfig.from_env(fastpath=False),
             telemetry=True,
         )
         session.run(build_demo_program())
@@ -347,57 +357,61 @@ class TestConcurrentJobIsolation:
             patch.setattr(os, "putenv", refuse)
             patch.setattr(os, "unsetenv", refuse)
             detail = _submit_and_wait(
-                client, "sweep", {"target": "fig11", "engine": "compiled"}
+                client, "sweep", {"target": "fig11"}
             )
         assert detail["status"] == "done", detail["error"]
 
     def test_concurrent_sweeps_run_in_parallel(self, client, monkeypatch):
-        """Sweeps under two engines overlap, and each renders exactly
-        what ``repro fig11 --engine <engine>`` prints."""
-        from repro.analysis import figures, render_figure11
+        """Sweeps of two targets overlap, and each renders exactly what
+        ``repro <target>`` prints."""
+        from repro.analysis import detection, figures, render_study
 
         # neither study may start until both are in flight: a server
         # that serializes sweeps times out here and fails both jobs
         barrier = threading.Barrier(2, timeout=60)
-        study = figures.run_figure11_study
+        studies = {"fig11": (figures, "run_figure11_study"),
+                   "table4": (detection, "run_linux_flaw_study")}
 
-        def rendezvous(**kwargs):
-            barrier.wait()
-            return study(**kwargs)
+        def rendezvous(study):
+            def wait_then_run(**kwargs):
+                barrier.wait()
+                return study(**kwargs)
+            return wait_then_run
 
-        monkeypatch.setattr(figures, "run_figure11_study", rendezvous)
-        ids = {
-            engine: client.post(
-                "/jobs/sweep", json={"target": "fig11", "engine": engine}
-            ).json()["id"]
-            for engine in ("compiled", "tree")
-        }
-        details = {e: client.wait_for_job(i) for e, i in ids.items()}
-        monkeypatch.setattr(figures, "run_figure11_study", study)
+        with monkeypatch.context() as patch:
+            for module, name in studies.values():
+                patch.setattr(module, name, rendezvous(getattr(module, name)))
+            ids = {
+                target: client.post(
+                    "/jobs/sweep", json={"target": target}
+                ).json()["id"]
+                for target in studies
+            }
+            details = {t: client.wait_for_job(i) for t, i in ids.items()}
         first, second = details.values()
         # both reported running at once: their running spans overlap
         assert first["started_at"] < second["finished_at"]
         assert second["started_at"] < first["finished_at"]
-        for engine, detail in details.items():
+        for target, detail in details.items():
             assert detail["status"] == "done", detail["error"]
-            # what `repro fig11 --engine <engine>` prints
-            assert detail["result"]["rendered"] == render_figure11(
-                study(config=ExecConfig.from_env(engine=engine))
+            # what `repro <target>` prints
+            assert detail["result"]["rendered"] == render_study(
+                target, config=ExecConfig.from_env()
             )
 
     def test_sweep_runs_under_app_defaults_not_env(self, monkeypatch):
-        runs, run = [], Interpreter.run  # the engine class of every run
+        runs, run = [], Interpreter.run  # the fast path of every run
         monkeypatch.setattr(Interpreter, "run", lambda self, *args: (
-            runs.append(type(self)) or run(self, *args)
+            runs.append(self.fastpath) or run(self, *args)
         ))
-        monkeypatch.setenv("REPRO_ENGINE", "tree")
-        app = create_app(ServerConfig(), defaults=ExecConfig("compiled"))
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
+        app = create_app(ServerConfig(), defaults=ExecConfig(fastpath=False))
         with TestClient(app) as client:
             detail = _submit_and_wait(client, "sweep", {"target": "fig11"})
             assert detail["status"] == "done", detail["error"]
             stats = client.get("/stats").json()
-        assert stats["defaults"]["engine"] == "compiled"
-        assert runs and set(runs) == {CompiledEngine}
+        assert stats["defaults"]["fastpath"] is False
+        assert runs and set(runs) == {False}
 
 
 # ----------------------------------------------------------------------
@@ -533,11 +547,11 @@ class TestConfig:
             config_from_env()
 
     def test_create_app_resolves_defaults_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "compiled")
+        monkeypatch.setenv("REPRO_INTERPROC", "0")
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         defaults = create_app(ServerConfig()).state.defaults
         assert defaults == ExecConfig.from_env()
-        assert (defaults.engine, defaults.fastpath) == ("compiled", False)
+        assert (defaults.interprocedural, defaults.fastpath) == (False, False)
 
     def test_stats_reports_config_echo(self, client):
         stats = client.get("/stats").json()
