@@ -5,6 +5,8 @@ for GiantSan (operation level) and ASan (instruction level) and counting
 static and dynamic checks.
 """
 
+import re
+
 from conftest import emit
 
 from repro.analysis import render_table1
@@ -17,11 +19,17 @@ def test_table1_check_counts(benchmark):
     emit("table1_check_counts", text)
     # sanity: the operation-level column must show 1 check for the first
     # three patterns, instruction-level Theta(N) for memset and the loop
-    lines = [l for l in text.splitlines() if l.startswith(("Constant", "Pre", "Loop"))]
-    for line in lines:
-        columns = line.split()
-        assert int(columns[-2]) <= 2  # operation-level dynamic
-        assert int(columns[-1]) >= 3  # instruction-level dynamic
+    # (columns are separated by runs of two or more spaces; the names
+    # and headers contain single spaces)
+    lines = text.splitlines()
+    header = next(l for l in lines if l.startswith("Analysis Method"))
+    names = re.split(r" {2,}", header.strip())
+    rows = [l for l in lines if l.startswith(("Constant", "Pre", "Loop"))]
+    assert len(rows) == 3
+    for line in rows:
+        columns = dict(zip(names, re.split(r" {2,}", line.strip())))
+        assert int(columns["op-level dynamic"]) <= 2
+        assert int(columns["instr-level dynamic"]) >= 3
 
 
 def test_table1_dynamic_check_ratio(benchmark):

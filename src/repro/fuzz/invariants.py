@@ -1,9 +1,8 @@
 """ShadowInvariantChecker: structural assertions after every heap/frame event.
 
 Attached to a sanitizer the same way :class:`repro.trace.Tracer` is —
-by wrapping its lifecycle hooks in place — the checker re-verifies,
-after every ``malloc``/``free``/``push_frame``/``pop_frame``/
-``define_global``:
+as one of its ``observers`` — the checker re-verifies, after every
+``malloc``/``free``/``push_frame``/``pop_frame``/``define_global``:
 
 * **the folding invariant** — every live GiantSan object's shadow
   decodes to a degree sequence accepted by
@@ -26,12 +25,13 @@ accumulate in ``checker.violations`` (fuzz-driver usage).
 
 from __future__ import annotations
 
+import weakref
 from typing import List
 
 from ..memory.allocator import AllocationState
 from ..memory.layout import SEGMENT_SIZE, segment_index
 from ..sanitizers.asan import ASan
-from ..sanitizers.base import Sanitizer
+from ..sanitizers.base import EventKind, Sanitizer
 from ..sanitizers.giantsan import GiantSan
 from ..sanitizers.hwasan import HWASan, pointer_tag, untag
 from ..shadow import asan_encoding, giantsan_encoding
@@ -43,41 +43,35 @@ class InvariantViolation(AssertionError):
 
 
 class ShadowInvariantChecker:
-    """Verifies sanitizer-internal invariants after lifecycle events."""
+    """Verifies sanitizer-internal invariants after lifecycle events.
+
+    The checker holds its sanitizer weakly: it observes a run without
+    keeping that run's address space and shadow alive.
+    """
 
     def __init__(self, sanitizer: Sanitizer, raise_on_violation: bool = False):
-        self.san = sanitizer
+        self._sanitizer = weakref.ref(sanitizer)
         self.raise_on_violation = raise_on_violation
         self.violations: List[str] = []
         self.checks_run = 0
+
+    @property
+    def san(self) -> Sanitizer:
+        return self._sanitizer()
 
     # ------------------------------------------------------------------
     @classmethod
     def attach(
         cls, sanitizer: Sanitizer, raise_on_violation: bool = False
     ) -> "ShadowInvariantChecker":
-        """Wrap ``sanitizer``'s lifecycle hooks in place."""
+        """Add a checker to ``sanitizer``'s observers; returns it."""
         checker = cls(sanitizer, raise_on_violation=raise_on_violation)
-
-        def wrap(hook_name):
-            original = getattr(sanitizer, hook_name)
-
-            def checked(*args, **kwargs):
-                result = original(*args, **kwargs)
-                checker.verify(hook_name)
-                return result
-
-            return checked
-
-        for hook in (
-            "malloc",
-            "free",
-            "push_frame",
-            "pop_frame",
-            "define_global",
-        ):
-            setattr(sanitizer, hook, wrap(hook))
+        sanitizer.observers += (checker,)
         return checker
+
+    def observe(self, sanitizer, kind, address, size, subject) -> None:
+        if kind is not EventKind.REPORT:
+            self.verify(kind.value)
 
     # ------------------------------------------------------------------
     def verify(self, event: str = "") -> None:

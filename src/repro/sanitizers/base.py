@@ -4,7 +4,8 @@ A sanitizer owns the simulated process state (address space, shadow
 memory, allocator, quarantine, stack) and exposes:
 
 * allocation hooks (``malloc``/``free``/stack frames) that maintain
-  shadow metadata — the paper's "runtime support library";
+  shadow metadata — the paper's "runtime support library" — and
+  notify the sanitizer's ``observers`` after each one;
 * runtime checks (``check_access`` for one instruction,
   ``check_region`` for one memory operation) — the guards the
   instrumented program calls;
@@ -17,6 +18,7 @@ Concrete tools: :mod:`repro.sanitizers.native`, ``asan``, ``asanmm``,
 
 from __future__ import annotations
 
+import enum
 import weakref
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
@@ -37,6 +39,17 @@ from ..memory import (
 )
 from ..memory.layout import DEFAULT_QUARANTINE_BYTES
 from ..shadow import ShadowMemory
+
+
+class EventKind(enum.Enum):
+    """The lifecycle events a sanitizer reports to its observers."""
+
+    MALLOC = "malloc"
+    FREE = "free"
+    FRAME_PUSH = "frame-push"
+    FRAME_POP = "frame-pop"
+    GLOBAL = "global"
+    REPORT = "report"
 
 
 @dataclass
@@ -138,7 +151,16 @@ class Sanitizer:
     Subclasses override the check methods and the shadow-poisoning hooks.
     The base class implements allocation plumbing (allocator + quarantine
     wiring) so every tool shares identical heap behaviour; only metadata
-    handling differs.
+    handling differs.  Tools change what ``malloc``/``free`` do through
+    the protected ``_malloc``/``_free``, so :meth:`_notify` is the one
+    place ``observers`` hear of lifecycle events.
+
+    Each observer has ``observe(sanitizer, kind, address, size,
+    subject)``, called after every event in tuple order.  ``subject`` is
+    what the caller got back (the allocation, frame, global or report)
+    or, for FREE, the outcome: ``"ok"``, the report kind or ``"raised
+    <Exc>"``.  Observers hold the sanitizer only weakly, so a finished
+    run's memory is freed by refcount.
     """
 
     name = "base"
@@ -180,6 +202,8 @@ class Sanitizer:
         #: Check-path call sites gate on ``is not None`` so a disabled
         #: run pays one attribute test at most.
         self.telemetry = None
+        #: Lifecycle observers; empty costs each event one truth test.
+        self.observers: tuple = ()
         self._poison_null_page()
 
     # ------------------------------------------------------------------
@@ -208,13 +232,44 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def malloc(self, size: int) -> Allocation:
         """Allocate and poison; the program receives ``allocation.base``."""
+        allocation = self._malloc(size)
+        if self.observers:
+            self._notify(EventKind.MALLOC, allocation.base, size, allocation)
+        return allocation
+
+    def free(self, address: int) -> None:
+        """Free, then tell observers the chunk's size and the outcome."""
+        if not self.observers:
+            self._free(address)
+            return
+        # size the chunk now: after the free the allocation is gone
+        allocation = self.allocator.lookup(self.resolve_address(address))
+        size = allocation.requested_size if allocation is not None else 0
+        reports_before = len(self.log.reports)
+        try:
+            self._free(address)
+        except BaseException as exc:
+            # halt_on_error raised mid-free: the FREE still failed
+            self._notify(
+                EventKind.FREE, address, size, f"raised {type(exc).__name__}"
+            )
+            raise
+        fired = self.log.reports[reports_before:]
+        outcome = fired[-1].kind.value if fired else "ok"
+        self._notify(EventKind.FREE, address, size, outcome)
+
+    def _notify(self, kind: EventKind, address: int, size: int, subject):
+        for observer in self.observers:
+            observer.observe(self, kind, address, size, subject)
+
+    def _malloc(self, size: int) -> Allocation:
         allocation = self.allocator.malloc(size)
         self.stats.allocations += 1
         self._poison_alloc(allocation)
         return allocation
 
-    def free(self, address: int) -> None:
-        """Free with double/invalid-free diagnosis and quarantine entry."""
+    def _free(self, address: int) -> None:
+        """Double/invalid-free diagnosis, then quarantine entry."""
         allocation = self.allocator.lookup(address)
         if allocation is None:
             kind = (
@@ -243,6 +298,8 @@ class Sanitizer:
         """Define an immortal global buffer (ASan-style global redzones)."""
         variable = self.globals.define(name, size)
         self._poison_global(variable)
+        if self.observers:
+            self._notify(EventKind.GLOBAL, variable.base, size, variable)
         return variable
 
     def _poison_global(self, variable: GlobalVariable) -> None:
@@ -251,11 +308,15 @@ class Sanitizer:
     def push_frame(self, sizes: List[int], names: Optional[List[str]] = None):
         frame = self.stack.push_frame(sizes, names)
         self._poison_stack_frame(frame)
+        if self.observers:
+            self._notify(EventKind.FRAME_PUSH, frame.base, frame.size, frame)
         return frame
 
     def pop_frame(self) -> StackFrame:
         frame = self.stack.pop_frame()
         self._poison_stack_pop(frame)
+        if self.observers:
+            self._notify(EventKind.FRAME_POP, frame.base, frame.size, frame)
         return frame
 
     def resolve_address(self, pointer: int) -> int:
@@ -354,16 +415,19 @@ class Sanitizer:
         detail: str = "",
     ) -> None:
         self.stats.reports += 1
-        self.log.report(
-            ErrorReport(
-                kind=kind,
-                address=address,
-                size=size,
-                access=access,
-                shadow_value=shadow_value,
-                detail=detail,
-            )
+        report = ErrorReport(
+            kind=kind,
+            address=address,
+            size=size,
+            access=access,
+            shadow_value=shadow_value,
+            detail=detail,
         )
+        # before logging: halt_on_error raises there, and a REPORT must
+        # be sequenced before the FREE that it failed
+        if self.observers:
+            self._notify(EventKind.REPORT, address, size, report)
+        self.log.report(report)
 
     # ------------------------------------------------------------------
     # conveniences

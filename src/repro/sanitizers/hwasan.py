@@ -127,8 +127,8 @@ class HWASan(Sanitizer):
     # ------------------------------------------------------------------
     # allocation hooks: tag instead of poisoning
     # ------------------------------------------------------------------
-    def malloc(self, size: int) -> Allocation:
-        allocation = super().malloc(size)
+    def _malloc(self, size: int) -> Allocation:
+        allocation = super()._malloc(size)
         # hand out a *tagged* pointer: callers use allocation.base, so
         # the tag is stored onto the base attribute itself
         tag = self._fresh_tag()
@@ -136,7 +136,7 @@ class HWASan(Sanitizer):
         allocation.base = with_tag(allocation.base, tag)
         return allocation
 
-    def free(self, address: int) -> None:
+    def _free(self, address: int) -> None:
         raw = untag(address)
         allocation = self.allocator.lookup(raw)
         if allocation is not None and pointer_tag(address) != self.granule_tag(raw):
@@ -146,7 +146,7 @@ class HWASan(Sanitizer):
                 detail="tag mismatch on free",
             )
             return
-        super().free(raw)
+        super()._free(raw)
 
     def _poison_alloc(self, allocation: Allocation) -> None:
         pass  # tags are written in malloc (needs the fresh tag)

@@ -21,12 +21,12 @@ class NativeSanitizer(Sanitizer):
         kwargs.setdefault("quarantine_bytes", 0)
         super().__init__(layout=layout, **kwargs)
 
-    def malloc(self, size):
+    def _malloc(self, size):
         # no poisoning, no sanitizer event accounting — native malloc's
         # own cost is already charged by the interpreter's cycle table
         return self.allocator.malloc(size)
 
-    def free(self, address) -> None:
+    def _free(self, address) -> None:
         allocation = self.allocator.lookup(address)
         if allocation is None:
             return  # native free of a bad pointer: undefined, not counted

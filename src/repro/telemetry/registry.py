@@ -8,10 +8,10 @@ every one of them observable at runtime without perturbing the numbers
 it measures:
 
 * **Zero cost when disabled.**  A session without telemetry attaches
-  nothing: no wrappers are installed, the interpreter's only added work
-  is one attribute test per *loop execution* (not per iteration), and
-  the sanitizer check paths are untouched — they keep feeding
-  :class:`~repro.sanitizers.base.CheckStats` exactly as before.
+  nothing: the sanitizer's ``observers`` stay empty, the interpreter's
+  only added work is one attribute test per *loop execution* (not per
+  iteration), and the sanitizer check paths are untouched — they keep
+  feeding :class:`~repro.sanitizers.base.CheckStats` exactly as before.
 * **Stats mirroring, not double counting.**  Counters the sanitizer
   already maintains (``fast_checks``, ``slow_checks``,
   ``shadow_loads`` …) are *mirrored into the snapshot* at collection
@@ -19,8 +19,8 @@ it measures:
 * **Probes for everything else.**  Quantities no CheckStats field
   covers — redzone bytes poisoned, per-site quasi-bound convergence
   steps, superblock entry/decline counts, phase timings — come from
-  attach-style probes and explicitly gated call sites in the
-  interpreter and fast path.
+  the registry's ``observe`` hook on the sanitizer and explicitly gated
+  call sites in the interpreter and fast path.
 
 Enable per session with ``Session(tool, telemetry=True)``; read the
 result from ``RunResult.telemetry`` (a :class:`TelemetrySnapshot`), the
@@ -29,9 +29,11 @@ result from ``RunResult.telemetry`` (a :class:`TelemetrySnapshot`), the
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+from ..sanitizers.base import EventKind
 from .profiler import PhaseProfiler, PhaseStat
 
 
@@ -188,7 +190,8 @@ class Telemetry:
         self.convergence: Dict[int, int] = {}
         self.declines: Dict[str, int] = {}
         self.profiler = PhaseProfiler(sample_interval=sample_interval)
-        self._sanitizer = None
+        # set by attach(), weakly, for snapshot() with no argument
+        self._sanitizer: Optional[weakref.ref] = None
 
     # -- hot-path probes (every call site is gated on `is not None`) ---
     def incr(self, name: str, amount: int = 1) -> None:
@@ -227,45 +230,39 @@ class Telemetry:
 
     # -- attachment ----------------------------------------------------
     def attach(self, sanitizer) -> "Telemetry":
-        """Install the allocation probes on ``sanitizer``.
+        """Add this registry to ``sanitizer``'s observers, where it
+        counts redzone bytes poisoned and global definitions, and make
+        it ``sanitizer.telemetry``, the probe the check paths feed.
 
         Idempotent for the same sanitizer; attaching one registry to two
         different sanitizers is a bug (their counters would blur) and
-        raises.
+        raises.  The registry holds the sanitizer weakly.
         """
-        if self._sanitizer is sanitizer:
-            return self
         if self._sanitizer is not None:
+            if self._sanitizer() is sanitizer:
+                return self
             raise ValueError(
                 "telemetry registry is already attached to another sanitizer"
             )
-        self._sanitizer = sanitizer
+        self._sanitizer = weakref.ref(sanitizer)
         sanitizer.telemetry = self
+        sanitizer.observers += (self,)
+        return self
 
-        original_malloc = sanitizer.malloc
-        original_define_global = sanitizer.define_global
-
-        def telemetry_malloc(size):
-            allocation = original_malloc(size)
+    def observe(self, sanitizer, kind, address, size, subject) -> None:
+        if kind is EventKind.MALLOC:
             self.incr(
                 "redzone_bytes_poisoned",
-                allocation.left_redzone + allocation.right_redzone,
+                subject.left_redzone + subject.right_redzone,
             )
-            return allocation
-
-        def telemetry_define_global(name, size):
-            variable = original_define_global(name, size)
+        elif kind is EventKind.GLOBAL:
             self.incr("global_definitions")
-            return variable
-
-        sanitizer.malloc = telemetry_malloc
-        sanitizer.define_global = telemetry_define_global
-        return self
 
     # -- collection ----------------------------------------------------
     def snapshot(self, sanitizer=None) -> TelemetrySnapshot:
         """Merge probe counters with the sanitizer's CheckStats mirror."""
-        sanitizer = sanitizer or self._sanitizer
+        if sanitizer is None and self._sanitizer is not None:
+            sanitizer = self._sanitizer()
         counters = dict(self.counters)
         counters.setdefault("redzone_bytes_poisoned", 0)
         quarantine_peak = 0

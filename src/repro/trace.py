@@ -1,10 +1,11 @@
 """Execution tracing: a bounded event log for debugging sanitizer runs.
 
-Attach a :class:`Tracer` to any sanitizer and every allocation, free,
-frame push/pop, and error report is recorded as a structured event.
-The trace answers the questions a report alone cannot — "what was at
-this address before?", "how many allocations separated the free from
-the use?" — the same role compiler-rt's allocation stack traces play.
+Attach a :class:`Tracer` to any sanitizer as one of its ``observers``
+and every allocation, free, frame push/pop, global definition and error
+report is recorded as a structured event.  The trace answers the
+questions a report alone cannot — "what was at this address before?",
+"how many allocations separated the free from the use?" — the same role
+compiler-rt's allocation stack traces play.
 
 The log is a ring buffer, so tracing long runs is safe.  REPORT events
 are retained outside the ring: chatty malloc/free traffic must never
@@ -13,22 +14,23 @@ evict the record of an actual error.
 
 from __future__ import annotations
 
-import enum
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from dataclasses import dataclass
+from typing import Deque, List, Optional
 
-from .errors import ErrorReport
-from .sanitizers.base import Sanitizer
+from .sanitizers.base import EventKind, Sanitizer
 
-
-class EventKind(enum.Enum):
-    MALLOC = "malloc"
-    FREE = "free"
-    FRAME_PUSH = "frame-push"
-    FRAME_POP = "frame-pop"
-    GLOBAL = "global"
-    REPORT = "report"
+#: Each event's detail string, from the subject the sanitizer passes
+#: (a FREE's subject is already its outcome).
+_DETAIL = {
+    EventKind.MALLOC: lambda chunk: f"allocation #{chunk.allocation_id}",
+    EventKind.FREE: str,
+    EventKind.FRAME_PUSH: lambda frame: f"frame #{frame.frame_id}",
+    EventKind.FRAME_POP: lambda frame: f"frame #{frame.frame_id}",
+    EventKind.GLOBAL: lambda variable: variable.name,
+    EventKind.REPORT: lambda report: report.kind.value,
+}
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Wraps a sanitizer's lifecycle hooks to record events.
+    """Records a sanitizer's lifecycle events as its observer.
 
     Usage::
 
@@ -68,128 +70,44 @@ class Tracer:
         # allocation traffic
         self._reports: List[TraceEvent] = []
         self._sequence = 0
-        # set by attach(); used by detach() to restore the hooks
-        self._sanitizer: Optional[Sanitizer] = None
-        self._originals: dict = {}
-        self._original_report: Optional[Callable] = None
+        # set by attach(), weakly: detach() needs it, the run must not
+        self._sanitizer: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, sanitizer: Sanitizer, capacity: int = 4096) -> "Tracer":
-        """Instrument ``sanitizer`` in place; returns the tracer.
+        """Add a tracer to ``sanitizer``'s observers; returns the tracer.
 
         Attaching is idempotent: a sanitizer that already has a tracer
-        returns that same tracer instead of double-wrapping the hooks
-        (which would double-record every event).  Use :meth:`detach` to
-        restore the original hooks before attaching a fresh tracer.
+        returns that same tracer instead of adding a second one (which
+        would double-record every event).  Use :meth:`detach` before
+        attaching a fresh tracer.
         """
-        existing = getattr(sanitizer, "_tracer", None)
-        if existing is not None:
-            return existing
+        for observer in sanitizer.observers:
+            if isinstance(observer, cls):
+                return observer
         tracer = cls(capacity=capacity)
-
-        original_malloc = sanitizer.malloc
-        original_free = sanitizer.free
-        original_push = sanitizer.push_frame
-        original_pop = sanitizer.pop_frame
-        original_global = sanitizer.define_global
-        original_report = sanitizer.log.report
-
-        def traced_malloc(size):
-            allocation = original_malloc(size)
-            tracer.record(
-                EventKind.MALLOC,
-                allocation.base,
-                size,
-                f"allocation #{allocation.allocation_id}",
-            )
-            return allocation
-
-        def traced_free(address):
-            # Look the chunk up *before* freeing: the allocator knows the
-            # size now, and afterwards the allocation is gone.
-            allocation = sanitizer.allocator.lookup(address)
-            size = allocation.requested_size if allocation is not None else 0
-            reports_before = len(sanitizer.log.reports)
-            try:
-                result = original_free(address)
-            except BaseException as exc:
-                # halt_on_error (or a hook) raised mid-free: the trace
-                # must still say the FREE failed, not that it succeeded
-                tracer.record(
-                    EventKind.FREE, address, size,
-                    f"raised {type(exc).__name__}",
-                )
-                raise
-            # Record only after the free ran: an invalid/double free that
-            # reports must not appear in the trace as a successful FREE.
-            fired = sanitizer.log.reports[reports_before:]
-            outcome = fired[-1].kind.value if fired else "ok"
-            tracer.record(EventKind.FREE, address, size, outcome)
-            return result
-
-        def traced_push(sizes, names=None):
-            frame = original_push(sizes, names)
-            tracer.record(
-                EventKind.FRAME_PUSH, frame.base, frame.size,
-                f"frame #{frame.frame_id}",
-            )
-            return frame
-
-        def traced_pop():
-            frame = original_pop()
-            tracer.record(
-                EventKind.FRAME_POP, frame.base, frame.size,
-                f"frame #{frame.frame_id}",
-            )
-            return frame
-
-        def traced_global(name, size):
-            variable = original_global(name, size)
-            tracer.record(EventKind.GLOBAL, variable.base, size, name)
-            return variable
-
-        def traced_report(report: ErrorReport):
-            tracer.record(
-                EventKind.REPORT, report.address, report.size,
-                report.kind.value,
-            )
-            return original_report(report)
-
-        sanitizer.malloc = traced_malloc
-        sanitizer.free = traced_free
-        sanitizer.push_frame = traced_push
-        sanitizer.pop_frame = traced_pop
-        sanitizer.define_global = traced_global
-        sanitizer.log.report = traced_report
-        tracer._sanitizer = sanitizer
-        tracer._originals = {
-            "malloc": original_malloc,
-            "free": original_free,
-            "push_frame": original_push,
-            "pop_frame": original_pop,
-            "define_global": original_global,
-        }
-        tracer._original_report = original_report
-        sanitizer._tracer = tracer
+        tracer._sanitizer = weakref.ref(sanitizer)
+        sanitizer.observers += (tracer,)
         return tracer
 
     def detach(self) -> None:
-        """Restore the sanitizer's original hooks; recorded events stay.
+        """Remove this tracer from the sanitizer's observers; recorded
+        events stay.
 
         No-op for a tracer that was never attached (or already detached).
         After detaching, :meth:`attach` may install a fresh tracer.
         """
-        sanitizer = self._sanitizer
-        if sanitizer is None:
-            return
-        for name, original in self._originals.items():
-            setattr(sanitizer, name, original)
-        sanitizer.log.report = self._original_report
-        del sanitizer._tracer
+        sanitizer = self._sanitizer() if self._sanitizer else None
         self._sanitizer = None
-        self._originals = {}
-        self._original_report = None
+        if sanitizer is not None:
+            sanitizer.observers = tuple(
+                observer for observer in sanitizer.observers
+                if observer is not self
+            )
+
+    def observe(self, sanitizer, kind, address, size, subject) -> None:
+        self.record(kind, address, size, _DETAIL[kind](subject))
 
     # ------------------------------------------------------------------
     def record(

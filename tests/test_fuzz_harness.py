@@ -291,3 +291,30 @@ class TestInvariantChecker:
         assert Session("GiantSan", on).invariant_checker is not None
         off = ExecConfig.from_env(invariants=False, memoize=False)
         assert Session("GiantSan", off).invariant_checker is None
+
+    @pytest.mark.parametrize("tool", ["GiantSan", "ASan", "HWASan"])
+    def test_driver_verifies_each_event_once(self, monkeypatch, tool):
+        from repro.fuzz import driver
+        from repro.trace import EventKind, Tracer
+
+        sessions = []
+        make_session = driver._session
+
+        def recording_session(*args, **kwargs):
+            session = make_session(*args, **kwargs)
+            sessions.append((session, Tracer.attach(session.sanitizer)))
+            return session
+
+        monkeypatch.setattr(driver, "_session", recording_session)
+        program = build_case(generate_case(case_seed_for(0, 3)))
+        config = ExecConfig(invariants=True)
+        _, checker = driver._run_one(program, tool, config, fastpath=True)
+        ((session, tracer),) = sessions
+        checkers = [
+            observer for observer in session.sanitizer.observers
+            if isinstance(observer, ShadowInvariantChecker)
+        ]
+        assert checkers == [checker]
+        lifecycle = [e for e in tracer.events if e.kind is not EventKind.REPORT]
+        assert lifecycle
+        assert checker.checks_run == len(lifecycle)

@@ -145,8 +145,11 @@ class TestWarmCaches:
         from repro.analysis.figures import run_figure10_study
 
         programs = self._distinct_home_programs()
+        # the memo is what is under test: pin it on whatever the
+        # environment says, and take every other switch from there
+        config = ExecConfig.from_env(memoize=True)
         # table 2 over two proxies: cold workers instrument everything
-        run_overhead_study(programs=programs, scale=2, jobs=2)
+        run_overhead_study(programs=programs, scale=2, jobs=2, config=config)
         stats_cold = fabric_stats()
         assert stats_cold is not None
         cold_hits = sum(
@@ -161,7 +164,7 @@ class TestWarmCaches:
         # figure 10 over the same proxies rides the same fabric: the
         # GiantSan instrumentation each worker needs is already in its
         # memo, so hits grow and misses do not
-        run_figure10_study(programs=programs, scale=2, jobs=2)
+        run_figure10_study(programs=programs, scale=2, jobs=2, config=config)
         stats_warm = fabric_stats()
         assert stats_warm["maps_completed"] == 2
         warm_hits = sum(

@@ -93,9 +93,12 @@ class TestTelemetryRegistry:
         san = GiantSan()
         tele = Telemetry()
         assert tele.attach(san) is tele
-        before = san.malloc  # re-attach must not re-wrap
-        tele.attach(san)
-        assert san.malloc is before
+        tele.attach(san)  # re-attach must not observe twice
+        assert san.observers.count(tele) == 1
+        allocation = san.malloc(100)
+        assert tele.counters["redzone_bytes_poisoned"] == (
+            allocation.left_redzone + allocation.right_redzone
+        )
 
     def test_attach_to_second_sanitizer_raises(self):
         tele = Telemetry()
