@@ -99,13 +99,22 @@ def _session(tool: str, config: ExecConfig, audit=False, **overrides):
     )
 
 
+def _cell(
+    tool: str, config: ExecConfig, fastpath: bool
+) -> Tuple[Session, ShadowInvariantChecker]:
+    """One fast-path cell's session, with a recording checker on it."""
+    # the recording checker is the only one: a raising checker from
+    # ``config.invariants`` would verify every event a second time
+    session = _session(tool, config, fastpath=fastpath, invariants=False)
+    return session, ShadowInvariantChecker.attach(session.sanitizer)
+
+
 def _run_one(
     program, tool: str, config: ExecConfig, fastpath: bool
 ) -> Tuple[object, ShadowInvariantChecker]:
-    # the recording checker below is the only one: a raising checker
-    # from ``config.invariants`` would verify every event a second time
-    session = _session(tool, config, fastpath=fastpath, invariants=False)
-    checker = ShadowInvariantChecker.attach(session.sanitizer)
+    """Run one cell; ``program`` may be another cell's instrumented
+    program, since instrumentation does not depend on ``fastpath``."""
+    session, checker = _cell(tool, config, fastpath)
     return session.run(program), checker
 
 
@@ -203,8 +212,11 @@ def run_case(
     returns: Dict[str, int] = {}
     for tool in tools:
         try:
-            off, checker_off = _run_one(program, tool, config, False)
-            on, checker_on = _run_one(program, tool, config, True)
+            # the off cell instruments once, with its own sanitizer
+            session, checker_off = _cell(tool, config, False)
+            iprogram = session.instrument(program)
+            off = session.run(iprogram)
+            on, checker_on = _run_one(iprogram, tool, config, True)
             if audit_elisions:
                 divergences.extend(
                     _audit_elisions(

@@ -5,10 +5,16 @@ into heap / stack / globals arenas (see :mod:`repro.memory.layout`).  It
 stores real data so workloads can compute with loaded values (the paper's
 ``y[j] = x[i]`` pattern needs genuine loads), and it performs *no* safety
 checking of its own beyond arena bounds — safety is the sanitizers' job.
+
+The bytes live in a private anonymous ``mmap``, not a ``bytearray``: the
+kernel hands out zero pages only as a run first touches them, so a short
+run over a multi-megabyte layout pays for the few pages it uses rather
+than for zeroing the whole range.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Iterable
 
@@ -32,12 +38,17 @@ class AddressSpace:
     Addresses are plain integers.  ``load``/``store`` move little-endian
     integers of width 1, 2, 4, or 8; ``read_bytes``/``write_bytes`` move
     raw ranges (used by the memset/memcpy intrinsics).
+
+    Memory reads as zero until written.  It is mapped ``MAP_PRIVATE``
+    (Python's default is ``MAP_SHARED``) so that a process forked while
+    a session is live gets copy-on-write pages: a store in the child
+    never reaches the parent's bytes.
     """
 
     def __init__(self, layout: ArenaLayout = None):
         self.layout = layout or ArenaLayout()
         self._size = self.layout.total_size
-        self._mem = bytearray(self._size)
+        self._mem = mmap.mmap(-1, self._size, flags=mmap.MAP_PRIVATE)
 
     def __len__(self) -> int:
         return self._size

@@ -77,8 +77,10 @@ class ArenaLayout:
     """Address-range plan for the simulated process.
 
     The heap, stack, and globals arenas are carved out of one contiguous
-    byte buffer; ``total_size`` bytes of backing store and
-    ``total_size >> SEGMENT_SHIFT`` shadow bytes are allocated up front.
+    range of ``total_size`` bytes, backed by a lazily zeroed mapping
+    whose pages the kernel provides only as a run touches them.  The
+    ``total_size >> SEGMENT_SHIFT`` shadow bytes are allocated up front,
+    as a copy of the tool's initial shadow image.
     """
 
     heap_size: int = 1 << 22

@@ -155,9 +155,17 @@ def program_fingerprint(program: Program) -> str:
 #: its own environment/caches; ``last_instructions`` only picks an
 #: engine), so sharing one instance across runs and sessions is safe —
 #: the 5-tool Table 2 sweep instruments each proxy once per
-#: configuration instead of once per run.
+#: configuration instead of once per run.  The memo is an LRU: a
+#: plain dict in recency order, where a hit re-inserts its entry at the
+#: end and a miss at the bound evicts only the first (least recently
+#: used) one.
 _MEMO: dict = {}
-_MEMO_LIMIT = 256
+#: Sized to a sweep: one process sweeping Tables 3-5 (1,525 distinct
+#: keys) plus Table 2 (120) and the figure studies stays warm.  An entry
+#: costs about 5 KB (tracemalloc over the detection programs), nearly
+#: all of it the ``InstrumentedProgram``: the fingerprint keys average
+#: 196 characters.
+_MEMO_LIMIT = 2048
 #: Hit/miss counters for the memo, exposed through
 #: :func:`instrumentation_cache_stats`.  The execution fabric reports
 #: them per worker so tests (and telemetry consumers) can prove that
@@ -183,11 +191,11 @@ def instrument_cached(
         audit_elisions,
         interprocedural,
     )
-    cached = _MEMO.get(key)
+    cached = _MEMO.pop(key, None)
     if cached is None:
         _MEMO_MISSES += 1
         if len(_MEMO) >= _MEMO_LIMIT:
-            _MEMO.clear()
+            del _MEMO[next(iter(_MEMO))]
         cached = instrument(
             source,
             tool=tool,
@@ -195,9 +203,9 @@ def instrument_cached(
             audit_elisions=audit_elisions,
             interprocedural=interprocedural,
         )
-        _MEMO[key] = cached
     else:
         _MEMO_HITS += 1
+    _MEMO[key] = cached
     return cached
 
 

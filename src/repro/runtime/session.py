@@ -162,12 +162,26 @@ class Session:
         )
 
     def run(
-        self, program: Program, args: Optional[List[int]] = None
+        self,
+        program: Program | InstrumentedProgram,
+        args: Optional[List[int]] = None,
     ) -> RunResult:
         """Instrument and execute ``program`` under this session's tool,
-        on the engine :data:`COMPILE_AFTER_INSTRUCTIONS` picks."""
-        iprogram = self.instrument(program)
-        long_before = iprogram.last_instructions >= COMPILE_AFTER_INSTRUCTIONS
+        on the engine :data:`COMPILE_AFTER_INSTRUCTIONS` picks.
+
+        An :class:`InstrumentedProgram` runs as given: it must have been
+        instrumented for this session's tool, ``audit_elisions`` and
+        ``interprocedural`` setting.
+        """
+        iprogram = (
+            program
+            if isinstance(program, InstrumentedProgram)
+            else self.instrument(program)
+        )
+        long_before = (
+            self.config.memoize
+            and iprogram.last_instructions >= COMPILE_AFTER_INSTRUCTIONS
+        )
         engine = CompiledEngine if long_before else Interpreter
         result = engine(
             self.sanitizer,

@@ -41,6 +41,12 @@ from ..memory.layout import DEFAULT_QUARANTINE_BYTES
 from ..shadow import ShadowMemory
 
 
+#: Initial shadow images keyed by (sanitizer class, layout), oldest
+#: first; a default-layout image is 672 KB, so only a few layouts stay.
+_SHADOW_IMAGES: Dict[tuple, bytes] = {}
+_SHADOW_IMAGES_LIMIT = 16
+
+
 class EventKind(enum.Enum):
     """The lifecycle events a sanitizer reports to its observers."""
 
@@ -176,7 +182,7 @@ class Sanitizer:
     ):
         self.layout = layout or ArenaLayout()
         self.space = AddressSpace(self.layout)
-        self.shadow = ShadowMemory(self.layout.total_size)
+        self.shadow = self._fresh_shadow()
         # bounds used on every single check: cached as plain attributes
         # so hot paths skip the layout attribute chain
         self._total_size = self.layout.total_size
@@ -204,13 +210,38 @@ class Sanitizer:
         self.telemetry = None
         #: Lifecycle observers; empty costs each event one truth test.
         self.observers: tuple = ()
-        self._poison_null_page()
+
+    def _fresh_shadow(self) -> ShadowMemory:
+        """A shadow as :meth:`_poison_null_page` leaves a zeroed one.
+
+        The hook's result depends only on the class and the layout, so
+        it runs once per pair; every later session copies that image.
+        """
+        size = self.layout.total_size
+        cls = type(self)
+        if cls._poison_null_page is Sanitizer._poison_null_page:
+            return ShadowMemory(size)
+        key = (cls, self.layout)
+        image = _SHADOW_IMAGES.get(key)
+        if image is None:
+            self.shadow = ShadowMemory(size)
+            self._poison_null_page()
+            image = self.shadow.region(0, len(self.shadow))
+            if len(_SHADOW_IMAGES) >= _SHADOW_IMAGES_LIMIT:
+                del _SHADOW_IMAGES[next(iter(_SHADOW_IMAGES))]
+            _SHADOW_IMAGES[key] = image
+        return ShadowMemory(size, image)
 
     # ------------------------------------------------------------------
     # shadow maintenance hooks (overridden per encoding)
     # ------------------------------------------------------------------
     def _poison_null_page(self) -> None:
-        """Poison the null guard page; no-op for tools without shadow."""
+        """Poison the null guard page; no-op for tools without shadow.
+
+        Runs once per (class, layout) to build the initial shadow image
+        (:meth:`_fresh_shadow`), so it may read only ``self.layout`` and
+        write only ``self.shadow``.
+        """
 
     def _poison_alloc(self, allocation: Allocation) -> None:
         """Set shadow for a fresh allocation."""

@@ -12,6 +12,8 @@ the shared fill-pattern cache, and bulk scans are one C-level
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..memory.fillcache import fill_pattern
 from ..memory.layout import SEGMENT_SHIFT, SEGMENT_SIZE
 
@@ -24,10 +26,21 @@ class ShadowMemory:
     (0..255); ASan's signed interpretation is applied by its encoding.
     """
 
-    def __init__(self, memory_size: int):
+    def __init__(self, memory_size: int, image: Optional[bytes] = None):
+        """A zeroed shadow, or a copy of ``image`` (a whole shadow's
+        bytes, as a sanitizer's initial poisoning leaves them)."""
         if memory_size % SEGMENT_SIZE:
             raise ValueError("memory size must be a multiple of the segment size")
-        self._shadow = bytearray(memory_size >> SEGMENT_SHIFT)
+        size = memory_size >> SEGMENT_SHIFT
+        if image is None:
+            self._shadow = bytearray(size)
+        elif len(image) != size:
+            raise ValueError(
+                f"shadow image of {len(image)} bytes does not fit a "
+                f"shadow of {size} bytes"
+            )
+        else:
+            self._shadow = bytearray(image)
 
     def __len__(self) -> int:
         return len(self._shadow)
