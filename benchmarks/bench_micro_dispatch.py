@@ -11,7 +11,7 @@ engine's dispatch loop and nothing else:
   per-instruction path under both engines;
 * ``poison_churn`` — a malloc/free storm over mixed size classes:
   dominated by allocator + shadow poisoning, exercising the memoized
-  ``object_codes`` tables and the fill-pattern cache.
+  ``object_codes`` tables and the redzone/quarantine shadow fills.
 
 Results are written to ``benchmarks/results/bench_micro_dispatch.json``.
 ``--assert-speedup X`` exits non-zero unless the compiled engine beats

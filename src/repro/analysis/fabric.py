@@ -25,16 +25,14 @@ invocation shares:
   Results are reassembled in submission order, which keeps parallel runs
   byte-identical to ``--jobs 1`` no matter who ran what.
 
-* **Shared-memory result transport.**  Each worker owns a
-  :class:`multiprocessing.shared_memory.SharedMemory` scratch segment,
-  created before the fork so children inherit the mapping directly
-  (no name re-attach, no resource-tracker churn).  Workers serialize
-  results into their segment and post only ``(seq, length)`` over the
-  event queue; the parent deserializes straight out of the shared
-  buffer.  Oversized results fall back to inline queue transport.
-  Since the scheduler keeps at most one unit in flight per worker and
-  assigns the next unit only after consuming the previous result, the
-  segment needs no further synchronization.
+* **Inline result transport.**  Each worker posts its events —
+  pickled results included — on its own pipe, whose write end only that
+  worker holds.  A worker that dies, even halfway through a large
+  result, therefore reads as end-of-file (a :class:`FabricError`), never
+  as a torn frame the parent would wait on forever.  Table 2 rows pickle
+  to 63 KB on average and 909 KB at most, more than a pipe buffers, so
+  whoever waits for a worker to exit keeps reading its pipe meanwhile.
+  The fabric keeps no ``/dev/shm`` state to leak.
 
 Work units are dispatched *by reference* (``module:qualname`` of a
 module-level worker function) plus a small picklable payload, exactly
@@ -46,18 +44,12 @@ from __future__ import annotations
 
 import importlib
 import os
-import pickle
-import queue as queue_module
 import signal
+import time
 import traceback
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
-
-#: Size of each worker's shared-memory scratch segment.  Table
-#: rows (RunResult bundles) pickle to a few hundred KiB at most; results
-#: that outgrow the segment transparently fall back to queue transport.
-DEFAULT_SCRATCH_BYTES = 1 << 20
 
 
 def worker_ref(func: Callable) -> str:
@@ -105,7 +97,7 @@ class DrainReport:
     * ``lost_units`` — in-flight units those workers took down with
       them (``{worker, seq, ref}``), so a caller can re-queue them;
     * ``unclaimed_results`` — finished results still sitting in the
-      event queue that no ``map`` call will ever collect (an aborted
+      event pipes that no ``map`` call will ever collect (an aborted
       map's leftovers);
     * ``pending_units`` — scheduler units that were never dispatched.
     """
@@ -180,13 +172,12 @@ class _Scheduler:
         return unit
 
 
-def _worker_main(worker_id: int, inbox, events, scratch) -> None:
+def _worker_main(worker_id: int, inbox, outbox) -> None:
     """The long-lived worker loop: run units until told to stop."""
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
-    # group, which used to kill workers mid-unit *before* the parent's
-    # cleanup ran — leaking /dev/shm scratch segments whose unlink raced
-    # the dying children.  Workers ignore SIGINT; the parent owns
-    # interrupt cleanup and retires them via ``stop`` or terminate().
+    # group, which would kill workers mid-unit *before* the parent's
+    # cleanup ran.  Workers ignore SIGINT; the parent owns interrupt
+    # cleanup and retires them via ``stop`` or terminate().
     # A forked worker also inherits the parent's SIGTERM handler and
     # signal wakeup fd (``repro serve``'s, the CLI's): reset both, so
     # terminate() gets the default action and a signal sent to a worker
@@ -206,7 +197,7 @@ def _worker_main(worker_id: int, inbox, events, scratch) -> None:
         if kind == "stat":
             from ..passes.instrument import instrumentation_cache_stats
 
-            events.put(
+            outbox.send(
                 (
                     "stat",
                     worker_id,
@@ -223,16 +214,11 @@ def _worker_main(worker_id: int, inbox, events, scratch) -> None:
         try:
             result = _resolve_worker(ref)(payload)
         except Exception:  # noqa: BLE001 - ship the traceback to the parent
-            events.put(("error", worker_id, seq, traceback.format_exc()))
+            outbox.send(("error", worker_id, seq, traceback.format_exc()))
             continue
         finally:
             units_executed += 1
-        data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        if scratch is not None and len(data) <= scratch.size:
-            scratch.buf[: len(data)] = data
-            events.put(("result", worker_id, seq, len(data)))
-        else:
-            events.put(("result-inline", worker_id, seq, data))
+        outbox.send(("result", worker_id, seq, result))
 
 
 class ExecutionFabric:
@@ -242,47 +228,34 @@ class ExecutionFabric:
         import multiprocessing
 
         self.workers = workers
-        try:
-            self._context = multiprocessing.get_context("fork")
-            forked = True
-        except ValueError:  # platforms without fork: workers re-import
-            self._context = multiprocessing.get_context()
-            forked = False
-        self._events = self._context.Queue()
+        # AddressSpace maps MAP_PRIVATE memory, so every platform that
+        # can run a session is POSIX and has fork.
+        self._context = multiprocessing.get_context("fork")
         self._inboxes = [self._context.SimpleQueue() for _ in range(workers)]
-        # Shared-memory scratch only with fork: children must inherit
-        # the mapping (attaching by name from a spawned child would
-        # re-register the segment with the resource tracker).
-        self._scratch = []
-        if forked:
-            try:
-                from multiprocessing import shared_memory
-
-                for _ in range(workers):
-                    self._scratch.append(
-                        shared_memory.SharedMemory(
-                            create=True, size=DEFAULT_SCRATCH_BYTES
-                        )
-                    )
-            except Exception:  # no /dev/shm etc.: inline transport
-                self._release_scratch()
-        scratch = self._scratch or [None] * workers
-        self._processes = [
-            self._context.Process(
+        #: worker id -> the read end of that worker's event pipe.  The
+        #: parent closes each write end once its worker has forked, and
+        #: later workers fork after that, so a worker's exit is EOF.
+        self._outboxes = []
+        self._processes = []
+        for wid in range(workers):
+            reader, writer = self._context.Pipe(duplex=False)
+            process = self._context.Process(
                 target=_worker_main,
-                args=(wid, self._inboxes[wid], self._events, scratch[wid]),
+                args=(wid, self._inboxes[wid], writer),
                 daemon=True,
                 name=f"repro-fabric-{wid}",
             )
-            for wid in range(workers)
-        ]
-        for process in self._processes:
             process.start()
+            writer.close()
+            self._outboxes.append(reader)
+            self._processes.append(process)
         self._idle = set(range(workers))
         self._scheduler = _Scheduler(workers)
         #: worker id -> the (seq, ref, payload) unit it is executing;
         #: drain() turns leftovers into the DrainReport's lost_units.
         self._inflight: Dict[int, tuple] = {}
+        #: the worker whose pipe a read is under way on (see _receive)
+        self._receiving: Optional[int] = None
         self._closed = False
         self.maps_completed = 0
 
@@ -323,13 +296,7 @@ class ExecutionFabric:
             message = self._next_event()
             kind, worker_id = message[0], message[1]
             if kind == "result":
-                seq, length = message[2], message[3]
-                results[seq] = pickle.loads(
-                    bytes(self._scratch[worker_id].buf[:length])
-                )
-            elif kind == "result-inline":
-                seq, data = message[2], message[3]
-                results[seq] = pickle.loads(data)
+                results[message[2]] = message[3]
             elif kind == "error":
                 errors.append(message[3])
             else:  # pragma: no cover - stat replies never interleave
@@ -354,21 +321,46 @@ class ExecutionFabric:
         self._inboxes[worker_id].put(("run",) + unit)
 
     def _next_event(self, timeout: float = 1.0):
-        """Next worker event, watching for silently-dead workers."""
+        """Next worker event, watching for workers that died."""
+        # imported here, like multiprocessing itself in __init__, so a
+        # process that never starts a fabric never loads it
+        from multiprocessing.connection import wait
+
         while True:
-            try:
-                return self._events.get(timeout=timeout)
-            except queue_module.Empty:
+            ready = wait(self._outboxes, timeout)
+            dead = []
+            for conn in ready:
+                worker_id = self._outboxes.index(conn)
+                message = self._receive(worker_id)
+                if message is not None:
+                    return message
+                dead.append(self._processes[worker_id].name)
+            if not ready:
                 dead = [
                     process.name
                     for process in self._processes
                     if not process.is_alive()
                 ]
-                if dead:
-                    self.terminate()
-                    raise FabricError(
-                        f"fabric worker(s) died mid-unit: {', '.join(dead)}"
-                    )
+            if dead:
+                self.terminate()
+                raise FabricError(
+                    f"fabric worker(s) died mid-unit: {', '.join(dead)}"
+                )
+
+    def _receive(self, worker_id: int):
+        """One event from a worker's pipe, or None once its worker is gone.
+
+        ``_receiving`` stays set if an exception (Ctrl-C, the CLI's
+        SIGTERM exit) interrupts the read, which tells :meth:`drain`
+        that the pipe now starts mid-frame.
+        """
+        self._receiving = worker_id
+        try:
+            message = self._outboxes[worker_id].recv()
+        except (EOFError, OSError):  # OSError: EOF inside a frame
+            message = None
+        self._receiving = None
+        return message
 
     # ------------------------------------------------------------------
     # stats
@@ -399,7 +391,6 @@ class ExecutionFabric:
             "units_dispatched": self._scheduler.dispatched,
             "units_stolen": self._scheduler.steals,
             "units_inflight": len(self._inflight),
-            "shared_memory": bool(self._scratch),
         }
 
     # ------------------------------------------------------------------
@@ -410,7 +401,8 @@ class ExecutionFabric:
 
         This is the *invalidation* path (a map needs more workers): no
         in-flight unit is killed unless its worker ignores ``stop`` past
-        ``timeout``.  The returned
+        ``timeout`` or an interrupted read left its result half-read.
+        The returned
         :class:`DrainReport` accounts for everything a non-clean drain
         left behind — stuck workers, the in-flight units they dropped,
         results no map will ever claim, and never-dispatched units —
@@ -422,25 +414,49 @@ class ExecutionFabric:
         report = DrainReport(pending_units=self._scheduler.pending)
         for inbox in self._inboxes:
             inbox.put(("stop",))
-        stuck_ids = []
-        for worker_id, process in enumerate(self._processes):
-            process.join(timeout=timeout)
+        waiting = set(range(self.workers))
+        torn = self._receiving
+        if torn is not None:
+            # an interrupted read: the rest of that frame is unreadable,
+            # so the unit it carried is lost and its worker is killed
+            self._processes[torn].terminate()
+            waiting.discard(torn)
+        # Keep reading while the workers exit: a worker blocks writing a
+        # result larger than the pipe buffer until someone reads it, so
+        # joining first would deadlock.  Events read here are results no
+        # map will claim; the worker is done once its pipe reads EOF.
+        from multiprocessing.connection import wait
+
+        deadline = time.monotonic() + timeout
+        while waiting and time.monotonic() < deadline:
+            ready = wait(
+                [self._outboxes[wid] for wid in waiting],
+                min(deadline - time.monotonic(), 0.1),
+            )
+            for worker_id in sorted(waiting):
+                conn = self._outboxes[worker_id]
+                if conn in ready:
+                    message = self._receive(worker_id)
+                    if message is None:
+                        waiting.discard(worker_id)
+                    elif message[0] in ("result", "error"):
+                        self._inflight.pop(worker_id, None)
+                        report.unclaimed_results += 1
+                elif not (
+                    self._processes[worker_id].is_alive() or conn.poll()
+                ):
+                    # exited with an empty pipe whose EOF is held back
+                    # by another process that inherited the write end
+                    waiting.discard(worker_id)
+        for worker_id in sorted(waiting):
+            process = self._processes[worker_id]
             if process.is_alive():
                 report.stuck_workers.append(process.name)
-                stuck_ids.append(worker_id)
                 process.terminate()
-                process.join()
-        # Workers that exited cleanly posted any last result before
-        # taking ``stop``; sweep those events so completed units are
-        # counted as unclaimed rather than lost.
-        while True:
-            try:
-                message = self._events.get(timeout=0.05)
-            except queue_module.Empty:
-                break
-            if message[0] in ("result", "result-inline", "error"):
-                self._inflight.pop(message[1], None)
-                report.unclaimed_results += 1
+        for process in self._processes:
+            process.join()
+        for conn in self._outboxes:
+            conn.close()
         for worker_id in sorted(self._inflight):
             seq, ref, _payload = self._inflight[worker_id]
             report.lost_units.append(
@@ -451,7 +467,6 @@ class ExecutionFabric:
                 }
             )
         self._inflight.clear()
-        self._release_scratch()
         return report
 
     def terminate(self) -> None:
@@ -463,17 +478,9 @@ class ExecutionFabric:
             process.terminate()
         for process in self._processes:
             process.join()
+        for conn in self._outboxes:
+            conn.close()
         self._inflight.clear()
-        self._release_scratch()
-
-    def _release_scratch(self) -> None:
-        for segment in self._scratch:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        self._scratch = []
 
     @property
     def processes(self) -> list:

@@ -11,8 +11,8 @@ Work units are dispatched *by name/index* into the canonical registries
 (:data:`repro.workloads.spec.SPEC_BY_NAME` and friends) rather than by
 pickling built programs: a worker rebuilds its program locally, which
 keeps payloads tiny and sidesteps pickling closures.  Results travel
-back as plain dataclasses (RunResult, CheckStats, ErrorLog) through each
-worker's shared-memory scratch segment.
+back as plain dataclasses (RunResult, CheckStats, ErrorLog), pickled
+inline on each worker's event pipe.
 
 Callers pass ``jobs``: ``1`` (the default everywhere) runs inline with
 no multiprocessing machinery at all; anything larger uses the shared
@@ -49,7 +49,7 @@ U = TypeVar("U")
 _FABRIC: Optional[ExecutionFabric] = None
 
 #: Serializes every touch of the shared fabric.  A fabric ``map`` is a
-#: stateful conversation (scheduler, in-flight table, event queue);
+#: stateful conversation (scheduler, in-flight table, event pipes);
 #: interleaving two maps from different threads — which the server's
 #: concurrent sweep/fuzz jobs would otherwise do — corrupts both.
 #: Re-entrant so a worker function that (inline) calls ``parallel_map``

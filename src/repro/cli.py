@@ -600,8 +600,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.command in _PARALLEL_COMMANDS:
         # SIGTERM as SystemExit so the finally block (and atexit) run:
-        # fabric workers get retired and their shared-memory scratch
-        # unlinked even when a supervisor kills the sweep.
+        # fabric workers get retired even when a supervisor kills the
+        # sweep.
         _install_sigterm_exit()
     interrupted = False
     try:
@@ -614,7 +614,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # Workers ignore SIGINT (fabric.py), so they are still running
         # their units right now; the hard stop below is what retires
-        # them and releases /dev/shm.
+        # them.
         interrupted = True
         print("\ninterrupted - retiring fabric workers", file=sys.stderr)
     finally:

@@ -19,7 +19,6 @@ import struct
 from typing import Iterable
 
 from ..errors import AddressSpaceError
-from .fillcache import fill_pattern
 from .layout import ArenaLayout
 
 _STRUCT_BY_WIDTH = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
@@ -95,7 +94,7 @@ class AddressSpace:
         if size < 0:
             raise ValueError("size must be non-negative")
         self._bounds_check(address, size)
-        self._mem[address : address + size] = fill_pattern(byte & 0xFF, size)
+        self._mem[address : address + size] = bytes([byte & 0xFF]) * size
 
     def copy(self, dst: int, src: int, size: int) -> None:
         """memmove-style copy that tolerates overlap."""

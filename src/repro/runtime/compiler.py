@@ -15,8 +15,8 @@ bytecode with zero per-instruction pattern matching.
 Observable equivalence is the contract: native-cycle accounting (same
 additions in the same order), instruction counting and the budget check,
 CheckStats and the Figure 10 classification, telemetry counters,
-elision-audit replay, error logs, and hardware-fault fallback semantics
-all match the tree-walker bit for bit.  The differential suite in
+error logs, and hardware-fault fallback semantics all match the
+tree-walker bit for bit.  The differential suite in
 ``tests/test_engine_differential.py`` enforces this over the fuzz corpus
 and the Table 2 kernels.
 
@@ -27,7 +27,10 @@ other freely.  The main reason to decline is a variable read that is not
 *definitely assigned* on every path: the tree-walker would raise
 ``NameError``/``KeyError`` at the exact faulting instruction, and a slot
 environment cannot reproduce that lazily, so such functions keep
-reference semantics.
+reference semantics.  Audited functions (those holding a
+:class:`~repro.ir.nodes.CheckElided` marker) also tree-walk: audit
+instrumentation comes only from the fuzz driver, which never memoizes,
+so the tree-walker's ``_replay_elided`` is the one replay there is.
 
 The superblock fast path still engages from compiled code: loop headers
 flush the local counters, hand :func:`repro.runtime.fastpath.try_execute`
@@ -50,7 +53,6 @@ from ..ir.nodes import (
     Call,
     CheckAccess,
     CheckCached,
-    CheckElided,
     CheckRegion,
     Compute,
     Const,
@@ -75,11 +77,7 @@ from ..ir.program import Function, Program
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
 from . import fastpath as _fastpath
 from .cost_model import NativeCosts
-from .interpreter import (
-    BudgetExceeded,
-    ElisionAuditFailure,
-    Interpreter,
-)
+from .interpreter import BudgetExceeded, Interpreter
 from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 
 #: Attribute on :class:`~repro.ir.program.Program` memoizing compiled
@@ -96,28 +94,11 @@ class _Uncompilable(Exception):
 # ----------------------------------------------------------------------
 # expression lowering
 # ----------------------------------------------------------------------
-# Same operator surface as the tree-walker's _ARITH table.  ``//`` and
-# ``%`` return 0 on a zero divisor; negative shift amounts raise
-# ValueError in both engines (plain Python semantics), so shifts need no
-# fastpath-style constant restriction here.
-_BIN_TEMPLATES = {
-    "+": "({} + {})",
-    "-": "({} - {})",
-    "*": "({} * {})",
-    "//": "_div({}, {})",
-    "%": "_mod({}, {})",
-    "<<": "({} << {})",
-    ">>": "({} >> {})",
-    "&": "({} & {})",
-    "|": "({} | {})",
-    "^": "({} ^ {})",
-    "<": "int({} < {})",
-    "<=": "int({} <= {})",
-    ">": "int({} > {})",
-    ">=": "int({} >= {})",
-    "==": "int({} == {})",
-    "!=": "int({} != {})",
-}
+# The superblock code generator's table: the tree-walker's _ARITH
+# surface, with ``//`` and ``%`` returning 0 on a zero divisor.  Negative
+# shift amounts raise ValueError in both engines (plain Python
+# semantics), so shifts need no fastpath-style constant restriction here.
+_BIN_TEMPLATES = _fastpath._BIN_TEMPLATES
 
 _COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -329,8 +310,6 @@ class _Emitter:
                 f"{instr.width}, {self.const(instr.access, 'A')})",
             )
             self._check_classify(depth)
-        elif kind is CheckElided:
-            self._elided(instr, depth)
         elif kind is CheckCached:
             if instr.base not in self.defined:
                 raise _Uncompilable(f"may-undefined read of {instr.base!r}")
@@ -541,33 +520,6 @@ class _Emitter:
         # are not definite after the loop
         self.defined = before
 
-    # -- elision audit -------------------------------------------------
-    def _elided(self, marker: CheckElided, depth: int) -> None:
-        inner = marker.inner
-        kind = type(inner)
-        if kind is CheckRegion:
-            if inner.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {inner.base!r}")
-            self.used.add("RPR")
-            self.emit(depth, f"_b = e[{self.slot(inner.base)}]")
-            anchor = "_b" if inner.use_anchor else "None"
-            self.emit(
-                depth,
-                f"RPR({self.const(marker, 'MK')}, "
-                f"_b + {self.expr(inner.start)}, "
-                f"_b + {self.expr(inner.end)}, {anchor})",
-            )
-        elif kind is CheckAccess:
-            if inner.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {inner.base!r}")
-            self.used.add("RPA")
-            self.emit(
-                depth,
-                f"RPA({self.const(marker, 'MK')}, "
-                f"e[{self.slot(inner.base)}] + {self.expr(inner.offset)})",
-            )
-        # other inner kinds: the tree-walker's replay is a no-op
-
     # -- assembly ------------------------------------------------------
     #: prologue binding per conditional helper name
     _BINDINGS = {
@@ -587,8 +539,6 @@ class _Emitter:
         "FP": "FP = E.fastpath",
         "TEL": "TEL = E.telemetry",
         "PROF": "PROF = E.telemetry.profiler",
-        "RPR": "RPR = E._replay_region_elided",
-        "RPA": "RPA = E._replay_access_elided",
         "SL": None,  # namespace constant (the slot map), not a binding
     }
 
@@ -730,44 +680,3 @@ class CompiledEngine(Interpreter):
 
     def _call_by_name(self, name: str, values: List[int]):
         return self._call_function(self._functions[name], values)
-
-    # -- elision audit replay (split per inner kind so compiled code
-    #    passes precomputed addresses instead of re-walking exprs) ------
-    def _replay_rollback(self, marker, run_check) -> None:
-        san = self.san
-        snapshot = dict(vars(san.stats))
-        reports_before = len(san.log.reports)
-        halt_before = san.log.halt_on_error
-        san.log.halt_on_error = False
-        try:
-            run_check()
-        finally:
-            san.log.halt_on_error = halt_before
-            fired = san.log.reports[reports_before:]
-            del san.log.reports[reports_before:]
-            vars(san.stats).update(snapshot)
-        if fired:
-            self.elision_failures.append(
-                ElisionAuditFailure(
-                    site_id=marker.inner.site_id,
-                    reason=marker.reason,
-                    report=fired[0],
-                )
-            )
-
-    def _replay_region_elided(self, marker, start, end, anchor) -> None:
-        inner = marker.inner
-        self._replay_rollback(
-            marker,
-            lambda: self.san.check_region(
-                start, end, inner.access, anchor=anchor
-            ),
-        )
-
-    def _replay_access_elided(self, marker, address) -> None:
-        inner = marker.inner
-        self._replay_rollback(
-            marker,
-            lambda: self.san.check_access(address, inner.width, inner.access),
-        )
-

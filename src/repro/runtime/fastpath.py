@@ -44,7 +44,6 @@ shadow slice instead of a per-segment walk.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -63,6 +62,7 @@ from ..ir.nodes import (
     Store,
     Var,
 )
+from ..memory.address_space import CODEC_BY_WIDTH
 from ..passes.constprop import assigned_vars
 from ..passes.loop_bounds import affine_of
 from ..sanitizers.base import FoldResult
@@ -369,10 +369,9 @@ def _compile(
         source.append(f"    env[{name!r}] = {namer.local(name)}")
     text = "\n".join(source)
     namespace = {"_div": _div, "_mod": _mod}
-    for width, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q")):
-        packer = struct.Struct(fmt)
-        namespace[f"_u{width}"] = packer.unpack_from
-        namespace[f"_p{width}"] = packer.pack_into
+    for width, codec in CODEC_BY_WIDTH.items():
+        namespace[f"_u{width}"] = codec.unpack_from
+        namespace[f"_p{width}"] = codec.pack_into
     exec(compile(text, "<fastpath>", "exec"), namespace)  # noqa: S102
     return text, namespace["_superblock"]
 

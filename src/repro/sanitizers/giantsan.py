@@ -111,7 +111,7 @@ class GiantSan(Sanitizer):
         )
 
     def _poison_global(self, variable) -> None:
-        self.stats.shadow_stores += enc.poison_object_shadow_fast(
+        self.stats.shadow_stores += enc.poison_object_shadow(
             self.shadow, variable.base, variable.size
         )
 
@@ -143,7 +143,7 @@ class GiantSan(Sanitizer):
         self.shadow.fill(first, count, enc.STACK_MID_REDZONE)
         written = count
         for var in frame.variables:
-            written += enc.poison_object_shadow_fast(
+            written += enc.poison_object_shadow(
                 self.shadow, var.base, var.size
             )
         self.stats.shadow_stores += written

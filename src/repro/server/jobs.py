@@ -18,8 +18,7 @@ Graceful shutdown (:meth:`JobManager.shutdown`, run by both ``repro
 serve``'s signal handler and the test client's exit): stop accepting,
 cancel queued jobs, give running jobs ``drain_timeout`` seconds, then
 cancel them too — and finally drain the shared execution fabric so
-worker processes exit cleanly and their shared-memory scratch segments
-are released.
+worker processes exit cleanly.
 """
 
 from __future__ import annotations

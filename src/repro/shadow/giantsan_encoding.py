@@ -141,19 +141,11 @@ def object_codes(size: int) -> bytes:
 
 
 def poison_object_shadow(shadow: ShadowMemory, base: int, size: int) -> int:
-    """Write folded codes for an object at ``base``; returns shadow bytes
-    written (the linear-time poisoning cost the paper notes in §4.1)."""
+    """Write folded codes for an object at ``base``, one slice write of
+    the memoized table; returns shadow bytes written (the linear-time
+    poisoning cost the paper notes in §4.1)."""
     codes = object_codes(size)
     shadow.write_codes(segment_index(base), codes)
-    return len(codes)
-
-
-def poison_object_shadow_fast(shadow: ShadowMemory, base: int, size: int) -> int:
-    """Memoized-table variant of :func:`poison_object_shadow`; identical
-    output, one precomputed slice write per call (the cached sequence is
-    handed to the shadow through the zero-copy ``poison_codes`` path)."""
-    codes = object_codes(size)
-    shadow.poison_codes(segment_index(base), codes)
     return len(codes)
 
 
@@ -166,7 +158,7 @@ def poison_allocation(shadow: ShadowMemory, allocation: Allocation) -> int:
     as addressable, matching their semantics.  Returns the shadow bytes
     written, the quantity the telemetry shadow-traffic counters record.
     """
-    written = poison_object_shadow_fast(
+    written = poison_object_shadow(
         shadow, allocation.base, allocation.usable_size
     )
     left_segments = allocation.left_redzone >> 3
@@ -206,7 +198,7 @@ def refold_region(shadow: ShadowMemory, base: int, size: int) -> None:
 
     Exposed for manual poisoning APIs (``__asan_unpoison`` analogue).
     """
-    poison_object_shadow_fast(shadow, base, size)
+    poison_object_shadow(shadow, base, size)
 
 
 def describe_codes(codes: List[int]) -> List[str]:

@@ -5,16 +5,14 @@ index ``a >> 3`` (paper §2.2).  This module stores the shadow array and
 moves bytes; *what the bytes mean* is defined by the encoding modules
 (:mod:`repro.shadow.asan_encoding`, :mod:`repro.shadow.giantsan_encoding`).
 
-The store is a plain ``bytearray``: bulk fills are slice writes from
-the shared fill-pattern cache, and bulk scans are one C-level
-``translate`` + ``find`` over the slice.
+The store is a plain ``bytearray``: bulk fills are one slice write, and
+bulk scans are one C-level ``translate`` + ``find`` over the slice.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..memory.fillcache import fill_pattern
 from ..memory.layout import SEGMENT_SHIFT, SEGMENT_SIZE
 
 
@@ -68,27 +66,13 @@ class ShadowMemory:
             )
 
     def fill(self, index: int, count: int, code: int) -> None:
-        """Set ``count`` consecutive shadow bytes to ``code``.
-
-        Uses the shared fill-pattern cache, so poisoning an object is one
-        precomputed slice write rather than a fresh ``bytes`` build.
-        """
+        """Set ``count`` consecutive shadow bytes to ``code``."""
         self._range_check(index, count)
-        self._shadow[index : index + count] = fill_pattern(code, count)
+        self._shadow[index : index + count] = bytes([code & 0xFF]) * count
 
-    def write_codes(self, index: int, codes: bytes) -> None:
-        """Write a pre-computed code sequence (used by segment folding)."""
-        self._range_check(index, len(codes))
-        self._shadow[index : index + len(codes)] = codes
-
-    def poison_codes(self, index: int, codes) -> None:
-        """Write a precomputed code sequence from any bytes-like view.
-
-        Unlike :meth:`write_codes` this is documented to accept a
-        ``memoryview`` (or any other buffer),
-        letting allocator hooks hand the cached poison tables straight
-        through without a copy.
-        """
+    def write_codes(self, index: int, codes) -> None:
+        """Write a precomputed code sequence from any bytes-like object
+        (segment folding hands its cached poison tables straight in)."""
         self._range_check(index, len(codes))
         self._shadow[index : index + len(codes)] = codes
 

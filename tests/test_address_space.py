@@ -62,6 +62,13 @@ class TestBulkOps:
         space.copy(base + 2, base, 6)
         assert space.read_bytes(base + 2, 6) == b"abcdef"
 
+    def test_small_and_oversized_fills(self, space, base):
+        for count in (0, 5, (1 << 16) + 1):
+            space.fill(base + 1, count, 7)
+            assert space.read_bytes(base, count + 2) == (
+                b"\x00" + b"\x07" * count + b"\x00"
+            )
+
     def test_fill_negative_size(self, space, base):
         with pytest.raises(ValueError):
             space.fill(base, -1, 0)

@@ -12,7 +12,10 @@ import pytest
 
 from engines import run_on
 from repro.ir.builder import ProgramBuilder
-from repro.ir.nodes import Const, Var
+from repro.ir.nodes import CheckElided, Const, Var
+from repro.ir.program import walk
+from repro.passes.instrument import instrument
+from repro.sanitizers import GiantSan
 from repro.runtime import (
     BudgetExceeded,
     CompiledEngine,
@@ -150,6 +153,24 @@ def test_may_undefined_read_declines():
     # ... but the engine still runs it, via per-function fallback.
     result = run_on(CompiledEngine, program, "Native")
     assert result.return_value == 42
+
+
+def test_audited_function_declines():
+    """A function holding an elided-check marker tree-walks: the
+    tree-walker's replay is the only elision-audit implementation."""
+    program = SPEC_TABLE2_ROWS[0].build()
+    audited = instrument(program, GiantSan(), audit_elisions=True).program
+    plain = instrument(program, GiantSan()).program
+    marked = [
+        name
+        for name, function in audited.functions.items()
+        if any(type(instr) is CheckElided for instr in walk(function.body))
+    ]
+    assert marked
+    for name in marked:
+        args = (COSTS, False, False)
+        assert compile_function(audited.functions[name], *args) is None
+        assert compile_function(plain.functions[name], *args) is not None
 
 
 def test_loop_induction_var_not_definite_after_loop():

@@ -19,13 +19,18 @@ Three families of guarantees:
 import os
 import signal
 import threading
+import time
 
 import pytest
 
 from repro.analysis import run_overhead_study
 from repro.analysis.detection import run_juliet_study, run_linux_flaw_study
-from repro.analysis import fabric as fabric_module
-from repro.analysis.fabric import ExecutionFabric, _Scheduler, shard_slot
+from repro.analysis.fabric import (
+    ExecutionFabric,
+    FabricError,
+    _Scheduler,
+    shard_slot,
+)
 from repro.analysis import parallel
 from repro.analysis.parallel import (
     default_jobs,
@@ -186,15 +191,6 @@ class TestWarmCaches:
         assert parallel._FABRIC is first
         pids = {w["pid"] for w in fabric_stats()["worker_stats"]}
         assert len(pids) == 2  # two live, distinct worker processes
-
-    def test_units_travel_through_shared_memory(self):
-        run_overhead_study(scale=2, jobs=2)
-        stats = fabric_stats()
-        # shared-memory transport is active wherever fork + /dev/shm
-        # exist (everywhere we run CI); inline fallback is still correct
-        # but should not silently become the default
-        if os.name == "posix":
-            assert stats["shared_memory"]
 
 
 class TestLifecycle:
@@ -435,39 +431,68 @@ class TestDrainReport:
         # the wedged worker was terminated; the idle one exited cleanly
         assert fabric.processes[0].exitcode != 0
         assert fabric.processes[1].exitcode == 0
-        # shared-memory scratch is released either way
-        assert fabric._scratch == []
 
-    def test_abandoned_map_results_counted_as_unclaimed(self):
-        import time as time_module
-
+    def _abandon_unit(self, fabric, worker, payload):
+        """Dispatch one unit on worker 0 and walk away from the map:
+        its result lands in the pipe with nobody left to claim it."""
         from repro.analysis.fabric import worker_ref
 
-        fabric = ExecutionFabric(2)
-        ref = worker_ref(quick_worker)
-        # dispatch a unit and abandon the map conversation: its result
-        # lands in the event queue with nobody left to claim it
-        fabric._scheduler.submit([(0, ref, 21)], ["orphan"])
+        ref = worker_ref(worker)
+        fabric._scheduler.submit([(0, ref, payload)], ["orphan"])
         fabric._assign(0)
-        deadline = time_module.monotonic() + 10.0
-        while time_module.monotonic() < deadline:
-            time_module.sleep(0.05)
-            if not fabric._events.empty():
-                break
-        report = fabric.drain(timeout=10.0)
-        assert report.stuck_workers == []
-        assert report.lost_units == []
-        assert report.unclaimed_results == 1
+        assert fabric._outboxes[0].poll(10.0)  # the result is on its way
+        return ref
 
-    def test_oversized_results_fall_back_to_queue_transport(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(fabric_module, "DEFAULT_SCRATCH_BYTES", 4096)
-        payloads = [1, 16, 2, 32]  # small results and >4 KiB ones mixed
+    def test_abandoned_map_results_counted_as_unclaimed(self):
+        # the ~200 KB result outgrows the pipe buffer: its worker blocks
+        # writing it until the drain reads, so a drain that joined the
+        # workers before reading would wedge on it
+        for worker, payload in ((quick_worker, 21), (sized_worker, 200)):
+            fabric = ExecutionFabric(2)
+            self._abandon_unit(fabric, worker, payload)
+            report = fabric.drain(timeout=10.0)
+            assert report.stuck_workers == []
+            assert report.lost_units == []
+            assert report.unclaimed_results == 1
+            assert [p.exitcode for p in fabric.processes] == [0, 0]
+
+    def test_drain_after_an_interrupted_read_loses_only_that_unit(self):
+        # a Ctrl-C or SIGTERM exit that lands halfway through reading a
+        # large result leaves the pipe mid-frame; the drain must not
+        # read on from there
+        fabric = ExecutionFabric(2)
+        ref = self._abandon_unit(fabric, sized_worker, 1200)
+        os.read(fabric._outboxes[0].fileno(), 4096)
+        fabric._receiving = 0
+        started = time.monotonic()
+        report = fabric.drain(timeout=10.0)
+        assert time.monotonic() - started < 5.0
+        assert report.stuck_workers == []
+        assert report.lost_units == [
+            {"worker": "repro-fabric-0", "seq": 0, "ref": ref}
+        ]
+        assert report.unclaimed_results == 0
+        assert fabric.processes[0].exitcode == -signal.SIGTERM
+        assert fabric.processes[1].exitcode == 0
+
+    def test_worker_killed_mid_result_raises_instead_of_hanging(self):
+        fabric = ExecutionFabric(2)
+        self._abandon_unit(fabric, sized_worker, 1200)
+        worker = fabric.processes[0]
+        os.kill(worker.pid, signal.SIGKILL)  # halfway through its write
+        worker.join(timeout=10)
+        # the map loop would now read the torn frame
+        with pytest.raises(FabricError, match="repro-fabric-0"):
+            fabric._next_event()
+        assert all(p.exitcode is not None for p in fabric.processes)
+
+    def test_large_results_round_trip(self):
+        # small results mixed with one that pickles to ~1.8 MB, twice
+        # the largest Table 2 row
+        payloads = [1, 16, 2, 1200]
         results = parallel_map(
             sized_worker, payloads, jobs=2, shard_keys=list("abcd")
         )
-        assert fabric_stats()["shared_memory"]
         assert results == [sized_worker(payload) for payload in payloads]
 
     def test_drain_pool_returns_report(self):

@@ -12,7 +12,7 @@ Three families of guarantees:
 (c) **Lifecycle** — submissions validate at the door (422 with a
     FastAPI-shaped detail body), cancellation lands mid-run at the next
     checkpoint, and shutdown drains the job manager and the shared
-    execution fabric (no orphaned workers, no leaked shared memory).
+    execution fabric (no orphaned workers).
 """
 
 import dataclasses

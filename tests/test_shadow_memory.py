@@ -1,13 +1,7 @@
-"""Bounds, edge-case and fill-pattern-cache tests for the raw shadow array."""
+"""Bounds and edge-case tests for the raw shadow array."""
 
 import pytest
 
-from repro.memory.fillcache import (
-    FILL_CACHE_TOTAL_MAX,
-    clear_fill_patterns,
-    fill_cache_stats,
-    fill_pattern,
-)
 from repro.memory.layout import SEGMENT_SIZE
 from repro.shadow import ShadowMemory, asan_encoding
 from repro.shadow.oracle import scan_tables
@@ -58,6 +52,15 @@ class TestFill:
     def test_fill_masks_code_to_byte(self, small):
         small.fill(0, 1, 0x1FF)
         assert small.load(0) == 0xFF
+
+    def test_small_and_oversized_fills(self):
+        huge = (1 << 16) + 1
+        shadow = ShadowMemory((huge + 2) * SEGMENT_SIZE)
+        for count in (0, 5, huge):
+            shadow.fill(1, count, 7)
+            assert shadow.region(0, count + 2) == (
+                b"\x00" + b"\x07" * count + b"\x00"
+            )
 
 
 class TestWriteCodes:
@@ -125,49 +128,6 @@ class TestFindNotFull:
         assert small.find_not_full(0, len(small), full_flags) == -1
         small.fill(0, len(small), 0xFA)
         assert small.find_not_full(0, len(small), full_flags) == 0
-
-
-class TestFillPatternCache:
-    @pytest.fixture(autouse=True)
-    def _empty_cache(self):
-        clear_fill_patterns()
-        yield
-        clear_fill_patterns()
-
-    def test_respects_total_budget(self):
-        # sweep every byte value at the per-value cap: unbounded, this
-        # would pin 256 * 64 KiB = 16 MiB
-        for code in range(256):
-            pattern = fill_pattern(code, 60_000)
-            assert len(pattern) == 60_000
-            assert bytes(pattern[:2]) == bytes([code, code])
-        occupancy = fill_cache_stats()
-        assert occupancy["resident_bytes"] <= FILL_CACHE_TOTAL_MAX
-        assert occupancy["patterns"] < 256
-        # most-recently-used survives eviction and stays correct
-        survivor = fill_pattern(255, 60_000)
-        assert bytes(survivor[:3]) == b"\xff\xff\xff"
-        clear_fill_patterns()
-        assert fill_cache_stats()["resident_bytes"] == 0
-
-    def test_lru_keeps_hot_entry(self):
-        fill_pattern(1, 40_000)
-        for code in range(2, 40):
-            fill_pattern(code, 60_000)
-            fill_pattern(1, 40_000)  # keep code 1 hot
-        assert fill_cache_stats()["resident_bytes"] <= FILL_CACHE_TOTAL_MAX
-        # code 1 must still be resident: requesting it again must not
-        # change occupancy (a miss would re-insert and evict)
-        before = fill_cache_stats()["patterns"]
-        fill_pattern(1, 40_000)
-        assert fill_cache_stats()["patterns"] == before
-
-    def test_small_and_oversized_fills(self):
-        assert fill_pattern(7, 0) == b""
-        assert bytes(fill_pattern(7, 5)) == b"\x07" * 5
-        huge = fill_pattern(7, (1 << 16) + 1)  # above FILL_CACHE_MAX
-        assert len(huge) == (1 << 16) + 1
-        assert fill_cache_stats()["resident_bytes"] <= 1 << 16
 
 
 class TestCodesForRange:
