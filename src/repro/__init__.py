@@ -30,7 +30,12 @@ from .errors import (
 )
 from .ir import C, ProgramBuilder, Program, V, format_program
 from .memory import ArenaLayout
-from .passes import instrument, InstrumentedProgram
+from .passes import (
+    FoldedProgram,
+    InstrumentedProgram,
+    fold_program,
+    instrument,
+)
 from .runtime import (
     CostModel,
     DEFAULT_COST_MODEL,
@@ -65,6 +70,7 @@ __all__ = [
     "ErrorKind",
     "ErrorLog",
     "ErrorReport",
+    "FoldedProgram",
     "GiantSan",
     "InstrumentedProgram",
     "LFP",
@@ -79,6 +85,7 @@ __all__ = [
     "V",
     "format_all_reports",
     "format_report",
+    "fold_program",
     "format_program",
     "geometric_mean",
     "instrument",

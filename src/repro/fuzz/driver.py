@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..passes.instrument import fold_program
 from ..runtime.session import ExecConfig, Session
 from .expectations import ALL_TOOLS, expected_verdict, verdict_matches
 from .generator import FuzzCase, build_case, case_seed_for, generate_case
@@ -208,7 +209,23 @@ def run_case(
     config = ExecConfig.from_env() if config is None else config
     divergences: List[Divergence] = []
     invariant_checks = 0
-    program = build_case(case)
+    source = build_case(case)
+    # constant propagation does not depend on the tool: fold once, and
+    # let each (tool, interprocedural, audit) pipeline start from there
+    try:
+        program = fold_program(source)
+    except Exception as exc:  # noqa: BLE001 - any crash is a finding
+        # every tool's pipeline would have crashed in the same prefix
+        return CaseReport(
+            case,
+            [
+                Divergence(
+                    case.seed, tool, "crash", f"{type(exc).__name__}: {exc}"
+                )
+                for tool in tools
+            ],
+            0,
+        )
     returns: Dict[str, int] = {}
     for tool in tools:
         try:

@@ -7,12 +7,13 @@ all need that) and validate structural invariants before execution.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .nodes import (
     Call,
+    CheckElided,
     If,
     Instr,
     Loop,
@@ -53,8 +54,23 @@ class Program:
             raise KeyError(f"no function named {name!r}") from None
 
     def clone(self) -> "Program":
-        """Deep copy, so instrumentation never mutates the source program."""
-        return copy.deepcopy(self)
+        """A structural copy, so instrumentation never mutates the source.
+
+        Functions, instructions and every instruction list are new;
+        expression trees are shared, since :class:`~repro.ir.nodes.Expr`
+        nodes are frozen and passes only ever replace them.  Only
+        declared fields are copied, so runtime caches the engines attach
+        to nodes (a loop's superblock plan, a program's closure tables)
+        never reach the clone.
+        """
+        clone = Program(entry=self.entry)
+        for name, function in self.functions.items():
+            clone.functions[name] = Function(
+                function.name,
+                list(function.params),
+                _clone_block(function.body),
+            )
+        return clone
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on the first
@@ -70,6 +86,36 @@ class Program:
                 width = getattr(instr, "width", None)
                 if width is not None and width not in (1, 2, 4, 8):
                     raise ValueError(f"unsupported access width {width}")
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The declared dataclass fields of an instruction class."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _clone_instr(instr: Instr) -> Instr:
+    """A copy of one instruction with fresh nested lists (see
+    :meth:`Program.clone`)."""
+    cls = type(instr)
+    state = instr.__dict__
+    clone = object.__new__(cls)
+    clone.__dict__.update({name: state[name] for name in _field_names(cls)})
+    if isinstance(instr, Loop):
+        clone.body = _clone_block(instr.body)
+    elif isinstance(instr, If):
+        clone.then = _clone_block(instr.then)
+        clone.orelse = _clone_block(instr.orelse)
+    elif isinstance(instr, Call):
+        clone.args = list(instr.args)
+    elif isinstance(instr, CheckElided):
+        clone.inner = _clone_instr(instr.inner)
+    return clone
+
+
+def _clone_block(block: List[Instr]) -> List[Instr]:
+    """:func:`_clone_instr` over a block."""
+    return [_clone_instr(instr) for instr in block]
 
 
 def child_blocks(instr: Instr) -> List[List[Instr]]:

@@ -9,8 +9,10 @@ from .check_merging import AliasedCheckElimination, ConstantOffsetMerging
 from .loop_promotion import LoopCheckPromotion
 from .history_caching import HistoryCaching
 from .instrument import (
+    FoldedProgram,
     InstrumentedProgram,
     build_pipeline,
+    fold_program,
     instrument,
     placement_style,
 )
@@ -34,8 +36,10 @@ __all__ = [
     "ConstantOffsetMerging",
     "LoopCheckPromotion",
     "HistoryCaching",
+    "FoldedProgram",
     "InstrumentedProgram",
     "build_pipeline",
+    "fold_program",
     "instrument",
     "placement_style",
 ]

@@ -1,8 +1,18 @@
 """The instrumenter: per-tool pass pipelines (paper Figure 4, left half).
 
 Given a source program and a tool's :class:`Capabilities`, this builds
-the instrumented program the interpreter executes.  The pipelines mirror
-the paper's configurations:
+the instrumented program the interpreter executes, in two stages:
+
+1. :func:`fold_program` is the tool-independent prefix: clone the
+   source, number its memory sites, and run constant propagation.  As
+   in a real build, where propagation runs once per module and not once
+   per sanitizer, a :class:`FoldedProgram` can feed any number of
+   pipelines.
+2. :func:`instrument` runs one tool's passes (:func:`build_pipeline`)
+   over a clone of a caller's folded program, or over its own fold of
+   a plain :class:`Program`.
+
+The tool pipelines mirror the paper's configurations:
 
 =================  ===========  ===========  =========  ========
 tool               placement    elimination  promotion  caching
@@ -32,6 +42,33 @@ from .constprop import ConstantPropagation
 from .history_caching import HistoryCaching
 from .loop_promotion import LoopCheckPromotion
 from .safe_access import SafeAccessElimination
+
+
+@dataclass(frozen=True)
+class FoldedProgram:
+    """A source program numbered and constant-folded once.
+
+    Made only by :func:`fold_program`.  ``program`` has its site ids
+    assigned and constants propagated; :func:`instrument` clones a
+    caller's fold before running a tool's passes, so nothing mutates
+    it.  ``constprop_us`` is the fold's wall time, reported as every
+    pipeline's ``pass_us:constprop`` note.
+    """
+
+    source: Program
+    program: Program
+    constprop_us: int
+
+
+def fold_program(source: Program) -> FoldedProgram:
+    """The tool-independent prefix of every pipeline, run once: clone
+    ``source``, assign site ids, then run :class:`ConstantPropagation`."""
+    program = source.clone()
+    assign_site_ids(program)
+    stats = PassManager([ConstantPropagation()]).run(program)
+    return FoldedProgram(
+        source, program, stats.pass_timings()[ConstantPropagation.name]
+    )
 
 
 @dataclass
@@ -67,7 +104,10 @@ def build_pipeline(
     audit_elisions: bool = False,
     interprocedural: bool = False,
 ) -> List[Pass]:
-    """The pass list for a tool with the given capabilities.
+    """One tool's pass list, from :class:`CheckPlacement` on.
+
+    Constant propagation is not in it: it is the shared prefix that
+    :func:`fold_program` runs once per source program.
 
     ``audit_elisions`` makes the static elision passes wrap elided
     checks in :class:`~repro.ir.nodes.CheckElided` markers (replayed
@@ -79,12 +119,9 @@ def build_pipeline(
     eliminator seeds callee entries from finalized caller coverage, and
     loop barriers ignore provably non-freeing calls.
     """
-    passes: List[Pass] = [ConstantPropagation()]
     if not protect:
-        passes.append(CheckPlacement("none"))
-        return passes
-    style = placement_style(caps)
-    passes.append(CheckPlacement(style))
+        return [CheckPlacement("none")]
+    passes: List[Pass] = [CheckPlacement(placement_style(caps))]
     if caps.check_elimination:
         passes.append(
             AliasedCheckElimination(
@@ -175,17 +212,20 @@ _MEMO_MISSES = 0
 
 
 def instrument_cached(
-    source: Program,
+    source: Program | FoldedProgram,
     tool: Optional[Sanitizer] = None,
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
     interprocedural: bool = True,
 ) -> InstrumentedProgram:
-    """Like :func:`instrument`, memoized by (fingerprint, config)."""
+    """Like :func:`instrument`, memoized by (fingerprint, config); a
+    :class:`FoldedProgram` is keyed by its source's fingerprint."""
     global _MEMO_HITS, _MEMO_MISSES
     caps, protect = _resolve_config(tool, caps)
     key = (
-        program_fingerprint(source),
+        program_fingerprint(
+            source.source if isinstance(source, FoldedProgram) else source
+        ),
         caps,
         protect,
         audit_elisions,
@@ -227,16 +267,25 @@ def clear_instrumentation_cache() -> None:
 
 
 def instrument(
-    source: Program,
+    source: Program | FoldedProgram,
     tool: Optional[Sanitizer] = None,
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
     interprocedural: bool = True,
 ) -> InstrumentedProgram:
-    """Clone and instrument ``source`` for ``tool`` (or raw ``caps``)."""
+    """Instrument ``source`` for ``tool`` (or raw ``caps``).
+
+    A :class:`FoldedProgram` from the caller may feed more pipelines,
+    so the tool's passes run over a clone of it.  A :class:`Program` is
+    folded here (:func:`fold_program`), and the passes rewrite that
+    private fold in place.
+    """
     caps, protect = _resolve_config(tool, caps)
-    program = source.clone()
-    assign_site_ids(program)
+    if isinstance(source, FoldedProgram):
+        folded, program = source, source.program.clone()
+    else:
+        folded = fold_program(source)
+        program = folded.program
     pipeline = build_pipeline(
         caps,
         protect=protect,
@@ -244,6 +293,10 @@ def instrument(
         interprocedural=interprocedural,
     )
     stats = PassManager(pipeline).run(program)
+    stats.notes = {
+        f"pass_us:{ConstantPropagation.name}": folded.constprop_us,
+        **stats.notes,
+    }
     remaining = 0
     cache_ids = set()
     for function in program.functions.values():

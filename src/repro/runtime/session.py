@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from ..ir.program import Program
 from ..passes.instrument import (
+    FoldedProgram,
     InstrumentedProgram,
     instrument,
     instrument_cached,
@@ -152,7 +153,9 @@ class Session:
                 self.sanitizer, raise_on_violation=True
             )
 
-    def instrument(self, program: Program) -> InstrumentedProgram:
+    def instrument(
+        self, program: Program | FoldedProgram
+    ) -> InstrumentedProgram:
         run = instrument_cached if self.config.memoize else instrument
         return run(
             program,
@@ -163,15 +166,17 @@ class Session:
 
     def run(
         self,
-        program: Program | InstrumentedProgram,
+        program: Program | FoldedProgram | InstrumentedProgram,
         args: Optional[List[int]] = None,
     ) -> RunResult:
         """Instrument and execute ``program`` under this session's tool,
         on the engine :data:`COMPILE_AFTER_INSTRUCTIONS` picks.
 
-        An :class:`InstrumentedProgram` runs as given: it must have been
-        instrumented for this session's tool, ``audit_elisions`` and
-        ``interprocedural`` setting.
+        A :class:`~repro.passes.instrument.FoldedProgram` skips the
+        fold, so callers running one source under many tools fold it
+        once.  An :class:`InstrumentedProgram` runs as given: it must
+        have been instrumented for this session's tool,
+        ``audit_elisions`` and ``interprocedural`` setting.
         """
         iprogram = (
             program

@@ -23,7 +23,9 @@ from typing import List, Tuple
 #: 0..63 and a degree-i segment encodes as code ``64 - i`` in [1, 64].
 #: Code 0 is reserved headroom of the monotone encoding, never emitted.
 #: :func:`degree_for_remaining` clamps to this cap, which only objects
-#: with >= 2^63 good segments (2^66 bytes) could exceed.
+#: with >= 2^63 good segments (2^66 bytes) could exceed.  The memo
+#: tables below key on the cap as read at call time, so the degree
+#: ablation may patch it to a lower value.
 MAX_DEGREE = 63
 
 
@@ -41,12 +43,14 @@ def degree_for_remaining(remaining: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _fold_runs(good_segments: int) -> Tuple[tuple, ...]:
-    """Memoized (degree, run_length) pairs, keyed on the segment count.
+def _fold_runs(good_segments: int, cap: int) -> Tuple[tuple, ...]:
+    """Memoized (degree, run_length) pairs, keyed on the segment count
+    and ``cap``, the :data:`MAX_DEGREE` the caller read.
 
     Allocator hooks recompute the folding for the same handful of object
     sizes on every malloc/free; the run decomposition depends only on the
-    segment count, so an LRU turns poisoning into a table lookup.
+    segment count and the cap, so an LRU turns poisoning into a table
+    lookup.
     """
     runs: List[tuple] = []
     remaining = good_segments
@@ -66,7 +70,7 @@ def fold_degrees(good_segments: int) -> List[int]:
     if good_segments < 0:
         raise ValueError("good_segments must be non-negative")
     degrees: List[int] = []
-    for degree, run_length in _fold_runs(good_segments):
+    for degree, run_length in _fold_runs(good_segments, MAX_DEGREE):
         # All segments whose remaining count is still >= 2^degree share it.
         degrees.extend([degree] * run_length)
     return degrees
@@ -77,7 +81,7 @@ def run_lengths(good_segments: int) -> List[tuple]:
     ordered from the object base; a compact form of :func:`fold_degrees`."""
     if good_segments <= 0:
         return []
-    return list(_fold_runs(good_segments))
+    return list(_fold_runs(good_segments, MAX_DEGREE))
 
 
 def verify_degrees(degrees: List[int]) -> bool:

@@ -25,7 +25,7 @@ from typing import List, Optional
 from ..errors import ErrorKind
 from ..memory.allocator import Allocation
 from ..memory.layout import SEGMENT_SIZE, segment_index
-from . import asan_encoding
+from . import asan_encoding, folding
 from .folding import MAX_DEGREE, run_lengths
 from .shadow_memory import ShadowMemory
 
@@ -122,7 +122,8 @@ def _expand_codes(runs, tail: int) -> bytes:
 
 
 @lru_cache(maxsize=4096)
-def _object_codes_cached(size: int) -> bytes:
+def _object_codes_cached(size: int, cap: int) -> bytes:
+    # ``cap`` is folding.MAX_DEGREE at call time, the cap run_lengths uses
     good, tail = divmod(size, SEGMENT_SIZE)
     return _expand_codes(run_lengths(good), tail)
 
@@ -132,12 +133,13 @@ def object_codes(size: int) -> bytes:
 
     ``size // 8`` good segments get folded codes (Figure 5); a trailing
     ``size % 8`` tail becomes a partial segment.  The sequence depends
-    only on ``size`` and is immutable, so it is memoized: repeated
-    malloc/free of the same size class poisons from a precomputed table.
+    only on ``size`` and the degree cap and is immutable, so it is
+    memoized: repeated malloc/free of the same size class poisons from a
+    precomputed table.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    return _object_codes_cached(size)
+    return _object_codes_cached(size, folding.MAX_DEGREE)
 
 
 def poison_object_shadow(shadow: ShadowMemory, base: int, size: int) -> int:

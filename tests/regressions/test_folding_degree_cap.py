@@ -34,3 +34,21 @@ def test_giant_object_folds_consistently():
     degree, run = runs[0]
     assert degree == MAX_DEGREE
     assert run == 5  # remaining - 2^63 + 1
+
+
+
+def test_memo_tables_key_on_the_patched_cap(monkeypatch):
+    """The degree ablation patches ``folding.MAX_DEGREE``.  Both memo
+    tables used to key on size alone, so the codes folded under the
+    first cap were served to every later one."""
+    import repro.shadow.folding as folding
+    from repro.shadow.giantsan_encoding import object_codes
+
+    default = object_codes(1 << 12)
+    for cap in (2, 4):
+        monkeypatch.setattr(folding, "MAX_DEGREE", cap)
+        assert max(degree for degree, _ in run_lengths(512)) == cap
+        assert decode_degree(object_codes(1 << 12)[0]) == cap
+    monkeypatch.undo()
+    assert object_codes(1 << 12) == default
+    assert decode_degree(default[0]) == 9

@@ -2,7 +2,9 @@
 cells: instrumentation does not depend on ``fastpath``.
 
 The interprocedural-off and elision-audit runs use other
-instrumentation configs, so they still instrument on their own.
+instrumentation configs, so they still instrument on their own.  Every
+pipeline starts from one shared fold, so constant propagation runs once
+per case.
 """
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.fuzz import ALL_TOOLS, case_seed_for, generate_case, run_case
 from repro.fuzz import driver
 from repro.fuzz.driver import INTERPROC_TOOLS, fuzz_span
+from repro.passes import ConstantPropagation
 from repro.runtime import ExecConfig
 from repro.runtime import session as session_module
 
@@ -46,6 +49,37 @@ def test_audit_adds_one_instrumentation_per_tool(counts):
     run_case(generate_case(case_seed_for(0, 3)), ALL_TOOLS,
              audit_elisions=True, config=ExecConfig())
     assert counts["instrument"] == 2 * len(ALL_TOOLS) + len(INTERPROC_TOOLS)
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_one_fold_per_case(monkeypatch, audit):
+    folds = []
+    run = ConstantPropagation.run
+
+    def counting_run(self, program, stats):
+        folds.append(program)
+        return run(self, program, stats)
+
+    monkeypatch.setattr(ConstantPropagation, "run", counting_run)
+    run_case(generate_case(case_seed_for(0, 3)), ALL_TOOLS,
+             audit_elisions=audit, config=ExecConfig())
+    assert len(folds) == 1
+
+
+def test_fold_crash_is_a_finding_per_tool(monkeypatch):
+    def crashing_run(self, program, stats):
+        raise RuntimeError("fold blew up")
+
+    monkeypatch.setattr(ConstantPropagation, "run", crashing_run)
+    case = generate_case(case_seed_for(0, 3))
+    report = run_case(case, ALL_TOOLS, config=ExecConfig())
+    assert [(d.tool, d.kind) for d in report.divergences] == [
+        (tool, "crash") for tool in ALL_TOOLS
+    ]
+    assert all(
+        d.case_seed == case.seed and d.detail == "RuntimeError: fold blew up"
+        for d in report.divergences
+    )
 
 
 def test_span_outcome_matches_two_instrumentation_path():

@@ -12,7 +12,16 @@ from repro.ir import (
     walk,
     walk_with_depth,
 )
-from repro.ir.nodes import Assign, Const
+from repro.ir.nodes import (
+    Assign,
+    Call,
+    CheckAccess,
+    CheckElided,
+    Const,
+    If,
+)
+from repro.ir.program import Function, Program
+from repro.passes.instrument import program_fingerprint
 
 
 def nested_program():
@@ -88,9 +97,98 @@ class TestTransformBlocks:
         assert not [i for i in walk(function.body) if isinstance(i, Store)]
 
 
+def calling_program():
+    """Every nested list a clone must renew: params, loop bodies, both
+    If arms and call arguments."""
+    b = ProgramBuilder()
+    with b.function("fill", params=["p", "n"]) as f:
+        with f.loop("i", 0, V("n")):
+            f.store("p", V("i"), 1, 7)
+    with b.function("main") as f:
+        f.malloc("p", 64)
+        f.call("fill", [V("p"), 16])
+        with f.loop("i", 0, 4):
+            with f.if_(V("i").gt(1)):
+                f.load("x", "p", V("i"), 1)
+            with f.else_():
+                f.store("p", V("i"), 1, 0)
+        f.ret(V("x"))
+    return b.build()
+
+
+def instrs_of(program, kind):
+    return [
+        instr
+        for function in program.functions.values()
+        for instr in walk(function.body)
+        if isinstance(instr, kind)
+    ]
+
+
 class TestClone:
     def test_clone_is_deep(self):
         program = nested_program()
         clone = program.clone()
         clone.function("main").body.clear()
         assert program.function("main").body  # original intact
+
+    def test_clone_has_the_source_fingerprint(self):
+        for program in (nested_program(), calling_program()):
+            assert program_fingerprint(program.clone()) == (
+                program_fingerprint(program)
+            )
+
+    def test_mutating_the_clone_leaves_the_source(self):
+        program = calling_program()
+        before = program_fingerprint(program)
+        clone = program.clone()
+        for instr in instrs_of(clone, (Load, Store)):
+            instr.site_id = 99
+            instr.offset = Const(3)
+        for loop in instrs_of(clone, Loop):
+            loop.body.append(Assign("y", Const(1)))
+            loop.end = Const(1)
+        for branch in instrs_of(clone, If):
+            branch.then.clear()
+            branch.orelse.append(Assign("z", Const(2)))
+        for call in instrs_of(clone, Call):
+            call.args.append(Const(5))
+        clone.function("fill").params.append("extra")
+        assert program_fingerprint(clone) != before
+        assert program_fingerprint(program) == before
+
+    def test_clone_shares_expression_trees(self):
+        program = calling_program()
+        clone = program.clone()
+        for kind, attr in ((Store, "offset"), (Loop, "end"), (If, "cond")):
+            for source, copied in zip(
+                instrs_of(program, kind), instrs_of(clone, kind)
+            ):
+                assert source is not copied
+                assert getattr(copied, attr) is getattr(source, attr)
+        (source_call,) = instrs_of(program, Call)
+        (copied_call,) = instrs_of(clone, Call)
+        assert copied_call.args is not source_call.args
+        assert all(a is b for a, b in zip(copied_call.args, source_call.args))
+
+    def test_clone_drops_runtime_caches(self):
+        from repro.runtime import compiler, fastpath
+
+        program = calling_program()
+        for loop in instrs_of(program, Loop):
+            setattr(loop, fastpath._PLAN_ATTR, "stale plan")
+        setattr(program, compiler._TABLE_ATTR, {"stale": "tables"})
+        clone = program.clone()
+        assert not hasattr(clone, compiler._TABLE_ATTR)
+        for loop in instrs_of(clone, Loop):
+            assert not hasattr(loop, fastpath._PLAN_ATTR)
+
+    def test_clone_renews_an_elided_checks_inner(self):
+        from repro.errors import AccessType
+
+        inner = CheckAccess("p", Const(0), 8, AccessType.READ, site_id=4)
+        program = Program()
+        program.add(Function("main", body=[CheckElided(inner, "proof")]))
+        (marker,) = program.clone().function("main").body
+        assert marker.inner is not inner and marker.inner == inner
+        assert marker.site_id == 4

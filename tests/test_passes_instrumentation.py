@@ -333,3 +333,115 @@ class TestPipelineSummary:
         source = constant_offsets_program()
         instrument(source, tool=GiantSan())
         assert not checks_in(source)
+
+
+# ----------------------------------------------------------------------
+# the shared fold: instrument(fold_program(src)) == the unshared pipeline
+# ----------------------------------------------------------------------
+def _equivalence_corpus():
+    """The Table 2 proxies, one Juliet case per CWE and the first 40
+    cases of fuzz seed 0."""
+    from repro.fuzz import build_case, case_seed_for, generate_case
+    from repro.workloads.juliet import generate_juliet_suite
+    from repro.workloads.spec import SPEC_TABLE2_ROWS
+
+    corpus = [(spec.name, spec.build()) for spec in SPEC_TABLE2_ROWS]
+    seen = set()
+    for case in generate_juliet_suite():
+        if case.cwe not in seen:
+            seen.add(case.cwe)
+            corpus.append((case.case_id, case.program))
+    for index in range(40):
+        case = generate_case(case_seed_for(0, index))
+        corpus.append((f"fuzz-{index}", build_case(case)))
+    return corpus
+
+
+def _reference_instrument(source, tool, audit_elisions, interprocedural):
+    """The pipeline before the fold was shared: deep copy, number the
+    sites, then constant propagation followed by the tool's passes."""
+    import copy
+
+    from repro.ir import assign_site_ids
+    from repro.passes import ConstantPropagation, PassManager, build_pipeline
+    from repro.passes.instrument import _resolve_config
+
+    caps, protect = _resolve_config(tool, None)
+    program = copy.deepcopy(source)
+    assign_site_ids(program)
+    pipeline = [ConstantPropagation()] + build_pipeline(
+        caps,
+        protect=protect,
+        audit_elisions=audit_elisions,
+        interprocedural=interprocedural,
+    )
+    stats = PassManager(pipeline).run(program)
+    stats.remaining_checks = len(checks_in(program))
+    caches = {
+        i.cache_id for i in checks_in(program, (CheckCached,))
+    }
+    return program, stats, len(caches)
+
+
+def _stable(text):
+    """``text`` with allocation roots renumbered in order of appearance.
+
+    A root is named after the ``id()`` of its instruction
+    (``alloc:140273753020688``), which differs between any two
+    instrumentations; elision records and audit markers quote it.
+    """
+    import re
+
+    roots = {}
+    return re.sub(
+        r"\b(alloc|stack|global|callret):\d+",
+        lambda m: f"{m[1]}:#{roots.setdefault(m[0], len(roots))}",
+        text,
+    )
+
+
+def _comparable(stats):
+    """``PassStats`` without its wall-clock notes, as stable text."""
+    from dataclasses import asdict
+
+    fields = asdict(stats)
+    fields["notes"] = {
+        key: value
+        for key, value in fields["notes"].items()
+        if not key.startswith("pass_us:")
+    }
+    return _stable(repr(fields))
+
+
+def test_shared_fold_matches_the_unshared_pipeline():
+    from repro.passes import fold_program
+    from repro.passes.instrument import program_fingerprint
+    from repro.sanitizers import SANITIZER_FACTORIES
+
+    for name, source in _equivalence_corpus():
+        before = program_fingerprint(source)
+        folded = fold_program(source)
+        for tool_name, factory in SANITIZER_FACTORIES.items():
+            tool = factory()
+            for interprocedural in (True, False):
+                for audit in (False, True):
+                    cell = (name, tool_name, interprocedural, audit)
+                    program, stats, caches = _reference_instrument(
+                        source, tool, audit, interprocedural
+                    )
+                    ip = instrument(
+                        folded,
+                        tool=tool,
+                        audit_elisions=audit,
+                        interprocedural=interprocedural,
+                    )
+                    assert _stable(program_fingerprint(ip.program)) == (
+                        _stable(program_fingerprint(program))
+                    ), cell
+                    assert _comparable(ip.stats) == _comparable(stats), cell
+                    assert ip.static_checks == stats.remaining_checks, cell
+                    assert ip.cache_count == caches, cell
+                    assert list(ip.stats.pass_timings())[0] == "constprop"
+        # neither path touched the source or the shared fold
+        assert program_fingerprint(source) == before, name
+        assert program_fingerprint(folded.source) == before, name
