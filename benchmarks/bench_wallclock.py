@@ -4,12 +4,13 @@ Times the full Table 2 sweep three ways and writes the committed
 ``BENCH_interpreter.json`` at the repository root:
 
 * ``baseline`` — fast path off, instrumentation cache off, one process
-  (the seed interpreter's configuration: with the memo off every run
-  is a first run, so the tree walker runs everything);
+  (the seed interpreter's configuration: with the memo off the tree
+  walker runs everything);
 * ``default`` — superblock fast path + instrumentation memo cache on,
-  one process; a session then runs a memoized program on the
-  compile-to-closures engine once its last run was long
-  (:data:`repro.runtime.session.COMPILE_AFTER_INSTRUCTIONS`);
+  one process; each run then switches to the compile-to-closures
+  engine at its first call boundary past
+  :data:`repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS` executed
+  instructions;
 * ``parallel`` — the default cell plus ``--jobs max(default_jobs(), 2)``
   fabric workers (``default_jobs`` honours the CPU affinity mask, so
   containerized runs don't oversubscribe), floored at two so the

@@ -73,18 +73,12 @@ def fold_program(source: Program) -> FoldedProgram:
 
 @dataclass
 class InstrumentedProgram:
-    """An instrumented program plus instrumentation-time statistics.
-
-    ``last_instructions`` is the instruction count of the latest
-    finished run; :meth:`repro.runtime.session.Session.run` picks the
-    next run's engine from it.
-    """
+    """An instrumented program plus instrumentation-time statistics."""
 
     program: Program
     stats: PassStats
     style: str
     cache_count: int = 0
-    last_instructions: int = 0
 
     @property
     def static_checks(self) -> int:
@@ -189,9 +183,9 @@ def program_fingerprint(program: Program) -> str:
 #: Memoized instrumentation results, keyed by
 #: (program fingerprint, capabilities, protect).  Instrumented programs
 #: are immutable at runtime (the interpreter keeps all mutable state in
-#: its own environment/caches; ``last_instructions`` only picks an
-#: engine), so sharing one instance across runs and sessions is safe —
-#: the 5-tool Table 2 sweep instruments each proxy once per
+#: its own environment/caches; the compiled engine only attaches its
+#: closure table), so sharing one instance across runs and sessions is
+#: safe — the 5-tool Table 2 sweep instruments each proxy once per
 #: configuration instead of once per run.  The memo is an LRU: a
 #: plain dict in recency order, where a hit re-inserts its entry at the
 #: end and a miss at the bound evicts only the first (least recently

@@ -47,7 +47,7 @@ from ..ir.nodes import (
     Strcpy,
     Var,
 )
-from ..ir.program import Function
+from ..ir.program import Function, Program
 from ..passes.instrument import InstrumentedProgram
 from ..sanitizers.base import AccessCache, CheckStats, Sanitizer
 from . import fastpath as _fastpath
@@ -155,6 +155,7 @@ class Interpreter:
         self.caches: Dict[int, AccessCache] = {}
         self.protection_counts: Counter = Counter()
         self.elision_failures: List[ElisionAuditFailure] = []
+        self._program: Optional[Program] = None
         self._functions: Dict[str, Function] = {}
 
     # ------------------------------------------------------------------
@@ -165,6 +166,7 @@ class Interpreter:
     ) -> RunResult:
         """Execute the entry function with integer ``args``."""
         program = iprogram.program
+        self._program = program
         self._functions = program.functions
         entry = program.function(program.entry)
         tele = self.telemetry

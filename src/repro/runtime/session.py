@@ -7,9 +7,11 @@ the examples both drive everything through this module.
 How a session executes is one frozen :class:`ExecConfig`;
 :meth:`ExecConfig.from_env` is the only reader of the ``REPRO_*``
 execution switches, and everything else receives the value.  Which
-engine runs is not a switch: :meth:`Session.run` picks it per run from
-the instrumented program's previous run (see
-:data:`COMPILE_AFTER_INSTRUCTIONS`).
+engine runs is not a switch: with ``memoize`` on, :meth:`Session.run`
+runs the :class:`CompiledEngine`, which tree-walks a run until it has
+executed :data:`~repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS` and
+then compiles the program at the next call boundary; with it off, the
+reference :class:`Interpreter` tree-walks every run.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ from .interpreter import Interpreter, RunResult
 
 _TRUE = ("1", "true", "on", "yes")
 _FALSE = ("0", "false", "off", "no")
-
-#: A memoized program whose last run executed at least this many IR
-#: instructions runs next on the :class:`CompiledEngine`; every other
-#: run (a first run, any run with ``memoize`` off) tree-walks.
-#: Compiling pays only over long runs, and the corpora split cleanly:
-#: Table 2 runs execute 6,399-441,987 instructions each, detection
-#: runs (Tables 3-5) at most 1,332 and fuzz cases at most 312.  Both
-#: engines produce identical observables, so the choice never changes
-#: a result.
-COMPILE_AFTER_INSTRUCTIONS = 4096
 
 
 def _switch(default, env: str):
@@ -169,8 +161,9 @@ class Session:
         program: Program | FoldedProgram | InstrumentedProgram,
         args: Optional[List[int]] = None,
     ) -> RunResult:
-        """Instrument and execute ``program`` under this session's tool,
-        on the engine :data:`COMPILE_AFTER_INSTRUCTIONS` picks.
+        """Instrument and execute ``program`` under this session's tool:
+        on the tiering :class:`CompiledEngine` when ``memoize`` is on,
+        on the tree-walking :class:`Interpreter` when it is off.
 
         A :class:`~repro.passes.instrument.FoldedProgram` skips the
         fold, so callers running one source under many tools fold it
@@ -183,19 +176,13 @@ class Session:
             if isinstance(program, InstrumentedProgram)
             else self.instrument(program)
         )
-        long_before = (
-            self.config.memoize
-            and iprogram.last_instructions >= COMPILE_AFTER_INSTRUCTIONS
-        )
-        engine = CompiledEngine if long_before else Interpreter
-        result = engine(
+        engine = CompiledEngine if self.config.memoize else Interpreter
+        return engine(
             self.sanitizer,
             max_instructions=self.max_instructions,
             fastpath=self.config.fastpath,
             telemetry=self.telemetry,
         ).run(iprogram, args)
-        iprogram.last_instructions = result.instructions_executed
-        return result
 
 
 def run_with_tools(

@@ -1,12 +1,15 @@
 """Run a program on a chosen engine class, bypassing Session's rule.
 
-:meth:`repro.runtime.Session.run` picks the engine per run; tests that
-compare the two engines pick one explicitly instead: instrument with
-``Session.instrument``, then run :class:`~repro.runtime.Interpreter` or
-:class:`~repro.runtime.CompiledEngine` on the result.
+:meth:`repro.runtime.Session.run` picks the engine from the config;
+tests that compare the two engines pick one explicitly instead:
+instrument with ``Session.instrument``, then run
+:class:`~repro.runtime.Interpreter` or
+:class:`~repro.runtime.CompiledEngine` on the result.  The compiled
+engine gets its closure table up front, so it runs closures from the
+entry call instead of tree-walking until it tiers up.
 """
 
-from repro.runtime import ExecConfig, Session
+from repro.runtime import CompiledEngine, ExecConfig, Session, compiler
 
 
 def run_on(engine, program, tool, config=None, args=None, **session_kwargs):
@@ -18,9 +21,18 @@ def run_on(engine, program, tool, config=None, args=None, **session_kwargs):
     if config is None:
         config = ExecConfig.from_env(memoize=False)
     session = Session(tool, config, **session_kwargs)
-    return engine(
+    iprogram = session.instrument(program)
+    runner = engine(
         session.sanitizer,
         max_instructions=session.max_instructions,
         fastpath=config.fastpath,
         telemetry=session.telemetry,
-    ).run(session.instrument(program), args)
+    )
+    if issubclass(engine, CompiledEngine):
+        compiler.compile_program(
+            iprogram.program,
+            runner.costs,
+            runner._needs_resolve,
+            runner.telemetry is not None,
+        )
+    return runner.run(iprogram, args)

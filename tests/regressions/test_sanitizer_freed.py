@@ -38,8 +38,8 @@ def no_gc():
 def test_space_dies_with_its_session(no_gc, tool, audit_elisions):
     program = SPEC_BY_NAME["505.mcf_r"].build()
     spaces = []
-    # memoize off always tree-walks; the second memoized run follows a
-    # run of over COMPILE_AFTER_INSTRUCTIONS, so it runs compiled
+    # memoize off always tree-walks; the first memoized run compiles the
+    # program mid-run, so the second runs compiled from its entry
     for memoize in (False, True, True):
         session = Session(
             tool, ExecConfig(memoize=memoize), audit_elisions=audit_elisions

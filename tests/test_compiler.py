@@ -3,10 +3,8 @@
 The differential suite (:mod:`tests.test_engine_differential`) proves
 observation-equivalence end to end; these tests pin the compiler's own
 contract: which functions it declines, how declines fall back, how the
-compile cache is keyed, and when a session picks the compiled engine.
+compile cache is keyed, and when a memoized run tiers up.
 """
-
-import importlib
 
 import pytest
 
@@ -24,9 +22,10 @@ from repro.runtime import (
     Session,
     compile_function,
     compile_program,
+    compiler,
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
-from repro.runtime.session import COMPILE_AFTER_INSTRUCTIONS
+from repro.runtime.compiler import COMPILE_AFTER_INSTRUCTIONS
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 COSTS = DEFAULT_COST_MODEL.native
@@ -64,21 +63,9 @@ def _long_program():
 
 
 # ----------------------------------------------------------------------
-# engine selection: compile a memoized program once its last run was long
+# tier-up: a memoized run compiles its program at the first call
+# boundary past COMPILE_AFTER_INSTRUCTIONS
 # ----------------------------------------------------------------------
-@pytest.fixture
-def engines_run(monkeypatch):
-    """The engine class of every run, in order, over an empty memo."""
-    # the module, not the function ``repro.passes.instrument`` exports
-    memo_module = importlib.import_module("repro.passes.instrument")
-    monkeypatch.setattr(memo_module, "_MEMO", {})
-    runs, run = [], Interpreter.run
-    monkeypatch.setattr(Interpreter, "run", lambda self, *args: (
-        runs.append(type(self)) or run(self, *args)
-    ))
-    return runs
-
-
 def _session_run(program, memoize=True):
     return Session("GiantSan", ExecConfig(memoize=memoize)).run(program)
 
@@ -94,33 +81,69 @@ def _observables(result):
     )
 
 
-def test_memoized_first_run_is_a_tree_run(engines_run):
-    result = _session_run(_long_program())
-    assert engines_run == [Interpreter]
-    assert result.instructions_executed >= COMPILE_AFTER_INSTRUCTIONS
+def _late_callee_program():
+    """``main`` tree-walks past the threshold, then calls ``helper``."""
+    builder = ProgramBuilder()
+    with builder.function("helper", params=["p"]) as f:
+        with f.loop("j", 0, 8) as j:
+            f.store("p", j * 8, 8, j)
+        f.ret(1)
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        total = f.assign("total", 0)
+        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+            f.assign("total", total + i)
+        got = f.call("helper", [Var("buf")], dst="got")
+        f.free("buf")
+        f.ret(total + got)
+    return builder.build()
 
 
-def test_rerun_after_a_long_run_is_compiled(engines_run):
+def test_callee_called_past_the_threshold_runs_compiled(engine_log):
+    program = _late_callee_program()
+    tiered = _session_run(program)
+    assert engine_log == {"tree": ["main"], "compiles": 1}
+    assert tiered.instructions_executed >= COMPILE_AFTER_INSTRUCTIONS
+    reference = _session_run(program, memoize=False)
+    assert _observables(tiered) == _observables(reference)
+
+
+def test_long_entry_compiles_when_it_returns(engine_log):
     program = _long_program()
-    for _ in range(3):
-        _session_run(program)
-    assert engines_run == [Interpreter, CompiledEngine, CompiledEngine]
+    first = _session_run(program)
+    assert engine_log == {"tree": ["main"], "compiles": 1}
+    second = _session_run(program)
+    # the second run finds the table and enters main's closure
+    assert engine_log == {"tree": ["main"], "compiles": 1}
+    assert _observables(first) == _observables(second)
 
 
-def test_short_program_stays_on_the_tree_engine(engines_run):
+def test_short_program_never_compiles(engine_log):
     program = _simple_program()
-    results = [_session_run(program) for _ in range(3)]
-    assert engines_run == [Interpreter] * 3
+    session = Session("GiantSan", ExecConfig(memoize=True))
+    iprogram = session.instrument(program)
+    results = [session.run(program) for _ in range(3)]
+    assert session.instrument(program) is iprogram
+    assert not hasattr(iprogram.program, compiler._TABLE_ATTR)
+    assert engine_log == {"tree": ["main"] * 3, "compiles": 0}
     assert results[-1].instructions_executed < COMPILE_AFTER_INSTRUCTIONS
 
 
-def test_memoize_off_always_tree_walks_with_equal_observables(engines_run):
+def test_memoize_off_never_compiles(engine_log):
     program = _long_program()
     fresh = [_session_run(program, memoize=False) for _ in range(2)]
+    assert engine_log["compiles"] == 0
     memoized = [_session_run(program) for _ in range(2)]
-    assert engines_run == [Interpreter] * 3 + [CompiledEngine]
     observed = [_observables(result) for result in fresh + memoized]
     assert observed == observed[:1] * 4
+
+
+def test_run_on_compiled_engine_runs_the_entry_closure(engine_log):
+    """``run_on`` compiles first, so the differential suites compare
+    the closures, not the tree walker, even on short programs."""
+    result = run_on(CompiledEngine, _simple_program(), "Native")
+    assert result.instructions_executed < COMPILE_AFTER_INSTRUCTIONS
+    assert engine_log == {"tree": [], "compiles": 1}
 
 
 # ----------------------------------------------------------------------

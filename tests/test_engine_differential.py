@@ -8,6 +8,8 @@ engines — with the superblock fast path both on and off — and every
 observable must match exactly: CheckStats, simulated cycle totals,
 instruction counts, Figure 10 protection categories, return values,
 full error reports, telemetry counters, and elision-audit replays.
+The same holds for a session's memoized run, which starts on the tree
+walker and switches to closures mid-run.
 """
 
 import pytest
@@ -16,7 +18,16 @@ from engines import run_on
 from repro.fuzz import build_case, case_seed_for, generate_case
 from repro.fuzz.driver import CASE_MAX_INSTRUCTIONS
 from repro.ir.builder import ProgramBuilder
-from repro.runtime import CompiledEngine, ExecConfig, Interpreter
+from repro.ir.nodes import Const, Var
+from repro.runtime import (
+    BudgetExceeded,
+    CompiledEngine,
+    ExecConfig,
+    Interpreter,
+    Session,
+    compiler,
+)
+from repro.runtime.compiler import COMPILE_AFTER_INSTRUCTIONS
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 #: Reduced iteration scale keeps the proxy matrix quick.
@@ -331,3 +342,128 @@ def test_engine_fastpath_matrix_matches_reference(spec, tool):
                 _run(program, tool, engine, fastpath, args=[SCALE])
             )
             assert got == reference, (engine, fastpath)
+
+
+# ----------------------------------------------------------------------
+# Tier-up: a cold memoized session run tree-walks until it passes
+# COMPILE_AFTER_INSTRUCTIONS, then runs closures from the next call on;
+# a memo-off run tree-walks throughout.
+# ----------------------------------------------------------------------
+def _session_run(program, tool, memoize, args=None, **kwargs):
+    config = ExecConfig.from_env(memoize=memoize)
+    return Session(tool, config, **kwargs).run(program, args)
+
+
+def _assert_tier_up_matches(engine_log, program, tool, args=None, **kwargs):
+    """A cold memoized run tiers up mid-run and matches a memo-off run;
+    returns the memoized run's tree-walked function names."""
+    del engine_log["tree"][:]
+    reference = _session_run(program, tool, False, args, **kwargs)
+    walked = engine_log["tree"][:]
+    del engine_log["tree"][:]
+    tiered = _session_run(program, tool, True, args, **kwargs)
+    # the tree walker entered fewer calls: a later one ran a closure
+    assert len(engine_log["tree"]) < len(walked), tool
+    assert _observables(tiered) == _observables(reference), tool
+    if kwargs.get("telemetry"):
+        assert _telemetry_view(tiered) == _telemetry_view(reference), tool
+    return engine_log["tree"]
+
+
+@pytest.mark.parametrize("spec", SPEC_TABLE2_ROWS, ids=lambda s: s.name)
+@pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
+def test_cold_tier_up_matches_tree_on_spec(engine_log, spec, telemetry):
+    """Each proxy at its Table 2 scale, where every tool's run calls a
+    kernel after it has passed the tier-up point."""
+    program = spec.build()
+    for tool in TOOLS:
+        _assert_tier_up_matches(
+            engine_log, program, tool, [spec.default_scale],
+            telemetry=telemetry,
+        )
+
+
+@pytest.mark.parametrize(
+    "spec", SPEC_TABLE2_ROWS[:6], ids=lambda s: s.name
+)
+def test_cold_tier_up_with_address_resolution(engine_log, spec):
+    """HWASan resolves tagged addresses, so its closures are compiled
+    under their own table key."""
+    program = spec.build()
+    _assert_tier_up_matches(
+        engine_log, program, "HWASan", [spec.default_scale]
+    )
+    session = Session("HWASan", ExecConfig.from_env(memoize=True))
+    tables = getattr(
+        session.instrument(program).program, compiler._TABLE_ATTR
+    )
+    assert [needs_resolve for _, needs_resolve, _ in tables] == [True]
+
+
+def _late_calls_program():
+    """``main`` loops well past the tier-up point, then calls a helper
+    the compiler declines and one it lowers."""
+    builder = ProgramBuilder()
+    with builder.function("declined", params=["n"]) as f:
+        with f.if_(Const(1)):
+            f.assign("x", 1)
+        f.ret(Var("x") + Var("n"))
+    with builder.function("lowered", params=["p"]) as f:
+        with f.loop("j", 0, 8) as j:
+            f.store("p", j * 8, 8, j)
+        f.ret(1)
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        total = f.assign("total", 0)
+        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+            f.assign("total", total + i)
+        a = f.call("declined", [Const(2)], dst="a")
+        b = f.call("lowered", [Var("buf")], dst="b")
+        f.free("buf")
+        f.ret(total + a + b)
+    return builder.build()
+
+
+def test_tier_up_with_an_uncompilable_next_callee(engine_log):
+    walked = _assert_tier_up_matches(
+        engine_log, _late_calls_program(), "GiantSan"
+    )
+    assert walked == ["main", "declined"]
+    assert engine_log["compiles"] == 1
+
+
+def test_budget_exceeded_just_past_the_tier_up_point(
+    engine_log, monkeypatch
+):
+    """The budget trips inside a closure entered after the tier-up, at
+    the same instruction and with the same state as on the tree walker."""
+    builder = ProgramBuilder()
+    with builder.function("step", params=["p", "i"]) as f:
+        f.store("p", (Var("i") % 8) * 8, 8, Var("i"))
+        f.ret(Var("i"))
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+            f.call("step", [Var("buf"), i])
+        f.free("buf")
+        f.ret(0)
+    program = builder.build()
+    limit = COMPILE_AFTER_INSTRUCTIONS + 50
+    engines = []
+    run = Interpreter.run
+    monkeypatch.setattr(Interpreter, "run", lambda self, *args: (
+        engines.append(self) or run(self, *args)
+    ))
+    messages = []
+    for memoize in (False, True):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            _session_run(program, "GiantSan", memoize, max_instructions=limit)
+        messages.append(str(excinfo.value))
+    tree, tiered = engines
+    assert type(tree) is Interpreter and tiered._table is not None
+    assert messages[0] == messages[1]
+    for engine in engines:
+        assert engine.instructions == limit + 1
+    assert tiered.native_cycles == tree.native_cycles
+    assert tiered.protection_counts == tree.protection_counts
+    assert tiered.san.stats.as_dict() == tree.san.stats.as_dict()

@@ -20,8 +20,7 @@ from repro.workloads.spec import SPEC_BY_NAME
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWITCHES = [field.metadata["env"] for field in dataclasses.fields(ExecConfig)]
-#: The reference cell: with the memo off every run is a first run, so
-#: the tree engine runs it.
+#: The reference cell: with the memo off a session runs the tree walker.
 REFERENCE_ENV = {"REPRO_SHADOW": "bytearray", "REPRO_FASTPATH": "0",
                  "REPRO_INTERPROC": "0", "REPRO_INSTRUMENT_CACHE": "0"}
 REFERENCE_CELL = ExecConfig(fastpath=False, interprocedural=False,
