@@ -121,7 +121,7 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
         runner = engine_class(session.sanitizer, fastpath=True)
         if engine_class is CompiledEngine:
             compiler.compile_program(
-                iprogram.program, runner.costs, runner._needs_resolve, False
+                iprogram.program, runner.costs, runner._needs_resolve
             )
         result = runner.run(iprogram)
         elapsed = time.perf_counter() - started

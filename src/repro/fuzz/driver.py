@@ -2,7 +2,7 @@
 
 For each generated case the driver runs the same program under every
 tool in :data:`~repro.fuzz.expectations.ALL_TOOLS`, with the superblock
-fast path ON and OFF, and cross-checks four ways:
+fast path ON and OFF, and cross-checks five ways:
 
 1. **fastpath** — the ON/OFF observables (cycles, instruction counts,
    CheckStats, protection categories, return value, error log) must be

@@ -1,16 +1,27 @@
-"""Compile-to-closures execution engine.
+"""Compile-to-closures execution engine and the runtime's code generator.
 
 The tree-walking :class:`~repro.runtime.interpreter.Interpreter` pays a
 ``type(instr)`` dispatch and a recursive ``Expr`` walk for every executed
 instruction; across a Table 2 sweep that dispatch — not the sanitizer
-checks being studied — dominates wall-clock.  This module removes it the
-same way the superblock fast path removes per-iteration dispatch for
-eligible loops, but for *whole functions*: a one-time compile pass walks
-each instrumented function's IR once and lowers it to a flat Python
-function over a slot-indexed environment (a plain list), with real Python
-control flow standing in for ``Loop``/``If`` nodes and every expression
-pre-flattened to straight-line source.  The hot path then runs compiled
-bytecode with zero per-instruction pattern matching.
+checks being studied — dominates wall-clock.  This module removes it: a
+one-time compile pass walks each instrumented function's IR once and
+lowers it to a flat Python function over a slot-indexed environment (a
+plain list), with real Python control flow standing in for
+``Loop``/``If`` nodes and every expression pre-flattened to
+straight-line source.  The hot path then runs compiled bytecode with
+zero per-instruction pattern matching.
+
+This is the only module that generates and ``exec``s Python.  One
+emitter has two lowerings, which share the expression lowering, the
+load/store statement text, the namespace and the ``exec``:
+
+* :class:`_Emitter` lowers a whole function to a closure ``(E, e)``;
+* :class:`_SuperblockEmitter` lowers the body of one loop that
+  :mod:`repro.runtime.fastpath` planned to a superblock runner
+  ``(env, values, mem)`` that performs only the loop's assignments,
+  loads and stores.  Both engines reach it through
+  :func:`repro.runtime.fastpath.try_execute`, which folds the checks
+  and charges every counter itself.
 
 Observable equivalence is the contract: native-cycle accounting (same
 additions in the same order), instruction counting and the budget check,
@@ -32,10 +43,11 @@ reference semantics.  Audited functions (those holding a
 instrumentation comes only from the fuzz driver, which never memoizes,
 so the tree-walker's ``_replay_elided`` is the one replay there is.
 
-The superblock fast path still engages from compiled code: loop headers
-flush the local counters, hand :func:`repro.runtime.fastpath.try_execute`
-a dict view of the live slots, and sync the slots back on success, so
-the fast path and the compiled engine compose.
+Compiled loop headers flush the local counters, hand ``try_execute`` a
+dict view of the live slots, and sync the slots back on success.
+Generated code tests ``TEL is not None`` where telemetry probes sit
+(loop entries, the ``interpreter_loop`` phase, cached-check convergence),
+so one closure table serves runs with and without telemetry.
 
 :meth:`repro.runtime.session.Session.run` runs every memoized program on
 this engine, which tiers up at call boundaries: a run starts on the
@@ -47,7 +59,7 @@ the plain :class:`Interpreter`, which remains the reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.nodes import (
     Assign,
@@ -84,7 +96,8 @@ from .interpreter import BudgetExceeded, Interpreter
 from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 
 #: Attribute on :class:`~repro.ir.program.Program` memoizing compiled
-#: tables, keyed by (costs, needs_resolve, telemetry_on).  Instrumented
+#: tables, keyed by (costs, needs_resolve).  Telemetry is tested at run
+#: time, so runs with and without it share a table.  Instrumented
 #: programs shared through the instrumentation memo cache therefore
 #: compile once per process, like fastpath loop plans.
 _TABLE_ATTR = "_closure_tables"
@@ -106,18 +119,49 @@ class _Uncompilable(Exception):
 # ----------------------------------------------------------------------
 # expression lowering
 # ----------------------------------------------------------------------
-# The superblock code generator's table: the tree-walker's _ARITH
-# surface, with ``//`` and ``%`` returning 0 on a zero divisor.  Negative
-# shift amounts raise ValueError in both engines (plain Python
-# semantics), so shifts need no fastpath-style constant restriction here.
-_BIN_TEMPLATES = _fastpath._BIN_TEMPLATES
+# The tree-walker's _ARITH surface, with ``//`` and ``%`` returning 0 on
+# a zero divisor.  A negative shift amount raises ValueError in both
+# engines (plain Python semantics); only superblock runners restrict
+# shift amounts (see _SuperblockEmitter.binop).
+_BIN_TEMPLATES = {
+    "+": "({} + {})",
+    "-": "({} - {})",
+    "*": "({} * {})",
+    "//": "_div({}, {})",
+    "%": "_mod({}, {})",
+    "<<": "({} << {})",
+    ">>": "({} >> {})",
+    "&": "({} & {})",
+    "|": "({} | {})",
+    "^": "({} ^ {})",
+    "<": "int({} < {})",
+    "<=": "int({} <= {})",
+    ">": "int({} > {})",
+    ">=": "int({} >= {})",
+    "==": "int({} == {})",
+    "!=": "int({} != {})",
+}
 
 _COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
-#: Namespace shared by every compiled function.
+
+def _div(a: int, b: int) -> int:
+    return a // b if b else 0
+
+
+def _mod(a: int, b: int) -> int:
+    return a % b if b else 0
+
+
+def _budget_exceeded(limit: int) -> BudgetExceeded:
+    return BudgetExceeded(f"exceeded {limit} executed instructions")
+
+
+#: Namespace shared by every generated function.
 _SHARED_NS: Dict[str, object] = {
-    "_div": _fastpath._div,
-    "_mod": _fastpath._mod,
+    "_div": _div,
+    "_mod": _mod,
+    "_BE": _budget_exceeded,
     "TRY": _fastpath.try_execute,
     "GMS": guarded_memset,
     "GMC": guarded_memcpy,
@@ -126,13 +170,6 @@ _SHARED_NS: Dict[str, object] = {
 for _width, _codec in CODEC_BY_WIDTH.items():
     _SHARED_NS[f"U{_width}"] = _codec.unpack_from
     _SHARED_NS[f"K{_width}"] = _codec.pack_into
-
-
-def _budget_exceeded(limit: int) -> BudgetExceeded:
-    return BudgetExceeded(f"exceeded {limit} executed instructions")
-
-
-_SHARED_NS["_BE"] = _budget_exceeded
 
 
 class CompiledFunction:
@@ -150,19 +187,23 @@ class CompiledFunction:
 
 
 class _Emitter:
-    """Lowers one :class:`Function` to Python source and compiles it."""
+    """Lowers one :class:`Function` to Python source and compiles it.
+
+    :class:`_SuperblockEmitter` reuses the expression lowering, the
+    load/store text and :meth:`define`, and overrides how a variable is
+    named (:meth:`read`, :meth:`write`), which instructions lower
+    (:meth:`instr`) and the shift rule (:meth:`binop`).
+    """
 
     def __init__(
         self,
-        function: Function,
-        costs: NativeCosts,
+        function: Optional[Function],
+        costs: Optional[NativeCosts],
         needs_resolve: bool,
-        telemetry_on: bool,
     ):
         self.fn = function
         self.costs = costs
         self.needs_resolve = needs_resolve
-        self.telemetry_on = telemetry_on
         self.slots: Dict[str, int] = {}
         self.defined: set = set()
         self.lines: List[str] = []
@@ -195,21 +236,42 @@ class _Emitter:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
+    def define(self, name: str, filename: str) -> Tuple[str, Callable]:
+        """Compile the emitted lines; the source and its function ``name``."""
+        source = "\n".join(self.lines)
+        namespace = dict(_SHARED_NS)
+        namespace.update(self.ns)
+        exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+        return source, namespace[name]
+
+    # -- variables -----------------------------------------------------
+    def read(self, name: str) -> str:
+        """A read of ``name``: its slot, which must be definitely assigned."""
+        if name not in self.defined:
+            raise _Uncompilable(f"may-undefined read of {name!r}")
+        return f"e[{self.slot(name)}]"
+
+    def write(self, name: str) -> str:
+        """The assignment target for ``name``."""
+        self.defined.add(name)
+        return f"e[{self.slot(name)}]"
+
     # -- expressions ---------------------------------------------------
     def expr(self, node: Expr) -> str:
         kind = type(node)
         if kind is Const:
             return repr(node.value)
         if kind is Var:
-            if node.name not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {node.name!r}")
-            return f"e[{self.slot(node.name)}]"
+            return self.read(node.name)
         if kind is BinOp:
-            template = _BIN_TEMPLATES.get(node.op)
-            if template is None:
-                raise _Uncompilable(f"operator {node.op!r}")
-            return template.format(self.expr(node.left), self.expr(node.right))
+            return self.binop(node)
         raise _Uncompilable(f"expression {kind.__name__}")
+
+    def binop(self, node: BinOp) -> str:
+        template = _BIN_TEMPLATES.get(node.op)
+        if template is None:
+            raise _Uncompilable(f"operator {node.op!r}")
+        return template.format(self.expr(node.left), self.expr(node.right))
 
     def cond(self, node: Expr) -> str:
         """Like :meth:`expr` but may skip the int() wrap for a top-level
@@ -219,6 +281,21 @@ class _Emitter:
                 self.expr(node.left), node.op, self.expr(node.right)
             )
         return self.expr(node)
+
+    # -- memory access text --------------------------------------------
+    def address(self, instr) -> str:
+        """A Load's or Store's address, ``base + offset``."""
+        if instr.width not in CODEC_BY_WIDTH:
+            raise _Uncompilable(f"width {instr.width}")
+        return f"{self.read(instr.base)} + {self.expr(instr.offset)}"
+
+    @staticmethod
+    def load_text(width: int, address: str) -> str:
+        return f"U{width}(mem, {address})[0]"
+
+    @staticmethod
+    def store_text(width: int, address: str, value: str) -> str:
+        return f"K{width}(mem, {address}, ({value}) & {_MASK_BY_WIDTH[width]})"
 
     # -- instruction lowering ------------------------------------------
     def block(self, instrs: List, depth: int) -> None:
@@ -254,33 +331,25 @@ class _Emitter:
             self.emit(depth, f"cy += {instr.cycles!r}")
         elif kind is Assign:
             code = self.expr(instr.expr)
-            self.defined.add(instr.dst)
-            self.emit(depth, f"e[{self.slot(instr.dst)}] = {code}")
+            self.emit(depth, f"{self.write(instr.dst)} = {code}")
             self.emit(depth, f"cy += {costs.arith!r}")
         elif kind is Load or kind is Store:
-            if instr.width not in CODEC_BY_WIDTH:
-                raise _Uncompilable(f"width {instr.width}")
             self.used.add("mem")
-            address = f"e[{self.slot(instr.base)}] + {self.expr(instr.offset)}"
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
-            self.emit(depth, f"_a = {address}")
+            self.emit(depth, f"_a = {self.address(instr)}")
             if self.needs_resolve:
                 self.used.add("RES")
                 self.emit(depth, "_a = RES(_a)")
             width = instr.width
             self.emit(depth, f"if 0 <= _a and _a + {width} <= TS:")
             if kind is Load:
-                self.emit(depth + 1, f"_v = U{width}(mem, _a)[0]")
+                self.emit(depth + 1, f"_v = {self.load_text(width, '_a')}")
                 self.emit(depth, "else:")
                 self.emit(depth + 1, "_v = 0")
                 self.emit(depth + 1, "E.hardware_faults += 1")
-                self.defined.add(instr.dst)
-                self.emit(depth, f"e[{self.slot(instr.dst)}] = _v")
+                self.emit(depth, f"{self.write(instr.dst)} = _v")
             else:
                 value = self.expr(instr.value)
-                mask = _MASK_BY_WIDTH[width]
-                self.emit(depth + 1, f"K{width}(mem, _a, ({value}) & {mask})")
+                self.emit(depth + 1, self.store_text(width, "_a", value))
                 self.emit(depth, "else:")
                 self.emit(depth + 1, "E.hardware_faults += 1")
             self.emit(depth, f"cy += {costs.memory_access!r}")
@@ -299,10 +368,8 @@ class _Emitter:
                 self.block(instr.orelse, depth + 1)
             self.defined = before | (after_then & self.defined)
         elif kind is CheckRegion:
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
             self.used.update(("CR", "st"))
-            self.emit(depth, f"_b = e[{self.slot(instr.base)}]")
+            self.emit(depth, f"_b = {self.read(instr.base)}")
             anchor = "_b" if instr.use_anchor else "None"
             self.emit(depth, "_fb = st.fast_checks")
             self.emit(
@@ -312,44 +379,38 @@ class _Emitter:
             )
             self._check_classify(depth)
         elif kind is CheckAccess:
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
             self.used.update(("CA", "st"))
             self.emit(depth, "_fb = st.fast_checks")
             self.emit(
                 depth,
-                f"CA(e[{self.slot(instr.base)}] + {self.expr(instr.offset)}, "
+                f"CA({self.read(instr.base)} + {self.expr(instr.offset)}, "
                 f"{instr.width}, {self.const(instr.access, 'A')})",
             )
             self._check_classify(depth)
         elif kind is CheckCached:
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
-            self.used.update(("CACHES", "MKC", "CC"))
+            self.used.update(("CACHES", "MKC", "CC", "TEL"))
             cid = instr.cache_id
+            call = (
+                f"CC(_c, {self.read(instr.base)}, {self.expr(instr.offset)}, "
+                f"{instr.width}, {self.const(instr.access, 'A')})"
+            )
             self.emit(depth, f"_c = CACHES.get({cid})")
             self.emit(depth, "if _c is None:")
             self.emit(depth + 1, "_c = MKC()")
             self.emit(depth + 1, f"CACHES[{cid}] = _c")
-            call = (
-                f"CC(_c, e[{self.slot(instr.base)}], {self.expr(instr.offset)}, "
-                f"{instr.width}, {self.const(instr.access, 'A')})"
-            )
-            if not self.telemetry_on:
-                self.emit(depth, call)
-            else:
-                self.used.add("TEL")
-                self.emit(depth, "_ub = _c.ub")
-                self.emit(depth, call)
-                self.emit(depth, "if _c.ub > _ub:")
-                self.emit(depth + 1, f"TEL.note_convergence({cid})")
+            self.emit(depth, "if TEL is None:")
+            self.emit(depth + 1, call)
+            self.emit(depth, "else:")
+            self.emit(depth + 1, "_ub = _c.ub")
+            self.emit(depth + 1, call)
+            self.emit(depth + 1, "if _c.ub > _ub:")
+            self.emit(depth + 2, f"TEL.note_convergence({cid})")
         elif kind is CacheFinalize:
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
             self.used.update(("CACHES", "CR"))
+            base = self.read(instr.base)
             self.emit(depth, f"_c = CACHES.get({instr.cache_id})")
             self.emit(depth, "if _c is not None and _c.ub > 0:")
-            self.emit(depth + 1, f"_b = e[{self.slot(instr.base)}]")
+            self.emit(depth + 1, f"_b = {base}")
             self.emit(
                 depth + 1,
                 f"CR(_b, _b + _c.ub, {self.const(instr.access, 'A')}, anchor=_b)",
@@ -358,34 +419,25 @@ class _Emitter:
         elif kind is Malloc:
             self.used.add("MAL")
             code = self.expr(instr.size)
-            self.defined.add(instr.dst)
-            self.emit(depth, f"e[{self.slot(instr.dst)}] = MAL({code}).base")
+            self.emit(depth, f"{self.write(instr.dst)} = MAL({code}).base")
             self.emit(depth, f"cy += {costs.malloc!r}")
         elif kind is GlobalAlloc:
             self.used.add("DG")
-            self.defined.add(instr.dst)
             self.emit(
                 depth,
-                f"e[{self.slot(instr.dst)}] = "
+                f"{self.write(instr.dst)} = "
                 f"DG({instr.dst!r}, {instr.size}).base",
             )
         elif kind is Free:
-            if instr.ptr not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.ptr!r}")
             self.used.add("FR")
-            self.emit(depth, f"FR(e[{self.slot(instr.ptr)}])")
+            self.emit(depth, f"FR({self.read(instr.ptr)})")
             self.emit(depth, f"cy += {costs.free!r}")
         elif kind is PtrAdd:
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
-            code = f"e[{self.slot(instr.base)}] + {self.expr(instr.offset)}"
-            self.defined.add(instr.dst)
-            self.emit(depth, f"e[{self.slot(instr.dst)}] = {code}")
+            code = f"{self.read(instr.base)} + {self.expr(instr.offset)}"
+            self.emit(depth, f"{self.write(instr.dst)} = {code}")
             self.emit(depth, f"cy += {costs.arith!r}")
         elif kind is Memset:
-            if instr.base not in self.defined:
-                raise _Uncompilable(f"may-undefined read of {instr.base!r}")
-            self.emit(depth, f"_b = e[{self.slot(instr.base)}]")
+            self.emit(depth, f"_b = {self.read(instr.base)}")
             self.emit(depth, f"_n = {self.expr(instr.length)}")
             self.emit(
                 depth,
@@ -398,11 +450,8 @@ class _Emitter:
             )
             self._classify(instr.protection, depth)
         elif kind is Memcpy:
-            for base in (instr.dst_base, instr.src_base):
-                if base not in self.defined:
-                    raise _Uncompilable(f"may-undefined read of {base!r}")
-            self.emit(depth, f"_db = e[{self.slot(instr.dst_base)}]")
-            self.emit(depth, f"_sb = e[{self.slot(instr.src_base)}]")
+            self.emit(depth, f"_db = {self.read(instr.dst_base)}")
+            self.emit(depth, f"_sb = {self.read(instr.src_base)}")
             self.emit(depth, f"_n = {self.expr(instr.length)}")
             self.emit(
                 depth,
@@ -415,11 +464,8 @@ class _Emitter:
             )
             self._classify(instr.protection, depth)
         elif kind is Strcpy:
-            for base in (instr.dst_base, instr.src_base):
-                if base not in self.defined:
-                    raise _Uncompilable(f"may-undefined read of {base!r}")
-            self.emit(depth, f"_db = e[{self.slot(instr.dst_base)}]")
-            self.emit(depth, f"_sb = e[{self.slot(instr.src_base)}]")
+            self.emit(depth, f"_db = {self.read(instr.dst_base)}")
+            self.emit(depth, f"_sb = {self.read(instr.src_base)}")
             self.emit(
                 depth,
                 f"_n = GSC(san, {self.const(instr.protection, 'PR')}, "
@@ -438,10 +484,9 @@ class _Emitter:
             self.emit(depth, "I = E.instructions")
             self.emit(depth, "cy = E.native_cycles")
             if instr.dst is not None:
-                self.defined.add(instr.dst)
                 self.emit(
                     depth,
-                    f"e[{self.slot(instr.dst)}] = _r if _r is not None else 0",
+                    f"{self.write(instr.dst)} = _r if _r is not None else 0",
                 )
         elif kind is Return:
             self.emit(depth, f"cy += {costs.ret!r}")
@@ -467,67 +512,48 @@ class _Emitter:
         else:
             self.emit(depth, f"_r{n} = range(_s{n}, _e{n}, {step})")
 
+        self.used.update(("FP", "TEL"))
+        loop_ref = self.const(loop, "L")
         plan = _fastpath.analyze_loop(loop)
-        emit_try = self.telemetry_on or (
-            plan is not None and not self.needs_resolve
-        )
-        if emit_try:
-            preload = list(plan.preload) if plan is not None else []
-            for name in preload:
-                if name not in self.defined:
-                    raise _Uncompilable(f"may-undefined read of {name!r}")
+        if plan is not None and not self.needs_resolve:
             env_literal = ", ".join(
-                f"{name!r}: e[{self.slot(name)}]" for name in preload
+                f"{name!r}: {self.read(name)}" for name in plan.preload
             )
-            self.used.update(("FP", "SL"))
+            self.used.add("SL")
             self.emit(depth, f"_t{n} = 0")
-            if self.telemetry_on:
-                self.used.update(("TEL", "PROF"))
-                self.emit(depth, "if FP:")
-                self.emit(depth + 1, '_p0 = PROF.begin("superblock")')
-            else:
-                # MIN_TRIP_COUNT mirrors try_execute's own early decline;
-                # skipping the call entirely is invisible without telemetry.
-                self.emit(
-                    depth,
-                    f"if FP and len(_r{n}) >= {_fastpath.MIN_TRIP_COUNT}:",
-                )
+            # MIN_TRIP_COUNT mirrors try_execute's own early decline;
+            # skipping the call entirely is invisible without telemetry.
+            self.emit(
+                depth,
+                f"if FP and (TEL is not None or "
+                f"len(_r{n}) >= {_fastpath.MIN_TRIP_COUNT}):",
+            )
             self.emit(depth + 1, "E.instructions = I")
             self.emit(depth + 1, "E.native_cycles = cy")
             self.emit(depth + 1, f"_env = {{{env_literal}}}")
-            loop_ref = self.const(loop, "L")
-            if self.telemetry_on:
-                self.emit(depth + 1, f"_tk = TRY(E, {loop_ref}, _r{n}, _env)")
-                self.emit(depth + 1, 'PROF.end("superblock", _p0)')
-                self.emit(depth + 1, "if _tk:")
-                inner = depth + 2
-            else:
-                self.emit(depth + 1, f"if TRY(E, {loop_ref}, _r{n}, _env):")
-                inner = depth + 2
-            self.emit(inner, "for _k, _v in _env.items():")
-            self.emit(inner + 1, "e[SL[_k]] = _v")
-            self.emit(inner, "I = E.instructions")
-            self.emit(inner, "cy = E.native_cycles")
-            if self.telemetry_on:
-                self.emit(inner, 'TEL.incr("superblock_loops")')
-                self.emit(inner, f'TEL.incr("superblock_iterations", len(_r{n}))')
-            self.emit(inner, f"_t{n} = 1")
+            self.emit(depth + 1, f"if TRY(E, {loop_ref}, _r{n}, _env):")
+            self.emit(depth + 2, "for _k, _v in _env.items():")
+            self.emit(depth + 3, "e[SL[_k]] = _v")
+            self.emit(depth + 2, "I = E.instructions")
+            self.emit(depth + 2, "cy = E.native_cycles")
+            self.emit(depth + 2, f"_t{n} = 1")
             self.emit(depth, f"if not _t{n}:")
-            body_depth = depth + 1
+            depth += 1
         else:
-            body_depth = depth
+            # the fast path only declines this loop: call it just so
+            # telemetry counts the decline reason, as the tree walker does
+            self.emit(depth, "if FP and TEL is not None:")
+            self.emit(depth + 1, f"TRY(E, {loop_ref}, _r{n}, {{}})")
 
-        if self.telemetry_on:
-            self.used.add("PROF")
-            self.emit(body_depth, '_p1 = PROF.begin("interpreter_loop")')
+        self.emit(depth, "if TEL is not None:")
+        self.emit(depth + 1, f'_p{n} = TEL.profiler.begin("interpreter_loop")')
         before = set(self.defined)
-        self.defined.add(loop.var)
-        self.emit(body_depth, f"for _i{n} in _r{n}:")
-        self.emit(body_depth + 1, f"e[{self.slot(loop.var)}] = _i{n}")
-        self.emit(body_depth + 1, f"cy += {self.costs.loop_iteration!r}")
-        self.block(loop.body, body_depth + 1)
-        if self.telemetry_on:
-            self.emit(body_depth, 'PROF.end("interpreter_loop", _p1)')
+        self.emit(depth, f"for _i{n} in _r{n}:")
+        self.emit(depth + 1, f"{self.write(loop.var)} = _i{n}")
+        self.emit(depth + 1, f"cy += {self.costs.loop_iteration!r}")
+        self.block(loop.body, depth + 1)
+        self.emit(depth, "if TEL is not None:")
+        self.emit(depth + 1, f'TEL.profiler.end("interpreter_loop", _p{n})')
         # zero-trip rule: body definitions (and the induction variable)
         # are not definite after the loop
         self.defined = before
@@ -550,7 +576,6 @@ class _Emitter:
         "CALLF": "CALLF = E._call_by_name",
         "FP": "FP = E.fastpath",
         "TEL": "TEL = E.telemetry",
-        "PROF": "PROF = E.telemetry.profiler",
         "SL": None,  # namespace constant (the slot map), not a binding
     }
 
@@ -594,39 +619,109 @@ class _Emitter:
         if stack_buffers:
             self.emit(2, "san.pop_frame()")
 
-        source = "\n".join(self.lines)
-        namespace = dict(_SHARED_NS)
-        namespace.update(self.ns)
-        exec(  # noqa: S102 - same trusted codegen pattern as fastpath
-            compile(source, f"<compiled:{function.name}>", "exec"), namespace
-        )
+        source, closure = self.define("_cf", f"<compiled:{function.name}>")
         return CompiledFunction(
             name=function.name,
-            closure=namespace["_cf"],
+            closure=closure,
             n_slots=len(self.slots),
             param_slots=param_slots,
             source=source,
         )
 
 
+class _SuperblockEmitter(_Emitter):
+    """Lowers the body of one planned loop to a superblock runner.
+
+    The runner ``_superblock(env, values, mem)`` keeps variables in
+    locals.  It loads each variable read before any write (a *preload*)
+    from ``env``, runs the body's assignments, loads and stores once per
+    induction value, and writes every assigned variable back to ``env``.
+    Compute and check instructions lower to nothing: the fast path
+    charges them and folds the checks before the runner starts.
+    """
+
+    def __init__(self, loop: Loop):
+        super().__init__(None, None, False)
+        self.loop = loop
+        self.written = {loop.var}
+        self.preload: List[str] = []
+
+    def read(self, name: str) -> str:
+        if name not in self.written and name not in self.preload:
+            self.preload.append(name)
+        return f"v{self.slot(name)}"
+
+    def write(self, name: str) -> str:
+        self.written.add(name)
+        return f"v{self.slot(name)}"
+
+    def binop(self, node: BinOp) -> str:
+        # A superblock must never raise after its first store, so a
+        # shift amount must be a non-negative constant (the tree walker
+        # and compiled functions run the other shifts).
+        if node.op in ("<<", ">>") and not (
+            type(node.right) is Const and node.right.value >= 0
+        ):
+            raise _Uncompilable("non-constant shift")
+        return super().binop(node)
+
+    def instr(self, instr, depth: int) -> None:
+        kind = type(instr)
+        if kind is Assign:
+            code = self.expr(instr.expr)
+            self.emit(depth, f"{self.write(instr.dst)} = {code}")
+        elif kind is Load:
+            code = self.load_text(instr.width, self.address(instr))
+            self.emit(depth, f"{self.write(instr.dst)} = {code}")
+        elif kind is Store:
+            address = self.address(instr)
+            value = self.expr(instr.value)
+            self.emit(depth, self.store_text(instr.width, address, value))
+        elif kind is CheckAccess or kind is CheckRegion:
+            self.read(instr.base)  # the fold reads the base from env
+        elif kind is not Compute:
+            raise _Uncompilable(f"instruction {kind.__name__}")
+
+    def build(self) -> Tuple[Callable, List[str], str]:
+        induction = self.write(self.loop.var)
+        self.block(self.loop.body, 2)
+        body_lines = self.lines
+        self.lines = []
+        self.emit(0, "def _superblock(env, values, mem):")
+        for name in self.preload:
+            self.emit(1, f"v{self.slot(name)} = env[{name!r}]")
+        self.emit(1, f"for {induction} in values:")
+        self.lines.extend(body_lines)
+        if not body_lines:
+            self.emit(2, "pass")
+        for name in sorted(self.written):
+            self.emit(1, f"env[{name!r}] = v{self.slot(name)}")
+        source, runner = self.define("_superblock", "<superblock>")
+        return runner, self.preload, source
+
+
+def compile_superblock(loop: Loop) -> Optional[Tuple[Callable, List[str], str]]:
+    """The runner, preload list and source for a planned loop's body;
+    None when the body does not lower (an operator a runner cannot run
+    without raising)."""
+    try:
+        return _SuperblockEmitter(loop).build()
+    except _Uncompilable:
+        return None
+
+
 def compile_function(
-    function: Function,
-    costs: NativeCosts,
-    needs_resolve: bool,
-    telemetry_on: bool,
+    function: Function, costs: NativeCosts, needs_resolve: bool
 ) -> Optional[CompiledFunction]:
     """Lower one function; None when it keeps tree-walker semantics."""
     try:
-        return _Emitter(function, costs, needs_resolve, telemetry_on).build()
+        return _Emitter(function, costs, needs_resolve).build()
     except _Uncompilable:
         return None
 
 
 def compile_program(
-    program: Program,
-    costs: NativeCosts,
-    needs_resolve: bool,
-    telemetry_on: bool,
+    program: Program, costs: NativeCosts, needs_resolve: bool
 ) -> Dict[str, CompiledFunction]:
     """Compiled closures for every compilable function of ``program``.
 
@@ -638,14 +733,12 @@ def compile_program(
     if tables is None:
         tables = {}
         setattr(program, _TABLE_ATTR, tables)
-    key = (costs, needs_resolve, bool(telemetry_on))
+    key = (costs, needs_resolve)
     table = tables.get(key)
     if table is None:
         table = {}
         for name, function in program.functions.items():
-            compiled = compile_function(
-                function, costs, needs_resolve, telemetry_on
-            )
+            compiled = compile_function(function, costs, needs_resolve)
             if compiled is not None:
                 table[name] = compiled
         tables[key] = table
@@ -675,7 +768,7 @@ class CompiledEngine(Interpreter):
     def _closures(self) -> Optional[Dict[str, CompiledFunction]]:
         """The program's closure table, compiled now if this run is long."""
         program = self._program
-        key = (self.costs, self._needs_resolve, self.telemetry is not None)
+        key = (self.costs, self._needs_resolve)
         table = getattr(program, _TABLE_ATTR, {}).get(key)
         if table is None and self.instructions >= COMPILE_AFTER_INSTRUCTIONS:
             table = compile_program(program, *key)

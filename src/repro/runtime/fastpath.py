@@ -14,8 +14,9 @@ A loop is eligible when
 * every memory/check site's base pointer is loop-invariant and its
   offset is affine in the induction variable (the same SCEV-style
   analysis loop-check promotion uses);
-* expressions use only interpretable operators (shift amounts must be
-  non-negative constants so bulk execution cannot raise mid-flight).
+* the body lowers to a runner: interpretable operators only, and shift
+  amounts must be non-negative constants so bulk execution cannot raise
+  mid-flight.
 
 Execution then proceeds in three phases, each of which may *decline* and
 fall back to the per-iteration interpreter (so every error path and
@@ -26,11 +27,18 @@ every edge case runs through the reference implementation):
 2. **Fold** — the sanitizer's ``fold_*_checks`` hooks decide, without
    mutating anything, that every per-iteration check passes and return
    the exact stat deltas (see :mod:`repro.sanitizers.base`).
-3. **Run + charge** — a compiled Python closure performs the real loads
-   and stores in program order directly on the address-space buffer,
-   and native cycles / instruction counts / CheckStats / Figure 10
+3. **Run + charge** — a runner closure performs the real loads and
+   stores in program order directly on the address-space buffer, and
+   native cycles / instruction counts / CheckStats / Figure 10
    categories are charged arithmetically (count × per-iteration
    events), matching the tree-walker to the last counter.
+
+This module plans and executes; it generates no code.  The runner is a
+lowering of the compiled engine's emitter
+(:func:`repro.runtime.compiler.compile_superblock`), and both engines
+call :func:`try_execute`, which also records the superblock telemetry:
+the ``superblock`` phase, ``superblock_loops``, ``superblock_iterations``
+and every decline reason.
 
 Disable it with ``ExecConfig(fastpath=False)`` or ``REPRO_FASTPATH=0``
 (the differential test suite runs every proxy both ways and asserts
@@ -45,24 +53,20 @@ shadow slice instead of a per-segment walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..errors import AccessType
 from ..ir.nodes import (
     Assign,
-    BinOp,
     CheckAccess,
     CheckRegion,
     Compute,
-    Const,
     Expr,
     Load,
     Loop,
     Protection,
     Store,
-    Var,
 )
-from ..memory.address_space import CODEC_BY_WIDTH
 from ..passes.constprop import assigned_vars
 from ..passes.loop_bounds import affine_of
 from ..sanitizers.base import FoldResult
@@ -76,75 +80,8 @@ _PLAN_ATTR = "_fastpath_plan"
 MIN_TRIP_COUNT = 4
 
 
-# ----------------------------------------------------------------------
-# expression compilation
-# ----------------------------------------------------------------------
-_BIN_TEMPLATES = {
-    "+": "({} + {})",
-    "-": "({} - {})",
-    "*": "({} * {})",
-    "//": "_div({}, {})",
-    "%": "_mod({}, {})",
-    "<<": "({} << {})",
-    ">>": "({} >> {})",
-    "&": "({} & {})",
-    "|": "({} | {})",
-    "^": "({} ^ {})",
-    "<": "int({} < {})",
-    "<=": "int({} <= {})",
-    ">": "int({} > {})",
-    ">=": "int({} >= {})",
-    "==": "int({} == {})",
-    "!=": "int({} != {})",
-}
-
-
-def _div(a: int, b: int) -> int:
-    return a // b if b else 0
-
-
-def _mod(a: int, b: int) -> int:
-    return a % b if b else 0
-
-
 class _Ineligible(Exception):
     """Internal signal: this loop cannot take the fast path."""
-
-
-class _Namer:
-    """Maps IR variable names to safe, stable Python local names."""
-
-    def __init__(self) -> None:
-        self._names: Dict[str, str] = {}
-
-    def local(self, name: str) -> str:
-        local = self._names.get(name)
-        if local is None:
-            local = f"v{len(self._names)}"
-            self._names[name] = local
-        return local
-
-
-def _emit(expr: Expr, namer: _Namer, reads: List[str]) -> str:
-    """Compile one IR expression to Python source (fully parenthesized)."""
-    if type(expr) is Const:
-        return repr(expr.value)
-    if type(expr) is Var:
-        reads.append(expr.name)
-        return namer.local(expr.name)
-    if type(expr) is BinOp:
-        template = _BIN_TEMPLATES.get(expr.op)
-        if template is None:
-            raise _Ineligible(expr.op)
-        if expr.op in ("<<", ">>"):
-            # A negative shift amount raises mid-run; only allow shapes
-            # that provably cannot (the tree walker handles the rest).
-            if not (type(expr.right) is Const and expr.right.value >= 0):
-                raise _Ineligible("non-constant shift")
-        return template.format(
-            _emit(expr.left, namer, reads), _emit(expr.right, namer, reads)
-        )
-    raise _Ineligible(type(expr).__name__)
 
 
 # ----------------------------------------------------------------------
@@ -245,16 +182,6 @@ def _analyze(loop: Loop) -> LoopPlan:
     plan = LoopPlan(
         body_len=len(body), arith_count=0, memory_count=0, compute_cycles=0.0
     )
-    namer = _Namer()
-    loop_local = namer.local(loop.var)
-    lines: List[str] = []
-    written = {loop.var}
-    preload: List[str] = []
-
-    def note_reads(names: List[str]) -> None:
-        for name in names:
-            if name not in written and name not in preload:
-                preload.append(name)
 
     def affine(expr: Expr):
         result = affine_of(expr, loop.var, killed)
@@ -271,21 +198,10 @@ def _analyze(loop: Loop) -> LoopPlan:
         if kind is Compute:
             plan.compute_cycles += instr.cycles
         elif kind is Assign:
-            reads: List[str] = []
-            code = _emit(instr.expr, namer, reads)
-            note_reads(reads)
-            lines.append(f"{namer.local(instr.dst)} = {code}")
-            written.add(instr.dst)
             plan.arith_count += 1
         elif kind is Load or kind is Store:
-            if instr.width not in (1, 2, 4, 8):
-                raise _Ineligible("unsupported width")
             invariant_base(instr.base)
             site = affine(instr.offset)
-            reads = []
-            offset_code = _emit(instr.offset, namer, reads)
-            note_reads(reads + [instr.base])
-            address = f"({namer.local(instr.base)} + {offset_code})"
             plan.mem_sites.append(
                 _MemSite(instr.base, site.coefficient, site.offset, instr.width)
             )
@@ -295,24 +211,9 @@ def _analyze(loop: Loop) -> LoopPlan:
                     plan.protection_per_iter.get(category, 0) + 1
                 )
             plan.memory_count += 1
-            if kind is Load:
-                lines.append(
-                    f"{namer.local(instr.dst)} = "
-                    f"_u{instr.width}(mem, {address})[0]"
-                )
-                written.add(instr.dst)
-            else:
-                reads = []
-                value_code = _emit(instr.value, namer, reads)
-                note_reads(reads)
-                mask = (1 << (8 * instr.width)) - 1
-                lines.append(
-                    f"_p{instr.width}(mem, {address}, {value_code} & {mask})"
-                )
         elif kind is CheckAccess:
             invariant_base(instr.base)
             site = affine(instr.offset)
-            note_reads([instr.base])
             plan.access_checks.append(
                 _AccessCheckSite(
                     instr.base,
@@ -326,7 +227,6 @@ def _analyze(loop: Loop) -> LoopPlan:
             invariant_base(instr.base)
             start = affine(instr.start)
             end = affine(instr.end)
-            note_reads([instr.base])
             plan.region_checks.append(
                 _RegionCheckSite(
                     instr.base,
@@ -341,47 +241,21 @@ def _analyze(loop: Loop) -> LoopPlan:
         else:
             raise _Ineligible(kind.__name__)
 
-    plan.preload = preload
-    plan.source, plan.runner = _compile(
-        loop, namer, loop_local, preload, lines, written
-    )
+    # local import: the compiler imports this module
+    from .compiler import compile_superblock
+
+    lowered = compile_superblock(loop)
+    if lowered is None:
+        raise _Ineligible("body does not lower")
+    plan.runner, plan.preload, plan.source = lowered
     return plan
-
-
-def _compile(
-    loop: Loop,
-    namer: _Namer,
-    loop_local: str,
-    preload: List[str],
-    lines: List[str],
-    written: set,
-) -> Tuple[str, Callable]:
-    """Assemble and compile the superblock closure."""
-    source = ["def _superblock(env, values, mem):"]
-    for name in preload:
-        source.append(f"    {namer.local(name)} = env[{name!r}]")
-    source.append(f"    for {loop_local} in values:")
-    if lines:
-        source.extend(f"        {line}" for line in lines)
-    else:
-        source.append("        pass")
-    for name in sorted(written):
-        source.append(f"    env[{name!r}] = {namer.local(name)}")
-    text = "\n".join(source)
-    namespace = {"_div": _div, "_mod": _mod}
-    for width, codec in CODEC_BY_WIDTH.items():
-        namespace[f"_u{width}"] = codec.unpack_from
-        namespace[f"_p{width}"] = codec.pack_into
-    exec(compile(text, "<fastpath>", "exec"), namespace)  # noqa: S102
-    return text, namespace["_superblock"]
 
 
 # ----------------------------------------------------------------------
 # runtime execution
 # ----------------------------------------------------------------------
-def _declined(interpreter, reason: str) -> bool:
+def _declined(tele, reason: str) -> bool:
     """Record a decline reason when telemetry is on; always False."""
-    tele = interpreter.telemetry
     if tele is not None:
         tele.note_superblock_decline(reason)
     return False
@@ -391,29 +265,47 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
     """Run ``loop`` as a superblock if possible; False means fall back.
 
     Never partially executes: every declining branch happens before the
-    first state mutation, so the tree walker can take over cleanly.
-    When the interpreter carries a telemetry registry, every decline is
-    counted by reason (the wiring-regression signal `repro profile`
-    surfaces); the disabled path adds no work beyond the decline itself.
+    first state mutation, so the caller's per-iteration loop can take
+    over cleanly.  Both engines call this for every loop they may run as
+    a superblock.  When the interpreter carries a telemetry registry,
+    the call is one ``superblock`` phase event, a taken superblock adds
+    to ``superblock_loops`` and ``superblock_iterations``, and every
+    decline is counted by reason (the wiring-regression signal
+    `repro profile` surfaces); the disabled path adds one test.
     """
+    tele = interpreter.telemetry
+    if tele is None:
+        return _execute(interpreter, None, loop, values, env)
+    profiler = tele.profiler
+    started = profiler.begin("superblock")
+    taken = _execute(interpreter, tele, loop, values, env)
+    profiler.end("superblock", started)
+    if taken:
+        tele.incr("superblock_loops")
+        tele.incr("superblock_iterations", len(values))
+    return taken
+
+
+def _execute(interpreter, tele, loop: Loop, values: range, env) -> bool:
+    """:func:`try_execute` without the phase and the taken counters."""
     count = len(values)
     if count < MIN_TRIP_COUNT:
-        return _declined(interpreter, "short_trip")
+        return _declined(tele, "short_trip")
     if interpreter._needs_resolve:
-        return _declined(interpreter, "needs_address_resolution")
+        return _declined(tele, "needs_address_resolution")
     plan = analyze_loop(loop)
     if plan is None:
-        return _declined(interpreter, "ineligible_body")
+        return _declined(tele, "ineligible_body")
     if (
         interpreter.instructions + count * plan.body_len
         > interpreter.max_instructions
     ):
         # the reference path raises BudgetExceeded exactly
-        return _declined(interpreter, "instruction_budget")
+        return _declined(tele, "instruction_budget")
     for name in plan.preload:
         if name not in env:
             # the reference path raises NameError/KeyError
-            return _declined(interpreter, "unbound_variable")
+            return _declined(tele, "unbound_variable")
     sanitizer = interpreter.san
     space = sanitizer.space
     total_size = space.layout.total_size
@@ -439,7 +331,7 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
                 lo, hi = hi, lo
             if lo < 0 or hi + site.width > total_size:
                 # reference path records hardware faults
-                return _declined(interpreter, "address_out_of_range")
+                return _declined(tele, "address_out_of_range")
 
         folded = FoldResult()
         for check in plan.access_checks:
@@ -455,7 +347,7 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
                 check.access,
             )
             if result is None:
-                return _declined(interpreter, "fold_declined")
+                return _declined(tele, "fold_declined")
             folded.merge(result)
         for check in plan.region_checks:
             base = env[check.base]
@@ -476,11 +368,11 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
                 check.use_anchor,
             )
             if result is None:
-                return _declined(interpreter, "fold_declined")
+                return _declined(tele, "fold_declined")
             folded.merge(result)
     except (KeyError, NameError):
         # undefined variable: reference path raises it
-        return _declined(interpreter, "unbound_variable")
+        return _declined(tele, "unbound_variable")
 
     plan.runner(env, values, space._mem)
 

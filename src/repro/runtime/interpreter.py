@@ -311,28 +311,20 @@ class Interpreter:
             if cache is None:
                 cache = self.san.make_cache()
                 self.caches[instr.cache_id] = cache
-            if self.telemetry is None:
-                self.san.check_cached(
-                    cache,
-                    env[instr.base],
-                    self._eval(instr.offset, env),
-                    instr.width,
-                    instr.access,
-                )
-            else:
-                # quasi-bound convergence: count each update that extended
-                # this site's cached upper bound (§4.3 claims at most
-                # ceil(log2(n/8)) of these per object on forward walks)
-                bound_before = cache.ub
-                self.san.check_cached(
-                    cache,
-                    env[instr.base],
-                    self._eval(instr.offset, env),
-                    instr.width,
-                    instr.access,
-                )
-                if cache.ub > bound_before:
-                    self.telemetry.note_convergence(instr.cache_id)
+            # quasi-bound convergence: with telemetry on, count each
+            # update that extended this site's cached upper bound (§4.3
+            # claims at most ceil(log2(n/8)) of these per object on
+            # forward walks)
+            bound_before = cache.ub
+            self.san.check_cached(
+                cache,
+                env[instr.base],
+                self._eval(instr.offset, env),
+                instr.width,
+                instr.access,
+            )
+            if self.telemetry is not None and cache.ub > bound_before:
+                self.telemetry.note_convergence(instr.cache_id)
         elif kind is CacheFinalize:
             cache = self.caches.get(instr.cache_id)
             if cache is not None and cache.ub > 0:
@@ -412,36 +404,18 @@ class Interpreter:
             values = range(end - step, start - 1, -step)
         else:
             values = range(start, end, step)
-        tele = self.telemetry
-        if tele is None:
-            if self.fastpath and _fastpath.try_execute(
-                self, loop, values, env
-            ):
-                return
-            body = loop.body
-            for value in values:
-                env[loop.var] = value
-                self.native_cycles += self.costs.loop_iteration
-                self._exec_block(body, env)
+        if self.fastpath and _fastpath.try_execute(self, loop, values, env):
             return
-        # Telemetry path: identical semantics, plus superblock counters
-        # and sampled phase timing of the two hot loops.
-        profiler = tele.profiler
-        if self.fastpath:
-            started = profiler.begin("superblock")
-            taken = _fastpath.try_execute(self, loop, values, env)
-            profiler.end("superblock", started)
-            if taken:
-                tele.incr("superblock_loops")
-                tele.incr("superblock_iterations", len(values))
-                return
-        started = profiler.begin("interpreter_loop")
+        tele = self.telemetry
+        if tele is not None:
+            started = tele.profiler.begin("interpreter_loop")
         body = loop.body
         for value in values:
             env[loop.var] = value
             self.native_cycles += self.costs.loop_iteration
             self._exec_block(body, env)
-        profiler.end("interpreter_loop", started)
+        if tele is not None:
+            tele.profiler.end("interpreter_loop", started)
 
     # ------------------------------------------------------------------
     # elision audit replay

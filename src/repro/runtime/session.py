@@ -179,6 +179,7 @@ class Session:
         engine = CompiledEngine if self.config.memoize else Interpreter
         return engine(
             self.sanitizer,
+            native_costs=self.cost_model.native,
             max_instructions=self.max_instructions,
             fastpath=self.config.fastpath,
             telemetry=self.telemetry,

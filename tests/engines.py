@@ -12,27 +12,33 @@ entry call instead of tree-walking until it tiers up.
 from repro.runtime import CompiledEngine, ExecConfig, Session, compiler
 
 
-def run_on(engine, program, tool, config=None, args=None, **session_kwargs):
-    """Run ``program`` under ``tool`` on the engine class ``engine``.
-
-    ``config`` defaults to ``ExecConfig.from_env(memoize=False)``:
-    every run instruments afresh.
-    """
+def engine_on(engine, program, tool, config=None, **session_kwargs):
+    """The engine of class ``engine`` that :func:`run_on` runs, and the
+    instrumented program, unrun: a test that expects the run to raise
+    reads the engine's state afterwards."""
     if config is None:
         config = ExecConfig.from_env(memoize=False)
     session = Session(tool, config, **session_kwargs)
     iprogram = session.instrument(program)
     runner = engine(
         session.sanitizer,
+        native_costs=session.cost_model.native,
         max_instructions=session.max_instructions,
         fastpath=config.fastpath,
         telemetry=session.telemetry,
     )
     if issubclass(engine, CompiledEngine):
         compiler.compile_program(
-            iprogram.program,
-            runner.costs,
-            runner._needs_resolve,
-            runner.telemetry is not None,
+            iprogram.program, runner.costs, runner._needs_resolve
         )
+    return runner, iprogram
+
+
+def run_on(engine, program, tool, config=None, args=None, **session_kwargs):
+    """Run ``program`` under ``tool`` on the engine class ``engine``.
+
+    ``config`` defaults to ``ExecConfig.from_env(memoize=False)``:
+    every run instruments afresh.
+    """
+    runner, iprogram = engine_on(engine, program, tool, config, **session_kwargs)
     return runner.run(iprogram, args)

@@ -32,7 +32,7 @@ COSTS = DEFAULT_COST_MODEL.native
 
 
 def _compile(program, **kwargs):
-    defaults = dict(costs=COSTS, needs_resolve=False, telemetry_on=False)
+    defaults = dict(costs=COSTS, needs_resolve=False)
     defaults.update(kwargs)
     return compile_program(program, **defaults)
 
@@ -171,7 +171,7 @@ def test_may_undefined_read_declines():
     program = builder.build()
     function = program.functions["main"]
     assert (
-        compile_function(function, COSTS, False, False) is None
+        compile_function(function, COSTS, False) is None
     )
     # ... but the engine still runs it, via per-function fallback.
     result = run_on(CompiledEngine, program, "Native")
@@ -191,7 +191,7 @@ def test_audited_function_declines():
     ]
     assert marked
     for name in marked:
-        args = (COSTS, False, False)
+        args = (COSTS, False)
         assert compile_function(audited.functions[name], *args) is None
         assert compile_function(plain.functions[name], *args) is not None
 
@@ -205,7 +205,7 @@ def test_loop_induction_var_not_definite_after_loop():
             f.compute(1.0)
         f.ret(Var("i"))
     function = builder.build().functions["main"]
-    assert compile_function(function, COSTS, False, False) is None
+    assert compile_function(function, COSTS, False) is None
 
 
 def test_compile_cache_memoized_per_program():
@@ -213,8 +213,26 @@ def test_compile_cache_memoized_per_program():
     first = _compile(program)
     second = _compile(program)
     assert first is second
-    telemetry_variant = _compile(program, telemetry_on=True)
-    assert telemetry_variant is not first
+
+
+def test_telemetry_runs_share_one_closure_table(engine_log):
+    """Generated code tests telemetry at run time, so a telemetry-on
+    and a telemetry-off run of one memoized program compile once and
+    share one table."""
+    program = _long_program()
+    config = ExecConfig(memoize=True)
+    sessions = [
+        Session("GiantSan", config, telemetry=telemetry)
+        for telemetry in (False, True)
+    ]
+    plain, traced = (session.run(program) for session in sessions)
+    iprogram = sessions[0].instrument(program)
+    assert sessions[1].instrument(program) is iprogram
+    tables = getattr(iprogram.program, compiler._TABLE_ATTR)
+    assert list(tables) == [(COSTS, False)]
+    assert engine_log == {"tree": ["main"], "compiles": 1}
+    assert plain.telemetry is None and traced.telemetry is not None
+    assert _observables(plain) == _observables(traced)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,10 @@ so each gets a pinned, deterministic test here.
 
 import pytest
 
+from engines import engine_on, run_on
 from repro.ir.builder import ProgramBuilder
-from repro.runtime import ExecConfig, Session
+from repro.ir.nodes import Var
+from repro.runtime import CompiledEngine, ExecConfig, Interpreter, Session
 
 TOOLS = ["Native", "GiantSan", "ASan", "ASan--", "LFP", "HWASan"]
 
@@ -190,3 +192,61 @@ def test_exact_fit_walk_across_sizes(size):
         f.free("buf")
         f.ret(0)
     _assert_paths_match(builder.build())
+
+
+def _variable_shift_program():
+    """Fill a buffer, then store ``a[i] << n`` with ``n`` a parameter,
+    so constant propagation cannot turn the amount into a constant."""
+    builder = ProgramBuilder()
+    with builder.function("main", params=["n"]) as f:
+        f.malloc("a", 64)
+        with f.loop("i", 0, 8) as i:
+            f.store("a", i * 8, 8, i + 1)
+        with f.loop("i", 0, 8) as i:
+            x = f.load("x", "a", i * 8, 8)
+            f.store("a", i * 8, 8, x << Var("n"))
+        f.free("a")
+        f.ret(0)
+    return builder.build()
+
+
+@pytest.mark.parametrize("engine", [Interpreter, CompiledEngine])
+def test_variable_shift_declines_as_ineligible(engine):
+    """A superblock must never raise after its first store, so a
+    runner only shifts by non-negative constants; a variable amount
+    leaves the loop to the per-iteration path on both engines."""
+    result = run_on(
+        engine,
+        _variable_shift_program(),
+        "GiantSan",
+        config=_config(True),
+        args=[1],
+        telemetry=True,
+    )
+    declines = result.telemetry.superblock_declines
+    assert declines == {"ineligible_body": 1}
+    assert result.telemetry.counters["superblock_loops"] == 1  # the fill
+
+
+@pytest.mark.parametrize("tool", ["GiantSan", "ASan"])
+def test_negative_shift_raises_alike_on_both_engines(tool):
+    """A negative amount raises in the shift loop, after the fill
+    loop's stores: both engines raise the same error from the same
+    state."""
+    program = _variable_shift_program()
+    states, messages = [], []
+    for engine in (Interpreter, CompiledEngine):
+        runner, iprogram = engine_on(engine, program, tool, _config(True))
+        with pytest.raises(ValueError) as excinfo:
+            runner.run(iprogram, [-1])
+        messages.append(str(excinfo.value))
+        states.append(
+            (
+                runner.instructions,
+                runner.native_cycles,
+                runner.san.stats.as_dict(),
+                bytes(runner.san.space._mem),
+            )
+        )
+    assert messages[0] == messages[1]
+    assert states[0] == states[1]
