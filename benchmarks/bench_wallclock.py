@@ -88,9 +88,8 @@ def _sweep(jobs: int, scale, config) -> dict:
         "seconds": round(elapsed, 3),
         "all_runs": [round(t, 3) for t in timings],
         "jobs": jobs,
-        # the fabric spawns exactly `jobs` persistent workers (idle ones
-        # cost nothing), so the request is also the effective count
-        "workers": jobs if jobs > 1 else 1,
+        # the pool forks one worker per row, up to `jobs`
+        "workers": min(jobs, len(study.rows)) if jobs > 1 else 1,
         "programs": len(study.rows),
         "tools": len(study.tools) + 1,  # + the Native baseline runs
         "geomeans": {

@@ -68,20 +68,15 @@ def run_juliet_study(
     if use_parallel:
         from .parallel import juliet_worker, parallel_map, steal_spans
 
-        # finer-grained than one span per worker so stealing can rescue
-        # a straggling slice; case-index keyed results keep the merge
-        # byte-identical to the sequential run for any granularity
+        # finer-grained than one span per worker so the shared queue
+        # absorbs a straggling slice; case-index keyed results keep the
+        # merge byte-identical to the sequential run for any granularity
         payloads = [
             (lo, hi, tools, config)
             for lo, hi in steal_spans(len(cases), jobs)
         ]
         outcomes: Dict[int, Dict[str, bool]] = {}
-        for slice_outcomes in parallel_map(
-            juliet_worker,
-            payloads,
-            jobs,
-            shard_keys=[("juliet", lo) for lo, *_ in payloads],
-        ):
+        for slice_outcomes in parallel_map(juliet_worker, payloads, jobs):
             for index, row in slice_outcomes:
                 outcomes[index] = row
         errored = lambda case_index, tool: outcomes[case_index][tool]
@@ -137,12 +132,7 @@ def run_linux_flaw_study(
         from .parallel import linux_flaw_worker, parallel_map
 
         payloads = [(i, tools, config) for i in range(len(scenarios))]
-        for cve_id, row in parallel_map(
-            linux_flaw_worker,
-            payloads,
-            jobs,
-            shard_keys=[("cve", index) for index in range(len(scenarios))],
-        ):
+        for cve_id, row in parallel_map(linux_flaw_worker, payloads, jobs):
             outcomes[cve_id] = row
         return CveResults(outcomes=outcomes, scenarios=list(scenarios))
     for scenario in scenarios:
@@ -185,12 +175,7 @@ def run_magma_study(
         detected = {}
         totals = {}
         for name, per_config, total in parallel_map(
-            magma_worker,
-            payloads,
-            jobs,
-            shard_keys=[
-                ("magma", project.name) for project in projects
-            ],
+            magma_worker, payloads, jobs
         ):
             detected[name] = per_config
             totals[name] = total

@@ -165,11 +165,6 @@ def run_figure11_study(
         for size in sizes
     ]
     study = TraversalStudy()
-    shard_keys = [
-        ("fig11", pattern_index) for pattern_index, *_ in payloads
-    ]
-    for points in parallel_map(
-        figure11_worker, payloads, jobs, shard_keys=shard_keys
-    ):
+    for points in parallel_map(figure11_worker, payloads, jobs):
         study.points.extend(points)
     return study

@@ -1,60 +1,64 @@
-"""Process-parallel experiment runner on the persistent execution fabric.
+"""Process-parallel experiment runner on one persistent process pool.
 
 The (proxy × sanitizer) matrices behind Tables 2-5 and Figures 10/11 are
 embarrassingly parallel: every cell is an isolated Session over a freshly
-built program.  This module fans work units out across the long-lived
-worker processes of :class:`repro.analysis.fabric.ExecutionFabric` and
-merges results back in deterministic submission order, so parallel runs
-are byte-identical to ``--jobs 1`` runs.
+built program.  This module fans work units out over one module-level
+:class:`concurrent.futures.ProcessPoolExecutor` and reads the results
+back in submission order, so parallel runs are byte-identical to
+``--jobs 1`` runs whichever worker ran what.
 
 Work units are dispatched *by name/index* into the canonical registries
 (:data:`repro.workloads.spec.SPEC_BY_NAME` and friends) rather than by
 pickling built programs: a worker rebuilds its program locally, which
 keeps payloads tiny and sidesteps pickling closures.  Results travel
-back as plain dataclasses (RunResult, CheckStats, ErrorLog), pickled
-inline on each worker's event pipe.
+back as plain dataclasses (RunResult, CheckStats, ErrorLog).
 
-Callers pass ``jobs``: ``1`` (the default everywhere) runs inline with
-no multiprocessing machinery at all; anything larger uses the shared
-fabric.  Custom program lists that are not in the canonical registries
-fall back to inline execution since workers cannot rebuild them.
+Callers pass ``jobs``: ``1`` (the default everywhere) runs inline and
+never imports ``multiprocessing`` or ``concurrent.futures``; anything
+larger uses the shared pool.  Custom program lists that are not in the
+canonical registries fall back to inline execution since workers cannot
+rebuild them.
 
 Every payload carries its :class:`~repro.runtime.session.ExecConfig`,
-so one fabric serves any mix of configs.  The fabric persists across
-``parallel_map`` calls — consecutive tables of one sweep invocation
-reuse warm workers (and their instrumentation memo / compiled-closure
-caches).  A map asking for fewer workers than the fabric has runs on
-the first ``jobs`` of them, so concurrent sweeps with different
-``--jobs`` share it; only a request for *more* workers retires it, as a
-graceful *drain* (workers finish in-flight units and exit cleanly); the
-hard ``terminate`` path is reserved for process exit.
+so one pool serves any mix of configs.  The pool persists across
+``parallel_map`` calls: consecutive tables of one invocation reuse the
+same forked workers, and with them each worker's instrumentation memo
+and compiled closures.  A map sizes the pool to ``min(jobs, units)``
+and replaces it only when it needs more workers than the pool has; the
+old pool finishes the units already queued on it and its workers exit.
+Units are deterministic, so when a worker dies mid-map the map
+resubmits its unfinished units once on a fresh pool.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
+import sys
 import threading
+import time
 from typing import Callable, List, Optional, Sequence, TypeVar
-
-from .fabric import DrainReport, ExecutionFabric
 
 T = TypeVar("T")
 U = TypeVar("U")
 
-#: The shared fabric.  One ``repro`` sweep invocation runs many tables
-#: back to back; recreating workers per table paid fork + cold caches
-#: every time, which is what made ``--jobs 2`` lose to ``--jobs 1`` in
-#: earlier BENCH_interpreter.json snapshots.
-_FABRIC: Optional[ExecutionFabric] = None
+#: The shared ``ProcessPoolExecutor``, or None.  One ``repro`` sweep
+#: invocation runs many tables back to back; a pool rebuilt per table
+#: paid fork + cold caches every time, which is what made ``--jobs 2``
+#: lose to ``--jobs 1`` in earlier BENCH_interpreter.json snapshots.
+_POOL = None
 
-#: Serializes every touch of the shared fabric.  A fabric ``map`` is a
-#: stateful conversation (scheduler, in-flight table, event pipes);
-#: interleaving two maps from different threads — which the server's
-#: concurrent sweep/fuzz jobs would otherwise do — corrupts both.
-#: Re-entrant so a worker function that (inline) calls ``parallel_map``
-#: again on the same thread cannot deadlock against itself.
-_FABRIC_LOCK = threading.RLock()
+#: Serializes choosing or replacing the pool and submitting a map's
+#: units.  Waiting for results happens outside it, so concurrent maps
+#: (the server's job threads) share the pool's queue.
+_LOCK = threading.Lock()
+
+#: Maps resubmitted after a worker death since the pool was last retired.
+_RETRIES = 0
+
+#: Bumped by every retirement (:func:`drain_pool`, :func:`shutdown_pool`):
+#: a map whose pool broke after one re-raises instead of retrying, so an
+#: abort stays an abort.
+_RETIREMENTS = 0
 
 
 def default_jobs() -> int:
@@ -71,108 +75,159 @@ def default_jobs() -> int:
         return max(os.cpu_count() or 1, 1)
 
 
-def drain_pool(timeout: float = 30.0) -> Optional[DrainReport]:
-    """Gracefully retire the shared fabric (it had too few workers).
+def _init_worker() -> None:
+    """Signal setup of every pool worker.
 
-    Workers finish any in-flight unit, then exit cleanly — nothing is
-    killed unless a worker wedges past ``timeout``.  Returns the
-    fabric's :class:`~repro.analysis.fabric.DrainReport` (None when no
-    fabric was live) so callers can see — and re-queue — anything a
-    non-clean drain dropped.
+    A terminal Ctrl-C delivers SIGINT to the whole foreground process
+    group, which would kill workers mid-unit *before* the parent's
+    cleanup ran.  Workers ignore SIGINT; the parent owns interrupt
+    cleanup and retires them.  A forked worker also inherits the
+    parent's SIGTERM handler and signal wakeup fd (``repro serve``'s,
+    the CLI's): reset both, so terminate() gets the default action and a
+    signal sent to a worker never wakes the parent.
     """
-    global _FABRIC
-    with _FABRIC_LOCK:
-        report = None
-        if _FABRIC is not None:
-            report = _FABRIC.drain(timeout=timeout)
-        _FABRIC = None
-        return report
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+
+def _pool(workers: int):
+    """The shared pool, replaced when it is broken or has fewer than
+    ``workers`` workers.  The caller holds ``_LOCK``."""
+    global _POOL
+    if _POOL is None or _POOL._broken or _POOL._max_workers < workers:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if _POOL is not None:
+            # units other maps queued on it still run to the end
+            _POOL.shutdown(wait=False)
+        _POOL = ProcessPoolExecutor(
+            workers,
+            # AddressSpace maps MAP_PRIVATE memory, so every platform
+            # that can run a session is POSIX and has fork.
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+        )
+    return _POOL
+
+
+def _retire():
+    """Detach the shared pool (None when there was none)."""
+    global _POOL, _RETIREMENTS, _RETRIES
+    with _LOCK:
+        pool, _POOL = _POOL, None
+        _RETIREMENTS += 1
+        _RETRIES = 0
+    return pool
+
+
+def drain_pool(timeout: float = 30.0) -> None:
+    """Gracefully retire the shared pool.
+
+    Units no worker has picked up are cancelled; workers finish the
+    ones they hold and exit.  A worker still alive at ``timeout`` is
+    wedged and gets terminated.
+    """
+    pool = _retire()
+    if pool is None:
+        return
+    processes = list(pool._processes.values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    deadline = time.monotonic() + timeout
+    for process in processes:
+        process.join(max(deadline - time.monotonic(), 0.0))
+        if process.is_alive():
+            process.terminate()
+            process.join()
 
 
 def shutdown_pool() -> None:
-    """Hard-stop the shared fabric (atexit hook and test isolation)."""
-    global _FABRIC
-    with _FABRIC_LOCK:
-        if _FABRIC is not None:
-            _FABRIC.terminate()
-        _FABRIC = None
+    """Hard-stop the shared pool: terminate every worker now.
 
-
-def kill_workers() -> None:
-    """Kill the shared fabric's workers without taking the fabric lock.
-
-    For an abort while a map holds that lock: the map sees its workers
-    die within a second, retires the fabric and raises, which frees the
-    lock for :func:`shutdown_pool`.
+    For interrupts, the server's aborted drain and test isolation.  A
+    map still waiting on the pool raises rather than retrying.
     """
-    fabric = _FABRIC
-    if fabric is not None:
-        for process in fabric.processes:
-            process.terminate()
+    pool = _retire()
+    if "multiprocessing" not in sys.modules:
+        return  # no pool was ever started
+    import multiprocessing
 
-
-atexit.register(shutdown_pool)
-
-
-def _shared_fabric(processes: int) -> ExecutionFabric:
-    """A persistent fabric with at least ``processes`` workers, recreated
-    only when the live one is smaller."""
-    global _FABRIC
-    if (
-        _FABRIC is not None
-        and _FABRIC.workers >= processes
-        and not _FABRIC._closed
-    ):
-        return _FABRIC
-    drain_pool()
-    _FABRIC = ExecutionFabric(processes)
-    return _FABRIC
+    if pool is not None:
+        pool.shutdown(wait=False, cancel_futures=True)
+    children = multiprocessing.active_children()
+    for process in children:
+        process.terminate()
+    for process in children:
+        process.join()
 
 
 def fabric_stats() -> Optional[dict]:
-    """Aggregate counters of the live fabric (None when inline-only).
-
-    Includes per-worker unit counts and instrumentation-memo hit/miss
-    counters, which is how tests assert warm-cache reuse across
-    consecutive tables.
-    """
-    with _FABRIC_LOCK:
-        if _FABRIC is None or _FABRIC._closed:
+    """Size, worker pids and retry count of the shared pool (None when
+    there is no pool)."""
+    with _LOCK:
+        if _POOL is None:
             return None
-        stats = _FABRIC.stats()
-        stats["worker_stats"] = _FABRIC.worker_stats()
-        return stats
+        return {
+            "workers": _POOL._max_workers,
+            "pids": sorted(_POOL._processes.copy()),
+            "retries": _RETRIES,
+        }
 
 
 def parallel_map(
-    worker: Callable[[T], U],
-    payloads: Sequence[T],
-    jobs: Optional[int],
-    shard_keys: Optional[Sequence] = None,
+    worker: Callable[[T], U], payloads: Sequence[T], jobs: Optional[int]
 ) -> List[U]:
-    """Ordered map over ``payloads`` with up to ``jobs`` fabric workers.
+    """Ordered map over ``payloads`` on up to ``jobs`` pool workers.
 
     ``jobs`` of None/0/1 (or a single payload) runs inline.  Workers
     must be module-level functions and payloads picklable.  Results come
     back in submission order regardless of completion order, which is
-    what makes parallel table sweeps deterministic.
-
-    ``shard_keys`` (one per payload, typically the program name) pin
-    units to home workers so repeated sweeps reuse warm per-worker
-    caches; idle workers steal from the largest remaining shard.  When
-    omitted, units round-robin by index.
+    what makes parallel table sweeps deterministic.  A worker exception
+    cancels the map's queued units and propagates.  A worker death
+    resubmits the unfinished units once on a fresh pool; a second death,
+    or one after the pool was retired, raises ``BrokenProcessPool``.
     """
+    global _RETRIES
     payloads = list(payloads)
     jobs = max(int(jobs or 1), 1)
     if jobs == 1 or len(payloads) <= 1:
         return [worker(payload) for payload in payloads]
-    # One map at a time: the fabric's dispatch state is a single
-    # conversation, and the server runs parallel_map from several job
-    # threads concurrently.
-    with _FABRIC_LOCK:
-        return _shared_fabric(jobs).map(
-            worker, payloads, shard_keys=shard_keys, workers=jobs
-        )
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = min(jobs, len(payloads))
+    results = {}
+    todo = list(range(len(payloads)))
+    retried = False
+    while True:
+        futures = []
+        try:
+            with _LOCK:
+                retirements = _RETIREMENTS
+                pool = _pool(workers)
+                for index in todo:
+                    futures.append(
+                        (index, pool.submit(worker, payloads[index]))
+                    )
+            for index, future in futures:
+                results[index] = future.result()
+            return [results[index] for index in range(len(payloads))]
+        except BrokenProcessPool:
+            with _LOCK:
+                if retried or _RETIREMENTS != retirements:
+                    raise
+                _RETRIES += 1
+            retried = True
+            for index, future in futures:
+                if future.done() and future.exception() is None:
+                    results[index] = future.result()
+            todo = [index for index in todo if index not in results]
+        except BaseException:
+            for _, future in futures:
+                future.cancel()
+            raise
 
 
 def chunk_ranges(total: int, jobs: int) -> List[tuple]:
@@ -189,15 +244,15 @@ def chunk_ranges(total: int, jobs: int) -> List[tuple]:
     return spans
 
 
-#: Spans per worker when slicing for the fabric: finer-grained than one
-#: span per worker so work stealing has units to move when one slice
-#: straggles.  Results stay byte-identical for any granularity because
-#: spans are merged back in ascending submission order.
+#: Spans per worker when slicing for the pool: finer-grained than one
+#: span per worker, so the shared queue keeps every worker busy when one
+#: slice straggles.  Results stay byte-identical for any granularity
+#: because spans are merged back in ascending submission order.
 STEAL_GRANULARITY = 4
 
 
 def steal_spans(total: int, jobs: int) -> List[tuple]:
-    """Contiguous spans sized for work stealing: ``jobs * 4`` slices.
+    """Contiguous spans that balance a shared queue: ``jobs * 4`` slices.
 
     ``jobs <= 1`` degrades to a single span (the inline path).
     """
@@ -210,23 +265,20 @@ def steal_spans(total: int, jobs: int) -> List[tuple]:
 def map_specs(worker, measure, programs, args, jobs) -> list:
     """``measure(spec, *args)`` for every SPEC proxy, in order.
 
-    Registry proxies run as ``worker((name, *args))`` units sharded by
-    program, so consecutive tables touching the same proxy land on the
-    same warm fabric worker; other programs run inline, since workers
-    rebuild programs by name.
+    Registry proxies run as ``worker((name, *args))`` units; other
+    programs run inline, since workers rebuild programs by name.
     """
     from ..workloads.spec import SPEC_BY_NAME
 
     if all(SPEC_BY_NAME.get(spec.name) is spec for spec in programs):
-        names = [spec.name for spec in programs]
         return parallel_map(
-            worker, [(name, *args) for name in names], jobs, names
+            worker, [(spec.name, *args) for spec in programs], jobs
         )
     return [measure(spec, *args) for spec in programs]
 
 
 # ----------------------------------------------------------------------
-# module-level workers (must be importable for the fabric)
+# module-level workers (the pool pickles them by reference)
 # ----------------------------------------------------------------------
 def overhead_worker(payload):
     """One Table 2 row: run one SPEC proxy under every tool."""
@@ -281,7 +333,7 @@ def profile_worker(payload):
 def juliet_worker(payload):
     """One contiguous slice of the Juliet suite under every tool.
 
-    The suite is generated once per worker process (persistent fabric
+    The suite is generated once per worker process (persistent pool
     workers keep it across slices and tables) instead of being rebuilt
     from scratch for every slice, which made each unit pay O(total
     suite) generation work for an O(slice) run.

@@ -600,7 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.command in _PARALLEL_COMMANDS:
         # SIGTERM as SystemExit so the finally block (and atexit) run:
-        # fabric workers get retired even when a supervisor kills the
+        # pool workers get retired even when a supervisor kills the
         # sweep.
         _install_sigterm_exit()
     interrupted = False
@@ -612,11 +612,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except Exception:
             pass
     except KeyboardInterrupt:
-        # Workers ignore SIGINT (fabric.py), so they are still running
-        # their units right now; the hard stop below is what retires
-        # them.
+        # Workers ignore SIGINT (parallel._init_worker), so they are
+        # still running their units right now; the hard stop below is
+        # what retires them.
         interrupted = True
-        print("\ninterrupted - retiring fabric workers", file=sys.stderr)
+        print("\ninterrupted - retiring pool workers", file=sys.stderr)
     finally:
         from .analysis.parallel import drain_pool, shutdown_pool
 
@@ -624,7 +624,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             shutdown_pool()
         else:
             # clean exits (including SystemExit from fuzz findings)
-            # drain gracefully; a no-op when no fabric was created
+            # drain gracefully; a no-op when no pool was created
             drain_pool()
     return 130 if interrupted else 0
 

@@ -387,7 +387,7 @@ def fuzz_spans(
     audit_elisions: bool,
     config: ExecConfig,
 ) -> FuzzSummary:
-    """Fuzz every ``(start, stop)`` span across up to ``jobs`` fabric
+    """Fuzz every ``(start, stop)`` span across up to ``jobs`` pool
     workers; spans merge in order, so any ``jobs`` gives one summary."""
     from ..analysis.parallel import parallel_map
 
@@ -399,7 +399,6 @@ def fuzz_spans(
             for lo, hi in spans
         ],
         jobs,
-        shard_keys=[("fuzz", lo) for lo, _ in spans],
     ):
         summary.merge(partial)
     return summary

@@ -198,9 +198,7 @@ _MEMO: dict = {}
 #: 196 characters.
 _MEMO_LIMIT = 2048
 #: Hit/miss counters for the memo, exposed through
-#: :func:`instrumentation_cache_stats`.  The execution fabric reports
-#: them per worker so tests (and telemetry consumers) can prove that
-#: persistent workers actually reuse warm instrumentation across tables.
+#: :func:`instrumentation_cache_stats` (``repro serve``'s ``/stats``).
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
 

@@ -5,7 +5,7 @@ study runners behind a small REST service
 (:func:`repro.server.app.create_app`): clients submit jobs — run an IR
 program under a chosen (tool × fastpath × interprocedural) config, run a
 table/figure sweep, launch a bounded fuzz campaign — that execute on a
-thread-pool job manager backed by the persistent sharded fabric, and
+thread-pool job manager backed by the persistent process pool, and
 read job status, results, telemetry, and error reports via
 ``GET /jobs/{id}`` plus a streamed event feed.
 

@@ -20,9 +20,9 @@ server-sent events until it ends.
 
 :func:`serve` blocks until SIGINT/SIGTERM, then runs
 :meth:`Server.stop` — stop accepting, drain the job manager (which
-drains the execution fabric), close the socket.  A second signal
-aborts the drain: it cancels every job, kills the fabric workers and
-raises ``KeyboardInterrupt``.
+drains the shared process pool), close the socket.  A second signal
+aborts the drain: it cancels every job, terminates the pool's workers
+and raises ``KeyboardInterrupt``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 import pydantic
 
-from ..analysis.parallel import kill_workers
+from ..analysis.parallel import shutdown_pool
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024
 
@@ -272,7 +272,7 @@ def serve(server: Server) -> None:
         except KeyboardInterrupt:  # second signal: stop waiting for jobs
             for job in server.app.state.manager.snapshot():
                 job.cancel_event.set()
-            kill_workers()
+            shutdown_pool()
             raise
     finally:
         for signum, handler in previous.items():

@@ -5,8 +5,8 @@ bodies are synchronous sanitizer work; each runs on a thread of a
 ``ThreadPoolExecutor`` with ``max_concurrency`` workers, which is the
 concurrency bound, while the HTTP server's own threads keep serving
 status reads and new submissions.  Real parallelism inside a job comes
-from the persistent execution fabric (``--jobs`` style), not from the
-thread pool.
+from the shared process pool of :mod:`repro.analysis.parallel`
+(``--jobs`` style), not from the thread pool.
 
 Cancellation is cooperative: every job carries a ``threading.Event``
 and the services poll it between work units (fuzz spans, sweep rows).
@@ -17,7 +17,7 @@ checkpoint.
 Graceful shutdown (:meth:`JobManager.shutdown`, run by both ``repro
 serve``'s signal handler and the test client's exit): stop accepting,
 cancel queued jobs, give running jobs ``drain_timeout`` seconds, then
-cancel them too — and finally drain the shared execution fabric so
+cancel them too — and finally drain the shared process pool so its
 worker processes exit cleanly.
 """
 

@@ -1,7 +1,7 @@
 """The fuzz-job service: a bounded differential campaign as a job.
 
 The campaign is split into small case spans; spans run through the
-shared fabric (``jobs > 1``) or inline, with a cancellation checkpoint
+shared process pool (``jobs > 1``) or inline, with a cancellation checkpoint
 and a progress event between batches.  Spans merge in ascending order,
 so a completed campaign's summary is byte-identical to the
 ``repro fuzz`` CLI at the same seed/iterations — and a cancelled one

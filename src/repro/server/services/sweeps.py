@@ -1,7 +1,7 @@
 """The sweep-job service: regenerate a paper table/figure as a job.
 
 Table 2 — the acceptance workload — runs in program-sized chunks
-through the shared fabric with a cancellation checkpoint between
+through the shared process pool with a cancellation checkpoint between
 chunks, so ``DELETE /jobs/{id}`` takes effect mid-sweep instead of
 after the final row.  The other targets reuse their study runners
 whole (they are seconds-scale).  Results include the rendered text

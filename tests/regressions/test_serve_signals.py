@@ -81,8 +81,7 @@ def _run_job(base: str, kind: str, payload: dict) -> dict:
 
 
 def _worker_pids(base: str) -> list:
-    fabric = _call(base, "/stats")[1]["fabric"]
-    return [worker["pid"] for worker in fabric["worker_stats"]]
+    return _call(base, "/stats")[1]["fabric"]["pids"]
 
 
 def _exited(pid: int) -> bool:

@@ -524,9 +524,9 @@ class TestLifecycle:
                 client, "sweep", {"target": "fig11", "jobs": 2}
             )
             assert detail["status"] == "done", detail["error"]
-            assert parallel._FABRIC is not None  # sweep created a fabric
-        # context exit ran lifespan shutdown: fabric drained, store closed
-        assert parallel._FABRIC is None
+            assert parallel.fabric_stats() is not None  # sweep made a pool
+        # context exit ran lifespan shutdown: pool drained, store closed
+        assert parallel.fabric_stats() is None
         assert app.state.manager.accepting is False
 
 
