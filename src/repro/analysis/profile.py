@@ -143,7 +143,7 @@ def render_profile(study: ProfileStudy) -> str:
         f"{'Program':20s} {'checks':>9s} {'fast':>9s} {'slow':>8s} "
         f"{'fast%':>6s} {'qb-hit':>9s} {'qb-upd':>7s} {'conv':>5s} "
         f"{'shadow-ld':>10s} {'quar-peak':>10s} {'redzone':>9s} "
-        f"{'sblk':>5s} {'sec':>7s}",
+        f"{'sblk':>5s} {'sblk-iter':>10s} {'sliced':>10s} {'sec':>7s}",
     ]
     for row in study.rows:
         snap = row.snapshot
@@ -159,6 +159,8 @@ def render_profile(study: ProfileStudy) -> str:
             f"{snap.quarantine_peak_bytes:>10d} "
             f"{counters.get('redzone_bytes_poisoned', 0):>9d} "
             f"{counters.get('superblock_loops', 0):>5d} "
+            f"{counters.get('superblock_iterations', 0):>10d} "
+            f"{counters.get('superblock_bulk_iterations', 0):>10d} "
             f"{row.seconds:>7.3f}"
         )
     totals = study.totals()
@@ -176,6 +178,8 @@ def render_profile(study: ProfileStudy) -> str:
         f"{max((r.snapshot.quarantine_peak_bytes for r in study.rows), default=0):>10d} "
         f"{totals.get('redzone_bytes_poisoned', 0):>9d} "
         f"{totals.get('superblock_loops', 0):>5d} "
+        f"{totals.get('superblock_iterations', 0):>10d} "
+        f"{totals.get('superblock_bulk_iterations', 0):>10d} "
         f"{sum(r.seconds for r in study.rows):>7.3f}"
     )
     phases = _merged_phases(study)

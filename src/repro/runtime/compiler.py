@@ -12,16 +12,28 @@ straight-line source.  The hot path then runs compiled bytecode with
 zero per-instruction pattern matching.
 
 This is the only module that generates and ``exec``s Python.  One
-emitter has two lowerings, which share the expression lowering, the
-load/store statement text, the namespace and the ``exec``:
+emitter has three lowerings, which share the expression lowering and
+the namespace:
 
 * :class:`_Emitter` lowers a whole function to a closure ``(E, e)``;
 * :class:`_SuperblockEmitter` lowers the body of one loop that
-  :mod:`repro.runtime.fastpath` planned to a superblock runner
-  ``(env, values, mem)`` that performs only the loop's assignments,
-  loads and stores.  Both engines reach it through
-  :func:`repro.runtime.fastpath.try_execute`, which folds the checks
-  and charges every counter itself.
+  :mod:`repro.runtime.fastpath` planned to a per-element superblock
+  runner ``(env, values, mem)`` that performs only the loop's
+  assignments, loads and stores, one iteration at a time;
+* :class:`_BulkEmitter` lowers an eligible planned body to a *slice
+  kernel* with the same signature: every memory site becomes one
+  stepped, typed ``memoryview`` slice of the address space, every
+  assignment and stored value one comprehension over those slices, and
+  every store one slice assignment.  A kernel whose store shares a byte
+  with another site on this entry declines before it writes anything,
+  and the per-element runner runs instead.
+
+Both engines reach the superblock lowerings through
+:func:`repro.runtime.fastpath.try_execute`, which folds the checks and
+charges every counter itself.  A superblock's namespace binds no
+per-loop constant, so its source text alone determines the function:
+:func:`superblock_function` compiles each distinct text once per
+process, in a small bounded cache that holds functions and no IR.
 
 Observable equivalence is the contract: native-cycle accounting (same
 additions in the same order), instruction counting and the budget check,
@@ -59,7 +71,9 @@ the plain :class:`Interpreter`, which remains the reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import struct
+import sys
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.nodes import (
     Assign,
@@ -90,6 +104,7 @@ from ..ir.nodes import (
 )
 from ..ir.program import Function, Program
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
+from ..passes.constprop import assigned_vars
 from . import fastpath as _fastpath
 from .cost_model import NativeCosts
 from .interpreter import BudgetExceeded, Interpreter
@@ -170,6 +185,75 @@ _SHARED_NS: Dict[str, object] = {
 for _width, _codec in CODEC_BY_WIDTH.items():
     _SHARED_NS[f"U{_width}"] = _codec.unpack_from
     _SHARED_NS[f"K{_width}"] = _codec.pack_into
+
+
+# ----------------------------------------------------------------------
+# slice-kernel support
+# ----------------------------------------------------------------------
+#: Native ``struct``/``memoryview`` item codes of the address-space
+#: codecs' widths.  Kernels view memory in native byte order, so they
+#: lower only where the native sizes match and the host is
+#: little-endian (the codecs are ``<B/<H/<I/<Q``).
+_ITEM_CODES = {
+    width: code
+    for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    if struct.calcsize(code) == width
+}
+
+
+def _view(memory: memoryview, address: int, step: int, count: int,
+          width: int, code: str) -> memoryview:
+    """The ``count`` ``width``-byte items at ``address``, ``address +
+    step``, ... in that order, as one stepped, typed slice of
+    ``memory``; ``step`` is a non-zero multiple of ``width``."""
+    last = address + (count - 1) * step
+    low, high = (address, last) if step > 0 else (last, address)
+    return memory[low:high + width].cast(code)[::step // width]
+
+
+def _overlap(count: int, sites: Sequence[Tuple[int, int, int, bool]]) -> bool:
+    """Whether a store of ``sites`` shares a byte with another site over
+    ``count`` iterations, so slices would reorder a memory dependence.
+
+    Each site is ``(first address, byte step, width, is_store)``, in
+    body order.  A load before a store over the identical address
+    sequence is a read-modify-write that slices keep, since a kernel
+    reads every slice before it stores any.  Sites with the same byte
+    stride share a byte only where their within-stride intervals meet.
+    """
+    for index, (address, step, width, is_store) in enumerate(sites):
+        if not is_store:
+            continue
+        low = min(address, address + (count - 1) * step)
+        for other, (b_address, b_step, b_width, b_store) in enumerate(sites):
+            if other == index or (
+                other < index
+                and not b_store
+                and (b_address, b_step, b_width) == (address, step, width)
+            ):
+                continue
+            b_low = min(b_address, b_address + (count - 1) * b_step)
+            if (
+                b_low >= low + abs(step) * (count - 1) + width
+                or low >= b_low + abs(b_step) * (count - 1) + b_width
+            ):
+                continue
+            period = abs(step)
+            if period == abs(b_step):
+                gap = (b_low - low) % period
+                if gap >= width and period - gap >= b_width:
+                    continue
+            return True
+    return False
+
+
+def _packed(code: str, values: List[int]) -> memoryview:
+    """``values`` as a typed buffer that a slice of ``code`` items takes
+    in one assignment."""
+    return memoryview(struct.pack(f"{len(values)}{code}", *values)).cast(code)
+
+
+_SHARED_NS.update(_V=_view, _OV=_overlap, _P=_packed)
 
 
 class CompiledFunction:
@@ -630,7 +714,7 @@ class _Emitter:
 
 
 class _SuperblockEmitter(_Emitter):
-    """Lowers the body of one planned loop to a superblock runner.
+    """Lowers the body of one planned loop to a per-element runner.
 
     The runner ``_superblock(env, values, mem)`` keeps variables in
     locals.  It loads each variable read before any write (a *preload*)
@@ -682,7 +766,8 @@ class _SuperblockEmitter(_Emitter):
         elif kind is not Compute:
             raise _Uncompilable(f"instruction {kind.__name__}")
 
-    def build(self) -> Tuple[Callable, List[str], str]:
+    def build(self) -> str:
+        """The runner's source."""
         induction = self.write(self.loop.var)
         self.block(self.loop.body, 2)
         body_lines = self.lines
@@ -696,18 +781,251 @@ class _SuperblockEmitter(_Emitter):
             self.emit(2, "pass")
         for name in sorted(self.written):
             self.emit(1, f"env[{name!r}] = v{self.slot(name)}")
-        source, runner = self.define("_superblock", "<superblock>")
-        return runner, self.preload, source
+        return "\n".join(self.lines)
 
 
-def compile_superblock(loop: Loop) -> Optional[Tuple[Callable, List[str], str]]:
-    """The runner, preload list and source for a planned loop's body;
-    None when the body does not lower (an operator a runner cannot run
+def _summand(assign: Assign) -> Optional[Expr]:
+    """``e`` when ``assign`` is ``x = x + e`` or ``x = e + x``."""
+    node = assign.expr
+    if type(node) is BinOp and node.op == "+":
+        for mine, other in ((node.left, node.right), (node.right, node.left)):
+            if type(mine) is Var and mine.name == assign.dst:
+                return other
+    return None
+
+
+class _BulkEmitter(_SuperblockEmitter):
+    """Lowers an eligible planned loop body to a slice kernel.
+
+    The kernel ``_superblock(env, values, mem)`` returns True once it
+    has run every iteration as slices, or False, having changed
+    nothing, when a store shares a byte with another memory site on
+    this entry (:func:`_overlap`).  A body is eligible when
+
+    * the host is little-endian, every Load/Store width has a native
+      item code and every Load/Store coefficient is a non-zero multiple
+      of its width, so each site is one stepped slice;
+    * no variable is assigned twice in one iteration;
+    * every loop-carried variable is a sum reduction ``x = x + e`` whose
+      ``x`` is read nowhere else in the body.
+
+    A Load or Assign destination then holds one value per iteration (a
+    *sequence*: the load's slice or a list), or one loop-invariant
+    scalar.  Stores run after every value is computed, so each load
+    reads what the per-element runner reads, and the kernel cannot
+    raise: the runner's operators are total and its shifts constant.
+    """
+
+    def __init__(self, loop: Loop, coefficients: Sequence[int]):
+        super().__init__(loop)
+        self.slot(loop.var)  # v0, as in the per-element runner
+        self.coefficients = iter(coefficients)
+        self.assigned = assigned_vars(loop.body)
+        #: variable -> the text of its per-iteration sequence
+        self.sequences: Dict[str, str] = {loop.var: "values"}
+        self.sums: set = set()
+        #: sequence variables read by the expression being lowered
+        self.refs: Optional[Dict[str, None]] = None
+        self.addresses: List[str] = []  # first address of each site
+        self.sites: List[str] = []  # each site's _overlap tuple
+        self.stores: List[str] = []  # slice assignments, run last
+
+    def read(self, name: str) -> str:
+        if name in self.sums or (
+            name in self.assigned and name not in self.written
+        ):
+            raise _Uncompilable(f"loop-carried read of {name!r}")
+        if self.refs is not None and name in self.sequences:
+            self.refs[name] = None
+        return super().read(name)
+
+    def write(self, name: str) -> str:
+        if name in self.written:
+            raise _Uncompilable(f"{name!r} assigned twice")
+        return super().write(name)
+
+    def each(self, node: Expr) -> Tuple[str, List[str]]:
+        """``node``'s text for one iteration and the sequences it reads."""
+        self.refs = {}
+        text = self.expr(node)
+        refs, self.refs = list(self.refs), None
+        return text, refs
+
+    def listed(self, text: str, refs: List[str]) -> str:
+        """A comprehension: ``text`` for each iteration over ``refs``."""
+        targets = ", ".join(f"v{self.slot(name)}" for name in refs)
+        sources = ", ".join(self.sequences[name] for name in refs)
+        if len(refs) > 1:
+            sources = f"zip({sources})"
+        return f"[{text} for {targets} in {sources}]"
+
+    def site(self, instr) -> str:
+        """Record one Load/Store site; the text of its stepped slice."""
+        coefficient = next(self.coefficients)
+        width = instr.width
+        code = _ITEM_CODES.get(width)
+        if code is None or not coefficient or coefficient % width:
+            raise _Uncompilable("memory site is not a stepped slice")
+        index = len(self.sites)
+        step = f"{coefficient} * _st"
+        self.addresses.append(f"_a{index} = {self.address(instr)}")
+        is_store = type(instr) is Store
+        self.sites.append(f"(_a{index}, {step}, {width}, {is_store})")
+        return f"_V(_M, _a{index}, {step}, _n, {width}, {code!r})"
+
+    def instr(self, instr, depth: int) -> None:
+        kind = type(instr)
+        if kind is Assign:
+            summand = _summand(instr)
+            if summand is not None:
+                self.reduction(instr.dst, summand, depth)
+                return
+            text, refs = self.each(instr.expr)
+            target = self.write(instr.dst)
+            if not refs:
+                self.emit(depth, f"{target} = {text}")
+            else:
+                sequence = f"S{self.slot(instr.dst)}"
+                self.emit(depth, f"{sequence} = {self.listed(text, refs)}")
+                self.sequences[instr.dst] = sequence
+        elif kind is Load:
+            view = self.site(instr)
+            sequence = f"S{self.slot(instr.dst)}"
+            self.write(instr.dst)
+            self.emit(depth, f"{sequence} = {view}")
+            self.sequences[instr.dst] = sequence
+        elif kind is Store:
+            view = self.site(instr)
+            text, refs = self.each(instr.value)
+            masked = f"({text}) & {_MASK_BY_WIDTH[instr.width]}"
+            code = _ITEM_CODES[instr.width]
+            if refs:
+                values = f"_P({code!r}, {self.listed(masked, refs)})"
+            else:
+                values = f"_P({code!r}, [{masked}] * _n)"
+            name = f"_w{len(self.stores)}"
+            self.emit(depth, f"{name} = {values}")
+            self.stores.append(f"{view}[:] = {name}")
+        else:
+            super().instr(instr, depth)
+
+    def reduction(self, name: str, operand: Expr, depth: int) -> None:
+        """``name = name + operand`` as one sum over the iterations."""
+        total = _SuperblockEmitter.read(self, name)  # the initial sum
+        text, refs = self.each(operand)
+        if not refs:
+            summed = f"({text}) * _n"
+        elif type(operand) is Var:
+            summed = f"sum({self.sequences[operand.name]})"
+        else:
+            summed = f"sum({self.listed(text, refs)})"
+        self.write(name)
+        self.emit(depth, f"{total} = {total} + {summed}")
+        self.sums.add(name)
+
+    def build(self) -> str:
+        """The kernel's source."""
+        if sys.byteorder != "little":
+            raise _Uncompilable("the codecs are little-endian")
+        self.block(self.loop.body, 1)
+        body_lines = self.lines
+        self.lines = []
+        self.emit(0, "def _superblock(env, values, mem):")
+        for name in self.preload:
+            self.emit(1, f"v{self.slot(name)} = env[{name!r}]")
+        self.emit(1, "_n = len(values)")
+        self.emit(1, "_st = values.step")
+        self.emit(1, f"v{self.slot(self.loop.var)} = values[0]")
+        for line in self.addresses:
+            self.emit(1, line)
+        if self.stores:
+            self.emit(1, f"if _OV(_n, ({', '.join(self.sites)},)):")
+            self.emit(2, "return False")
+        if self.sites:
+            self.emit(1, "_M = memoryview(mem)")
+        self.lines.extend(body_lines)
+        for name in sorted(self.written):
+            sequence = self.sequences.get(name)
+            if sequence is None:
+                self.emit(1, f"env[{name!r}] = v{self.slot(name)}")
+            else:
+                self.emit(1, f"env[{name!r}] = {sequence}[-1]")
+        for line in self.stores:
+            self.emit(1, line)
+        self.emit(1, "return True")
+        return "\n".join(self.lines)
+
+
+#: Compiled superblock functions by source text, least recently used
+#: first.  A superblock's namespace is :data:`_SHARED_NS` alone, so
+#: equal text is an equal function: the fuzz driver's tools mostly
+#: plan identical bodies (checks lower to nothing), and table2 repeats
+#: each body across tools and runs.  Entries hold functions, no IR.
+_SUPERBLOCK_FUNCTIONS: Dict[str, Callable] = {}
+_SUPERBLOCK_FUNCTIONS_LIMIT = 128
+
+
+def superblock_function(source: str) -> Callable:
+    """The ``_superblock`` function ``source`` defines, compiled at most
+    once while it stays among the most recently used."""
+    functions = _SUPERBLOCK_FUNCTIONS
+    function = functions.pop(source, None)
+    if function is None:
+        if len(functions) >= _SUPERBLOCK_FUNCTIONS_LIMIT:
+            del functions[next(iter(functions))]
+        defined: Dict[str, Callable] = {}
+        code = compile(source, "<superblock>", "exec")
+        exec(code, _SHARED_NS, defined)  # noqa: S102
+        function = defined["_superblock"]
+    functions[source] = function
+    return function
+
+
+class Superblock:
+    """The lowered body of one planned loop.
+
+    ``kernel`` is the slice kernel, or None when the body keeps the
+    per-element runner; ``source`` is the per-element runner's text,
+    compiled on first need (a body with a kernel may never need it).
+    """
+
+    __slots__ = ("kernel", "source", "_runner")
+
+    def __init__(self, kernel: Optional[Callable], source: str):
+        self.kernel = kernel
+        self.source = source
+        self._runner: Optional[Callable] = None
+
+    def run(self, env: Dict[str, int], values: range, mem) -> bool:
+        """Run the body for each induction value; True when it ran as
+        slices."""
+        kernel = self.kernel
+        if kernel is not None and kernel(env, values, mem):
+            return True
+        runner = self._runner
+        if runner is None:
+            runner = self._runner = superblock_function(self.source)
+        runner(env, values, mem)
+        return False
+
+
+def compile_superblock(
+    loop: Loop, coefficients: Sequence[int]
+) -> Optional[Tuple[Superblock, List[str]]]:
+    """The lowered body and preload list of a planned loop, given the
+    induction coefficient of each Load and Store in body order; None
+    when the body does not lower (an operator a runner cannot run
     without raising)."""
+    element = _SuperblockEmitter(loop)
     try:
-        return _SuperblockEmitter(loop).build()
+        source = element.build()
     except _Uncompilable:
         return None
+    try:
+        kernel = superblock_function(_BulkEmitter(loop, coefficients).build())
+    except _Uncompilable:
+        kernel = None
+    return Superblock(kernel, source), element.preload
 
 
 def compile_function(

@@ -27,18 +27,25 @@ every edge case runs through the reference implementation):
 2. **Fold** — the sanitizer's ``fold_*_checks`` hooks decide, without
    mutating anything, that every per-iteration check passes and return
    the exact stat deltas (see :mod:`repro.sanitizers.base`).
-3. **Run + charge** — a runner closure performs the real loads and
-   stores in program order directly on the address-space buffer, and
-   native cycles / instruction counts / CheckStats / Figure 10
-   categories are charged arithmetically (count × per-iteration
-   events), matching the tree-walker to the last counter.
+3. **Run + charge** — the lowered body performs the real loads and
+   stores directly on the address-space buffer, and native cycles /
+   instruction counts / CheckStats / Figure 10 categories are charged
+   arithmetically (count × per-iteration events), matching the
+   tree-walker to the last counter.  An eligible body runs as a slice
+   kernel: each memory site is one stepped slice of the buffer, every
+   value is computed over whole slices and every store is one slice
+   assignment, after all loads.  When a store shares a byte with
+   another site on this entry (a dependence carried through memory),
+   or the body is not eligible, a per-element runner performs the loads
+   and stores in program order instead.
 
-This module plans and executes; it generates no code.  The runner is a
-lowering of the compiled engine's emitter
+This module plans and executes; it generates no code.  Both lowerings
+come from the compiled engine's emitter
 (:func:`repro.runtime.compiler.compile_superblock`), and both engines
 call :func:`try_execute`, which also records the superblock telemetry:
-the ``superblock`` phase, ``superblock_loops``, ``superblock_iterations``
-and every decline reason.
+the ``superblock`` phase, ``superblock_loops``, ``superblock_iterations``,
+``superblock_bulk_iterations`` (the iterations that ran as slices) and
+every decline reason.
 
 Disable it with ``ExecConfig(fastpath=False)`` or ``REPRO_FASTPATH=0``
 (the differential test suite runs every proxy both ways and asserts
@@ -53,7 +60,7 @@ shadow slice instead of a per-segment walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import AccessType
 from ..ir.nodes import (
@@ -70,6 +77,9 @@ from ..ir.nodes import (
 from ..passes.constprop import assigned_vars
 from ..passes.loop_bounds import affine_of
 from ..sanitizers.base import FoldResult
+
+if TYPE_CHECKING:
+    from .compiler import Superblock
 
 #: Attribute used to memoize the analysis result on each Loop node.
 _PLAN_ATTR = "_fastpath_plan"
@@ -134,10 +144,10 @@ class LoopPlan:
     region_checks: List[_RegionCheckSite] = field(default_factory=list)
     #: Figure 10 access categories charged per iteration.
     protection_per_iter: Dict[str, int] = field(default_factory=dict)
-    #: Variables the closure reads from ``env`` before the first write.
+    #: Variables the body reads from ``env`` before the first write.
     preload: List[str] = field(default_factory=list)
-    runner: Callable = None
-    source: str = ""
+    #: The lowered body: slice kernel and per-element runner.
+    superblock: Optional["Superblock"] = None
 
 
 def _classify(protection: Protection) -> Optional[str]:
@@ -244,21 +254,23 @@ def _analyze(loop: Loop) -> LoopPlan:
     # local import: the compiler imports this module
     from .compiler import compile_superblock
 
-    lowered = compile_superblock(loop)
+    lowered = compile_superblock(
+        loop, [site.coefficient for site in plan.mem_sites]
+    )
     if lowered is None:
         raise _Ineligible("body does not lower")
-    plan.runner, plan.preload, plan.source = lowered
+    plan.superblock, plan.preload = lowered
     return plan
 
 
 # ----------------------------------------------------------------------
 # runtime execution
 # ----------------------------------------------------------------------
-def _declined(tele, reason: str) -> bool:
-    """Record a decline reason when telemetry is on; always False."""
+def _declined(tele, reason: str) -> None:
+    """Record a decline reason when telemetry is on; always None."""
     if tele is not None:
         tele.note_superblock_decline(reason)
-    return False
+    return None
 
 
 def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> bool:
@@ -269,25 +281,32 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
     over cleanly.  Both engines call this for every loop they may run as
     a superblock.  When the interpreter carries a telemetry registry,
     the call is one ``superblock`` phase event, a taken superblock adds
-    to ``superblock_loops`` and ``superblock_iterations``, and every
+    to ``superblock_loops`` and ``superblock_iterations`` (and to
+    ``superblock_bulk_iterations`` when it ran as slices), and every
     decline is counted by reason (the wiring-regression signal
     `repro profile` surfaces); the disabled path adds one test.
     """
     tele = interpreter.telemetry
     if tele is None:
-        return _execute(interpreter, None, loop, values, env)
+        return _execute(interpreter, None, loop, values, env) is not None
     profiler = tele.profiler
     started = profiler.begin("superblock")
-    taken = _execute(interpreter, tele, loop, values, env)
+    bulk = _execute(interpreter, tele, loop, values, env)
     profiler.end("superblock", started)
-    if taken:
-        tele.incr("superblock_loops")
-        tele.incr("superblock_iterations", len(values))
-    return taken
+    if bulk is None:
+        return False
+    tele.incr("superblock_loops")
+    tele.incr("superblock_iterations", len(values))
+    if bulk:
+        tele.incr("superblock_bulk_iterations", len(values))
+    return True
 
 
-def _execute(interpreter, tele, loop: Loop, values: range, env) -> bool:
-    """:func:`try_execute` without the phase and the taken counters."""
+def _execute(
+    interpreter, tele, loop: Loop, values: range, env
+) -> Optional[bool]:
+    """:func:`try_execute` without the phase and the taken counters:
+    None when the loop declines, else whether it ran as slices."""
     count = len(values)
     if count < MIN_TRIP_COUNT:
         return _declined(tele, "short_trip")
@@ -374,7 +393,7 @@ def _execute(interpreter, tele, loop: Loop, values: range, env) -> bool:
         # undefined variable: reference path raises it
         return _declined(tele, "unbound_variable")
 
-    plan.runner(env, values, space._mem)
+    bulk = plan.superblock.run(env, values, space._mem)
 
     interpreter.instructions += count * plan.body_len
     costs = interpreter.costs
@@ -392,4 +411,4 @@ def _execute(interpreter, tele, loop: Loop, values: range, env) -> bool:
         protection_counts["fast_only"] += folded.fast_only
     if folded.full_check:
         protection_counts["full_check"] += folded.full_check
-    return True
+    return bulk

@@ -9,7 +9,15 @@ engine gets its closure table up front, so it runs closures from the
 entry call instead of tree-walking until it tiers up.
 """
 
+from hashlib import blake2b
+
 from repro.runtime import CompiledEngine, ExecConfig, Session, compiler
+
+
+def memory_digest(sanitizer):
+    """A digest of every byte of ``sanitizer``'s simulated address
+    space: what a run stored, which its return value may not show."""
+    return blake2b(sanitizer.space._mem).hexdigest()
 
 
 def engine_on(engine, program, tool, config=None, **session_kwargs):

@@ -7,14 +7,17 @@ decline shapes, and a slice of the fuzzer corpus all run under both
 engines — with the superblock fast path both on and off — and every
 observable must match exactly: CheckStats, simulated cycle totals,
 instruction counts, Figure 10 protection categories, return values,
-full error reports, telemetry counters, and elision-audit replays.
+full error reports, the bytes of the address space after the run,
+telemetry counters, and elision-audit replays.
 The same holds for a session's memoized run, which starts on the tree
 walker and switches to closures mid-run.
 """
 
+from typing import NamedTuple
+
 import pytest
 
-from engines import run_on
+from engines import engine_on, memory_digest
 from repro.fuzz import build_case, case_seed_for, generate_case
 from repro.fuzz.driver import CASE_MAX_INSTRUCTIONS
 from repro.ir.builder import ProgramBuilder
@@ -41,13 +44,22 @@ FUZZ_SEED = 20260806
 FUZZ_CASES = 20
 
 
-def _observables(result):
+class Run(NamedTuple):
+    """One run's result and a digest of its final address space."""
+
+    result: object
+    memory: str
+
+
+def _observables(run):
     """Everything a run can tell the caller, timings excluded.
 
     Error reports are compared field-by-field (not just kind/address):
     the compiled engine must reproduce shadow values, access sizes and
-    allocation ids bit-for-bit.
+    allocation ids bit-for-bit.  The proxies return None, so the memory
+    digest is what compares the bytes superblocks store.
     """
+    result = run.result
     return {
         "native_cycles": result.native_cycles,
         "instructions": result.instructions_executed,
@@ -67,12 +79,15 @@ def _observables(result):
             for e in result.errors
         ],
         "audit_failures": list(result.elision_audit_failures),
+        "memory": run.memory,
     }
 
 
 def _run(program, tool, engine, fastpath, args=None, **kwargs):
     config = ExecConfig.from_env(fastpath=fastpath, memoize=False)
-    return run_on(engine, program, tool, config, args, **kwargs)
+    runner, iprogram = engine_on(engine, program, tool, config, **kwargs)
+    result = runner.run(iprogram, args)
+    return Run(result, memory_digest(runner.san))
 
 
 def _assert_engines_match(program, tools=TOOLS, args=None, **kwargs):
@@ -228,10 +243,10 @@ def test_compiled_matches_tree_on_fuzz_case(index):
 # ----------------------------------------------------------------------
 # Telemetry and elision-audit equivalence
 # ----------------------------------------------------------------------
-def _telemetry_view(result):
+def _telemetry_view(run):
     """Telemetry surface minus wall-clock phase timings (the one field
     that legitimately differs between engines)."""
-    snapshot = result.telemetry
+    snapshot = run.result.telemetry
     assert snapshot is not None
     return {
         "counters": dict(snapshot.counters),
@@ -268,7 +283,7 @@ def test_telemetry_counters_match_on_planted_bug():
     program = builder.build()
     tree = _run(program, "GiantSan", Interpreter, True, telemetry=True)
     compiled = _run(program, "GiantSan", CompiledEngine, True, telemetry=True)
-    assert tree.errors and compiled.errors
+    assert tree.result.errors and compiled.result.errors
     assert _telemetry_view(tree) == _telemetry_view(compiled)
 
 
@@ -351,7 +366,9 @@ def test_engine_fastpath_matrix_matches_reference(spec, tool):
 # ----------------------------------------------------------------------
 def _session_run(program, tool, memoize, args=None, **kwargs):
     config = ExecConfig.from_env(memoize=memoize)
-    return Session(tool, config, **kwargs).run(program, args)
+    session = Session(tool, config, **kwargs)
+    result = session.run(program, args)
+    return Run(result, memory_digest(session.sanitizer))
 
 
 def _assert_tier_up_matches(engine_log, program, tool, args=None, **kwargs):
