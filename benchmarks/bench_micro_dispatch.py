@@ -120,9 +120,7 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
         iprogram = session.instrument(program)
         runner = engine_class(session.sanitizer, fastpath=True)
         if engine_class is CompiledEngine:
-            compiler.compile_program(
-                iprogram.program, runner.costs, runner._needs_resolve
-            )
+            compiler.compile_program(iprogram.program, *runner.table_key())
         result = runner.run(iprogram)
         elapsed = time.perf_counter() - started
         assert not result.errors

@@ -55,6 +55,19 @@ reference semantics.  Audited functions (those holding a
 instrumentation comes only from the fuzz driver, which never memoizes,
 so the tree-walker's ``_replay_elided`` is the one replay there is.
 
+At each check site the emitter inlines the sanitizer's *first stage*
+of the check method (:class:`~repro.sanitizers.base.FirstStage`, the
+two-stage shape of the paper's Algorithm 1): ASan's in-segment access
+to a GOOD shadow byte, LFP's region inside a live allocation found by
+its base, GiantSan's offset under the cached quasi-bound.  Where the
+stage's test holds, the closure makes the method's CheckStats
+increments itself; elsewhere it calls the method, which decides the
+check from the start.  The stages are part of the closure table key,
+and a sanitizer whose check method was replaced on its class or
+instance inlines none for that method
+(:meth:`~repro.sanitizers.base.Sanitizer.inline_stages`), so a wrapper
+still sees every check.
+
 Compiled loop headers flush the local counters, hand ``try_execute`` a
 dict view of the live slots, and sync the slots back on success.
 Generated code tests ``TEL is not None`` where telemetry probes sit
@@ -105,16 +118,17 @@ from ..ir.nodes import (
 from ..ir.program import Function, Program
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
 from ..passes.constprop import assigned_vars
+from ..sanitizers.base import FirstStage
 from . import fastpath as _fastpath
 from .cost_model import NativeCosts
 from .interpreter import BudgetExceeded, Interpreter
 from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 
 #: Attribute on :class:`~repro.ir.program.Program` memoizing compiled
-#: tables, keyed by (costs, needs_resolve).  Telemetry is tested at run
-#: time, so runs with and without it share a table.  Instrumented
-#: programs shared through the instrumentation memo cache therefore
-#: compile once per process, like fastpath loop plans.
+#: tables, keyed by (costs, needs_resolve, inlined first stages).
+#: Telemetry is tested at run time, so runs with and without it share a
+#: table.  Instrumented programs shared through the instrumentation memo
+#: cache therefore compile once per process, like fastpath loop plans.
 _TABLE_ATTR = "_closure_tables"
 
 #: A :class:`CompiledEngine` run compiles its program at the first call
@@ -284,10 +298,15 @@ class _Emitter:
         function: Optional[Function],
         costs: Optional[NativeCosts],
         needs_resolve: bool,
+        stages: Sequence[FirstStage] = (),
     ):
         self.fn = function
         self.costs = costs
         self.needs_resolve = needs_resolve
+        #: the first stage inlined at each check method's sites
+        self.stages = {stage.method: stage for stage in stages}
+        #: prologue bindings the inlined stages read, by name
+        self.stage_bindings: Dict[str, str] = {}
         self.slots: Dict[str, int] = {}
         self.defined: set = set()
         self.lines: List[str] = []
@@ -399,12 +418,42 @@ class _Emitter:
         self.used.add("P")
         self.emit(depth, f"P[{protection.value!r}] += 1")
 
-    def _check_classify(self, depth: int) -> None:
+    def _classified(self, call: str, depth: int) -> None:
+        """``call`` a check method, then classify the check by whether
+        it counted a fast check (Figure 10)."""
         self.used.update(("P", "st"))
+        self.emit(depth, "_fb = st.fast_checks")
+        self.emit(depth, call)
         self.emit(depth, "if st.fast_checks > _fb:")
         self.emit(depth + 1, 'P["fast_only"] += 1')
         self.emit(depth, "else:")
         self.emit(depth + 1, 'P["full_check"] += 1')
+
+    def _staged(
+        self,
+        method: str,
+        operands: Dict[str, object],
+        slow: Callable[[int], None],
+        depth: int,
+    ) -> None:
+        """Emit ``slow``, the lines that call ``method``, behind the
+        method's inlined first stage when the sanitizer has one."""
+        stage = self.stages.get(method)
+        if stage is None:
+            slow(depth)
+            return
+        for name, expression in stage.bindings:
+            assert name not in self._BINDINGS and name not in _SHARED_NS
+            self.stage_bindings[name] = expression
+        self.used.add("st")
+        self.emit(depth, f"if {stage.test.format(**operands)}:")
+        for name, amount in stage.counts:
+            self.emit(depth + 1, f"st.{name} += {amount!r}")
+        if stage.protection is not None:
+            self.used.add("P")
+            self.emit(depth + 1, f"P[{stage.protection!r}] += 1")
+        self.emit(depth, "else:")
+        slow(depth + 1)
 
     def instr(self, instr, depth: int) -> None:
         kind = type(instr)
@@ -454,41 +503,55 @@ class _Emitter:
         elif kind is CheckRegion:
             self.used.update(("CR", "st"))
             self.emit(depth, f"_b = {self.read(instr.base)}")
-            anchor = "_b" if instr.use_anchor else "None"
-            self.emit(depth, "_fb = st.fast_checks")
-            self.emit(
-                depth,
-                f"CR(_b + {self.expr(instr.start)}, _b + {self.expr(instr.end)}, "
-                f"{self.const(instr.access, 'A')}, anchor={anchor})",
+            self.emit(depth, f"_x = _b + {self.expr(instr.start)}")
+            self.emit(depth, f"_y = _b + {self.expr(instr.end)}")
+            call = (
+                f"CR(_x, _y, {self.const(instr.access, 'A')}, "
+                f"anchor={'_b' if instr.use_anchor else 'None'})"
             )
-            self._check_classify(depth)
+            operands = dict(
+                start="_x", end="_y", base="_b" if instr.use_anchor else "_x"
+            )
+            self._staged(
+                "check_region", operands,
+                lambda depth: self._classified(call, depth), depth,
+            )
         elif kind is CheckAccess:
             self.used.update(("CA", "st"))
-            self.emit(depth, "_fb = st.fast_checks")
             self.emit(
                 depth,
-                f"CA({self.read(instr.base)} + {self.expr(instr.offset)}, "
-                f"{instr.width}, {self.const(instr.access, 'A')})",
+                f"_a = {self.read(instr.base)} + {self.expr(instr.offset)}",
             )
-            self._check_classify(depth)
+            call = f"CA(_a, {instr.width}, {self.const(instr.access, 'A')})"
+            self._staged(
+                "check_access", dict(address="_a", width=instr.width),
+                lambda depth: self._classified(call, depth), depth,
+            )
         elif kind is CheckCached:
             self.used.update(("CACHES", "MKC", "CC", "TEL"))
             cid = instr.cache_id
-            call = (
-                f"CC(_c, {self.read(instr.base)}, {self.expr(instr.offset)}, "
-                f"{instr.width}, {self.const(instr.access, 'A')})"
-            )
             self.emit(depth, f"_c = CACHES.get({cid})")
             self.emit(depth, "if _c is None:")
             self.emit(depth + 1, "_c = MKC()")
             self.emit(depth + 1, f"CACHES[{cid}] = _c")
-            self.emit(depth, "if TEL is None:")
-            self.emit(depth + 1, call)
-            self.emit(depth, "else:")
-            self.emit(depth + 1, "_ub = _c.ub")
-            self.emit(depth + 1, call)
-            self.emit(depth + 1, "if _c.ub > _ub:")
-            self.emit(depth + 2, f"TEL.note_convergence({cid})")
+            self.emit(depth, f"_b = {self.read(instr.base)}")
+            self.emit(depth, f"_o = {self.expr(instr.offset)}")
+            call = (
+                f"CC(_c, _b, _o, {instr.width}, "
+                f"{self.const(instr.access, 'A')})"
+            )
+
+            def slow(depth: int) -> None:
+                self.emit(depth, "if TEL is None:")
+                self.emit(depth + 1, call)
+                self.emit(depth, "else:")
+                self.emit(depth + 1, "_ub = _c.ub")
+                self.emit(depth + 1, call)
+                self.emit(depth + 1, "if _c.ub > _ub:")
+                self.emit(depth + 2, f"TEL.note_convergence({cid})")
+
+            operands = dict(cache="_c", offset="_o", width=instr.width)
+            self._staged("check_cached", operands, slow, depth)
         elif kind is CacheFinalize:
             self.used.update(("CACHES", "CR"))
             base = self.read(instr.base)
@@ -684,6 +747,8 @@ class _Emitter:
             binding = self._BINDINGS[name]
             if binding:
                 self.emit(1, binding)
+        for name, expression in sorted(self.stage_bindings.items()):
+            self.emit(1, f"{name} = {expression}")
         if "SL" in self.used:
             self.ns["SL"] = self.slots
         if stack_buffers:
@@ -1029,19 +1094,26 @@ def compile_superblock(
 
 
 def compile_function(
-    function: Function, costs: NativeCosts, needs_resolve: bool
+    function: Function,
+    costs: NativeCosts,
+    needs_resolve: bool,
+    stages: Sequence[FirstStage] = (),
 ) -> Optional[CompiledFunction]:
     """Lower one function; None when it keeps tree-walker semantics."""
     try:
-        return _Emitter(function, costs, needs_resolve).build()
+        return _Emitter(function, costs, needs_resolve, stages).build()
     except _Uncompilable:
         return None
 
 
 def compile_program(
-    program: Program, costs: NativeCosts, needs_resolve: bool
+    program: Program,
+    costs: NativeCosts,
+    needs_resolve: bool,
+    stages: Tuple[FirstStage, ...] = (),
 ) -> Dict[str, CompiledFunction]:
-    """Compiled closures for every compilable function of ``program``.
+    """Compiled closures for every compilable function of ``program``,
+    with the first stages ``stages`` inlined at their check sites.
 
     Results are memoized on the Program object keyed by everything the
     generated source bakes in; ``NativeCosts`` is frozen/hashable so it
@@ -1051,12 +1123,12 @@ def compile_program(
     if tables is None:
         tables = {}
         setattr(program, _TABLE_ATTR, tables)
-    key = (costs, needs_resolve)
+    key = (costs, needs_resolve, stages)
     table = tables.get(key)
     if table is None:
         table = {}
         for name, function in program.functions.items():
-            compiled = compile_function(function, costs, needs_resolve)
+            compiled = compile_function(function, *key)
             if compiled is not None:
                 table[name] = compiled
         tables[key] = table
@@ -1082,14 +1154,30 @@ class CompiledEngine(Interpreter):
         super().__init__(*args, **kwargs)
         #: the running program's closures; None while it tree-walks
         self._table: Optional[Dict[str, CompiledFunction]] = None
+        #: this run's closure table key, taken when first needed
+        self._key: Optional[tuple] = None
+
+    def table_key(self) -> tuple:
+        """The key of the closure table this engine runs: the costs,
+        address resolution, and the sanitizer's inlinable first stages
+        (:meth:`~repro.sanitizers.base.Sanitizer.inline_stages`).
+        ``compile_program(program, *engine.table_key())`` compiles it."""
+        return (self.costs, self._needs_resolve, self.san.inline_stages())
 
     def _closures(self) -> Optional[Dict[str, CompiledFunction]]:
         """The program's closure table, compiled now if this run is long."""
         program = self._program
-        key = (self.costs, self._needs_resolve)
-        table = getattr(program, _TABLE_ATTR, {}).get(key)
-        if table is None and self.instructions >= COMPILE_AFTER_INSTRUCTIONS:
-            table = compile_program(program, *key)
+        tables = getattr(program, _TABLE_ATTR, None)
+        long_run = self.instructions >= COMPILE_AFTER_INSTRUCTIONS
+        table = None
+        # a short run of a program never compiled needs no key
+        if tables is not None or long_run:
+            if self._key is None:
+                self._key = self.table_key()
+            if tables is not None:
+                table = tables.get(self._key)
+            if table is None and long_run:
+                table = compile_program(program, *self._key)
         self._table = table
         return table
 

@@ -18,7 +18,7 @@ from ..memory.layout import SEGMENT_SIZE, segment_index, segment_offset
 from ..memory.stack import StackFrame
 from ..shadow import asan_encoding as enc
 from ..shadow.oracle import bulk_region_is_addressable, scan_region
-from .base import Capabilities, FoldResult, Sanitizer
+from .base import Capabilities, FirstStage, FoldResult, Sanitizer
 
 
 def _straddle_count(address: int, stride: int, width: int, count: int) -> int:
@@ -188,6 +188,29 @@ class ASan(Sanitizer):
             return True
         self._report_code(code2, address, width, access)
         return False
+
+    first_stages = (
+        # in range, inside one segment, and that segment's shadow GOOD
+        FirstStage(
+            check_access,
+            test=(
+                "0 <= {address} and {address} + {width} <= TOP"
+                f" and ({{address}} & {SEGMENT_SIZE - 1})"
+                f" <= {SEGMENT_SIZE} - {{width}}"
+                f" and SHADOW[{{address}} >> 3] == {enc.GOOD}"
+            ),
+            counts=(
+                ("checks_executed", 1),
+                ("instruction_checks", 1),
+                ("shadow_loads", 1),
+            ),
+            bindings=(
+                ("SHADOW", "san.shadow._shadow"),
+                ("TOP", "san._total_size"),
+            ),
+            protection="full_check",  # fast_checks does not move
+        ),
+    )
 
     def check_region(
         self,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import AccessType, ErrorKind, ErrorLog, ErrorReport
 from ..memory import (
@@ -84,7 +84,8 @@ class CheckStats:
     #: Segments visited by linear region scans (ASan's guardian loop).
     segments_scanned: int = 0
     #: Extra per-operation instructions (LFP's stack simulation, etc.).
-    extra_instructions: int = 0
+    #: A float: LFP charges its per-check base derivation as 0.5.
+    extra_instructions: float = 0
     #: malloc / free counts.
     allocations: int = 0
     frees: int = 0
@@ -130,6 +131,54 @@ class FoldResult:
             setattr(stats, name, getattr(stats, name) + delta)
 
 
+class FirstStage:
+    """The first stage of one check method, as source a compiled
+    closure inlines in front of the call (the paper's Algorithm 1 and
+    Tech-ASan's two-stage check: one cheap test decides most checks).
+
+    ``test`` is a Python expression over the check site's operands,
+    written as ``str.format`` fields, and the prologue names
+    ``bindings`` defines.  Where it holds, ``function`` would return
+    True having made exactly the CheckStats increments ``counts``, in
+    that order, and nothing else; where it fails the closure calls the
+    method, which decides the check from the start.  ``protection`` is
+    the Figure 10 category the check site records when the test holds.
+
+    The fields of each method's site:
+
+    * ``check_access``: ``{address}`` and ``{width}``;
+    * ``check_region``: ``{start}``, ``{end}`` and ``{base}``, the
+      site's anchor, or its start when it has none;
+    * ``check_cached``: ``{cache}``, ``{offset}`` and ``{width}``.
+
+    Each operand is a plain name or an integer literal, so a field may
+    appear any number of times.  Stages compare and hash by identity:
+    each is one object in its sanitizer's class.
+    """
+
+    __slots__ = ("function", "method", "test", "counts", "bindings",
+                 "protection")
+
+    def __init__(
+        self,
+        function: Callable,
+        test: str,
+        counts: Tuple[Tuple[str, float], ...],
+        bindings: Tuple[Tuple[str, str], ...] = (),
+        protection: Optional[str] = None,
+    ):
+        self.function = function
+        self.method = function.__name__
+        self.test = test
+        self.counts = counts
+        #: ``(name, expression over san)``, bound at closure entry
+        self.bindings = bindings
+        self.protection = protection
+
+    def __repr__(self) -> str:
+        return f"<FirstStage {self.function.__qualname__}>"
+
+
 @dataclass(frozen=True)
 class Capabilities:
     """What the tool's instrumentation pipeline may rely on.
@@ -171,6 +220,8 @@ class Sanitizer:
 
     name = "base"
     capabilities = Capabilities()
+    #: First stages of this tool's check methods (:class:`FirstStage`).
+    first_stages: Tuple[FirstStage, ...] = ()
 
     def __init__(
         self,
@@ -355,6 +406,20 @@ class Sanitizer:
         access.  Identity for every tool except tag-based ones (HWASan
         strips the top-byte tag, like TBI hardware)."""
         return pointer
+
+    def inline_stages(self) -> Tuple[FirstStage, ...]:
+        """The first stages compiled closures may inline for this
+        sanitizer: those whose method is still the function the stage
+        mirrors, neither overridden nor wrapped on the class or on the
+        instance.  A check that something replaced keeps every call."""
+        cls = type(self)
+        own = vars(self)
+        return tuple(
+            stage
+            for stage in cls.first_stages
+            if stage.method not in own
+            and getattr(cls, stage.method) is stage.function
+        )
 
     # ------------------------------------------------------------------
     # runtime checks (overridden per tool)

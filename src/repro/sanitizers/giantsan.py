@@ -31,7 +31,7 @@ from ..memory.layout import SEGMENT_SIZE, segment_index
 from ..memory.stack import StackFrame
 from ..shadow import giantsan_encoding as enc
 from ..shadow.oracle import giantsan_region_is_addressable
-from .base import AccessCache, Capabilities, Sanitizer
+from .base import AccessCache, Capabilities, FirstStage, Sanitizer
 
 #: Codes <= this mark folded segments (Definition 1).
 _FOLDED_MAX = enc.FOLDED_MAX_CODE
@@ -321,6 +321,20 @@ class GiantSan(Sanitizer):
             guaranteed = (1 << (67 - v)) if v <= _FOLDED_MAX else 0
             cache.ub = max(cache.ub, (offset & ~7) + guaranteed)
         return ok
+
+    first_stages = (
+        # a non-negative offset under the cached quasi-bound; caching is
+        # read per closure call, so the ablations keep their own answer
+        FirstStage(
+            check_cached,
+            test=(
+                "0 <= {offset} and CACHING"
+                " and {offset} + {width} <= {cache}.ub"
+            ),
+            counts=(("checks_executed", 1), ("cached_hits", 1)),
+            bindings=(("CACHING", "san.enable_caching"),),
+        ),
+    )
 
     # ------------------------------------------------------------------
     # bound location by degree skipping (Figure 7)

@@ -28,7 +28,7 @@ from ..errors import AccessType, ErrorKind
 from ..memory import low_fat_policy
 from ..memory.allocator import Allocation
 from ..memory.stack import StackFrame
-from .base import AccessCache, Capabilities, FoldResult, Sanitizer
+from .base import AccessCache, Capabilities, FirstStage, FoldResult, Sanitizer
 
 #: Effective extra cycles per check for the base-derivation arithmetic —
 #: a few ALU ops that pipeline well next to the access itself.
@@ -201,6 +201,32 @@ class LFP(Sanitizer):
             )
             return False
         return True
+
+    first_stages = (
+        # the base is in the heap arena and names a live allocation whose
+        # usable bytes hold the non-empty [start, end)
+        FirstStage(
+            check_region,
+            test=(
+                "{start} < {end} and HEAP_BASE <= {base} < HEAP_END"
+                " and (_al := BOUNDS({base})) is not None"
+                " and _al.base <= {start}"
+                " and {end} <= _al.base + _al.usable_size"
+            ),
+            counts=(
+                ("checks_executed", 1),
+                ("instruction_checks", 1),
+                ("extra_instructions", CHECK_ARITHMETIC_OVERHEAD),
+                ("fast_checks", 1),
+            ),
+            bindings=(
+                ("HEAP_BASE", "san._heap_base"),
+                ("HEAP_END", "san._heap_end"),
+                ("BOUNDS", "san._bounds.get"),
+            ),
+            protection="fast_only",
+        ),
+    )
 
     def check_cached(
         self,

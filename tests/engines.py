@@ -36,9 +36,7 @@ def engine_on(engine, program, tool, config=None, **session_kwargs):
         telemetry=session.telemetry,
     )
     if issubclass(engine, CompiledEngine):
-        compiler.compile_program(
-            iprogram.program, runner.costs, runner._needs_resolve
-        )
+        compiler.compile_program(iprogram.program, *runner.table_key())
     return runner, iprogram
 
 

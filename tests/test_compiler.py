@@ -229,7 +229,7 @@ def test_telemetry_runs_share_one_closure_table(engine_log):
     iprogram = sessions[0].instrument(program)
     assert sessions[1].instrument(program) is iprogram
     tables = getattr(iprogram.program, compiler._TABLE_ATTR)
-    assert list(tables) == [(COSTS, False)]
+    assert list(tables) == [(COSTS, False, GiantSan.first_stages)]
     assert engine_log == {"tree": ["main"], "compiles": 1}
     assert plain.telemetry is None and traced.telemetry is not None
     assert _observables(plain) == _observables(traced)

@@ -414,7 +414,7 @@ def test_cold_tier_up_with_address_resolution(engine_log, spec):
     tables = getattr(
         session.instrument(program).program, compiler._TABLE_ATTR
     )
-    assert [needs_resolve for _, needs_resolve in tables] == [True]
+    assert list(tables) == [(session.cost_model.native, True, ())]
 
 
 def _late_calls_program():
