@@ -273,15 +273,32 @@ _SHARED_NS.update(_V=_view, _OV=_overlap, _P=_packed)
 class CompiledFunction:
     """One lowered function: the closure plus its slot layout."""
 
-    __slots__ = ("name", "closure", "n_slots", "param_slots", "n_params", "source")
+    __slots__ = (
+        "name", "function", "key", "closure", "n_slots", "param_slots",
+        "n_params",
+    )
 
-    def __init__(self, name, closure, n_slots, param_slots, source):
-        self.name = name
+    def __init__(self, function, key, closure, n_slots, param_slots):
+        self.name = function.name
+        #: the IR function and table key the closure was emitted from
+        self.function = function
+        self.key = key
         self.closure = closure
         self.n_slots = n_slots
         self.param_slots = param_slots
         self.n_params = len(param_slots)
-        self.source = source
+
+    @property
+    def source(self) -> str:
+        """The closure's generated source, for tests and debugging.
+
+        Emitted again on each read rather than kept: emission is
+        deterministic in the function and the table key, so this is the
+        text that was compiled.
+        """
+        emitter = _Emitter(self.function, *self.key)
+        emitter.emit_function()
+        return "\n".join(emitter.lines)
 
 
 class _Emitter:
@@ -305,6 +322,7 @@ class _Emitter:
         self.needs_resolve = needs_resolve
         #: the first stage inlined at each check method's sites
         self.stages = {stage.method: stage for stage in stages}
+        self.stage_key = tuple(stages)
         #: prologue bindings the inlined stages read, by name
         self.stage_bindings: Dict[str, str] = {}
         self.slots: Dict[str, int] = {}
@@ -339,13 +357,13 @@ class _Emitter:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
-    def define(self, name: str, filename: str) -> Tuple[str, Callable]:
-        """Compile the emitted lines; the source and its function ``name``."""
+    def define(self, name: str, filename: str) -> Callable:
+        """Compile the emitted lines; the function ``name`` they define."""
         source = "\n".join(self.lines)
         namespace = dict(_SHARED_NS)
         namespace.update(self.ns)
         exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-        return source, namespace[name]
+        return namespace[name]
 
     # -- variables -----------------------------------------------------
     def read(self, name: str) -> str:
@@ -727,6 +745,18 @@ class _Emitter:
     }
 
     def build(self) -> CompiledFunction:
+        param_slots = self.emit_function()
+        return CompiledFunction(
+            function=self.fn,
+            key=(self.costs, self.needs_resolve, self.stage_key),
+            closure=self.define("_cf", f"<compiled:{self.fn.name}>"),
+            n_slots=len(self.slots),
+            param_slots=param_slots,
+        )
+
+    def emit_function(self) -> List[int]:
+        """Emit the closure ``_cf(E, e)`` into :attr:`lines`; returns
+        the parameters' slots."""
         function = self.fn
         self.defined.update(function.params)
         param_slots = [self.slot(p) for p in function.params]
@@ -767,15 +797,7 @@ class _Emitter:
         self.emit(2, "E.native_cycles = cy")
         if stack_buffers:
             self.emit(2, "san.pop_frame()")
-
-        source, closure = self.define("_cf", f"<compiled:{function.name}>")
-        return CompiledFunction(
-            name=function.name,
-            closure=closure,
-            n_slots=len(self.slots),
-            param_slots=param_slots,
-            source=source,
-        )
+        return param_slots
 
 
 class _SuperblockEmitter(_Emitter):

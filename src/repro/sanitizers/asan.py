@@ -153,7 +153,7 @@ class ASan(Sanitizer):
         """One instruction-level check: 1-2 shadow loads.
 
         The shadow probe from :func:`asan_encoding.check_small_access`
-        is inlined on the raw shadow bytearray — this is the hottest
+        is inlined on the raw shadow mapping — this is the hottest
         call in a Table 2 sweep, and the method-call indirection costs
         more than the check itself.  Accounting is identical: a
         straddling access charges two shadow loads even when the first

@@ -19,6 +19,8 @@ Concrete tools: :mod:`repro.sanitizers.native`, ``asan``, ``asanmm``,
 from __future__ import annotations
 
 import enum
+import os
+import threading
 import weakref
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
@@ -38,13 +40,28 @@ from ..memory import (
     exact_size_policy,
 )
 from ..memory.layout import DEFAULT_QUARANTINE_BYTES
-from ..shadow import ShadowMemory
+from ..shadow import ShadowImage, ShadowMemory
 
 
-#: Initial shadow images keyed by (sanitizer class, layout), oldest
-#: first; a default-layout image is 672 KB, so only a few layouts stay.
-_SHADOW_IMAGES: Dict[tuple, bytes] = {}
+#: Initial shadow images keyed by (sanitizer class, layout), least
+#: recently used first.  Each holds a sealed file (672 KiB for the
+#: default layout); eviction closes it, and shadows already mapped from
+#: it keep their pages.  Server jobs build sessions on several threads,
+#: so the lock covers every lookup, eviction and mapping.
+_SHADOW_IMAGES: Dict[tuple, ShadowImage] = {}
 _SHADOW_IMAGES_LIMIT = 16
+_SHADOW_IMAGES_LOCK = threading.Lock()
+
+
+def _reset_shadow_images_lock() -> None:
+    """A forked child starts with a free lock, whichever thread of the
+    parent held it at the fork."""
+    global _SHADOW_IMAGES_LOCK
+    _SHADOW_IMAGES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_shadow_images_lock)
 
 
 class EventKind(enum.Enum):
@@ -266,22 +283,25 @@ class Sanitizer:
         """A shadow as :meth:`_poison_null_page` leaves a zeroed one.
 
         The hook's result depends only on the class and the layout, so
-        it runs once per pair; every later session copies that image.
+        it runs once per pair into a sealed :class:`ShadowImage`; every
+        session maps that image copy-on-write.  A tool whose hook is the
+        base no-op gets a zeroed anonymous mapping.
         """
         size = self.layout.total_size
         cls = type(self)
         if cls._poison_null_page is Sanitizer._poison_null_page:
             return ShadowMemory(size)
         key = (cls, self.layout)
-        image = _SHADOW_IMAGES.get(key)
-        if image is None:
-            self.shadow = ShadowMemory(size)
-            self._poison_null_page()
-            image = self.shadow.region(0, len(self.shadow))
-            if len(_SHADOW_IMAGES) >= _SHADOW_IMAGES_LIMIT:
-                del _SHADOW_IMAGES[next(iter(_SHADOW_IMAGES))]
+        with _SHADOW_IMAGES_LOCK:
+            image = _SHADOW_IMAGES.pop(key, None)
+            if image is None:
+                self.shadow = ShadowMemory(size)
+                self._poison_null_page()
+                image = ShadowImage(self.shadow.view(0, len(self.shadow)))
+                if len(_SHADOW_IMAGES) >= _SHADOW_IMAGES_LIMIT:
+                    _SHADOW_IMAGES.pop(next(iter(_SHADOW_IMAGES))).close()
             _SHADOW_IMAGES[key] = image
-        return ShadowMemory(size, image)
+            return ShadowMemory(size, image)
 
     # ------------------------------------------------------------------
     # shadow maintenance hooks (overridden per encoding)

@@ -30,7 +30,7 @@ from ..memory.allocator import Allocation
 from ..memory.layout import SEGMENT_SIZE, segment_index
 from ..memory.stack import StackFrame
 from ..shadow import giantsan_encoding as enc
-from ..shadow.oracle import giantsan_region_is_addressable
+from ..shadow.oracle import scan_region
 from .base import AccessCache, Capabilities, FirstStage, Sanitizer
 
 #: Codes <= this mark folded segments (Definition 1).
@@ -193,7 +193,7 @@ class GiantSan(Sanitizer):
     def _ci(self, left: int, right: int) -> bool:
         """``CI(L, R)`` with head alignment handling; counts shadow loads.
 
-        Shadow probes read the raw shadow bytearray directly: ``CI`` runs
+        Shadow probes index the raw shadow mapping directly: ``CI`` runs
         on every operation-level check, and the ``ShadowMemory.load``
         call overhead dwarfs the one-byte read it wraps.
         """
@@ -408,18 +408,29 @@ class GiantSan(Sanitizer):
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    def locate_fault(self, start: int, end: int) -> int:
+        """The first non-addressable byte of ``[start, end)``.
+
+        The address the per-segment oracle walk
+        (:func:`~repro.shadow.oracle.giantsan_region_is_addressable`)
+        names, found by one C-level scan for the first segment that is
+        not fully addressable plus the exact prefix arithmetic on it.
+        Algorithm 1 fails only on a genuine violation for regions our
+        poisoning produced; where the walk finds none the region
+        straddles unrelated objects, and the seam ``start`` is named.
+        """
+        ok, fault, _ = scan_region(
+            self.shadow, start, end, enc.addressable_prefix
+        )
+        return start if ok else fault
+
     def _report_region(self, start: int, end: int, access: AccessType) -> None:
         if start < 0 or end > self.layout.total_size:
             self._report(
                 ErrorKind.WILD_ACCESS, start, end - start, access, detail="wild"
             )
             return
-        ok, fault = giantsan_region_is_addressable(self.shadow, start, end)
-        if ok:
-            # Algorithm 1 can only fail on a genuine violation for
-            # regions produced by our poisoning; if the oracle disagrees
-            # the region straddles unrelated objects — report the seam.
-            fault = start
+        fault = self.locate_fault(start, end)
         code = self.shadow.load(segment_index(fault))
         kind = enc.classify(code)
         arena = self.space.arena_of(fault)

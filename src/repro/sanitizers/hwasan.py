@@ -23,6 +23,7 @@ benchmarks contrast segment folding with memory tagging.
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 from ..errors import AccessType, ErrorKind
@@ -93,8 +94,11 @@ class HWASan(Sanitizer):
         self.globals = GlobalAllocator(
             self.space, redzone=GRANULE_SIZE, alignment=GRANULE_SIZE
         )
-        #: Granule tag table (the HWASAN shadow: 1 byte per 16 bytes).
-        self._tags = bytearray(self.layout.total_size >> GRANULE_SHIFT)
+        #: Granule tag table (the HWASAN shadow: 1 byte per 16 bytes), a
+        #: private anonymous mapping the kernel zeroes page by page.
+        self._tags = mmap.mmap(
+            -1, self.layout.total_size >> GRANULE_SHIFT, flags=mmap.MAP_PRIVATE
+        )
         self._next_tag = 1
 
     # ------------------------------------------------------------------

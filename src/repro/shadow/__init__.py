@@ -1,10 +1,11 @@
 """Shadow memory and the two shadow encodings (ASan, GiantSan).
 
-Both encodings write into one store, the ``bytearray`` plane of
-:class:`ShadowMemory`.
+Both encodings write into one store, the private ``mmap`` plane of
+:class:`ShadowMemory`; a :class:`ShadowImage` holds a sealed initial
+plane that new shadows map copy-on-write.
 """
 
-from .shadow_memory import ShadowMemory
+from .shadow_memory import ShadowImage, ShadowMemory
 from .folding import (
     MAX_DEGREE,
     floor_log2,
@@ -16,6 +17,7 @@ from .folding import (
 from . import asan_encoding, giantsan_encoding, oracle
 
 __all__ = [
+    "ShadowImage",
     "ShadowMemory",
     "MAX_DEGREE",
     "floor_log2",

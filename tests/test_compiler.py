@@ -302,3 +302,31 @@ def test_compiled_source_is_inspectable():
     source = table["main"].source
     assert "def _cf(E, e):" in source
     assert "I += 1" in source
+
+
+@pytest.mark.parametrize("tool", ["ASan", "GiantSan", "LFP", "Native"])
+def test_regenerated_source_is_the_compiled_text(tool, monkeypatch):
+    """``source`` is emitted again on each read; it must be exactly the
+    text each closure was compiled from, under every table key."""
+    compiled_text = {}
+    define = compiler._Emitter.define
+
+    def recording(self, name, filename):
+        compiled_text[id(self.fn)] = "\n".join(self.lines)
+        return define(self, name, filename)
+
+    monkeypatch.setattr(compiler._Emitter, "define", recording)
+    session = Session(tool, ExecConfig.from_env())
+    runner = CompiledEngine(
+        session.sanitizer, native_costs=session.cost_model.native
+    )
+    checked = 0
+    for spec in SPEC_TABLE2_ROWS[::4]:
+        # unmemoized: a fresh program whose tables this test compiles
+        program = instrument(spec.build(), session.sanitizer).program
+        table = compile_program(program, *runner.table_key())
+        for name, compiled in table.items():
+            assert compiled.function is program.functions[name]
+            assert compiled.source == compiled_text[id(compiled.function)]
+            checked += 1
+    assert checked > 0

@@ -1,17 +1,20 @@
 """Behavioural tests for the GiantSan runtime: caching, anchors, bounds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AccessType, ErrorKind
 from repro.memory import ArenaLayout
 from repro.sanitizers import GiantSan, make_cache_only, make_elimination_only
+from repro.shadow.oracle import giantsan_region_is_addressable
+
+_SMALL = ArenaLayout(heap_size=1 << 16, stack_size=1 << 14, globals_size=1 << 13)
 
 
 @pytest.fixture
 def giant():
-    return GiantSan(
-        layout=ArenaLayout(heap_size=1 << 16, stack_size=1 << 14, globals_size=1 << 13)
-    )
+    return GiantSan(layout=_SMALL)
 
 
 class TestRegionCheckAPI:
@@ -193,3 +196,49 @@ class TestStackAndTemporal:
         giant.pop_frame()
         assert not giant.check_region(address, address + 8, AccessType.READ)
         assert giant.log.kinds()[-1] is ErrorKind.USE_AFTER_RETURN
+
+
+@st.composite
+def _poisoned_regions(draw):
+    """A GiantSan heap of random live and freed objects, optionally with
+    random raw codes written over it, and a region inside it whose start
+    is segment-aligned or not."""
+    san = GiantSan(layout=_SMALL)
+    sizes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    allocations = [san.malloc(size) for size in sizes]
+    for allocation in allocations:
+        if draw(st.booleans()):
+            san.free(allocation.base)
+    lo, hi = allocations[0].chunk_base, allocations[-1].chunk_end
+    if draw(st.booleans()):
+        first = lo >> 3
+        codes = draw(st.binary(max_size=(hi - lo) >> 3))
+        san.shadow.write_codes(first, codes)
+    start = draw(st.integers(lo, hi - 1))
+    if draw(st.booleans()):
+        start &= ~7
+    end = draw(st.integers(start + 1, hi))
+    return san, start, end
+
+
+class TestFaultLocator:
+    @settings(max_examples=300, deadline=None)
+    @given(state=_poisoned_regions())
+    def test_matches_the_oracle_walk(self, state):
+        san, start, end = state
+        ok, fault = giantsan_region_is_addressable(san.shadow, start, end)
+        assert san.locate_fault(start, end) == (start if ok else fault)
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=_poisoned_regions())
+    def test_report_names_the_oracle_fault(self, state):
+        san, start, end = state
+        ok, fault = giantsan_region_is_addressable(san.shadow, start, end)
+        if san.check_region(start, end, AccessType.READ):
+            # raw codes can break the folding invariant Algorithm 1
+            # trusts, so only a failed check is compared
+            assert not san.log
+            return
+        [report] = san.log
+        assert report.address == (start if ok else fault)
+        assert report.shadow_value == san.shadow.load(report.address >> 3)
