@@ -79,7 +79,9 @@ class CaseReport:
 
 
 def observables(result) -> dict:
-    """The fastpath-equivalence surface (same as the directed suite)."""
+    """The fastpath-equivalence surface: cycles, instruction count,
+    return value, CheckStats, protection categories and each error's
+    kind and address."""
     return {
         "native_cycles": result.native_cycles,
         "instructions": result.instructions_executed,

@@ -39,9 +39,10 @@ Observable equivalence is the contract: native-cycle accounting (same
 additions in the same order), instruction counting and the budget check,
 CheckStats and the Figure 10 classification, telemetry counters,
 error logs, and hardware-fault fallback semantics all match the
-tree-walker bit for bit.  The differential suite in
-``tests/test_engine_differential.py`` enforces this over the fuzz corpus
-and the Table 2 kernels.
+tree-walker bit for bit.  The configuration-matrix harness in
+``tests/test_config_matrix.py`` enforces this in every execution cell
+over the Table 2 kernels, the fast-path decline shapes and the pinned
+fuzz corpus.
 
 Functions the compiler cannot prove safe are simply *not compiled* and
 run through the inherited tree-walker — :class:`CompiledEngine` is an

@@ -47,10 +47,12 @@ def _switch(default, env: str):
 class ExecConfig:
     """The execution cell a session runs in.
 
-    The superblock ``fastpath``, ``interprocedural`` check elision
-    and the instrumentation ``memoize`` cache never change a result;
-    ``invariants`` attaches a raising
-    :class:`~repro.fuzz.invariants.ShadowInvariantChecker`.
+    The superblock ``fastpath`` and the instrumentation ``memoize``
+    cache never change a result; ``invariants`` attaches a raising
+    :class:`~repro.fuzz.invariants.ShadowInvariantChecker`, which
+    changes none either.  ``interprocedural`` check elision changes
+    which checks a program executes, so it may change CheckStats and
+    error reports, though not whether a run reports.
     """
 
     fastpath: bool = _switch(True, "REPRO_FASTPATH")

@@ -1,14 +1,15 @@
 """Unit coverage for the compile-to-closures engine.
 
-The differential suite (:mod:`tests.test_engine_differential`) proves
-observation-equivalence end to end; these tests pin the compiler's own
-contract: which functions it declines, how declines fall back, how the
-compile cache is keyed, and when a memoized run tiers up.
+The configuration-matrix harness (:mod:`tests.test_config_matrix`)
+proves observation-equivalence end to end; these tests pin the
+compiler's own contract: which functions it declines, how declines
+fall back, how the compile cache is keyed, and when a memoized run
+tiers up.
 """
 
 import pytest
 
-from engines import run_on
+from engines import observables, run_on
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import CheckElided, Const, Var
 from repro.ir.program import walk
@@ -66,19 +67,11 @@ def _long_program():
 # tier-up: a memoized run compiles its program at the first call
 # boundary past COMPILE_AFTER_INSTRUCTIONS
 # ----------------------------------------------------------------------
-def _session_run(program, memoize=True):
-    return Session("GiantSan", ExecConfig(memoize=memoize)).run(program)
-
-
-def _observables(result):
-    return (
-        result.return_value,
-        result.native_cycles,
-        result.instructions_executed,
-        result.stats.as_dict(),
-        dict(result.protection_counts),
-        [(e.kind, e.address, e.size) for e in result.errors],
-    )
+def _session_run(program, tool="GiantSan", memoize=True, args=None,
+                 **kwargs):
+    """The observables of one session run."""
+    session = Session(tool, ExecConfig(memoize=memoize), **kwargs)
+    return observables(session.run(program, args), session.sanitizer)
 
 
 def _late_callee_program():
@@ -103,9 +96,8 @@ def test_callee_called_past_the_threshold_runs_compiled(engine_log):
     program = _late_callee_program()
     tiered = _session_run(program)
     assert engine_log == {"tree": ["main"], "compiles": 1}
-    assert tiered.instructions_executed >= COMPILE_AFTER_INSTRUCTIONS
-    reference = _session_run(program, memoize=False)
-    assert _observables(tiered) == _observables(reference)
+    assert tiered["instructions"] >= COMPILE_AFTER_INSTRUCTIONS
+    assert tiered == _session_run(program, memoize=False)
 
 
 def test_long_entry_compiles_when_it_returns(engine_log):
@@ -115,7 +107,7 @@ def test_long_entry_compiles_when_it_returns(engine_log):
     second = _session_run(program)
     # the second run finds the table and enters main's closure
     assert engine_log == {"tree": ["main"], "compiles": 1}
-    assert _observables(first) == _observables(second)
+    assert first == second
 
 
 def test_short_program_never_compiles(engine_log):
@@ -134,16 +126,128 @@ def test_memoize_off_never_compiles(engine_log):
     fresh = [_session_run(program, memoize=False) for _ in range(2)]
     assert engine_log["compiles"] == 0
     memoized = [_session_run(program) for _ in range(2)]
-    observed = [_observables(result) for result in fresh + memoized]
-    assert observed == observed[:1] * 4
+    assert fresh + memoized == fresh[:1] * 4
 
 
 def test_run_on_compiled_engine_runs_the_entry_closure(engine_log):
-    """``run_on`` compiles first, so the differential suites compare
-    the closures, not the tree walker, even on short programs."""
+    """``run_on`` compiles first, so the configuration-matrix harness
+    compares the closures, not the tree walker, even on short programs."""
     result = run_on(CompiledEngine, _simple_program(), "Native")
     assert result.instructions_executed < COMPILE_AFTER_INSTRUCTIONS
     assert engine_log == {"tree": [], "compiles": 1}
+
+
+def _assert_tier_up_matches(engine_log, program, tool, args=None, **kwargs):
+    """A cold memoized run tiers up mid-run and matches a memo-off run;
+    returns the memoized run's tree-walked function names."""
+    del engine_log["tree"][:]
+    reference = _session_run(program, tool, False, args, **kwargs)
+    walked = engine_log["tree"][:]
+    del engine_log["tree"][:]
+    tiered = _session_run(program, tool, True, args, **kwargs)
+    # the tree walker entered fewer calls: a later one ran a closure
+    assert len(engine_log["tree"]) < len(walked), tool
+    assert tiered == reference, tool
+    return engine_log["tree"]
+
+
+@pytest.mark.parametrize("spec", SPEC_TABLE2_ROWS, ids=lambda s: s.name)
+@pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
+def test_cold_tier_up_matches_tree_on_spec(engine_log, spec, telemetry):
+    """Each proxy at its Table 2 scale, where every tool's run calls a
+    kernel after it has passed the tier-up point."""
+    program = spec.build()
+    for tool in ["Native", "GiantSan", "ASan", "ASan--", "LFP"]:
+        _assert_tier_up_matches(
+            engine_log, program, tool, [spec.default_scale],
+            telemetry=telemetry,
+        )
+
+
+@pytest.mark.parametrize(
+    "spec", SPEC_TABLE2_ROWS[:6], ids=lambda s: s.name
+)
+def test_cold_tier_up_with_address_resolution(engine_log, spec):
+    """HWASan resolves tagged addresses, so its closures are compiled
+    under their own table key."""
+    program = spec.build()
+    _assert_tier_up_matches(
+        engine_log, program, "HWASan", [spec.default_scale]
+    )
+    session = Session("HWASan", ExecConfig(memoize=True))
+    tables = getattr(
+        session.instrument(program).program, compiler._TABLE_ATTR
+    )
+    assert list(tables) == [(session.cost_model.native, True, ())]
+
+
+def _late_calls_program():
+    """``main`` loops well past the tier-up point, then calls a helper
+    the compiler declines and one it lowers."""
+    builder = ProgramBuilder()
+    with builder.function("declined", params=["n"]) as f:
+        with f.if_(Const(1)):
+            f.assign("x", 1)
+        f.ret(Var("x") + Var("n"))
+    with builder.function("lowered", params=["p"]) as f:
+        with f.loop("j", 0, 8) as j:
+            f.store("p", j * 8, 8, j)
+        f.ret(1)
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        total = f.assign("total", 0)
+        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+            f.assign("total", total + i)
+        a = f.call("declined", [Const(2)], dst="a")
+        b = f.call("lowered", [Var("buf")], dst="b")
+        f.free("buf")
+        f.ret(total + a + b)
+    return builder.build()
+
+
+def test_tier_up_with_an_uncompilable_next_callee(engine_log):
+    walked = _assert_tier_up_matches(
+        engine_log, _late_calls_program(), "GiantSan"
+    )
+    assert walked == ["main", "declined"]
+    assert engine_log["compiles"] == 1
+
+
+def test_budget_exceeded_just_past_the_tier_up_point(
+    engine_log, monkeypatch
+):
+    """The budget trips inside a closure entered after the tier-up, at
+    the same instruction and with the same state as on the tree walker."""
+    builder = ProgramBuilder()
+    with builder.function("step", params=["p", "i"]) as f:
+        f.store("p", (Var("i") % 8) * 8, 8, Var("i"))
+        f.ret(Var("i"))
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+            f.call("step", [Var("buf"), i])
+        f.free("buf")
+        f.ret(0)
+    program = builder.build()
+    limit = COMPILE_AFTER_INSTRUCTIONS + 50
+    engines = []
+    run = Interpreter.run
+    monkeypatch.setattr(Interpreter, "run", lambda self, *args: (
+        engines.append(self) or run(self, *args)
+    ))
+    messages = []
+    for memoize in (False, True):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            _session_run(program, memoize=memoize, max_instructions=limit)
+        messages.append(str(excinfo.value))
+    tree, tiered = engines
+    assert type(tree) is Interpreter and tiered._table is not None
+    assert messages[0] == messages[1]
+    for engine in engines:
+        assert engine.instructions == limit + 1
+    assert tiered.native_cycles == tree.native_cycles
+    assert tiered.protection_counts == tree.protection_counts
+    assert tiered.san.stats.as_dict() == tree.san.stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +336,9 @@ def test_telemetry_runs_share_one_closure_table(engine_log):
     assert list(tables) == [(COSTS, False, GiantSan.first_stages)]
     assert engine_log == {"tree": ["main"], "compiles": 1}
     assert plain.telemetry is None and traced.telemetry is not None
-    assert _observables(plain) == _observables(traced)
+    traced = observables(traced)
+    del traced["telemetry"], traced["superblock"]
+    assert observables(plain) == traced
 
 
 # ----------------------------------------------------------------------

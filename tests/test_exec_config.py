@@ -1,8 +1,9 @@
 """ExecConfig: one execution-config value, read from ``REPRO_*`` once.
 
-Pins the one boolean grammar (typos rejected), that ``config=None``
-entry points honour the environment, and — with an AST scan — that no
-other module reads the environment.
+Pins the one boolean grammar (typos rejected), that ``Session`` and
+``run_overhead_study`` given no config resolve the environment, that
+the CLI passes its config down without writing ``os.environ``, and —
+with an AST scan — that no other module reads the environment.
 """
 
 import ast
@@ -21,8 +22,8 @@ from repro.workloads.spec import SPEC_BY_NAME
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWITCHES = [field.metadata["env"] for field in dataclasses.fields(ExecConfig)]
 #: The reference cell: with the memo off a session runs the tree walker.
-REFERENCE_ENV = {"REPRO_SHADOW": "bytearray", "REPRO_FASTPATH": "0",
-                 "REPRO_INTERPROC": "0", "REPRO_INSTRUMENT_CACHE": "0"}
+REFERENCE_ENV = {"REPRO_FASTPATH": "0", "REPRO_INTERPROC": "0",
+                 "REPRO_INSTRUMENT_CACHE": "0"}
 REFERENCE_CELL = ExecConfig(fastpath=False, interprocedural=False,
                             memoize=False)
 

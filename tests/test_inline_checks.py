@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from engines import memory_digest
+from engines import observables
 from repro.errors import AccessType, ErrorKind
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import (
@@ -70,24 +70,11 @@ READ, WRITE = AccessType.READ, AccessType.WRITE
 
 
 def _observables(result, runner):
+    """The engines' observables, and the hardware faults that wild
+    accesses raised."""
     return {
-        "native_cycles": result.native_cycles,
-        "instructions": result.instructions_executed,
+        **observables(result, runner.san),
         "hardware_faults": runner.hardware_faults,
-        "return_value": result.return_value,
-        "stats": result.stats.as_dict(),
-        "protection": dict(result.protection_counts),
-        "errors": [
-            (e.kind, e.address, e.size, e.access, e.shadow_value,
-             e.allocation_id, e.detail)
-            for e in result.errors
-        ],
-        "telemetry": (
-            None if result.telemetry is None
-            else (dict(result.telemetry.counters),
-                  dict(result.telemetry.convergence_per_site))
-        ),
-        "memory": memory_digest(runner.san),
     }
 
 
@@ -449,7 +436,8 @@ SCALE = 2
 )
 def test_table2_per_iteration_checks_match_tree(spec):
     """With the fast path off every loop iteration checks in the
-    closures (the fast path on is the differential suite's default)."""
+    closures (the configuration-matrix harness runs the fast path on
+    too)."""
     for tool in TOOLS:
         session = Session(tool, ExecConfig.from_env(memoize=False))
         program = session.instrument(spec.build()).program

@@ -7,12 +7,10 @@ dies through summarized may-free sets), cross-call check elision with
 its audit trail, the degenerate shapes that must fall back to the old
 conservative behaviour, and the call-heavy acceptance workload where
 the dynamic check count must drop with summaries enabled while the
-semantics stay identical across the engine x shadow x fastpath matrix.
+semantics stay identical (the configuration-matrix harness runs it in
+every execution cell).
 """
 
-import pytest
-
-from engines import run_on
 from repro.dataflow import (
     LIVE,
     MAYBE,
@@ -32,7 +30,6 @@ from repro.ir.nodes import Call, V
 from repro.ir.program import Function, Program
 from repro.passes.alias import ProvenanceMap
 from repro.passes.instrument import instrument
-from repro.runtime import CompiledEngine, Interpreter
 from repro.runtime.session import ExecConfig, Session
 from repro.sanitizers import SANITIZER_FACTORIES
 from repro.workloads import build_callheavy_program
@@ -496,7 +493,7 @@ class TestDegenerateShapes:
 
 
 # ----------------------------------------------------------------------
-# acceptance: call-heavy check-count drop + matrix identity
+# acceptance: call-heavy check-count drop
 # ----------------------------------------------------------------------
 class TestCallHeavyAcceptance:
     def test_dynamic_check_count_drops_with_summaries(self):
@@ -514,28 +511,6 @@ class TestCallHeavyAcceptance:
                 )
             assert counts[True] < counts[False], tool
             assert semantics[True] == semantics[False], tool
-
-    @pytest.mark.parametrize(
-        "engine", [Interpreter, CompiledEngine], ids=["tree", "compiled"]
-    )
-    @pytest.mark.parametrize("fastpath", [False, True])
-    def test_matrix_identity(self, engine, fastpath):
-        program = build_callheavy_program()
-        ipo = dict(memoize=False, interprocedural=True)
-        config = ExecConfig.from_env(fastpath=fastpath, **ipo)
-        result = run_on(engine, program, "GiantSan", config, args=[5])
-        observed = (
-            result.return_value,
-            [(e.kind, e.address) for e in result.errors],
-        )
-        reference = Session("GiantSan", ExecConfig.from_env(**ipo)).run(
-            program, args=[5]
-        )
-        baseline = (
-            reference.return_value,
-            [(e.kind, e.address) for e in reference.errors],
-        )
-        assert observed == baseline
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ run reports.
 
 import pytest
 
+import engines
 from repro import ProgramBuilder
 from repro.fuzz.invariants import ShadowInvariantChecker
 from repro.runtime import ExecConfig, Session
@@ -46,14 +47,16 @@ LIFECYCLE = {
 
 
 def observables(session, result):
-    return {
-        "return_value": result.return_value,
-        "native_cycles": result.native_cycles,
-        "instructions": result.instructions_executed,
-        "stats": result.stats.as_dict(),
-        "errors": [(e.kind, e.address, e.size) for e in result.errors],
-        "log": [(r.kind, r.address) for r in session.sanitizer.log.reports],
-    }
+    """The engines' observables and the sanitizer's report log; the
+    telemetry views are left out, since only one of the compared runs
+    has telemetry on."""
+    observed = engines.observables(result, session.sanitizer)
+    observed.pop("telemetry", None)
+    observed.pop("superblock", None)
+    observed["log"] = [
+        (r.kind, r.address) for r in session.sanitizer.log.reports
+    ]
+    return observed
 
 
 @pytest.mark.parametrize("tool", sorted(SANITIZER_FACTORIES))

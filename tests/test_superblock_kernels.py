@@ -17,7 +17,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engines import engine_on, memory_digest
+from engines import engine_on, observables
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Loop, Var
 from repro.runtime import CompiledEngine, ExecConfig, Session, compiler
@@ -31,19 +31,11 @@ N = 40
 
 
 def _observables(result, sanitizer):
-    counters = dict(result.telemetry.counters)
-    bulk = counters.pop("superblock_bulk_iterations", 0)
-    return bulk, {
-        "native_cycles": result.native_cycles,
-        "instructions": result.instructions_executed,
-        "return_value": result.return_value,
-        "stats": result.stats.as_dict(),
-        "protection": dict(result.protection_counts),
-        "errors": [(e.kind, e.address) for e in result.errors],
-        "counters": counters,
-        "declines": dict(result.telemetry.superblock_declines),
-        "memory": memory_digest(sanitizer),
-    }
+    """``(slice-kernel iterations, every other observable)``: only the
+    kernels' switch changes that count."""
+    observed = observables(result, sanitizer)
+    counters = observed["superblock"]["counters"]
+    return counters.pop("superblock_bulk_iterations", 0), observed
 
 
 def _session_cell(program, tool, fastpath):
@@ -53,7 +45,7 @@ def _session_cell(program, tool, fastpath):
 
 
 def _compiled_cell(program, tool):
-    config = ExecConfig.from_env(memoize=False)
+    config = ExecConfig.from_env(fastpath=True, memoize=False)
     runner, iprogram = engine_on(
         CompiledEngine, program, tool, config, telemetry=True
     )
@@ -78,12 +70,7 @@ def _cells(program, tool, monkeypatch):
 
 def _walked(observed):
     """``observed`` without its superblock telemetry."""
-    counters = {
-        name: count
-        for name, count in observed["counters"].items()
-        if not name.startswith("superblock")
-    }
-    return {**observed, "counters": counters, "declines": None}
+    return {**observed, "superblock": None}
 
 
 def _assert_cells_match(program, monkeypatch, sliced):
@@ -398,7 +385,8 @@ def test_table2_kernels_run_as_slices():
     spec = SPEC_BY_NAME["519.lbm_r"]
     for tool in ["Native", "GiantSan", "ASan", "ASan--", "LFP"]:
         session = Session(
-            tool, ExecConfig.from_env(memoize=False), telemetry=True
+            tool, ExecConfig.from_env(fastpath=True, memoize=False),
+            telemetry=True,
         )
         counters = session.run(spec.build(), [2]).telemetry.counters
         assert counters["superblock_bulk_iterations"] > 0, tool
