@@ -112,7 +112,7 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
     )
 
     engine_class = {"tree": Interpreter, "compiled": CompiledEngine}[engine]
-    config = ExecConfig.from_env(fastpath=True, memoize=True)
+    config = ExecConfig()
 
     def once() -> float:
         session = Session("GiantSan", config)

@@ -118,10 +118,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = bench_scale()
-    # Each cell pins fastpath and memoize; REPRO_INTERPROC and
-    # REPRO_INVARIANTS still come from the environment.
     def cell(fast):
-        return ExecConfig.from_env(fastpath=fast, memoize=fast)
+        return ExecConfig(fastpath=fast, memoize=fast)
 
     default = cell(True)
     configurations = {

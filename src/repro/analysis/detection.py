@@ -48,7 +48,7 @@ def run_juliet_study(
     tools: Optional[List[str]] = None,
     cases: Optional[List[JulietCase]] = None,
     jobs: int = 1,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> JulietResults:
     """Run every Juliet case under every tool (Table 3).
 
@@ -57,7 +57,6 @@ def run_juliet_study(
     sequential run exactly.  Explicit ``cases`` always run inline (the
     workers regenerate the canonical suite by index).
     """
-    config = ExecConfig.from_env() if config is None else config
     tools = tools or DETECTION_TOOLS
     use_parallel = jobs > 1 and cases is None
     cases = cases if cases is not None else juliet_suite_cached()
@@ -120,10 +119,9 @@ def run_linux_flaw_study(
     tools: Optional[List[str]] = None,
     scenarios: Optional[List[CveScenario]] = None,
     jobs: int = 1,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> CveResults:
     """Run every CVE scenario under every tool (Table 4)."""
-    config = ExecConfig.from_env() if config is None else config
     tools = tools or DETECTION_TOOLS
     use_parallel = jobs > 1 and scenarios is None
     scenarios = scenarios if scenarios is not None else TABLE4_SCENARIOS
@@ -162,10 +160,9 @@ class MagmaResults:
 
 
 def run_magma_study(
-    projects=None, jobs: int = 1, config: Optional[ExecConfig] = None
+    projects=None, jobs: int = 1, config: ExecConfig = ExecConfig()
 ) -> MagmaResults:
     """Run the Magma corpora under the five redzone configurations."""
-    config = ExecConfig.from_env() if config is None else config
     use_parallel = jobs > 1 and projects is None
     projects = projects if projects is not None else TABLE5_PROJECTS
     if use_parallel:

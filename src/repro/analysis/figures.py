@@ -66,7 +66,7 @@ class CheckBreakdown:
 def measure_check_breakdown(
     spec: SpecProgram,
     scale: Optional[int] = None,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> CheckBreakdown:
     """Run one proxy under GiantSan and collect Figure 10 categories."""
     program = spec.build()
@@ -91,11 +91,10 @@ def run_figure10_study(
     programs: Optional[List[SpecProgram]] = None,
     scale: Optional[int] = None,
     jobs: int = 1,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> List[CheckBreakdown]:
     from .parallel import figure10_worker, map_specs
 
-    config = ExecConfig.from_env() if config is None else config
     return map_specs(
         figure10_worker, measure_check_breakdown,
         programs or SPEC_TABLE2_ROWS, (scale, config), jobs,
@@ -152,12 +151,11 @@ def run_figure11_study(
     sizes: Optional[List[int]] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> TraversalStudy:
     """The three traversal patterns over the buffer-size sweep."""
     from .parallel import figure11_worker, parallel_map
 
-    config = ExecConfig.from_env() if config is None else config
     sizes = sizes or FIGURE11_SIZES
     payloads = [
         (pattern_index, size, cost_model, config)

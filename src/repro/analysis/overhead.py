@@ -55,7 +55,7 @@ def measure_program(
     tools: List[str],
     scale: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> ProgramOverheads:
     """Run one SPEC proxy under Native plus ``tools``; returns ratios.
 
@@ -84,7 +84,7 @@ def run_overhead_study(
     scale: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> OverheadStudy:
     """The full Table 2 sweep (24 programs by default).
 
@@ -94,7 +94,6 @@ def run_overhead_study(
     """
     from .parallel import map_specs, overhead_worker
 
-    config = ExecConfig.from_env() if config is None else config
     tools = tools or PERFORMANCE_TOOLS
     rows = map_specs(
         overhead_worker, measure_program, programs or SPEC_TABLE2_ROWS,

@@ -52,6 +52,9 @@ _POOL = None
 #: (the server's job threads) share the pool's queue.
 _LOCK = threading.Lock()
 
+#: Seconds a terminated worker gets to exit before it is killed.
+TERMINATE_GRACE = 2.0
+
 #: Maps resubmitted after a worker death since the pool was last retired.
 _RETRIES = 0
 
@@ -124,12 +127,25 @@ def _retire():
     return pool
 
 
+def _terminate(processes) -> None:
+    """SIGTERM ``processes``, and SIGKILL those alive after the grace: a
+    worker still running the parent's SIGTERM handler ignores SIGTERM."""
+    for process in processes:
+        process.terminate()
+    deadline = time.monotonic() + TERMINATE_GRACE
+    for process in processes:
+        process.join(max(deadline - time.monotonic(), 0.0))
+        if process.is_alive():
+            process.kill()
+            process.join()
+
+
 def drain_pool(timeout: float = 30.0) -> None:
     """Gracefully retire the shared pool.
 
     Units no worker has picked up are cancelled; workers finish the
     ones they hold and exit.  A worker still alive at ``timeout`` is
-    wedged and gets terminated.
+    wedged and gets terminated (killed if it outlives the grace).
     """
     pool = _retire()
     if pool is None:
@@ -139,9 +155,7 @@ def drain_pool(timeout: float = 30.0) -> None:
     deadline = time.monotonic() + timeout
     for process in processes:
         process.join(max(deadline - time.monotonic(), 0.0))
-        if process.is_alive():
-            process.terminate()
-            process.join()
+    _terminate([process for process in processes if process.is_alive()])
 
 
 def shutdown_pool() -> None:
@@ -157,11 +171,7 @@ def shutdown_pool() -> None:
 
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
-    children = multiprocessing.active_children()
-    for process in children:
-        process.terminate()
-    for process in children:
-        process.join()
+    _terminate(multiprocessing.active_children())
 
 
 def fabric_stats() -> Optional[dict]:

@@ -65,7 +65,7 @@ class ProfileStudy:
 def profile_program(
     spec: SpecProgram, tool: str = DEFAULT_PROFILE_TOOL,
     scale: Optional[int] = None,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> ProgramProfile:
     """Run one Table 2 proxy with telemetry on and snapshot it."""
     program = spec.build()
@@ -87,7 +87,7 @@ def run_profile_study(
     programs: Optional[List[SpecProgram]] = None,
     scale: Optional[int] = None,
     jobs: int = 1,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> ProfileStudy:
     """Profile the Table 2 kernel sweep (or a subset) under one tool."""
     from .parallel import map_specs, profile_worker
@@ -95,7 +95,6 @@ def run_profile_study(
     if tool not in SANITIZER_FACTORIES:
         known = ", ".join(sorted(SANITIZER_FACTORIES))
         raise ValueError(f"unknown tool {tool!r}; known tools: {known}")
-    config = ExecConfig.from_env() if config is None else config
     rows = map_specs(
         profile_worker, profile_program, programs or SPEC_TABLE2_ROWS,
         (tool, scale, config), jobs,

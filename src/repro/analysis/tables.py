@@ -29,11 +29,10 @@ def _static_checks(program) -> int:
     )
 
 
-def render_table1(n: int = 64, config: Optional[ExecConfig] = None) -> str:
+def render_table1(n: int = 64, config: ExecConfig = ExecConfig()) -> str:
     """Table 1: #checks under operation-level vs instruction-level
     protection, measured by actually instrumenting and running each
     pattern under GiantSan and ASan."""
-    config = ExecConfig.from_env() if config is None else config
     lines = [
         "Table 1: operation-level vs instruction-level protection",
         f"{'Analysis Method':24s} {'op-level static':>16s} "
@@ -239,7 +238,7 @@ def render_study(
     target: str,
     jobs: int = 1,
     scale: Optional[int] = None,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> str:
     """Run Table 1, 3, 4 or 5 or Figure 10 or 11 and render it as
     ``repro <target>`` prints it (``scale`` applies to Figure 10)."""

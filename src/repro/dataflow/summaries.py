@@ -36,8 +36,8 @@ The lattice ordering is "fewer claimed effects is above": ⊤ claims
 every effect (may free anything, accesses unknown) and guarantees none
 (no checked ranges, no fresh return).  Every consumer treats an absent
 summary as ⊤, which makes summaries an optional refinement: disable
-them (``ExecConfig(interprocedural=False)``, or ``REPRO_INTERPROC=0``)
-and every analysis behaves byte-for-byte as before.
+them (``ExecConfig(interprocedural=False)``; ``REPRO_INTERPROC=0`` in
+the CLI) and every analysis behaves byte-for-byte as before.
 """
 
 from __future__ import annotations

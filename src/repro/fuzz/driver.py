@@ -35,7 +35,7 @@ cases to minimal reproducers (see :mod:`repro.fuzz.shrinker`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..passes.instrument import fold_program
 from ..runtime.session import ExecConfig, Session
@@ -205,10 +205,9 @@ def run_case(
     case: FuzzCase,
     tools: Sequence[str] = ALL_TOOLS,
     audit_elisions: bool = False,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> CaseReport:
     """Run ``case`` through the full differential matrix."""
-    config = ExecConfig.from_env() if config is None else config
     divergences: List[Divergence] = []
     invariant_checks = 0
     source = build_case(case)
@@ -339,12 +338,11 @@ def fuzz_span(
     shrink: bool = True,
     tools: Sequence[str] = ALL_TOOLS,
     audit_elisions: bool = False,
-    config: Optional[ExecConfig] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> FuzzSummary:
     """Fuzz case indices ``[start, stop)`` for the base ``seed``."""
     from .shrinker import shrink_case  # local: avoids an import cycle
 
-    config = ExecConfig.from_env() if config is None else config
     summary = FuzzSummary()
     for index in range(start, stop):
         case = generate_case(

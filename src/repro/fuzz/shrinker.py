@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from ..runtime.session import ExecConfig
 from .expectations import ALL_TOOLS
 from .generator import (
     FuzzCase,
@@ -47,7 +48,7 @@ def shrink_case(
     case: FuzzCase,
     tools: Sequence[str] = ALL_TOOLS,
     max_runs: int = 120,
-    config=None,
+    config: ExecConfig = ExecConfig(),
 ) -> FuzzCase:
     """Smallest case found that still shows the original signature."""
     from .driver import divergence_signature, run_case

@@ -47,9 +47,8 @@ the ``superblock`` phase, ``superblock_loops``, ``superblock_iterations``,
 ``superblock_bulk_iterations`` (the iterations that ran as slices) and
 every decline reason.
 
-Disable it with ``ExecConfig(fastpath=False)`` or ``REPRO_FASTPATH=0``
-(the differential test suite runs every proxy both ways and asserts
-identical results).
+Disable it with ``ExecConfig(fastpath=False)`` (``REPRO_FASTPATH=0`` in
+the CLI); the configuration-matrix tests assert identical results.
 
 The fold hooks' whole-range addressability scans go through
 ``repro.shadow.ShadowMemory.find_not_full``, so a superblock's

@@ -4,9 +4,9 @@ A session owns a fresh sanitizer, instruments a program for it, runs the
 program, and returns the :class:`RunResult`.  The benchmark harness and
 the examples both drive everything through this module.
 
-How a session executes is one frozen :class:`ExecConfig`;
-:meth:`ExecConfig.from_env` is the only reader of the ``REPRO_*``
-execution switches, and everything else receives the value.  Which
+How a session executes is one frozen :class:`ExecConfig`; only the
+``repro`` CLI calls :meth:`ExecConfig.from_env`, the one reader of the
+``REPRO_*`` switches, and everything else receives the value.  Which
 engine runs is not a switch: with ``memoize`` on, :meth:`Session.run`
 runs the :class:`CompiledEngine`, which tree-walks a run until it has
 executed :data:`~repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS` and
@@ -61,10 +61,10 @@ class ExecConfig:
     invariants: bool = _switch(False, "REPRO_INVARIANTS")
 
     @classmethod
-    def from_env(cls, **pinned) -> "ExecConfig":
+    def from_env(cls) -> "ExecConfig":
         """The config named by the ``REPRO_*`` switches; unset (or
-        empty) ones keep their defaults, and ``pinned`` fields override
-        them (a test's or bench cell's own switches).
+        empty) ones keep their defaults.  Only the ``repro`` CLI calls
+        this: library entry points take the value as an argument.
 
         Each accepts ``1/true/on/yes`` and ``0/false/off/no`` in any
         case; anything else raises ``ValueError`` naming the variable.
@@ -81,17 +81,16 @@ class ExecConfig:
                 )
             if value:
                 values[switch.name] = value in _TRUE
-        return cls(**{**values, **pinned})
+        return cls(**values)
 
 
 class Session:
     """One tool + one program, ready to execute.
 
-    ``config`` is the :class:`ExecConfig` to run under (None =
-    :meth:`ExecConfig.from_env`).  ``audit_elisions`` keeps statically
-    elided checks as :class:`~repro.ir.nodes.CheckElided` markers that
-    the interpreter replays against the shadow oracle, surfacing
-    unsound elisions in ``RunResult.elision_audit_failures``.
+    ``config`` is the :class:`ExecConfig` to run under.  ``audit_elisions``
+    keeps statically elided checks as :class:`~repro.ir.nodes.CheckElided`
+    markers that the interpreter replays against the shadow oracle,
+    surfacing unsound elisions in ``RunResult.elision_audit_failures``.
 
     ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
     registry (pass an existing registry to share counters across
@@ -104,7 +103,7 @@ class Session:
     def __init__(
         self,
         tool: str | Sanitizer,
-        config: Optional[ExecConfig] = None,
+        config: ExecConfig = ExecConfig(),
         cost_model: CostModel = DEFAULT_COST_MODEL,
         max_instructions: int = 50_000_000,
         audit_elisions: bool = False,
@@ -126,7 +125,7 @@ class Session:
                     f"unknown tool {tool!r}; known tools: {known}"
                 ) from None
             self.sanitizer = factory(**sanitizer_kwargs)
-        self.config = ExecConfig.from_env() if config is None else config
+        self.config = config
         self.cost_model = cost_model
         self.max_instructions = max_instructions
         self.audit_elisions = audit_elisions
@@ -194,6 +193,7 @@ def run_with_tools(
     args: Optional[List[int]] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     sanitizer_kwargs: Optional[Dict[str, dict]] = None,
+    config: ExecConfig = ExecConfig(),
 ) -> Dict[str, RunResult]:
     """Run one program under several tools with fresh state each.
 
@@ -203,6 +203,6 @@ def run_with_tools(
     results: Dict[str, RunResult] = {}
     for tool in tools:
         kwargs = (sanitizer_kwargs or {}).get(tool, {})
-        session = Session(tool, cost_model=cost_model, **kwargs)
+        session = Session(tool, config, cost_model=cost_model, **kwargs)
         results[tool] = session.run(program, args)
     return results

@@ -1,10 +1,10 @@
 """Application factory for the sanitizer-as-a-service control plane.
 
 ``create_app`` wires the validated server config, the execution
-defaults (one :class:`~repro.runtime.session.ExecConfig`, resolved once
-at creation time), the job manager, and the process telemetry
-aggregate into the route table that :class:`repro.server.http.Server`
-serves.
+defaults (one :class:`~repro.runtime.session.ExecConfig`, chosen by the
+caller: ``repro serve`` passes the CLI's), the job manager, and the
+process telemetry aggregate into the route table that
+:class:`repro.server.http.Server` serves.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from .services.common import TelemetryAggregate
 
 def create_app(
     config: Optional[ServerConfig] = None,
-    defaults: Optional[ExecConfig] = None,
+    defaults: ExecConfig = ExecConfig(),
 ) -> App:
     """Build the control-plane app; ``config=None`` reads REPRO_SERVE_*
-    and ``defaults=None`` reads the ``REPRO_*`` execution switches."""
+    and ``defaults`` is the execution cell every job starts from."""
     config = config or config_from_env()
-    defaults = ExecConfig.from_env() if defaults is None else defaults
     return App(
         {**health.ROUTES, **jobs.ROUTES},
         config=config,

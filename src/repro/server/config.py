@@ -3,8 +3,8 @@
 Per-job execution settings travel inside each request's validated
 model (see :mod:`repro.server.models`); this module only holds the
 process-level knobs of the control plane itself.  The execution
-*defaults* are one :class:`~repro.runtime.session.ExecConfig`, resolved
-once when the app is created and passed to every job.
+*defaults* are one :class:`~repro.runtime.session.ExecConfig`, given to
+the app when it is created and passed to every job.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ class ExecutionConfig(BaseModel):
     """The (tool × fastpath × interprocedural) cell a run job executes in.
 
     ``None`` fields fall back to the server's
-    :class:`~repro.runtime.session.ExecConfig` defaults, resolved once
-    at app creation, never to a live environment read.
+    :class:`~repro.runtime.session.ExecConfig` defaults, fixed when the
+    app is created, never to a live environment read.
     """
 
     model_config = ConfigDict(extra="forbid")

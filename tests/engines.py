@@ -103,13 +103,15 @@ def observables(result, sanitizer=None):
     return observed
 
 
-def engine_on(engine, program, tool, config=None, **session_kwargs):
+#: :func:`run_on`'s cell: every run instruments afresh.
+UNMEMOIZED = ExecConfig(memoize=False)
+
+
+def engine_on(engine, program, tool, config=UNMEMOIZED, **session_kwargs):
     """The engine of class ``engine`` that :func:`run_on` runs, and the
     instrumented program, unrun: a test that expects the run to raise
     reads the engine's state afterwards.  An already instrumented
     ``program`` runs as given."""
-    if config is None:
-        config = ExecConfig.from_env(memoize=False)
     session = Session(tool, config, **session_kwargs)
     iprogram = (
         program
@@ -128,11 +130,9 @@ def engine_on(engine, program, tool, config=None, **session_kwargs):
     return runner, iprogram
 
 
-def run_on(engine, program, tool, config=None, args=None, **session_kwargs):
-    """Run ``program`` under ``tool`` on the engine class ``engine``.
-
-    ``config`` defaults to ``ExecConfig.from_env(memoize=False)``:
-    every run instruments afresh.
-    """
+def run_on(engine, program, tool, config=UNMEMOIZED, args=None,
+           **session_kwargs):
+    """Run ``program`` under ``tool`` on the engine class ``engine``
+    (by default in the :data:`UNMEMOIZED` cell)."""
     runner, iprogram = engine_on(engine, program, tool, config, **session_kwargs)
     return runner.run(iprogram, args)

@@ -422,7 +422,7 @@ def test_regenerated_source_is_the_compiled_text(tool, monkeypatch):
         return define(self, name, filename)
 
     monkeypatch.setattr(compiler._Emitter, "define", recording)
-    session = Session(tool, ExecConfig.from_env())
+    session = Session(tool, ExecConfig())
     runner = CompiledEngine(
         session.sanitizer, native_costs=session.cost_model.native
     )

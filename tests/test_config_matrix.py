@@ -280,7 +280,8 @@ def test_every_cell_matches_its_reference(unit, mismatches):
 # ----------------------------------------------------------------------
 #: Every field off: with the memo off every run is a first run.
 REFERENCE = ExecConfig(**dict.fromkeys(FIELDS, False))
-#: The cell CI's second tier-1 run sets through the environment.
+#: The fast path and the memo off: the cell a second, environment-driven
+#: tier-1 run in CI used to cover.
 CI_CELL = ExecConfig(fastpath=False, memoize=False)
 STUDY_CELLS = [
     (REFERENCE, (1,)), (ExecConfig(), (1, 2, 4)), (CI_CELL, (1, 2, 4)),

@@ -364,7 +364,7 @@ class TestElisionAudit:
         assert all(isinstance(m.inner, CheckAccess) for m in markers)
 
     def test_audit_replay_is_invisible(self):
-        config = ExecConfig.from_env(fastpath=False, memoize=False)
+        config = ExecConfig(fastpath=False, memoize=False)
         plain = Session("ASan--", config).run(_elidable_program())
         audited = Session("ASan--", config, audit_elisions=True).run(
             _elidable_program()

@@ -1,9 +1,10 @@
 """ExecConfig: one execution-config value, read from ``REPRO_*`` once.
 
-Pins the one boolean grammar (typos rejected), that ``Session`` and
-``run_overhead_study`` given no config resolve the environment, that
-the CLI passes its config down without writing ``os.environ``, and —
-with an AST scan — that no other module reads the environment.
+Pins the one boolean grammar (typos rejected), that library entry
+points given no config run ``ExecConfig()`` whatever the environment
+says, that the CLI passes its config down without writing
+``os.environ``, and — with an AST scan — that no other module reads the
+environment and only the CLI calls ``ExecConfig.from_env``.
 """
 
 import ast
@@ -21,11 +22,9 @@ from repro.workloads.spec import SPEC_BY_NAME
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWITCHES = [field.metadata["env"] for field in dataclasses.fields(ExecConfig)]
-#: The reference cell: with the memo off a session runs the tree walker.
+#: The reference cell's switches, which only the CLI may pick up.
 REFERENCE_ENV = {"REPRO_FASTPATH": "0", "REPRO_INTERPROC": "0",
                  "REPRO_INSTRUMENT_CACHE": "0"}
-REFERENCE_CELL = ExecConfig(fastpath=False, interprocedural=False,
-                            memoize=False)
 
 
 @pytest.fixture(autouse=True)
@@ -76,21 +75,15 @@ def test_from_env_rejects_typos(_env, var, raw):
         ExecConfig.from_env()
 
 
-def test_pinned_fields_override_env_but_typos_still_fail(_env):
-    _env({"REPRO_FASTPATH": "0", "REPRO_INTERPROC": "0"})
-    assert ExecConfig.from_env(fastpath=True) == ExecConfig(
-        interprocedural=False
-    )
-    _env({"REPRO_FASTPATH": "maybe"})
-    with pytest.raises(ValueError, match="REPRO_FASTPATH"):
-        ExecConfig.from_env(fastpath=True)
+def test_library_ignores_the_environment(_env, monkeypatch):
+    """Entry points given no config run ``ExecConfig()``: a library
+    caller's result never depends on its process environment."""
+    from repro.fuzz import driver
+    from repro.server import create_app
+    from repro.server.config import ServerConfig
 
-
-def test_no_config_honours_reference_cell(_env, monkeypatch):
-    """Session() and run_overhead_study() resolve the environment."""
     _env(REFERENCE_ENV)
-    session = Session("GiantSan")
-    assert session.config == REFERENCE_CELL
+    assert Session("GiantSan").config == ExecConfig()
     seen = set()
     monkeypatch.setattr(overhead, "Session", lambda tool, config, **kwargs: (
         seen.add(config) or Session(tool, config, **kwargs)
@@ -98,7 +91,12 @@ def test_no_config_honours_reference_cell(_env, monkeypatch):
     overhead.run_overhead_study(
         ["GiantSan"], programs=[SPEC_BY_NAME["505.mcf_r"]], scale=1
     )
-    assert seen == {REFERENCE_CELL}
+    monkeypatch.setattr(driver, "run_case", lambda case, *args: (
+        seen.add(args[-1]) or driver.CaseReport(case, [])
+    ))
+    driver.fuzz_span(0, 0, 1)
+    assert seen == {ExecConfig()}
+    assert create_app(ServerConfig()).state.defaults == ExecConfig()
 
 
 def test_cli_passes_its_config_without_writing_environ(
@@ -129,6 +127,8 @@ def test_bad_switch_is_one_stderr_line_without_traceback(_env, capsys):
 #: execution switches and the server's REPRO_SERVE_* deployment settings.
 ENV_READERS = {("repro/runtime/session.py", "from_env"),
                ("repro/server/config.py", "config_from_env")}
+#: The only function that may call ``ExecConfig.from_env``.
+FROM_ENV_CALLERS = {("repro/cli.py", "main")}
 
 
 def _env_reads(node):
@@ -141,15 +141,29 @@ def _env_reads(node):
     }
 
 
+def _from_env_calls(node):
+    return {
+        id(n) for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "from_env"
+    }
+
+
 def test_environment_is_read_only_by_the_resolvers():
-    found = set()
+    """Only the resolvers read the environment, and only the CLI calls
+    ``ExecConfig.from_env``: library entry points take an ExecConfig."""
+    scans = {_env_reads: ENV_READERS, _from_env_calls: FROM_ENV_CALLERS}
+    found = {scan: set() for scan in scans}
     for path in (SRC / "repro").rglob("*.py"):
         module, tree = path.relative_to(SRC).as_posix(), ast.parse(
             path.read_text())
-        allowed = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-                   and (module, f.name) in ENV_READERS and _env_reads(f)]
-        found |= {(module, f.name) for f in allowed}
-        assert _env_reads(tree) == set().union(*map(_env_reads, allowed)), (
-            f"{module} reads the environment outside {ENV_READERS}"
-        )
-    assert found == ENV_READERS
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef)]
+        for scan, owners in scans.items():
+            allowed = [f for f in functions
+                       if (module, f.name) in owners and scan(f)]
+            found[scan] |= {(module, f.name) for f in allowed}
+            assert scan(tree) == set().union(*map(scan, allowed)), (
+                f"{module}: {scan.__name__} outside {owners}"
+            )
+    assert found == scans

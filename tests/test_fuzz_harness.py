@@ -81,7 +81,7 @@ class TestGenerator:
         for index in range(25):
             case = generate_case(case_seed_for(5, index))
             program = build_case(case)
-            config = ExecConfig.from_env(memoize=False)
+            config = ExecConfig(memoize=False)
             result = Session("Native", config).run(program)
             assert result.return_value is not None
 
@@ -287,9 +287,9 @@ class TestInvariantChecker:
             checker.verify("planted")
 
     def test_session_toggle_attaches_checker(self):
-        on = ExecConfig.from_env(invariants=True, memoize=False)
+        on = ExecConfig(invariants=True, memoize=False)
         assert Session("GiantSan", on).invariant_checker is not None
-        off = ExecConfig.from_env(invariants=False, memoize=False)
+        off = ExecConfig(invariants=False, memoize=False)
         assert Session("GiantSan", off).invariant_checker is None
 
     @pytest.mark.parametrize("tool", ["GiantSan", "ASan", "HWASan"])

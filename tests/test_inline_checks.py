@@ -84,7 +84,7 @@ def _run(program, tool, engine, telemetry=True, args=None, prepare=None):
     stands (the key is None on the tree walker); ``tool`` is a tool
     name or a sanitizer, and ``prepare(sanitizer)`` runs before the
     engine starts."""
-    config = ExecConfig.from_env(fastpath=False, memoize=False)
+    config = ExecConfig(fastpath=False, memoize=False)
     session = Session(tool, config, telemetry=telemetry)
     san = session.sanitizer
     if prepare is not None:
@@ -411,7 +411,7 @@ def test_stages_key_the_closure_table():
 @pytest.mark.parametrize("tool, cls, method, kind", STAGED)
 def test_table2_closures_inline_the_first_stage(tool, cls, method, kind):
     """Every staged site of every Table 2 proxy inlines the stage."""
-    session = Session(tool, ExecConfig.from_env())
+    session = Session(tool, ExecConfig())
     runner = CompiledEngine(
         session.sanitizer, native_costs=session.cost_model.native
     )
@@ -439,7 +439,7 @@ def test_table2_per_iteration_checks_match_tree(spec):
     closures (the configuration-matrix harness runs the fast path on
     too)."""
     for tool in TOOLS:
-        session = Session(tool, ExecConfig.from_env(memoize=False))
+        session = Session(tool, ExecConfig(memoize=False))
         program = session.instrument(spec.build()).program
         tree, _ = _run(program, tool, Interpreter, args=[SCALE])
         compiled, key = _run(program, tool, CompiledEngine, args=[SCALE])

@@ -368,7 +368,7 @@ class TestCrossCallElision:
         for tool in ("GiantSan", "ASan--"):
             session = Session(
                 tool,
-                ExecConfig.from_env(memoize=False, interprocedural=True),
+                ExecConfig(memoize=False, interprocedural=True),
                 audit_elisions=True,
             )
             result = session.run(program, args=[6])
@@ -380,9 +380,7 @@ class TestCrossCallElision:
 # degenerate shapes fall back byte-identically
 # ----------------------------------------------------------------------
 def _observables(tool, program, args=None, *, interprocedural):
-    config = ExecConfig.from_env(
-        memoize=False, interprocedural=interprocedural
-    )
+    config = ExecConfig(memoize=False, interprocedural=interprocedural)
     session = Session(tool, config)
     result = session.run(program, args)
     return {
@@ -502,7 +500,7 @@ class TestCallHeavyAcceptance:
             counts = {}
             semantics = {}
             for ipo in (True, False):
-                config = ExecConfig.from_env(memoize=False, interprocedural=ipo)
+                config = ExecConfig(memoize=False, interprocedural=ipo)
                 result = Session(tool, config).run(program, args=[10])
                 counts[ipo] = result.stats.checks_executed
                 semantics[ipo] = (

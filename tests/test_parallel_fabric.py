@@ -8,10 +8,11 @@ the configuration-matrix harness's study-level check
     processes; the pool is never larger than a map's unit count and is
     replaced only when a map needs more workers than it has.
 (b) **Lifecycle** — worker exceptions propagate, a dead worker's units
-    are retried once, and a drain terminates a wedged worker at its
-    timeout instead of hanging.
+    are retried once, a drain terminates a wedged worker at its timeout
+    instead of hanging, and a worker that ignores SIGTERM is killed.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -33,8 +34,8 @@ from repro.analysis.parallel import (
 )
 from repro.runtime import ExecConfig
 
-#: Hand-built payloads carry the environment's config (CI matrix).
-CONFIG = ExecConfig.from_env()
+#: Hand-built payloads carry the default cell.
+CONFIG = ExecConfig()
 
 
 def _units(*names, config=CONFIG):
@@ -234,6 +235,14 @@ def die_always_worker(payload):
     os._exit(1)
 
 
+def deaf_worker(marker):
+    """Ignore SIGTERM, as a worker still running the parent's handler
+    does, then create ``marker`` and sleep."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    open(marker, "w").close()
+    time.sleep(60)
+
+
 class TestFabricDirect:
     def test_ordered_results_when_units_finish_out_of_order(self):
         # the first unit outlasts the rest, so later units finish first
@@ -320,6 +329,49 @@ class TestDrain:
         assert not thread.is_alive()
         assert isinstance(outcome.get("error"), BrokenProcessPool)
         assert fabric_stats() is None
+
+
+def _await(marker, timeout=30.0):
+    """Return once ``marker`` exists: the deaf worker ignores SIGTERM."""
+    deadline = time.monotonic() + timeout
+    while not marker.exists():
+        assert time.monotonic() < deadline, f"{marker.name} never appeared"
+        time.sleep(0.01)
+
+
+class TestDeafWorkers:
+    """Teardown joins with a bound: a worker that ignores SIGTERM is
+    killed after the grace instead of hanging the parent."""
+
+    def test_shutdown_pool_kills_a_child_that_ignores_sigterm(
+        self, tmp_path
+    ):
+        marker = tmp_path / "deaf"
+        child = multiprocessing.get_context("fork").Process(
+            target=deaf_worker, args=(str(marker),), daemon=True
+        )
+        child.start()
+        _await(marker)
+        started = time.monotonic()
+        shutdown_pool()
+        assert time.monotonic() - started < parallel.TERMINATE_GRACE + 3
+        assert not child.is_alive()
+        assert child.exitcode == -signal.SIGKILL
+
+    def test_drain_kills_a_wedged_worker_that_ignores_sigterm(
+        self, tmp_path
+    ):
+        marker = tmp_path / "deaf"
+        with parallel._LOCK:
+            future = parallel._pool(1).submit(deaf_worker, str(marker))
+        _await(marker)
+        processes = _pool_processes()
+        started = time.monotonic()
+        parallel.drain_pool(timeout=0.2)
+        assert time.monotonic() - started < parallel.TERMINATE_GRACE + 3
+        assert [_wait_exitcode(p) for p in processes] == [-signal.SIGKILL]
+        with pytest.raises(BrokenProcessPool):
+            future.result(timeout=10)
 
 
 class TestConcurrentParallelMap:

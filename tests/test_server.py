@@ -245,7 +245,7 @@ class TestRunJobs:
 
         session = Session(
             "ASan",
-            ExecConfig.from_env(fastpath=False),
+            ExecConfig(fastpath=False),
             telemetry=True,
         )
         session.run(build_demo_program())
@@ -396,7 +396,7 @@ class TestConcurrentJobIsolation:
             assert detail["status"] == "done", detail["error"]
             # what `repro <target>` prints
             assert detail["result"]["rendered"] == render_study(
-                target, config=ExecConfig.from_env()
+                target, config=ExecConfig()
             )
 
     def test_sweep_runs_under_app_defaults_not_env(self, monkeypatch):
@@ -428,7 +428,7 @@ class TestCampaignJobs:
 
         from repro.fuzz.driver import fuzz_span
 
-        direct = fuzz_span(11, 0, 20, 0.6, config=ExecConfig.from_env())
+        direct = fuzz_span(11, 0, 20, 0.6, config=ExecConfig())
         assert served["cases"] == direct.cases == 20
         assert served["buggy_cases"] == direct.buggy_cases
         assert served["invariant_checks"] == direct.invariant_checks
@@ -546,15 +546,19 @@ class TestConfig:
         with pytest.raises(SystemExit):
             config_from_env()
 
-    def test_create_app_resolves_defaults_from_env(self, monkeypatch):
+    def test_create_app_defaults_ignore_the_execution_switches(
+        self, monkeypatch
+    ):
+        # repro serve passes the CLI's config; the library never reads
+        # the REPRO_* execution switches itself
         monkeypatch.setenv("REPRO_INTERPROC", "0")
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        defaults = create_app(ServerConfig()).state.defaults
-        assert defaults == ExecConfig.from_env()
-        assert (defaults.interprocedural, defaults.fastpath) == (False, False)
+        assert create_app(ServerConfig()).state.defaults == ExecConfig()
+        cell = ExecConfig(interprocedural=False, fastpath=False)
+        assert create_app(ServerConfig(), cell).state.defaults == cell
 
     def test_stats_reports_config_echo(self, client):
         stats = client.get("/stats").json()
         assert stats["config"]["max_concurrency"] == 2
-        assert stats["defaults"] == dataclasses.asdict(ExecConfig.from_env())
+        assert stats["defaults"] == dataclasses.asdict(ExecConfig())
         assert stats["jobs"]["queued"] == 0

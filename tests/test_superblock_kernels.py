@@ -39,13 +39,13 @@ def _observables(result, sanitizer):
 
 
 def _session_cell(program, tool, fastpath):
-    config = ExecConfig.from_env(fastpath=fastpath, memoize=False)
+    config = ExecConfig(fastpath=fastpath, memoize=False)
     session = Session(tool, config, telemetry=True)
     return _observables(session.run(program), session.sanitizer)
 
 
 def _compiled_cell(program, tool):
-    config = ExecConfig.from_env(fastpath=True, memoize=False)
+    config = ExecConfig(fastpath=True, memoize=False)
     runner, iprogram = engine_on(
         CompiledEngine, program, tool, config, telemetry=True
     )
@@ -385,7 +385,7 @@ def test_table2_kernels_run_as_slices():
     spec = SPEC_BY_NAME["519.lbm_r"]
     for tool in ["Native", "GiantSan", "ASan", "ASan--", "LFP"]:
         session = Session(
-            tool, ExecConfig.from_env(fastpath=True, memoize=False),
+            tool, ExecConfig(fastpath=True, memoize=False),
             telemetry=True,
         )
         counters = session.run(spec.build(), [2]).telemetry.counters

@@ -192,7 +192,7 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_results_invariant_under_telemetry(self, fastpath):
         spec = SPEC_BY_NAME["505.mcf_r"]
-        config = ExecConfig.from_env(fastpath=fastpath)
+        config = ExecConfig(fastpath=fastpath)
         plain = Session("GiantSan", config).run(spec.build(), [1])
         traced = Session("GiantSan", config, telemetry=True).run(
             spec.build(), [1]
@@ -265,7 +265,7 @@ def run_with_ground_truth_shim(name: str):
     san.check_cached = shim_cached
 
     spec = SPEC_BY_NAME[name]
-    config = ExecConfig.from_env(fastpath=False)
+    config = ExecConfig(fastpath=False)
     result = Session(san, config, telemetry=tele).run(spec.build(), [1])
     return result, calls, oracle_disagreements
 
@@ -333,7 +333,7 @@ class TestConvergence:
     def test_interpreter_tracks_per_site_convergence(self):
         spec = SPEC_BY_NAME["520.omnetpp_r"]
         result = Session(
-            "GiantSan", ExecConfig.from_env(fastpath=False), telemetry=True
+            "GiantSan", ExecConfig(fastpath=False), telemetry=True
         ).run(
             spec.build(), [1]
         )
