@@ -24,7 +24,9 @@ Times the full Table 2 sweep three ways and writes the committed
 ``--assert-parallel-speedup MIN`` exits non-zero when
 ``default_seconds / parallel_seconds`` falls below ``MIN`` — the CI
 gate that the warm fabric is not slower than the single-process
-default sweep.
+default sweep.  Its pass or fail line also prints every run of both
+sides and each side's spread (slowest minus fastest run), so a failure
+shows whether the gap was inside the noise.
 
 The geomean identity check spans all three cells: no configuration is
 allowed to change a single Table 2 number.
@@ -40,8 +42,10 @@ Run directly::
 ``REPRO_BENCH_SCALE`` scales the proxies as for the other benchmarks
 (the committed numbers use the full per-program scales).  Each
 configuration is timed ``REPRO_BENCH_REPEAT`` times (default 2) and the
-best run is recorded: single-shot sweeps on a busy box showed ~15%
-run-to-run swing, enough to drown the comparison in noise.
+best run is the one compared: single-shot sweeps on a busy box showed
+~15% run-to-run swing, enough to drown the comparison in noise.  Every
+run's time (``all_runs``) and their spread (``spread_seconds``) are
+recorded beside it.
 """
 
 import json
@@ -83,10 +87,10 @@ def _sweep(jobs: int, scale, config) -> dict:
             config=config,
         )
         timings.append(time.perf_counter() - started)
-    elapsed = min(timings)
     return {
-        "seconds": round(elapsed, 3),
+        "seconds": round(min(timings), 3),
         "all_runs": [round(t, 3) for t in timings],
+        "spread_seconds": round(max(timings) - min(timings), 3),
         "jobs": jobs,
         # the pool forks one worker per row, up to `jobs`
         "workers": min(jobs, len(study.rows)) if jobs > 1 else 1,
@@ -168,16 +172,21 @@ def main(argv=None) -> int:
     )
     if args.assert_parallel_speedup is not None:
         achieved = default_s / parallel_s
+        runs = "; ".join(
+            f"{name} best {row['seconds']:.2f}s of {row['all_runs']}, "
+            f"spread {row['spread_seconds']:.2f}s"
+            for name, row in results.items() if name != "baseline"
+        )
         if achieved < args.assert_parallel_speedup:
             print(
                 f"FABRIC REGRESSION: parallel sweep is only "
                 f"{achieved:.2f}x the default single-process sweep "
-                f"(gate: {args.assert_parallel_speedup:.2f}x)"
+                f"(gate: {args.assert_parallel_speedup:.2f}x); {runs}"
             )
             return 1
         print(
             f"fabric gate ok: {achieved:.2f}x >= "
-            f"{args.assert_parallel_speedup:.2f}x"
+            f"{args.assert_parallel_speedup:.2f}x; {runs}"
         )
     return 0
 

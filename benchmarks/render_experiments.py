@@ -1,9 +1,10 @@
 """Render EXPERIMENTS.md's measured values from ``benchmarks/results``.
 
 Rewrites, from the tables the paper-claim benches write: the measured
-column of the Table 2, Table 2 (ablation) and Figure 11 tables, the two
-Figure 10 means, and the HWASan and memory-overhead extension tables.
-The prose around them stays hand-written.
+column of the Table 2, Table 2 (ablation), Table 3 and Figure 11
+tables, Table 5's php row, the two Figure 10 means, and the HWASan and
+memory-overhead extension tables.  The prose around them, and the words
+after a rendered fraction, stay hand-written.
 
     python benchmarks/render_experiments.py          # rewrite in place
     python benchmarks/render_experiments.py --check  # exit 1 on drift
@@ -33,30 +34,80 @@ def fill_table(text, heading, measured):
     """Set the trailing cells of each ``| label | ... |`` row of the
     first table under ``heading``, keeping any bold marks.  ``measured``
     maps a label to its last cell's value, or to a list of values for
-    its last cells."""
+    its last cells; a callable value maps the cell's text to its new
+    text."""
     start = text.index(heading)
     end = text.find("\n\n", text.index("\n|", start) + 1)
     lines = text[start:end].split("\n")
     for label, values in measured.items():
-        values = [values] if isinstance(values, str) else values
+        values = values if isinstance(values, list) else [values]
         rows = [i for i, line in enumerate(lines)
                 if line.startswith(f"| {label} |")]
         if len(rows) != 1:
             raise SystemExit(f"{heading!r}: no single row for {label!r}")
         cells = lines[rows[0]].split("|")[1:-1]
         for index, value in enumerate(values, len(cells) - len(values)):
-            bold = "**" if cells[index].strip().startswith("**") else ""
+            cell = cells[index].strip()
+            bold = "**" if cell.startswith("**") else ""
+            if callable(value):
+                value = value(cell.strip("*"))
             cells[index] = f" {bold}{value}{bold} "
         lines[rows[0]] = "|" + "|".join(cells) + "|"
     return text[:start] + "\n".join(lines) + text[end:]
 
 
 def table_rows(name):
-    """``{label: [cells]}`` for the whitespace-separated rows of a
-    results table that follow its column-header line."""
-    header, *rows = (RESULTS / name).read_text().splitlines()[1:]
-    return {cells[0]: cells[1:] for cells in map(str.split, rows)
-            if len(cells) == len(header.split())}
+    """``{label: {column: cell}}`` for the rows of a results table that
+    follow its column-header line; cells are split by two or more
+    spaces, so a label or a column name may hold single spaces."""
+    header, *rows = (
+        re.split(r"\s{2,}", line.strip())
+        for line in (RESULTS / name).read_text().splitlines()[1:]
+    )
+    return {cells[0]: dict(zip(header[1:], cells[1:]))
+            for cells in rows if len(cells) == len(header)}
+
+
+def then_words(fraction):
+    """A cell's new text: ``fraction`` in place of its leading ``n/m``,
+    the hand-written words after it kept."""
+    return lambda cell: re.sub(r"^[\d/]*", fraction, cell, count=1)
+
+
+def juliet_rows():
+    """Table 3's measured column, from the per-CWE detection counts."""
+    rows = {
+        label.split(":")[0]: row
+        for label, row in table_rows("table3_juliet.txt").items()
+    }
+    total = rows.pop("Total")
+    fraction = {cwe: f"{row['LFP']}/{row['Total']}"
+                for cwe, row in rows.items()}
+    same = all(row["GiantSan"] == row["ASan"] == row["ASan--"]
+               for row in rows.values())
+    underflows = ("CWE124", "CWE127")
+    false_positives = re.search(
+        r"\(false positives on non-buggy twins: (.*)\)",
+        (RESULTS / "table3_juliet.txt").read_text(),
+    ).group(1)
+    return {
+        "GiantSan = ASan = ASan-- on every CWE":
+            f"yes ({total['GiantSan']} each)" if same else "no",
+        "cases all three miss never trigger at runtime":
+            f"{int(total['Total']) - int(total['GiantSan'])} latent",
+        "LFP stack overflow": then_words(fraction["CWE121"]),
+        "LFP heap overflow": then_words(fraction["CWE122"]),
+        "LFP underwrite / underread":
+            "all detected"
+            if all(rows[cwe]["LFP"] == rows[cwe]["Total"]
+                   for cwe in underflows)
+            else " / ".join(fraction[cwe] for cwe in underflows),
+        "LFP overread": then_words(fraction["CWE126"]),
+        "false positives":
+            "none"
+            if set(re.findall(r"=(\d+)", false_positives)) == {"0"}
+            else false_positives,
+    }
 
 
 def traversal_ratios():
@@ -103,13 +154,20 @@ def render(text):
         )
         if count != 1:
             raise SystemExit(f"no single Figure 10 mean after {prose!r}")
+    text = fill_table(text, "## Table 3 — ", juliet_rows())
+    php = table_rows("table5_magma.txt")["php"]
+    text = fill_table(text, "## Table 5 — ", {"php": " / ".join(
+        php[column] for column in (
+            "ASan (rz=16)", "ASan (rz=512)", "GiantSan (rz=16)", "Total"
+        )
+    )})
     text = fill_table(text, "## Figure 11 — ", traversal_ratios())
     text = fill_table(text, "## Extension: HWASAN", {
-        program: [whole_percent(cell) for cell in cells]
+        program: [whole_percent(cell) for cell in cells.values()]
         for program, cells in table_rows("extension_hwasan.txt").items()
     })
     return fill_table(text, "## Extension: memory overhead", {
-        tool: [f"{int(cell):,}" for cell in cells]
+        tool: [f"{int(cell):,}" for cell in cells.values()]
         for tool, cells in table_rows(
             "extension_memory_overhead.txt").items()
     })

@@ -58,7 +58,7 @@ class Divergence:
 
     case_seed: int
     tool: str  # "*" for cross-tool findings
-    kind: str  # fastpath | oracle | invariant | cross-tool | elision | crash
+    kind: str  # fastpath|oracle|invariant|cross-tool|elision|interproc|crash
     detail: str
 
     def render(self) -> str:
@@ -106,9 +106,7 @@ def _cell(
     tool: str, config: ExecConfig, fastpath: bool
 ) -> Tuple[Session, ShadowInvariantChecker]:
     """One fast-path cell's session, with a recording checker on it."""
-    # the recording checker is the only one: a raising checker from
-    # ``config.invariants`` would verify every event a second time
-    session = _session(tool, config, fastpath=fastpath, invariants=False)
+    session = _session(tool, config, fastpath=fastpath)
     return session, ShadowInvariantChecker.attach(session.sanitizer)
 
 

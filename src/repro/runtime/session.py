@@ -48,9 +48,7 @@ class ExecConfig:
     """The execution cell a session runs in.
 
     The superblock ``fastpath`` and the instrumentation ``memoize``
-    cache never change a result; ``invariants`` attaches a raising
-    :class:`~repro.fuzz.invariants.ShadowInvariantChecker`, which
-    changes none either.  ``interprocedural`` check elision changes
+    cache never change a result.  ``interprocedural`` check elision changes
     which checks a program executes, so it may change CheckStats and
     error reports, though not whether a run reports.
     """
@@ -58,7 +56,6 @@ class ExecConfig:
     fastpath: bool = _switch(True, "REPRO_FASTPATH")
     interprocedural: bool = _switch(True, "REPRO_INTERPROC")
     memoize: bool = _switch(True, "REPRO_INSTRUMENT_CACHE")
-    invariants: bool = _switch(False, "REPRO_INVARIANTS")
 
     @classmethod
     def from_env(cls) -> "ExecConfig":
@@ -137,14 +134,6 @@ class Session:
                 else Telemetry()
             )
             self.telemetry.attach(self.sanitizer)
-        self.invariant_checker = None
-        if self.config.invariants:
-            # local import: repro.fuzz itself drives Sessions
-            from ..fuzz.invariants import ShadowInvariantChecker
-
-            self.invariant_checker = ShadowInvariantChecker.attach(
-                self.sanitizer, raise_on_violation=True
-            )
 
     def instrument(
         self, program: Program | FoldedProgram

@@ -168,6 +168,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self) -> None:
         try:
             length = int(self.headers.get("content-length") or 0)
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
             self._send_json(400, {"detail": "bad content-length"})
             return

@@ -33,12 +33,6 @@ SCALE = 2
 FUZZ_SEED = 20260806
 FUZZ_CASES = 20
 
-#: The Table 2 proxies that also run the invariants cells.  The
-#: checker re-verifies the whole heap after every event, so the
-#: allocation-heavy proxies (perlbench, gcc, povray, omnetpp) cost
-#: 8-14 s each there; these three cost about 1.5 s.
-INVARIANTS_SLICE = SPEC_TABLE2_ROWS[2:5]
-
 
 class Entry(NamedTuple):
     """One corpus program and how to run it."""
@@ -50,8 +44,6 @@ class Entry(NamedTuple):
     tools: tuple = TOOLS
     #: Session keyword arguments (telemetry, audit_elisions, budget).
     session: tuple = ()
-    #: Whether the invariants cells run it.
-    invariants: bool = True
 
     @property
     def id(self):
@@ -163,8 +155,7 @@ _FUZZ_BUDGET = (("max_instructions", CASE_MAX_INSTRUCTIONS),)
 
 CORPUS = (
     [
-        Entry("table2", spec.name, spec.build, (SCALE,),
-              invariants=spec in INVARIANTS_SLICE)
+        Entry("table2", spec.name, spec.build, (SCALE,))
         for spec in SPEC_TABLE2_ROWS
     ]
     + [Entry("directed", name, build) for name, build in DIRECTED.items()]
@@ -175,7 +166,7 @@ CORPUS = (
     + [Entry("callheavy", "callheavy", build_callheavy_program, (5,))]
     + [
         Entry("telemetry", spec.name, spec.build, (SCALE,), ("GiantSan",),
-              (("telemetry", True),), invariants=False)
+              (("telemetry", True),))
         for spec in SPEC_TABLE2_ROWS[:6]
     ]
     + [
@@ -185,7 +176,7 @@ CORPUS = (
     ]
     + [
         Entry("audit", spec.name, spec.build, (SCALE,), ("GiantSan",),
-              (("audit_elisions", True),), invariants=False)
+              (("audit_elisions", True),))
         for spec in SPEC_TABLE2_ROWS[:6]
     ]
     + [

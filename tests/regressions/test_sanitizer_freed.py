@@ -68,10 +68,6 @@ def _with_telemetry(tool):
     return Session(tool, ExecConfig(), telemetry=True), None
 
 
-def _with_invariants(tool):
-    return Session(tool, ExecConfig(invariants=True)), None
-
-
 def _with_tracer(tool):
     session = Session(tool, ExecConfig())
     return session, Tracer.attach(session.sanitizer)
@@ -85,8 +81,8 @@ def _with_checker(tool):
 
 @pytest.mark.parametrize(
     "observe",
-    [_with_telemetry, _with_invariants, _with_tracer, _with_checker],
-    ids=["telemetry", "invariants", "tracer", "checker"],
+    [_with_telemetry, _with_tracer, _with_checker],
+    ids=["telemetry", "tracer", "checker"],
 )
 @pytest.mark.parametrize("tool", sorted(SANITIZER_FACTORIES))
 def test_observed_space_dies_with_its_session(no_gc, tool, observe):

@@ -1,9 +1,8 @@
 """The configuration-matrix differential harness.
 
 Every acceleration of the simulator (the superblock fast path, compiled
-closures with their mid-run tier-up, the instrumentation memo, the
-invariant observer and the process pool) changes speed and never a
-result.  This is the proof.
+closures with their mid-run tier-up, the instrumentation memo and the
+process pool) changes speed and never a result.  This is the proof.
 
 A **cell** is one :class:`ExecConfig`; :data:`CELLS` enumerates every
 combination of its fields, so a field added to or deleted from
@@ -15,9 +14,9 @@ that tiers up mid-run on a cleared memo and then a warm one that runs
 closures from the memo) and ``compiled`` (closures from the entry
 call).  Every run must match, observable for observable, the
 tree-walker **reference** of its cell: the same cell with the fast
-path, the memo and the invariant checker off.  The fast path's own
-telemetry (:func:`engines.telemetry_views`) is compared with the tree
-walker at the cell's ``fastpath`` instead.  A cell whose instrumented
+path and the memo off.  The fast path's own telemetry
+(:func:`engines.telemetry_views`) is compared with the tree walker at
+the cell's ``fastpath`` instead.  A cell whose instrumented
 program and accelerations equal an earlier cell's would repeat its
 runs, and is skipped.  The units (a program and a tool each) spread
 over the process pool.
@@ -35,7 +34,7 @@ from itertools import product
 
 import pytest
 
-from corpus import CORPUS, SCALE
+from corpus import CORPUS, SCALE, TOOLS
 from engines import engine_on, observables
 from repro.analysis import run_overhead_study
 from repro.analysis.detection import (
@@ -50,9 +49,10 @@ from repro.analysis.parallel import (
     steal_spans,
 )
 from repro.analysis.tables import render_table2
+from repro.fuzz import ShadowInvariantChecker
 from repro.fuzz.driver import fuzz_spans
 from repro.ir.nodes import Loop
-from repro.passes.instrument import program_fingerprint
+from repro.passes.instrument import fold_program, program_fingerprint
 from repro.runtime import CompiledEngine, ExecConfig, Session
 from repro.runtime.fastpath import analyze_loop
 from repro.workloads.spec import SPEC_TABLE2_ROWS
@@ -72,7 +72,7 @@ CELLS = [
 
 #: The fields a run reads.  Every other field changes a run only
 #: through the program it instruments.
-ACCELERATIONS = ("fastpath", "memoize", "invariants")
+ACCELERATIONS = ("fastpath", "memoize")
 
 
 def reference_of(cell):
@@ -172,7 +172,7 @@ class TreeWalks:
         telemetry from the tree walker at ``cell``'s ``fastpath``."""
         want = dict(self(reference_of(cell)))
         if "superblock" in want:
-            walker = replace(cell, memoize=False, invariants=False)
+            walker = replace(cell, memoize=False)
             want["superblock"] = self(walker).get("superblock")
         return want
 
@@ -203,8 +203,6 @@ def first_mismatch(entry, tool):
     walk = TreeWalks(entry, tool)
     checked = set()
     for cell in CELLS:
-        if cell.invariants and not entry.invariants:
-            continue
         like = walk.runs_like(cell)
         if like in checked:
             # the same program under the same accelerations: the runs
@@ -389,10 +387,29 @@ def test_memoized_run_tiers_up_and_warm_run_compiles_nothing(engine_log):
     assert len(engine_log["tree"]) == walked
 
 
-def test_invariant_checker_verifies_events():
-    session = Session("GiantSan", ExecConfig(invariants=True))
-    session.run(SPEC_TABLE2_ROWS[2].build(), [SCALE])
-    assert session.invariant_checker.checks_run > 0
+@pytest.mark.parametrize("tool", TOOLS)
+@pytest.mark.parametrize(
+    "spec", SPEC_TABLE2_ROWS[2:5], ids=lambda spec: spec.name
+)
+def test_attached_checker_changes_no_result(spec, tool):
+    """A raising invariant checker observes a run and changes nothing.
+    It re-verifies the whole heap after every event; these proxies have
+    a few events each, the allocation-heavy ones over a hundred."""
+    program = fold_program(spec.build())
+
+    def run(session):
+        return observables(session.run(program, [SCALE]), session.sanitizer)
+
+    plain, checked = Session(tool, REFERENCE), Session(tool, REFERENCE)
+    checker = ShadowInvariantChecker.attach(
+        checked.sanitizer, raise_on_violation=True
+    )
+    failure = mismatch(
+        run(checked), run(plain), f"program {spec.name}, tool {tool}"
+    )
+    if failure:
+        pytest.fail(failure, pytrace=False)
+    assert checker.checks_run > 0
 
 
 def test_interprocedural_elision_lowers_executed_checks():

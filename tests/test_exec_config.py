@@ -34,26 +34,26 @@ def _env(monkeypatch):
     return lambda env: [monkeypatch.setenv(k, v) for k, v in env.items()]
 
 
-def test_four_boolean_fields_and_their_defaults():
+def test_three_boolean_fields_and_their_defaults():
     assert dataclasses.asdict(ExecConfig()) == {
-        "fastpath": True, "interprocedural": True,
-        "memoize": True, "invariants": False,
+        "fastpath": True, "interprocedural": True, "memoize": True,
     }
 
 
-# the "no" rows left the fast path and the memo on, and the "yes" row
-# left the checker off, when each switch had its own parser
+# the "no" rows left the fast path and the memo on when each switch
+# had its own parser
 @pytest.mark.parametrize("env, expected", [
     ({}, ExecConfig()),
     ({"REPRO_FASTPATH": "no"}, ExecConfig(fastpath=False)),
     ({"REPRO_INSTRUMENT_CACHE": "no"}, ExecConfig(memoize=False)),
-    ({"REPRO_INVARIANTS": "yes"}, ExecConfig(invariants=True)),
+    ({"REPRO_INTERPROC": "yes", "REPRO_FASTPATH": "off"},
+     ExecConfig(fastpath=False, interprocedural=True)),
     ({"REPRO_INTERPROC": " Off "}, ExecConfig(interprocedural=False)),
-    ({"REPRO_FASTPATH": "FALSE", "REPRO_INVARIANTS": "On\n"},
-     ExecConfig(fastpath=False, invariants=True)),
+    ({"REPRO_FASTPATH": "FALSE", "REPRO_INSTRUMENT_CACHE": "On\n"},
+     ExecConfig(fastpath=False, memoize=True)),
     ({"REPRO_INSTRUMENT_CACHE": "0"}, ExecConfig(memoize=False)),
-    ({"REPRO_INVARIANTS": " 1 ", "REPRO_FASTPATH": "true"},
-     ExecConfig(invariants=True)),
+    ({"REPRO_INTERPROC": " 1 ", "REPRO_INSTRUMENT_CACHE": "true"},
+     ExecConfig(interprocedural=True, memoize=True)),
     ({"REPRO_FASTPATH": ""}, ExecConfig()),  # empty counts as unset
     # names ExecConfig does not own are ignored
     ({"REPRO_SHADOW": "numpy", "REPRO_TELEMETRY": "x",
@@ -67,7 +67,7 @@ def test_from_env(_env, env, expected):
 
 @pytest.mark.parametrize("var, raw", [
     ("REPRO_FASTPATH", "maybe"), ("REPRO_INSTRUMENT_CACHE", "2"),
-    ("REPRO_INVARIANTS", "enabled"), ("REPRO_INTERPROC", "nope"),
+    ("REPRO_FASTPATH", "enabled"), ("REPRO_INTERPROC", "nope"),
 ])
 def test_from_env_rejects_typos(_env, var, raw):
     _env({var: raw})

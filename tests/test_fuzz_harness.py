@@ -286,12 +286,6 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation):
             checker.verify("planted")
 
-    def test_session_toggle_attaches_checker(self):
-        on = ExecConfig(invariants=True, memoize=False)
-        assert Session("GiantSan", on).invariant_checker is not None
-        off = ExecConfig(invariants=False, memoize=False)
-        assert Session("GiantSan", off).invariant_checker is None
-
     @pytest.mark.parametrize("tool", ["GiantSan", "ASan", "HWASan"])
     def test_driver_verifies_each_event_once(self, monkeypatch, tool):
         from repro.fuzz import driver
@@ -307,8 +301,9 @@ class TestInvariantChecker:
 
         monkeypatch.setattr(driver, "_session", recording_session)
         program = build_case(generate_case(case_seed_for(0, 3)))
-        config = ExecConfig(invariants=True)
-        _, checker = driver._run_one(program, tool, config, fastpath=True)
+        _, checker = driver._run_one(
+            program, tool, ExecConfig(), fastpath=True
+        )
         ((session, tracer),) = sessions
         checkers = [
             observer for observer in session.sanitizer.observers

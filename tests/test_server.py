@@ -16,7 +16,9 @@ Three families of guarantees:
 """
 
 import dataclasses
+import json
 import os
+import socket
 import threading
 import time
 
@@ -179,6 +181,24 @@ class TestSubmissionValidation:
     def test_unknown_sweep_target_is_422(self, client):
         response = client.post("/jobs/sweep", json={"target": "table99"})
         assert response.status_code == 422
+
+    @pytest.mark.parametrize("length", ["-5", "-1"])
+    def test_negative_content_length_is_400(self, client, length):
+        # a raw socket that stays open after the headers, so a server
+        # that reads the body to EOF times out instead of answering
+        with socket.create_connection(
+            ("127.0.0.1", client._server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                f"POST /jobs/run HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", reply
+        assert json.loads(body) == {"detail": "bad content-length"}
 
     def test_unknown_job_is_404(self, client):
         assert client.get("/jobs/doesnotexist").status_code == 404
