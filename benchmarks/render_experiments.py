@@ -1,10 +1,11 @@
 """Render EXPERIMENTS.md's measured values from ``benchmarks/results``.
 
 Rewrites, from the tables the paper-claim benches write: the measured
-column of the Table 2, Table 2 (ablation), Table 3 and Figure 11
-tables, Table 5's php row, the two Figure 10 means, and the HWASan and
-memory-overhead extension tables.  The prose around them, and the words
-after a rendered fraction, stay hand-written.
+columns of the Table 1, Table 2, Table 2 (ablation), Table 3 and
+Figure 11 tables, Table 4's detection counts and LFP's misses, Table 5's
+php row, the two Figure 10 means, and the HWASan and memory-overhead
+extension tables.  The prose around them, the words around a rendered
+number and the note after each of LFP's misses stay hand-written.
 
     python benchmarks/render_experiments.py          # rewrite in place
     python benchmarks/render_experiments.py --check  # exit 1 on drift
@@ -56,16 +57,26 @@ def fill_table(text, heading, measured):
     return text[:start] + "\n".join(lines) + text[end:]
 
 
-def table_rows(name):
-    """``{label: {column: cell}}`` for the rows of a results table that
-    follow its column-header line; cells are split by two or more
-    spaces, so a label or a column name may hold single spaces."""
+def table_lines(name):
+    """``[{column: cell}]`` for the rows of a results table that follow
+    its column-header line; cells are split by two or more spaces, so a
+    label or a column name may hold single spaces."""
     header, *rows = (
         re.split(r"\s{2,}", line.strip())
         for line in (RESULTS / name).read_text().splitlines()[1:]
     )
-    return {cells[0]: dict(zip(header[1:], cells[1:]))
-            for cells in rows if len(cells) == len(header)}
+    return [dict(zip(header, cells))
+            for cells in rows if len(cells) == len(header)]
+
+
+def table_rows(name):
+    """``{label: {column: cell}}``: :func:`table_lines` keyed by each
+    row's first cell."""
+    rows = {}
+    for row in table_lines(name):
+        label = row.pop(next(iter(row)))
+        rows[label] = row
+    return rows
 
 
 def then_words(fraction):
@@ -110,6 +121,69 @@ def juliet_rows():
     }
 
 
+def check_counts():
+    """Table 1's two measured columns, by the pattern each analysis
+    method's row exercises; the must-alias row's op-level cell keeps its
+    words around the total."""
+    rows = table_rows("table1_check_counts.txt")
+    patterns = {
+        "`p[0]+p[10]+p[20]`": "Constant Propagation",
+        "`memset(p,0,N)`": "Predefined Semantics",
+        "bounded loop `p[i]`": "Loop Bound Analysis",
+        "must-alias + loop": "Must-alias Analysis",
+    }
+    measured = {}
+    for pattern, method in patterns.items():
+        row = rows[method]
+        op_level = row["op-level dynamic"]
+        if method == "Must-alias Analysis":
+            op_level = then_total(op_level)
+        measured[pattern] = [
+            op_level, lambda cell: cell, row["instr-level dynamic"]
+        ]
+    return measured
+
+
+def then_total(total):
+    """A cell's new text: ``total`` in its ``(n total)``, the words
+    around it kept."""
+    return lambda cell: re.sub(r"\(\d+ total\)", f"({total} total)", cell)
+
+
+def linux_flaw(text):
+    """``text`` with Table 4's detection counts and LFP's misses from
+    the per-CVE table.  A miss the prose already names keeps its
+    hand-written note; a new one is listed bare, to be described."""
+    rows = table_lines("table4_linux_flaw.txt")
+    counts = [
+        f"{sum(row[tool] == 'yes' for row in rows)}/{len(rows)}"
+        for tool in ("GiantSan", "ASan", "ASan--")
+    ]
+    counts = counts[0] if len(set(counts)) == 1 else " / ".join(counts)
+    text, count = re.subn(
+        r"(\* GiantSan, ASan, ASan--: )[\d/ ]+( detected)",
+        rf"\g<1>{counts}\2", text,
+    )
+    if count != 1:
+        raise SystemExit("no single Table 4 detection count")
+    bullet = re.search(
+        r"(\* LFP misses exactly )(.*?)( — )", text, re.DOTALL
+    )
+    if bullet is None:
+        raise SystemExit("no Table 4 list of LFP's misses")
+    notes = dict(re.findall(
+        r"`(CVE-[\d-]+)`(\s*\([^)]*\))?", bullet.group(2)
+    ))
+    misses = [row["CVE ID"] for row in rows if row["LFP"] == "-"]
+    if list(notes) == misses:
+        return text
+    listed = [f"`{cve}`{notes.get(cve, '')}" for cve in misses]
+    if len(listed) > 1:
+        listed[-1] = "and " + listed[-1]
+    joined = (", " if len(listed) > 2 else " ").join(listed) or "nothing"
+    return text[:bullet.start(2)] + joined + text[bullet.end(2):]
+
+
 def traversal_ratios():
     """Figure 11's ASan/GiantSan cycle ratio per pattern, as "x× faster"
     (a ratio below 1 as "1/x× slower")."""
@@ -134,6 +208,7 @@ def whole_percent(cell):
 def render(text):
     table2 = geomeans("table2_spec_overhead.txt")
     ablation = geomeans("table2_ablation.txt")
+    text = fill_table(text, "## Table 1 — ", check_counts())
     text = fill_table(text, "## Table 2 — ", table2)
     text = fill_table(text, "## Table 2 (ablation)", {
         "GiantSan (both)": ablation["GiantSan"],
@@ -155,6 +230,7 @@ def render(text):
         if count != 1:
             raise SystemExit(f"no single Figure 10 mean after {prose!r}")
     text = fill_table(text, "## Table 3 — ", juliet_rows())
+    text = linux_flaw(text)
     php = table_rows("table5_magma.txt")["php"]
     text = fill_table(text, "## Table 5 — ", {"php": " / ".join(
         php[column] for column in (

@@ -35,14 +35,44 @@ per-loop constant, so its source text alone determines the function:
 :func:`superblock_function` compiles each distinct text once per
 process, in a small bounded cache that holds functions and no IR.
 
-Observable equivalence is the contract: native-cycle accounting (same
-additions in the same order), instruction counting and the budget check,
-CheckStats and the Figure 10 classification, telemetry counters,
-error logs, and hardware-fault fallback semantics all match the
-tree-walker bit for bit.  The configuration-matrix harness in
-``tests/test_config_matrix.py`` enforces this in every execution cell
-over the Table 2 kernels, the fast-path decline shapes and the pinned
-fuzz corpus.
+Observable equivalence is the contract: native cycles, instruction
+counts and the budget, CheckStats and the Figure 10 classification,
+telemetry counters, error logs, and hardware-fault fallback semantics
+all match the tree-walker bit for bit.  The configuration-matrix
+harness in ``tests/test_config_matrix.py`` enforces this in every
+execution cell over the Table 2 kernels, the fast-path decline shapes
+and the pinned fuzz corpus.
+
+A closure keeps its hot counters in locals and publishes them only at
+flush points.  A *quiet* instruction (Compute, PtrAdd, Assign with no
+shift, Load without address resolution) cannot raise and touches only
+locals and the engine's own counters, so it joins a straight-line
+*run*: the emitter adds up the run's instructions and its constant
+cycle charges, and emits one ``I += k`` with one budget test and its
+``cy`` charges at the next flush point.  That is before every other
+instruction (its own count included, and its charge where the tree
+walker charges before the instruction's effect, so a check, store,
+call, allocation, intrinsic, ``If`` or ``Loop`` runs only inside the
+budget), and at the end of every block, a loop iteration's included.
+The run's charges are one sum only when every cycle charge of the
+program is exact (:func:`~repro.runtime.cost_model.is_exact`): such
+sums never round while the total stays below 2**43 cycles.  Otherwise
+each charge keeps its own addition, in the tree walker's order.
+Each inlined first stage's hits are one local counter, which the
+closure's ``finally`` multiplies into the stage's CheckStats increments
+and Figure 10 category.  Nothing reads those absolutely while the
+closure runs: the slow path's classification reads a difference of
+``fast_checks``, and the audit replay's snapshot and restore of the
+stats commutes with a later addition.
+
+So after any exception, everything its caller reaches equals the tree
+walker's at the same raise: the sanitizer's stats, error log, shadow,
+heap and address space.  A ``BudgetExceeded`` is raised at a flush,
+where the engine's own instruction and cycle counters may differ from
+the tree walker's (nothing reads them after it).  Every other
+instruction is charged where the tree walker charges it, so an
+exception from its own effect (an error report under
+``halt_on_error``, a negative shift) leaves even those equal.
 
 Functions the compiler cannot prove safe are simply *not compiled* and
 run through the inherited tree-walker — :class:`CompiledEngine` is an
@@ -61,11 +91,11 @@ of the check method (:class:`~repro.sanitizers.base.FirstStage`, the
 two-stage shape of the paper's Algorithm 1): ASan's in-segment access
 to a GOOD shadow byte, LFP's region inside a live allocation found by
 its base, GiantSan's offset under the cached quasi-bound.  Where the
-stage's test holds, the closure makes the method's CheckStats
-increments itself; elsewhere it calls the method, which decides the
-check from the start.  The stages are part of the closure table key,
-and a sanitizer whose check method was replaced on its class or
-instance inlines none for that method
+stage's test holds, the closure counts a hit, and makes the method's
+CheckStats increments for all its hits when it returns; elsewhere it
+calls the method, which decides the check from the start.  The stages
+are part of the closure table key, and a sanitizer whose check method
+was replaced on its class or instance inlines none for that method
 (:meth:`~repro.sanitizers.base.Sanitizer.inline_stages`), so a wrapper
 still sees every check.
 
@@ -116,12 +146,12 @@ from ..ir.nodes import (
     Strcpy,
     Var,
 )
-from ..ir.program import Function, Program
+from ..ir.program import Function, Program, walk
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
 from ..passes.constprop import assigned_vars
 from ..sanitizers.base import FirstStage
 from . import fastpath as _fastpath
-from .cost_model import NativeCosts
+from .cost_model import NativeCosts, exact_costs, is_exact
 from .interpreter import BudgetExceeded, Interpreter
 from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 
@@ -181,6 +211,17 @@ def _div(a: int, b: int) -> int:
 
 def _mod(a: int, b: int) -> int:
     return a % b if b else 0
+
+
+def _shiftless(node: Expr) -> bool:
+    """Whether ``node`` has no shift, the one operator that raises."""
+    if type(node) is BinOp:
+        return (
+            node.op not in ("<<", ">>")
+            and _shiftless(node.left)
+            and _shiftless(node.right)
+        )
+    return True
 
 
 def _budget_exceeded(limit: int) -> BudgetExceeded:
@@ -281,7 +322,8 @@ class CompiledFunction:
 
     def __init__(self, function, key, closure, n_slots, param_slots):
         self.name = function.name
-        #: the IR function and table key the closure was emitted from
+        #: the IR function and the emitter arguments the closure was
+        #: emitted from
         self.function = function
         self.key = key
         self.closure = closure
@@ -294,8 +336,8 @@ class CompiledFunction:
         """The closure's generated source, for tests and debugging.
 
         Emitted again on each read rather than kept: emission is
-        deterministic in the function and the table key, so this is the
-        text that was compiled.
+        deterministic in the function and the emitter arguments, so this
+        is the text that was compiled.
         """
         emitter = _Emitter(self.function, *self.key)
         emitter.emit_function()
@@ -317,6 +359,7 @@ class _Emitter:
         costs: Optional[NativeCosts],
         needs_resolve: bool,
         stages: Sequence[FirstStage] = (),
+        exact: bool = False,
     ):
         self.fn = function
         self.costs = costs
@@ -326,6 +369,15 @@ class _Emitter:
         self.stage_key = tuple(stages)
         #: prologue bindings the inlined stages read, by name
         self.stage_bindings: Dict[str, str] = {}
+        #: each inlined stage's hit counter, a closure local
+        self.hits: Dict[FirstStage, str] = {}
+        #: every cycle charge of the program is exact, so a straight-line
+        #: run's constant charges may be added as one sum
+        self.exact = exact
+        #: the pending run: instructions and constant cycle charges not
+        #: yet emitted (see :meth:`flush`)
+        self.run_instructions = 0
+        self.run_cycles: List[float] = []
         self.slots: Dict[str, int] = {}
         self.defined: set = set()
         self.lines: List[str] = []
@@ -423,13 +475,23 @@ class _Emitter:
     def block(self, instrs: List, depth: int) -> None:
         if not instrs:
             self.emit(depth, "pass")
-            return
         for instr in instrs:
             self.instr(instr, depth)
+        self.flush(depth)
 
-    def _budget(self, depth: int) -> None:
-        self.emit(depth, "I += 1")
-        self.emit(depth, "if I > M: raise _BE(M)")
+    def flush(self, depth: int) -> None:
+        """Charge the pending run: one budget test for its instructions,
+        then its constant cycle charges, as one sum when they are exact."""
+        if self.run_instructions:
+            self.emit(depth, f"I += {self.run_instructions}")
+            self.emit(depth, "if I > M: raise _BE(M)")
+        charges = self.run_cycles
+        if self.exact and len(charges) > 1:
+            charges = [sum(charges)]
+        for charge in charges:
+            self.emit(depth, f"cy += {charge!r}")
+        self.run_instructions = 0
+        self.run_cycles = []
 
     def _classify(self, protection: Protection, depth: int) -> None:
         if protection is Protection.DIRECT:
@@ -464,27 +526,59 @@ class _Emitter:
         for name, expression in stage.bindings:
             assert name not in self._BINDINGS and name not in _SHARED_NS
             self.stage_bindings[name] = expression
-        self.used.add("st")
+        hits = self.hits.get(stage)
+        if hits is None:
+            if not all(is_exact(amount) for _, amount in stage.counts):
+                # amount * hits could round where one-by-one adds do not
+                raise _Uncompilable(f"{stage!r} increments are not exact")
+            hits = self.hits[stage] = f"_h{len(self.hits) + 1}"
+            self.used.add("st")
+            if stage.protection is not None:
+                self.used.add("P")
         self.emit(depth, f"if {stage.test.format(**operands)}:")
-        for name, amount in stage.counts:
-            self.emit(depth + 1, f"st.{name} += {amount!r}")
-        if stage.protection is not None:
-            self.used.add("P")
-            self.emit(depth + 1, f"P[{stage.protection!r}] += 1")
+        self.emit(depth + 1, f"{hits} += 1")
         self.emit(depth, "else:")
         slow(depth + 1)
 
-    def instr(self, instr, depth: int) -> None:
+    #: the constant cycle charge of each kind that has one, by
+    #: :class:`NativeCosts` field, made where the tree walker makes it:
+    #: before the instruction's effect, or after it (Compute's charge is
+    #: its own ``cycles``, after; a Call's is made in its lowering)
+    _CHARGED_BEFORE = {If: "branch", Return: "ret"}
+    _CHARGED_AFTER = {
+        Assign: "arith", PtrAdd: "arith", Load: "memory_access",
+        Store: "memory_access", Malloc: "malloc", Free: "free",
+    }
+
+    def quiet(self, instr) -> bool:
+        """Whether ``instr`` can join a straight-line run: it cannot
+        raise and touches only locals and the engine's own counters."""
         kind = type(instr)
-        self._budget(depth)
+        if kind is Assign:
+            return _shiftless(instr.expr)
+        if kind is PtrAdd:
+            return _shiftless(instr.offset)
+        if kind is Load:
+            return not self.needs_resolve and _shiftless(instr.offset)
+        return kind is Compute or kind is StackAlloc
+
+    def instr(self, instr, depth: int) -> None:
+        """Lower ``instr``: it joins the pending run, which is charged
+        before the instruction unless the instruction is quiet."""
+        kind = type(instr)
         costs = self.costs
+        self.run_instructions += 1
+        charge = self._CHARGED_BEFORE.get(kind)
+        if charge is not None:
+            self.run_cycles.append(getattr(costs, charge))
+        if not self.quiet(instr):
+            self.flush(depth)
 
         if kind is Compute:
-            self.emit(depth, f"cy += {instr.cycles!r}")
+            self.run_cycles.append(instr.cycles)
         elif kind is Assign:
             code = self.expr(instr.expr)
             self.emit(depth, f"{self.write(instr.dst)} = {code}")
-            self.emit(depth, f"cy += {costs.arith!r}")
         elif kind is Load or kind is Store:
             self.used.add("mem")
             self.emit(depth, f"_a = {self.address(instr)}")
@@ -504,12 +598,10 @@ class _Emitter:
                 self.emit(depth + 1, self.store_text(width, "_a", value))
                 self.emit(depth, "else:")
                 self.emit(depth + 1, "E.hardware_faults += 1")
-            self.emit(depth, f"cy += {costs.memory_access!r}")
             self._classify(instr.protection, depth)
         elif kind is Loop:
             self._loop(instr, depth)
         elif kind is If:
-            self.emit(depth, f"cy += {costs.branch!r}")
             self.emit(depth, f"if {self.cond(instr.cond)}:")
             before = set(self.defined)
             self.block(instr.then, depth + 1)
@@ -586,7 +678,6 @@ class _Emitter:
             self.used.add("MAL")
             code = self.expr(instr.size)
             self.emit(depth, f"{self.write(instr.dst)} = MAL({code}).base")
-            self.emit(depth, f"cy += {costs.malloc!r}")
         elif kind is GlobalAlloc:
             self.used.add("DG")
             self.emit(
@@ -597,11 +688,9 @@ class _Emitter:
         elif kind is Free:
             self.used.add("FR")
             self.emit(depth, f"FR({self.read(instr.ptr)})")
-            self.emit(depth, f"cy += {costs.free!r}")
         elif kind is PtrAdd:
             code = f"{self.read(instr.base)} + {self.expr(instr.offset)}"
             self.emit(depth, f"{self.write(instr.dst)} = {code}")
-            self.emit(depth, f"cy += {costs.arith!r}")
         elif kind is Memset:
             self.emit(depth, f"_b = {self.read(instr.base)}")
             self.emit(depth, f"_n = {self.expr(instr.length)}")
@@ -643,9 +732,10 @@ class _Emitter:
         elif kind is Call:
             args = ", ".join(self.expr(a) for a in instr.args)
             self.used.add("CALLF")
-            self.emit(depth, f"cy += {costs.call!r}")
             self.emit(depth, "E.instructions = I")
-            self.emit(depth, "E.native_cycles = cy")
+            # charged for the callee only: an argument that raises leaves
+            # the local ``cy`` without it, as the tree walker's counter
+            self.emit(depth, f"E.native_cycles = cy + {costs.call!r}")
             self.emit(depth, f"_r = CALLF({instr.func!r}, [{args}])")
             self.emit(depth, "I = E.instructions")
             self.emit(depth, "cy = E.native_cycles")
@@ -655,7 +745,6 @@ class _Emitter:
                     f"{self.write(instr.dst)} = _r if _r is not None else 0",
                 )
         elif kind is Return:
-            self.emit(depth, f"cy += {costs.ret!r}")
             if instr.expr is not None:
                 self.emit(depth, f"return {self.expr(instr.expr)}")
             else:
@@ -664,6 +753,9 @@ class _Emitter:
             pass  # materialized at function entry
         else:
             raise _Uncompilable(f"instruction {kind.__name__}")
+        charge = self._CHARGED_AFTER.get(kind)
+        if charge is not None:
+            self.run_cycles.append(getattr(costs, charge))
 
     # -- loops ---------------------------------------------------------
     def _loop(self, loop: Loop, depth: int) -> None:
@@ -716,7 +808,7 @@ class _Emitter:
         before = set(self.defined)
         self.emit(depth, f"for _i{n} in _r{n}:")
         self.emit(depth + 1, f"{self.write(loop.var)} = _i{n}")
-        self.emit(depth + 1, f"cy += {self.costs.loop_iteration!r}")
+        self.run_cycles.append(self.costs.loop_iteration)
         self.block(loop.body, depth + 1)
         self.emit(depth, "if TEL is not None:")
         self.emit(depth + 1, f'TEL.profiler.end("interpreter_loop", _p{n})')
@@ -749,7 +841,7 @@ class _Emitter:
         param_slots = self.emit_function()
         return CompiledFunction(
             function=self.fn,
-            key=(self.costs, self.needs_resolve, self.stage_key),
+            key=(self.costs, self.needs_resolve, self.stage_key, self.exact),
             closure=self.define("_cf", f"<compiled:{self.fn.name}>"),
             n_slots=len(self.slots),
             param_slots=param_slots,
@@ -780,6 +872,8 @@ class _Emitter:
                 self.emit(1, binding)
         for name, expression in sorted(self.stage_bindings.items()):
             self.emit(1, f"{name} = {expression}")
+        for hits in self.hits.values():
+            self.emit(1, f"{hits} = 0")
         if "SL" in self.used:
             self.ns["SL"] = self.slots
         if stack_buffers:
@@ -796,6 +890,15 @@ class _Emitter:
         self.emit(1, "finally:")
         self.emit(2, "E.instructions = I")
         self.emit(2, "E.native_cycles = cy")
+        for stage, hits in self.hits.items():
+            self.emit(2, f"if {hits}:")
+            for name, amount in stage.counts:
+                if amount == 1 and type(amount) is int:
+                    self.emit(3, f"st.{name} += {hits}")
+                else:
+                    self.emit(3, f"st.{name} += {amount!r} * {hits}")
+            if stage.protection is not None:
+                self.emit(3, f"P[{stage.protection!r}] += {hits}")
         if stack_buffers:
             self.emit(2, "san.pop_frame()")
         return param_slots
@@ -1121,12 +1224,30 @@ def compile_function(
     costs: NativeCosts,
     needs_resolve: bool,
     stages: Sequence[FirstStage] = (),
+    exact: bool = False,
 ) -> Optional[CompiledFunction]:
-    """Lower one function; None when it keeps tree-walker semantics."""
+    """Lower one function; None when it keeps tree-walker semantics.
+
+    ``exact`` says every cycle charge of the function's program passes
+    :func:`~repro.runtime.cost_model.is_exact` (as
+    :func:`compile_program` works out); only then does the closure add
+    a run's constant charges as one sum.
+    """
     try:
-        return _Emitter(function, costs, needs_resolve, stages).build()
+        return _Emitter(function, costs, needs_resolve, stages, exact).build()
     except _Uncompilable:
         return None
+
+
+def _exact_cycles(program: Program, costs: NativeCosts) -> bool:
+    """Whether every cycle charge a run of ``program`` can make is
+    exact: every field of ``costs`` and every Compute constant."""
+    return exact_costs(costs) and all(
+        is_exact(instr.cycles)
+        for function in program.functions.values()
+        for instr in walk(function.body)
+        if type(instr) is Compute
+    )
 
 
 def compile_program(
@@ -1150,8 +1271,9 @@ def compile_program(
     table = tables.get(key)
     if table is None:
         table = {}
+        exact = _exact_cycles(program, costs)
         for name, function in program.functions.items():
-            compiled = compile_function(function, *key)
+            compiled = compile_function(function, *key, exact)
             if compiled is not None:
                 table[name] = compiled
         tables[key] = table

@@ -22,8 +22,9 @@ Execution then proceeds in three phases, each of which may *decline* and
 fall back to the per-iteration interpreter (so every error path and
 every edge case runs through the reference implementation):
 
-1. **Precheck** — instruction budget, required variables present, every
-   accessed address range inside the simulated address space.
+1. **Precheck** — instruction budget, required variables present, exact
+   cycle charges, every accessed address range inside the simulated
+   address space.
 2. **Fold** — the sanitizer's ``fold_*_checks`` hooks decide, without
    mutating anything, that every per-iteration check passes and return
    the exact stat deltas (see :mod:`repro.sanitizers.base`).
@@ -31,7 +32,11 @@ every edge case runs through the reference implementation):
    stores directly on the address-space buffer, and native cycles /
    instruction counts / CheckStats / Figure 10 categories are charged
    arithmetically (count × per-iteration events), matching the
-   tree-walker to the last counter.  An eligible body runs as a slice
+   tree-walker to the last counter.  One product equals the
+   tree-walker's one-by-one cycle additions only when every charge and
+   the running total are exact (:func:`~repro.runtime.cost_model.is_exact`),
+   so a caller's non-dyadic cost model declines here with the reason
+   ``inexact_cycles``.  An eligible body runs as a slice
    kernel: each memory site is one stepped slice of the buffer, every
    value is computed over whole slices and every store is one slice
    assignment, after all loads.  When a store shares a byte with
@@ -76,6 +81,7 @@ from ..ir.nodes import (
 from ..passes.constprop import assigned_vars
 from ..passes.loop_bounds import affine_of
 from ..sanitizers.base import FoldResult
+from .cost_model import is_exact
 
 if TYPE_CHECKING:
     from .compiler import Superblock
@@ -138,6 +144,8 @@ class LoopPlan:
     arith_count: int  # Assign instructions per iteration
     memory_count: int  # Load + Store instructions per iteration
     compute_cycles: float  # summed Compute cycles per iteration
+    #: whether every Compute charge is exact (:func:`is_exact`)
+    exact_cycles: bool = True
     mem_sites: List[_MemSite] = field(default_factory=list)
     access_checks: List[_AccessCheckSite] = field(default_factory=list)
     region_checks: List[_RegionCheckSite] = field(default_factory=list)
@@ -206,6 +214,7 @@ def _analyze(loop: Loop) -> LoopPlan:
         kind = type(instr)
         if kind is Compute:
             plan.compute_cycles += instr.cycles
+            plan.exact_cycles = plan.exact_cycles and is_exact(instr.cycles)
         elif kind is Assign:
             plan.arith_count += 1
         elif kind is Load or kind is Store:
@@ -324,6 +333,23 @@ def _execute(
         if name not in env:
             # the reference path raises NameError/KeyError
             return _declined(tele, "unbound_variable")
+    costs = interpreter.costs
+    cycles = interpreter.native_cycles + count * (
+        costs.loop_iteration
+        + plan.arith_count * costs.arith
+        + plan.memory_count * costs.memory_access
+        + plan.compute_cycles
+    )
+    if not (
+        plan.exact_cycles
+        and is_exact(costs.loop_iteration)
+        and is_exact(costs.arith)
+        and is_exact(costs.memory_access)
+        and is_exact(interpreter.native_cycles)
+        and is_exact(cycles)
+    ):
+        # the reference path adds one charge at a time, and they round
+        return _declined(tele, "inexact_cycles")
     sanitizer = interpreter.san
     space = sanitizer.space
     total_size = space.layout.total_size
@@ -395,13 +421,7 @@ def _execute(
     bulk = plan.superblock.run(env, values, space._mem)
 
     interpreter.instructions += count * plan.body_len
-    costs = interpreter.costs
-    interpreter.native_cycles += count * (
-        costs.loop_iteration
-        + plan.arith_count * costs.arith
-        + plan.memory_count * costs.memory_access
-        + plan.compute_cycles
-    )
+    interpreter.native_cycles = cycles
     folded.apply(sanitizer.stats)
     protection_counts = interpreter.protection_counts
     for category, per_iteration in plan.protection_per_iter.items():

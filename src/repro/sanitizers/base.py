@@ -161,6 +161,15 @@ class FirstStage:
     method, which decides the check from the start.  ``protection`` is
     the Figure 10 category the check site records when the test holds.
 
+    The closure makes those increments when it returns, not at the hit:
+    it counts the stage's hits in a local and adds ``amount * hits`` to
+    each counter, and ``hits`` to ``protection``, in its ``finally``.
+    So each amount must be exact
+    (:func:`~repro.runtime.cost_model.is_exact`), as must every other
+    increment of that counter, for the one product to equal the
+    one-by-one additions; a function whose stage has an inexact amount
+    is left to the tree walker.
+
     The fields of each method's site:
 
     * ``check_access``: ``{address}`` and ``{width}``;

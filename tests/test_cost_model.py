@@ -2,9 +2,23 @@
 
 import pytest
 
-from repro.runtime import CostModel, geometric_mean
-from repro.runtime.cost_model import NativeCosts, SanitizerCosts
+from corpus import SCALE
+from engines import run_on
+from repro.runtime import (
+    CompiledEngine,
+    CostModel,
+    ExecConfig,
+    Interpreter,
+    geometric_mean,
+)
+from repro.runtime.cost_model import (
+    NativeCosts,
+    SanitizerCosts,
+    exact_costs,
+    is_exact,
+)
 from repro.sanitizers import CheckStats
+from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 
 class TestSanitizerCosts:
@@ -80,3 +94,55 @@ class TestNativeCosts:
         costs = NativeCosts()
         assert costs.memory_access > costs.arith
         assert costs.malloc > costs.call
+
+
+class TestExactCharges:
+    @pytest.mark.parametrize("value", [0, 1, 2.0, 0.25, 0.5, 3 / 1024, 60.0,
+                                       2.0 ** 40 - 1])
+    def test_exact(self, value):
+        assert is_exact(value)
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1 / 3, 1 / 2048,
+                                       2.0 ** 40, -1.0, float("inf"),
+                                       float("nan")])
+    def test_inexact(self, value):
+        assert not is_exact(value)
+
+    def test_default_costs_are_exact(self):
+        assert exact_costs(NativeCosts())
+        assert not exact_costs(NativeCosts(arith=0.1))
+
+
+#: Non-dyadic native costs: grouped float sums of these round.
+INEXACT = CostModel(
+    native=NativeCosts(arith=0.1, memory_access=0.3, loop_iteration=0.7)
+)
+
+
+@pytest.mark.parametrize("spec", SPEC_TABLE2_ROWS, ids=lambda spec: spec.name)
+def test_inexact_costs_charge_alike_in_every_engine(spec):
+    """Under a non-dyadic cost model the tree walker, compiled closures
+    and the superblock fast path charge bit-identical native cycles: the
+    fast path declines rather than multiply, and closures add each
+    charge on its own rather than one sum per straight-line run."""
+    program = spec.build()
+    cycles = {
+        (engine.__name__, fastpath): run_on(
+            engine, program, "GiantSan",
+            ExecConfig(fastpath=fastpath, memoize=False), [SCALE],
+            cost_model=INEXACT,
+        ).native_cycles.hex()
+        for engine in (Interpreter, CompiledEngine)
+        for fastpath in (False, True)
+    }
+    assert len(set(cycles.values())) == 1, cycles
+
+
+def test_fast_path_declines_inexact_charges():
+    spec = SPEC_TABLE2_ROWS[0]
+    telemetry = run_on(
+        Interpreter, spec.build(), "GiantSan", ExecConfig(memoize=False),
+        [SCALE], cost_model=INEXACT, telemetry=True,
+    ).telemetry
+    assert telemetry.superblock_declines.get("inexact_cycles", 0) > 0
+    assert "superblock_loops" not in telemetry.counters

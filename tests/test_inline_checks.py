@@ -14,6 +14,7 @@ with the superblock fast path off, so their loop bodies check every
 iteration inside the closures.
 """
 
+import re
 import sys
 
 import pytest
@@ -38,10 +39,11 @@ from repro.runtime import (
     ExecConfig,
     Interpreter,
     Session,
+    compile_function,
     compiler,
 )
 from repro.sanitizers.asan import ASan
-from repro.sanitizers.base import EventKind
+from repro.sanitizers.base import EventKind, FirstStage
 from repro.sanitizers.giantsan import GiantSan
 from repro.sanitizers.lfp import LFP
 from repro.workloads.spec import SPEC_TABLE2_ROWS
@@ -296,9 +298,9 @@ def _sites(function, kind):
 
 def _inlined(compiled):
     """How many check sites of ``compiled`` inline a first stage: every
-    stage counts ``checks_executed`` in the closure, and nothing else
+    stage hit adds one to its stage's ``_hN`` local, and nothing else
     the emitter writes does."""
-    return compiled.source.count("st.checks_executed += 1")
+    return len(re.findall(r"^ *_h\d+ \+= 1$", compiled.source, re.M))
 
 
 def _method_calls(method, run):
@@ -392,6 +394,22 @@ def test_subclass_override_turns_inlining_off():
     compiled, key = _run(program, Audited(), CompiledEngine)
     assert key[2] == ()
     assert tree == compiled
+
+
+def test_inexact_stage_increments_keep_the_tree_walker():
+    """A closure adds ``amount * hits`` when it returns, which equals
+    the hits' one-by-one additions only for exact amounts: a stage with
+    another amount leaves its function uncompiled."""
+    (stage,) = LFP.first_stages
+    inexact = FirstStage(
+        stage.function, stage.test,
+        counts=stage.counts[:2] + (("extra_instructions", 0.1),),
+        bindings=stage.bindings, protection=stage.protection,
+    )
+    main = _region_program().functions["main"]
+    costs = Session("LFP").cost_model.native
+    assert compile_function(main, costs, False, (stage,)) is not None
+    assert compile_function(main, costs, False, (inexact,)) is None
 
 
 def test_stages_key_the_closure_table():
