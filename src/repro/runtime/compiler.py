@@ -47,17 +47,16 @@ A closure keeps its hot counters in locals and publishes them only at
 flush points.  A *quiet* instruction (Compute, PtrAdd, Assign with no
 shift, Load without address resolution) cannot raise and touches only
 locals and the engine's own counters, so it joins a straight-line
-*run*: the emitter adds up the run's instructions and its constant
-cycle charges, and emits one ``I += k`` with one budget test and its
-``cy`` charges at the next flush point.  That is before every other
-instruction (its own count included, and its charge where the tree
-walker charges before the instruction's effect, so a check, store,
-call, allocation, intrinsic, ``If`` or ``Loop`` runs only inside the
-budget), and at the end of every block, a loop iteration's included.
-The run's charges are one sum only when every cycle charge of the
-program is exact (:func:`~repro.runtime.cost_model.is_exact`): such
-sums never round while the total stays below 2**43 cycles.  Otherwise
-each charge keeps its own addition, in the tree walker's order.
+*run*: the emitter adds up the run's instructions and collects its
+constant cycle charges, and emits one ``I += k`` with one budget test
+and the charges, one ``cy +=`` each in the tree walker's order, at the
+next flush point.  That is before every other instruction (its own
+count included, and its charge where the tree walker charges before
+the instruction's effect, so a check, store, call, allocation,
+intrinsic, ``If`` or ``Loop`` runs only inside the budget), and at the
+end of every block, a loop iteration's included.
+The charges are never summed: the same float additions in the same
+order give ``cy`` the tree walker's bits whatever the costs are.
 Each inlined first stage's hits are one local counter, which the
 closure's ``finally`` multiplies into the stage's CheckStats increments
 and Figure 10 category.  Nothing reads those absolutely while the
@@ -146,12 +145,12 @@ from ..ir.nodes import (
     Strcpy,
     Var,
 )
-from ..ir.program import Function, Program, walk
+from ..ir.program import Function, Program
 from ..memory.address_space import CODEC_BY_WIDTH, _MASK_BY_WIDTH
 from ..passes.constprop import assigned_vars
 from ..sanitizers.base import FirstStage
 from . import fastpath as _fastpath
-from .cost_model import NativeCosts, exact_costs, is_exact
+from .cost_model import NativeCosts
 from .interpreter import BudgetExceeded, Interpreter
 from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 
@@ -322,8 +321,7 @@ class CompiledFunction:
 
     def __init__(self, function, key, closure, n_slots, param_slots):
         self.name = function.name
-        #: the IR function and the emitter arguments the closure was
-        #: emitted from
+        #: the IR function and table key the closure was emitted from
         self.function = function
         self.key = key
         self.closure = closure
@@ -336,8 +334,8 @@ class CompiledFunction:
         """The closure's generated source, for tests and debugging.
 
         Emitted again on each read rather than kept: emission is
-        deterministic in the function and the emitter arguments, so this
-        is the text that was compiled.
+        deterministic in the function and the table key, so this is the
+        text that was compiled.
         """
         emitter = _Emitter(self.function, *self.key)
         emitter.emit_function()
@@ -359,7 +357,6 @@ class _Emitter:
         costs: Optional[NativeCosts],
         needs_resolve: bool,
         stages: Sequence[FirstStage] = (),
-        exact: bool = False,
     ):
         self.fn = function
         self.costs = costs
@@ -371,9 +368,6 @@ class _Emitter:
         self.stage_bindings: Dict[str, str] = {}
         #: each inlined stage's hit counter, a closure local
         self.hits: Dict[FirstStage, str] = {}
-        #: every cycle charge of the program is exact, so a straight-line
-        #: run's constant charges may be added as one sum
-        self.exact = exact
         #: the pending run: instructions and constant cycle charges not
         #: yet emitted (see :meth:`flush`)
         self.run_instructions = 0
@@ -481,14 +475,11 @@ class _Emitter:
 
     def flush(self, depth: int) -> None:
         """Charge the pending run: one budget test for its instructions,
-        then its constant cycle charges, as one sum when they are exact."""
+        then each of its constant cycle charges, in order."""
         if self.run_instructions:
             self.emit(depth, f"I += {self.run_instructions}")
             self.emit(depth, "if I > M: raise _BE(M)")
-        charges = self.run_cycles
-        if self.exact and len(charges) > 1:
-            charges = [sum(charges)]
-        for charge in charges:
+        for charge in self.run_cycles:
             self.emit(depth, f"cy += {charge!r}")
         self.run_instructions = 0
         self.run_cycles = []
@@ -528,9 +519,6 @@ class _Emitter:
             self.stage_bindings[name] = expression
         hits = self.hits.get(stage)
         if hits is None:
-            if not all(is_exact(amount) for _, amount in stage.counts):
-                # amount * hits could round where one-by-one adds do not
-                raise _Uncompilable(f"{stage!r} increments are not exact")
             hits = self.hits[stage] = f"_h{len(self.hits) + 1}"
             self.used.add("st")
             if stage.protection is not None:
@@ -841,7 +829,7 @@ class _Emitter:
         param_slots = self.emit_function()
         return CompiledFunction(
             function=self.fn,
-            key=(self.costs, self.needs_resolve, self.stage_key, self.exact),
+            key=(self.costs, self.needs_resolve, self.stage_key),
             closure=self.define("_cf", f"<compiled:{self.fn.name}>"),
             n_slots=len(self.slots),
             param_slots=param_slots,
@@ -1224,30 +1212,12 @@ def compile_function(
     costs: NativeCosts,
     needs_resolve: bool,
     stages: Sequence[FirstStage] = (),
-    exact: bool = False,
 ) -> Optional[CompiledFunction]:
-    """Lower one function; None when it keeps tree-walker semantics.
-
-    ``exact`` says every cycle charge of the function's program passes
-    :func:`~repro.runtime.cost_model.is_exact` (as
-    :func:`compile_program` works out); only then does the closure add
-    a run's constant charges as one sum.
-    """
+    """Lower one function; None when it keeps tree-walker semantics."""
     try:
-        return _Emitter(function, costs, needs_resolve, stages, exact).build()
+        return _Emitter(function, costs, needs_resolve, stages).build()
     except _Uncompilable:
         return None
-
-
-def _exact_cycles(program: Program, costs: NativeCosts) -> bool:
-    """Whether every cycle charge a run of ``program`` can make is
-    exact: every field of ``costs`` and every Compute constant."""
-    return exact_costs(costs) and all(
-        is_exact(instr.cycles)
-        for function in program.functions.values()
-        for instr in walk(function.body)
-        if type(instr) is Compute
-    )
 
 
 def compile_program(
@@ -1271,9 +1241,8 @@ def compile_program(
     table = tables.get(key)
     if table is None:
         table = {}
-        exact = _exact_cycles(program, costs)
         for name, function in program.functions.items():
-            compiled = compile_function(function, *key, exact)
+            compiled = compile_function(function, *key)
             if compiled is not None:
                 table[name] = compiled
         tables[key] = table

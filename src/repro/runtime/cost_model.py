@@ -102,17 +102,11 @@ def is_exact(value: float) -> bool:
 
     Floats hold every multiple of 1/1024 below 2**43 exactly, so adding
     exact charges to a counter that is itself a multiple of 1/1024 never
-    rounds while the counter stays below 2**43: any grouping of the same
-    charges (one ``count * per_iteration`` product, one sum per
-    straight-line run) gives the counter the bits the one-by-one
+    rounds while the counter stays below 2**43: one ``count *
+    per_iteration`` product gives the counter the bits the one-by-one
     additions give it.  The default costs are exact; ``0.1`` is not.
     """
     return 0 <= value < 2.0 ** 40 and (value * 1024) % 1 == 0
-
-
-def exact_costs(costs: NativeCosts) -> bool:
-    """Whether every charge of ``costs`` is exact (:func:`is_exact`)."""
-    return all(is_exact(getattr(costs, f.name)) for f in fields(costs))
 
 
 def geometric_mean(values) -> float:

@@ -167,8 +167,7 @@ class FirstStage:
     So each amount must be exact
     (:func:`~repro.runtime.cost_model.is_exact`), as must every other
     increment of that counter, for the one product to equal the
-    one-by-one additions; a function whose stage has an inexact amount
-    is left to the tree walker.
+    one-by-one additions; every stage declared here counts 1 or 0.5.
 
     The fields of each method's site:
 

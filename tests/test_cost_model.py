@@ -1,9 +1,12 @@
 """Tests for the cycle cost model."""
 
+from dataclasses import fields
+
 import pytest
 
 from corpus import SCALE
 from engines import run_on
+from repro.ir.builder import ProgramBuilder
 from repro.runtime import (
     CompiledEngine,
     CostModel,
@@ -11,12 +14,7 @@ from repro.runtime import (
     Interpreter,
     geometric_mean,
 )
-from repro.runtime.cost_model import (
-    NativeCosts,
-    SanitizerCosts,
-    exact_costs,
-    is_exact,
-)
+from repro.runtime.cost_model import NativeCosts, SanitizerCosts, is_exact
 from repro.sanitizers import CheckStats
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
@@ -109,8 +107,8 @@ class TestExactCharges:
         assert not is_exact(value)
 
     def test_default_costs_are_exact(self):
-        assert exact_costs(NativeCosts())
-        assert not exact_costs(NativeCosts(arith=0.1))
+        costs = NativeCosts()
+        assert all(is_exact(getattr(costs, f.name)) for f in fields(costs))
 
 
 #: Non-dyadic native costs: grouped float sums of these round.
@@ -119,18 +117,42 @@ INEXACT = CostModel(
 )
 
 
-@pytest.mark.parametrize("spec", SPEC_TABLE2_ROWS, ids=lambda spec: spec.name)
-def test_inexact_costs_charge_alike_in_every_engine(spec):
-    """Under a non-dyadic cost model the tree walker, compiled closures
-    and the superblock fast path charge bit-identical native cycles: the
-    fast path declines rather than multiply, and closures add each
-    charge on its own rather than one sum per straight-line run."""
-    program = spec.build()
+def _past_2_43():
+    """Exact charges whose running total passes 2**43, where each lone
+    1/1024 rounds away but a grouped ``2**40 + 2**-9`` does not."""
+    builder = ProgramBuilder()
+    with builder.function("main") as f:
+        with f.loop("i", 0, 16):
+            f.compute(2 ** 40 - 1)
+            f.compute(1 / 1024)
+            f.compute(1 / 1024)
+        f.ret(0)
+    return builder.build()
+
+
+#: (id, program builder, arguments, cost model) of each cycle case.
+CYCLE_CASES = [
+    (spec.name, spec.build, [SCALE], INEXACT) for spec in SPEC_TABLE2_ROWS
+] + [("exact-past-2**43", _past_2_43, [], CostModel())]
+
+
+@pytest.mark.parametrize(
+    "build, args, cost_model",
+    [case[1:] for case in CYCLE_CASES],
+    ids=[case[0] for case in CYCLE_CASES],
+)
+def test_cycles_add_alike_in_every_engine(build, args, cost_model):
+    """The tree walker, compiled closures and the superblock fast path
+    charge bit-identical native cycles whatever the charges: the fast
+    path declines rather than multiply inexact ones, and closures add
+    each charge on its own, in the tree walker's order, never one sum
+    per straight-line run."""
+    program = build()
     cycles = {
         (engine.__name__, fastpath): run_on(
             engine, program, "GiantSan",
-            ExecConfig(fastpath=fastpath, memoize=False), [SCALE],
-            cost_model=INEXACT,
+            ExecConfig(fastpath=fastpath, memoize=False), args,
+            cost_model=cost_model,
         ).native_cycles.hex()
         for engine in (Interpreter, CompiledEngine)
         for fastpath in (False, True)

@@ -39,11 +39,11 @@ from repro.runtime import (
     ExecConfig,
     Interpreter,
     Session,
-    compile_function,
     compiler,
 )
+from repro.runtime.cost_model import is_exact
 from repro.sanitizers.asan import ASan
-from repro.sanitizers.base import EventKind, FirstStage
+from repro.sanitizers.base import EventKind
 from repro.sanitizers.giantsan import GiantSan
 from repro.sanitizers.lfp import LFP
 from repro.workloads.spec import SPEC_TABLE2_ROWS
@@ -396,20 +396,14 @@ def test_subclass_override_turns_inlining_off():
     assert tree == compiled
 
 
-def test_inexact_stage_increments_keep_the_tree_walker():
+@pytest.mark.parametrize("tool", [ASan, LFP, GiantSan],
+                         ids=lambda tool: tool.__name__)
+def test_declared_stage_amounts_are_exact(tool):
     """A closure adds ``amount * hits`` when it returns, which equals
-    the hits' one-by-one additions only for exact amounts: a stage with
-    another amount leaves its function uncompiled."""
-    (stage,) = LFP.first_stages
-    inexact = FirstStage(
-        stage.function, stage.test,
-        counts=stage.counts[:2] + (("extra_instructions", 0.1),),
-        bindings=stage.bindings, protection=stage.protection,
-    )
-    main = _region_program().functions["main"]
-    costs = Session("LFP").cost_model.native
-    assert compile_function(main, costs, False, (stage,)) is not None
-    assert compile_function(main, costs, False, (inexact,)) is None
+    the hits' one-by-one additions only for exact amounts."""
+    assert tool.first_stages
+    for stage in tool.first_stages:
+        assert all(is_exact(amount) for _, amount in stage.counts), stage
 
 
 def test_stages_key_the_closure_table():
