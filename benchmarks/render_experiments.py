@@ -3,9 +3,10 @@
 Rewrites, from the tables the paper-claim benches write: the measured
 columns of the Table 1, Table 2, Table 2 (ablation), Table 3 and
 Figure 11 tables, Table 4's detection counts and LFP's misses, Table 5's
-php row, the two Figure 10 means, and the HWASan and memory-overhead
-extension tables.  The prose around them, the words around a rendered
-number and the note after each of LFP's misses stay hand-written.
+measured column, the two Figure 10 means, and the HWASan and
+memory-overhead extension tables.  The prose around them, the words
+around a rendered number and the note after each of LFP's misses stay
+hand-written.
 
     python benchmarks/render_experiments.py          # rewrite in place
     python benchmarks/render_experiments.py --check  # exit 1 on drift
@@ -200,6 +201,42 @@ def traversal_ratios():
     return measured
 
 
+def magma_rows():
+    """Table 5's measured column: ``rz16 / rz512 / GiantSan / total``
+    when the configurations differ (ASan's counts, with ASan--'s only
+    where they differ), else ``n =`` with any hand-written words after
+    it and ``, total m`` when some bugs stay latent."""
+    measured = {}
+    for project, row in table_rows("table5_magma.txt").items():
+        total = row.pop("Total")
+        counts = set(row.values())
+        if len(counts) > 1:
+            cells = [
+                row[f"ASan {redzone}"]
+                + ("" if row[f"ASan-- {redzone}"] == row[f"ASan {redzone}"]
+                   else f" (ASan-- {row[f'ASan-- {redzone}']})")
+                for redzone in ("(rz=16)", "(rz=512)")
+            ]
+            measured[project] = " / ".join(
+                [*cells, row["GiantSan (rz=16)"], total]
+            )
+        else:
+            measured[project] = same_across(counts.pop(), total)
+    return measured
+
+
+def same_across(count, total):
+    """A cell's new text: ``count =``, the words after the old ``=``
+    kept, then ``, total m`` unless every bug is detected."""
+    latent = "" if count == total else f", total {total}"
+
+    def cell_text(cell):
+        words = re.fullmatch(r"\d+ =(.*?)(, total \d+)?", cell)
+        return f"{count} ={words.group(1) if words else ''}{latent}"
+
+    return cell_text
+
+
 def whole_percent(cell):
     """``"132.9%"`` -> ``"133"`` (half rounds up)."""
     return str(Decimal(cell.rstrip("%")).quantize(Decimal(1), ROUND_HALF_UP))
@@ -231,12 +268,7 @@ def render(text):
             raise SystemExit(f"no single Figure 10 mean after {prose!r}")
     text = fill_table(text, "## Table 3 — ", juliet_rows())
     text = linux_flaw(text)
-    php = table_rows("table5_magma.txt")["php"]
-    text = fill_table(text, "## Table 5 — ", {"php": " / ".join(
-        php[column] for column in (
-            "ASan (rz=16)", "ASan (rz=512)", "GiantSan (rz=16)", "Total"
-        )
-    )})
+    text = fill_table(text, "## Table 5 — ", magma_rows())
     text = fill_table(text, "## Figure 11 — ", traversal_ratios())
     text = fill_table(text, "## Extension: HWASAN", {
         program: [whole_percent(cell) for cell in cells.values()]

@@ -78,11 +78,14 @@ def eval_const(expr):
     """Late-bound :func:`repro.passes.constprop.eval_const`.
 
     The passes package imports this module at load time; importing it
-    back lazily keeps ``import repro.dataflow`` cycle-free.
+    back lazily keeps ``import repro.dataflow`` cycle-free.  The first
+    call rebinds this module's name to the real function, so later
+    calls skip the import.
     """
-    from ..passes.constprop import eval_const as impl
+    global eval_const
+    from ..passes.constprop import eval_const
 
-    return impl(expr)
+    return eval_const(expr)
 
 #: An immutable, normalized set of half-open byte ranges.
 IntervalSet = Tuple[Tuple[int, int], ...]

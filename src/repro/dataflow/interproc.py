@@ -19,7 +19,8 @@ full argument.
 
 :func:`whole_program_data` is the analysis snapshot the ``repro
 analyze --whole-program`` CLI renders (text or JSON): call graph,
-per-function summaries, and static findings.
+per-function summaries (the passes' table plus the uncalled
+functions, which no pass reads), and static findings.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ from typing import Dict, List, Optional
 from ..ir.program import Program
 from .available import FactKey, IntervalSet, intersect
 from .callgraph import CallGraph, build_call_graph
-from .summaries import FunctionSummary, compute_summaries
+from .summaries import (
+    FunctionSummary,
+    compute_summaries,
+    whole_program_summaries,
+)
 
 
 class InterproceduralContext:
@@ -90,7 +95,7 @@ def whole_program_data(
 
     graph = build_call_graph(program)
     summaries = (
-        compute_summaries(program, graph) if interprocedural else {}
+        whole_program_summaries(program, graph) if interprocedural else {}
     )
     findings = analyze_program(
         program, interprocedural=interprocedural
@@ -126,7 +131,7 @@ def render_whole_program(program: Program, data: dict) -> str:
     """Human-readable rendering of :func:`whole_program_data`."""
     graph = build_call_graph(program)
     summaries = (
-        compute_summaries(program, graph) if data["summaries"] else {}
+        whole_program_summaries(program, graph) if data["summaries"] else {}
     )
     lines: List[str] = ["call graph (callers first):"]
     for line in graph.render().splitlines():

@@ -25,6 +25,11 @@ precisely instead of clobbering to ⊤:
 * **purity** — no writes, no frees, no allocations (reported by the
   whole-program analyzer; not itself load-bearing).
 
+A summary exists for each *called* function: every consumer reads one
+at a ``Call``, by callee name, so a function nothing calls (the program
+entry, an unused helper) gets none from :func:`compute_summaries`.  The
+whole-program view adds those with :func:`whole_program_summaries`.
+
 Summaries are computed bottom-up over the call graph's SCC condensation
 (:mod:`repro.dataflow.callgraph`).  Members of non-trivial SCCs and
 self-recursive functions take the conservative ⊤ summary — exactly the
@@ -276,11 +281,13 @@ class MustAccessAnalysis(AvailableCheckAnalysis):
         return facts.must_access
 
 
-#: Late import shim shared with :mod:`repro.dataflow.available`.
 def eval_const(expr):
-    from ..passes.constprop import eval_const as impl
+    """Late-bound :func:`repro.passes.constprop.eval_const`, as in
+    :func:`repro.dataflow.available.eval_const`."""
+    global eval_const
+    from ..passes.constprop import eval_const
 
-    return impl(expr)
+    return eval_const(expr)
 
 
 # ----------------------------------------------------------------------
@@ -289,18 +296,48 @@ def eval_const(expr):
 def compute_summaries(
     program: Program, graph: Optional[CallGraph] = None
 ) -> Dict[str, FunctionSummary]:
-    """Summaries for every function, computed callees-first."""
+    """Summaries for every called function, computed callees-first.
+
+    Every reader looks a summary up by callee name at a ``Call``, so a
+    function nothing calls (the program entry, an unused helper) is
+    never read and gets none; :func:`whole_program_summaries` adds them.
+    """
     graph = graph or build_call_graph(program)
     summaries: Dict[str, FunctionSummary] = {}
     for name in graph.bottom_up():
-        function = program.functions[name]
-        if name in graph.recursive or name in graph.unknown_callers:
-            summaries[name] = conservative_summary(
-                name, function.params, recursive=name in graph.recursive
-            )
-        else:
-            summaries[name] = _summarize(function, summaries)
+        if graph.callers[name]:
+            summaries[name] = _summary_of(program, graph, name, summaries)
     return summaries
+
+
+def whole_program_summaries(
+    program: Program, graph: CallGraph
+) -> Dict[str, FunctionSummary]:
+    """Summaries for every function, the uncalled ones included.
+
+    An uncalled function is never recursive, and its callees are all
+    called, so it is summarized from :func:`compute_summaries`' table
+    exactly as a full bottom-up walk would.
+    """
+    summaries = compute_summaries(program, graph)
+    for name in graph.bottom_up():
+        if name not in summaries:
+            summaries[name] = _summary_of(program, graph, name, summaries)
+    return summaries
+
+
+def _summary_of(
+    program: Program,
+    graph: CallGraph,
+    name: str,
+    summaries: Dict[str, FunctionSummary],
+) -> FunctionSummary:
+    function = program.functions[name]
+    if name in graph.recursive or name in graph.unknown_callers:
+        return conservative_summary(
+            name, function.params, recursive=name in graph.recursive
+        )
+    return _summarize(function, summaries)
 
 
 def _summarize(
@@ -484,17 +521,23 @@ def _summarize(
     )
 
     # must-analyses over the same CFG: validated + dereferenced ranges
-    # guaranteed by exit, keyed by parameter root
-    checked_at_exit = _exit_param_facts(
-        solve(
-            cfg, AvailableCheckAnalysis(function, pmap, summaries=summaries)
-        ),
-        param_roots,
-    )
-    accessed_at_exit = _exit_param_facts(
-        solve(cfg, MustAccessAnalysis(function, pmap, summaries=summaries)),
-        param_roots,
-    )
+    # guaranteed by exit, keyed by parameter root (none without params)
+    checked_at_exit: Dict[int, IntervalSet] = {}
+    accessed_at_exit: Dict[int, IntervalSet] = {}
+    if params:
+        checked_at_exit = _exit_param_facts(
+            solve(
+                cfg,
+                AvailableCheckAnalysis(function, pmap, summaries=summaries),
+            ),
+            param_roots,
+        )
+        accessed_at_exit = _exit_param_facts(
+            solve(
+                cfg, MustAccessAnalysis(function, pmap, summaries=summaries)
+            ),
+            param_roots,
+        )
 
     facts = tuple(
         ParamFacts(

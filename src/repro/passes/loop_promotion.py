@@ -13,7 +13,9 @@ efficiency gap between ASan-- and GiantSan the ablation study measures.
 The pass is rebased onto the whole-function dataflow facts: when the
 interval fixpoint at a loop header proves the trip count positive
 (``end.lo > start.hi``), relocated first/last-iteration checks are
-emitted unguarded instead of wrapped in a zero-trip ``If`` guard.
+emitted unguarded instead of wrapped in a zero-trip ``If`` guard.  Only
+that relocation reads the fixpoint, so it is solved in ``hoist`` mode
+alone, and only for functions that contain a loop.
 """
 
 from __future__ import annotations
@@ -90,7 +92,13 @@ class LoopCheckPromotion(Pass):
             else None
         )
         for function in program.functions.values():
-            positive_trips = self._positive_trip_loops(function, summaries)
+            # only hoist mode reads trip counts (the zero-trip guard)
+            positive_trips = (
+                self._positive_trip_loops(function, summaries)
+                if self.mode == "hoist"
+                and any(isinstance(i, Loop) for i in walk(function.body))
+                else set()
+            )
             function.body = transform_blocks(
                 function.body,
                 lambda block: self._process_block(

@@ -59,7 +59,10 @@ The charges are never summed: the same float additions in the same
 order give ``cy`` the tree walker's bits whatever the costs are.
 Each inlined first stage's hits are one local counter, which the
 closure's ``finally`` multiplies into the stage's CheckStats increments
-and Figure 10 category.  Nothing reads those absolutely while the
+and Figure 10 category; so is each Figure 10 category of the accesses
+that are not checked in place (eliminated, cached, elided,
+unprotected), which the ``finally`` adds to the engine's
+``protection_counts``.  Nothing reads those absolutely while the
 closure runs: the slow path's classification reads a difference of
 ``fast_checks``, and the audit replay's snapshot and restore of the
 stats commutes with a later addition.
@@ -368,6 +371,8 @@ class _Emitter:
         self.stage_bindings: Dict[str, str] = {}
         #: each inlined stage's hit counter, a closure local
         self.hits: Dict[FirstStage, str] = {}
+        #: each non-DIRECT Figure 10 category's count, a closure local
+        self.classified: Dict[str, str] = {}
         #: the pending run: instructions and constant cycle charges not
         #: yet emitted (see :meth:`flush`)
         self.run_instructions = 0
@@ -488,7 +493,9 @@ class _Emitter:
         if protection is Protection.DIRECT:
             return  # classified at the check instruction
         self.used.add("P")
-        self.emit(depth, f"P[{protection.value!r}] += 1")
+        category = protection.value
+        count = self.classified.setdefault(category, f"_pc_{category}")
+        self.emit(depth, f"{count} += 1")
 
     def _classified(self, call: str, depth: int) -> None:
         """``call`` a check method, then classify the check by whether
@@ -860,8 +867,8 @@ class _Emitter:
                 self.emit(1, binding)
         for name, expression in sorted(self.stage_bindings.items()):
             self.emit(1, f"{name} = {expression}")
-        for hits in self.hits.values():
-            self.emit(1, f"{hits} = 0")
+        for count in (*self.hits.values(), *self.classified.values()):
+            self.emit(1, f"{count} = 0")
         if "SL" in self.used:
             self.ns["SL"] = self.slots
         if stack_buffers:
@@ -887,6 +894,9 @@ class _Emitter:
                     self.emit(3, f"st.{name} += {amount!r} * {hits}")
             if stage.protection is not None:
                 self.emit(3, f"P[{stage.protection!r}] += {hits}")
+        for category, count in self.classified.items():
+            self.emit(2, f"if {count}:")
+            self.emit(3, f"P[{category!r}] += {count}")
         if stack_buffers:
             self.emit(2, "san.pop_frame()")
         return param_slots
