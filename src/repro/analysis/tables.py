@@ -42,10 +42,7 @@ def render_table1(n: int = 64, config: ExecConfig = ExecConfig()) -> str:
     for pattern in TABLE1_PATTERNS:
         program = pattern.build()
         giant = Session("GiantSan", config)
-        iprog = instrument(
-            program, tool=giant.sanitizer,
-            interprocedural=config.interprocedural,
-        )
+        iprog = instrument(program, tool=giant.sanitizer)
         static_checks = _static_checks(iprog.program)
         giant_run = Session("GiantSan", config).run(program)
         asan_run = Session("ASan", config).run(program)

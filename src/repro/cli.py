@@ -235,7 +235,6 @@ def _cmd_analyze(args, config) -> str:
     except KeyError:
         known = ", ".join(sorted(SANITIZER_FACTORIES))
         raise SystemExit(f"unknown tool {args.tool!r}; known tools: {known}")
-    interproc = config.interprocedural and not args.no_interproc
     corpus = _analyze_corpus(args)
     rows = []
     findings_all = []
@@ -243,15 +242,10 @@ def _cmd_analyze(args, config) -> str:
     timings_total: dict = {}
     whole_sections = []
     for name, program, expected_buggy in corpus:
-        ip = instrument(
-            program, tool=factory(), interprocedural=interproc
-        )
+        ip = instrument(program, tool=factory())
         row = {
             "name": name,
             "elided": len(ip.stats.elisions),
-            "cross_call_elided": ip.stats.notes.get(
-                "cross_call_eliminated", 0
-            ),
             "eliminated": ip.stats.eliminated,
             "remaining_checks": ip.stats.remaining_checks,
             "findings": [
@@ -275,39 +269,29 @@ def _cmd_analyze(args, config) -> str:
                 timings_total.get(pass_name, 0) + micros
             )
         if args.whole_program:
-            data = whole_program_data(program, interprocedural=interproc)
             if args.format == "json":
-                row["whole_program"] = data
+                row["whole_program"] = whole_program_data(program)
             else:
-                whole_sections.append(
-                    (name, render_whole_program(program, data))
-                )
+                whole_sections.append((name, render_whole_program(program)))
     if args.format == "json":
         payload = {
             "tool": args.tool,
             "corpus": args.corpus,
-            "interprocedural": interproc,
             "programs": rows,
             "totals": {
                 "elided": sum(r["elided"] for r in rows),
-                "cross_call_elided": sum(
-                    r["cross_call_elided"] for r in rows
-                ),
                 "eliminated": sum(r["eliminated"] for r in rows),
                 "findings": sum(len(r["findings"]) for r in rows),
             },
             "pass_timings_us": timings_total,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-    mode = "interprocedural" if interproc else "intraprocedural"
-    lines = [f"static analysis under {args.tool} ({mode}):", ""]
-    lines.append(
-        f"{'program':<24} {'elided':>7} {'x-call':>7} {'findings':>9}"
-    )
+    lines = [f"static analysis under {args.tool}:", ""]
+    lines.append(f"{'program':<24} {'elided':>7} {'findings':>9}")
     for row in rows:
         lines.append(
             f"{row['name']:<24} {row['elided']:>7} "
-            f"{row['cross_call_elided']:>7} {len(row['findings']):>9}"
+            f"{len(row['findings']):>9}"
         )
     lines.append("")
     lines.append(format_static_findings(findings_all))
@@ -558,19 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
                 default="spec",
                 help="program corpus: the Table 2 SPEC proxies, the "
                 "generated Juliet suite, or the call-heavy "
-                "interprocedural workload (default spec)",
+                "multi-function workload (default spec)",
             )
             sub.add_argument(
                 "--whole-program",
                 action="store_true",
                 help="also print each program's call graph and "
                 "per-function summaries",
-            )
-            sub.add_argument(
-                "--no-interproc",
-                action="store_true",
-                help="disable the interprocedural summary layer "
-                "(call sites clobber every dataflow fact, as before)",
             )
         if name == "demo":
             sub.add_argument(

@@ -15,13 +15,12 @@ checks and eliminate redundant ones across block boundaries; the static
 detector (:mod:`~repro.dataflow.detector`) reports definite memory bugs
 before the program ever runs.
 
-The interprocedural layer sits on top: a call graph with SCC
-condensation (:mod:`~repro.dataflow.callgraph`), bottom-up function
-summaries (:mod:`~repro.dataflow.summaries`), and a shared
-:class:`~repro.dataflow.interproc.InterproceduralContext` that lets
-every analysis consume ``Call`` sites precisely instead of clobbering
-to ⊤, and the cross-call eliminator seed callee entry states from
-finalized caller facts.
+The whole-program listing of ``repro analyze --whole-program``
+(:mod:`~repro.dataflow.interproc`) sits on top: a call graph with SCC
+condensation (:mod:`~repro.dataflow.callgraph`) and bottom-up function
+summaries (:mod:`~repro.dataflow.summaries`) that let the analyses
+consume ``Call`` sites precisely instead of clobbering to ⊤.  The
+passes analyze each function on its own.
 
 Import discipline: this package never imports :mod:`repro.passes` at
 module load time (only lazily inside functions) — the passes import us.
@@ -68,15 +67,10 @@ from .summaries import (
     FunctionSummary,
     MustAccessAnalysis,
     ParamFacts,
-    call_frees_nothing,
     compute_summaries,
     conservative_summary,
 )
-from .interproc import (
-    InterproceduralContext,
-    render_whole_program,
-    whole_program_data,
-)
+from .interproc import render_whole_program, whole_program_data
 
 __all__ = [
     "CFG",
@@ -119,10 +113,8 @@ __all__ = [
     "FunctionSummary",
     "ParamFacts",
     "MustAccessAnalysis",
-    "call_frees_nothing",
     "compute_summaries",
     "conservative_summary",
-    "InterproceduralContext",
     "render_whole_program",
     "whole_program_data",
 ]

@@ -15,12 +15,13 @@ return; globals are immortal), so only heap roots ever transition.  A
 ``Free`` through an unknown pointer or a ``Call`` (which may free
 anything the callee can reach) degrades every heap root to MAYBE.
 
-With interprocedural summaries a ``Call`` degrades only the provenance
-roots of arguments bound to may-freed parameters — a call to a provably
-non-freeing callee leaves every lifetime fact intact.  A callee that
-definitely returns a fresh heap allocation contributes a
-``callret:{id(call)}`` root: MAYBE in the entry state (the call has not
-executed), LIVE after the call transfers.
+With function summaries (the whole-program listing's) a ``Call``
+degrades only the provenance roots of arguments bound to may-freed
+parameters — a call to a provably non-freeing callee leaves every
+lifetime fact intact.  A callee that definitely returns a fresh heap
+allocation contributes a ``callret:{id(call)}`` root: MAYBE in the
+entry state (the call has not executed), LIVE after the call
+transfers.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ without a summary kills everything except stack/global roots (a callee
 cannot pop the caller's frame).  A ``Malloc`` kills its own root's facts
 — the same allocation site produces a fresh object every execution.
 
-With interprocedural summaries (:mod:`repro.dataflow.summaries`) a call
-site becomes precise in both directions:
+With function summaries (:mod:`repro.dataflow.summaries`, which only
+the ``repro analyze --whole-program`` listing supplies) a call site
+becomes precise in both directions:
 
 * **kills** shrink to the callee's summarized free effects — only the
   provenance roots of arguments bound to may-freed parameters die (plus
@@ -40,11 +41,6 @@ site becomes precise in both directions:
   addressability last possibly changed (the callee's own analysis
   guarantees exactly that at its exit), and nothing between the
   callee's exit and the caller's post-call point runs at all.
-
-``entry_facts`` seeds the boundary state: the cross-call eliminator
-passes the intersection of every call site's surviving coverage,
-letting a callee's prologue checks be elided when all callers already
-validated the range (see ``passes/check_merging.py``).
 
 Anchored region checks (GiantSan's §4.4.1 shape) validate everything
 from the base pointer to the region end, so their coverage is widened to
@@ -141,18 +137,14 @@ class AvailableCheckAnalysis(ForwardAnalysis):
         provenance_map,
         suppressed: Optional[Set[int]] = None,
         summaries: Optional[Dict[str, object]] = None,
-        entry_facts: Optional[Dict[FactKey, IntervalSet]] = None,
     ) -> None:
         self.function = function
         self.pmap = provenance_map
         self.suppressed: Set[int] = suppressed or set()
         self.summaries = summaries
-        self.entry_facts = entry_facts
 
     # -- lattice -------------------------------------------------------
     def boundary(self, cfg: CFG) -> Dict[FactKey, IntervalSet]:
-        if self.entry_facts:
-            return dict(self.entry_facts)
         return {}
 
     def copy(self, state) -> Dict[FactKey, IntervalSet]:

@@ -1,19 +1,17 @@
 """Call-graph construction with SCC condensation.
 
-The interprocedural layer needs two orderings over a program's
-functions:
+The whole-program listing (``repro analyze --whole-program``) needs two
+orderings over a program's functions:
 
 * **bottom-up** (callees before callers) — the order function summaries
   are computed in, so a caller's summary can fold in its callees';
-* **top-down** (callers before callees) — the order the cross-call check
-  eliminator visits functions in, so a callee's entry state can be
-  seeded from every *finalized* call site.
+* **top-down** (callers before callees) — the order the listing prints
+  them in.
 
 Both are topological orders over the **condensation**: strongly
 connected components (direct or mutual recursion) collapse to one node.
 Functions inside a non-trivial SCC — or with a self edge — are flagged
-``recursive``; every consumer treats them with the pre-interprocedural
-conservatism (⊤ summaries, no entry seeding), which keeps recursion
+``recursive`` and get the conservative ⊤ summary, which keeps recursion
 sound without a cross-function fixpoint.
 
 Calls whose target is not defined in the program (possible for

@@ -17,12 +17,13 @@ every entry-to-exit path (its block dominates the exit) — so a consumer
 can tell "this program cannot run correctly" from "this branch, if
 taken, is doomed".
 
-With interprocedural summaries the same definite-only discipline
-extends across calls: a call whose callee *must* dereference a
-parameter on every path is itself a definite use-after-free when the
-argument's object is freed on all paths in, and a definite
-out-of-bounds when the callee's must-access range provably exceeds the
-argument's statically known object size.
+With function summaries (the ``repro analyze --whole-program``
+listing passes them) the same definite-only discipline extends across
+calls: a call whose callee *must* dereference a parameter on every
+path is itself a definite use-after-free when the argument's object is
+freed on all paths in, and a definite out-of-bounds when the callee's
+must-access range provably exceeds the argument's statically known
+object size.
 """
 
 from __future__ import annotations
@@ -319,27 +320,18 @@ def _describe(instr: Instr) -> str:
     return type(instr).__name__
 
 
-def analyze_program(
-    program: Program,
-    summaries=None,
-    interprocedural: bool = True,
-) -> List[StaticFinding]:
+def analyze_program(program: Program, summaries=None) -> List[StaticFinding]:
     """Definite findings for every function of ``program``.
 
     Analyzes a clone with site ids assigned, so the input program is
-    never mutated and findings carry stable site identifiers.  When
-    ``interprocedural`` is on and no ``summaries`` are supplied, they
-    are computed on the clone.
+    never mutated and findings carry stable site identifiers.  With
+    ``summaries`` (looked up by callee name at each ``Call``) the
+    definite bugs across calls are found too.
     """
     from ..ir.program import assign_site_ids
-    from .summaries import compute_summaries
 
     clone = program.clone()
     assign_site_ids(clone)
-    if summaries is None and interprocedural:
-        summaries = compute_summaries(clone)
-    elif not interprocedural:
-        summaries = None
     findings: List[StaticFinding] = []
     for function in clone.functions.values():
         findings.extend(

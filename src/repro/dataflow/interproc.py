@@ -1,105 +1,45 @@
-"""Whole-program orchestration of the interprocedural layer.
+"""The whole-program listing of ``repro analyze --whole-program``.
 
-:class:`InterproceduralContext` bundles everything the optimization
-passes share for one program: the call graph, the bottom-up function
-summaries, and the **entry seeds** the cross-call check eliminator
-accumulates as it walks functions top-down.
+:func:`whole_program_data` is the listing's JSON snapshot and
+:func:`render_whole_program` its text form: the call graph, a summary
+of every function (the uncalled ones included, see
+:func:`~repro.dataflow.summaries.whole_program_summaries`), and the
+static findings the detector makes with those summaries at each call.
+Each summarizes every function once.  The instrumentation passes read
+no summaries: they analyze each function on its own.
 
-Entry seeding is how a callee's prologue checks die from caller-side
-knowledge: when every finalized call site of ``f`` reaches the call
-with byte range ``R`` of the argument's object already validated (by
-checks that themselves survive elimination), then ``f`` may start its
-own available-check analysis with ``R`` recorded against the parameter
-root — any ``f``-internal check covered by it is redundant on every
-possible invocation.  The intersection over *all* call sites (and the
-empty seed for the program entry, which is invoked externally, and for
-recursive functions, whose call sites are not finalized before they
-are processed) keeps this sound; see docs/STATIC_ANALYSIS.md for the
-full argument.
-
-:func:`whole_program_data` is the analysis snapshot the ``repro
-analyze --whole-program`` CLI renders (text or JSON): call graph,
-per-function summaries (the passes' table plus the uncalled
-functions, which no pass reads), and static findings.
+``compute_summaries`` is bound here as well as in
+:mod:`repro.dataflow.summaries`, so a profiler that wraps it by module
+sees every call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..ir.program import Program
-from .available import FactKey, IntervalSet, intersect
 from .callgraph import CallGraph, build_call_graph
-from .summaries import (
+from .summaries import (  # noqa: F401 - compute_summaries is re-exported
     FunctionSummary,
     compute_summaries,
     whole_program_summaries,
 )
 
 
-class InterproceduralContext:
-    """Shared interprocedural facts for one program."""
-
-    def __init__(
-        self,
-        program: Program,
-        graph: Optional[CallGraph] = None,
-        summaries: Optional[Dict[str, FunctionSummary]] = None,
-    ) -> None:
-        self.program = program
-        self.graph = graph or build_call_graph(program)
-        self.summaries = (
-            summaries
-            if summaries is not None
-            else compute_summaries(program, self.graph)
-        )
-        #: callee name -> intersected caller-side entry facts; absent
-        #: means "no site noted yet" and yields the empty (sound) seed.
-        self.entry_facts: Dict[str, Dict[FactKey, IntervalSet]] = {}
-        self._noted: set = set()
-
-    def note_call_site(
-        self, target: str, facts: Dict[FactKey, IntervalSet]
-    ) -> None:
-        """Fold one finalized call site's translated facts into the
-        callee's entry seed (pointwise intersection across sites)."""
-        if target not in self._noted:
-            self._noted.add(target)
-            self.entry_facts[target] = dict(facts)
-            return
-        current = self.entry_facts[target]
-        for key in list(current):
-            ranges = intersect(current[key], facts.get(key, ()))
-            if ranges:
-                current[key] = ranges
-            else:
-                del current[key]
-
-    def seeds_for(self, name: str) -> Dict[FactKey, IntervalSet]:
-        """The sound entry state for ``name``'s available-check run.
-
-        Empty for the program entry (invoked externally with no caller
-        facts) and for recursive functions (their call sites are not
-        all finalized when they are processed).
-        """
-        if name == self.program.entry or name in self.graph.recursive:
-            return {}
-        return self.entry_facts.get(name, {})
-
-
-def whole_program_data(
-    program: Program, interprocedural: bool = True
-) -> dict:
-    """The whole-program analysis snapshot (CLI text/JSON source)."""
+def _analyze(
+    program: Program,
+) -> Tuple[CallGraph, Dict[str, FunctionSummary], list]:
+    """The call graph, every function's summary, and the findings."""
     from .detector import analyze_program
 
     graph = build_call_graph(program)
-    summaries = (
-        whole_program_summaries(program, graph) if interprocedural else {}
-    )
-    findings = analyze_program(
-        program, interprocedural=interprocedural
-    )
+    summaries = whole_program_summaries(program, graph)
+    return graph, summaries, analyze_program(program, summaries=summaries)
+
+
+def whole_program_data(program: Program) -> dict:
+    """The whole-program analysis snapshot (the listing's JSON form)."""
+    graph, summaries, findings = _analyze(program)
     return {
         "entry": program.entry,
         "call_graph": {
@@ -127,26 +67,21 @@ def whole_program_data(
     }
 
 
-def render_whole_program(program: Program, data: dict) -> str:
-    """Human-readable rendering of :func:`whole_program_data`."""
-    graph = build_call_graph(program)
-    summaries = (
-        whole_program_summaries(program, graph) if data["summaries"] else {}
-    )
+def render_whole_program(program: Program) -> str:
+    """The whole-program listing as text."""
+    graph, summaries, findings = _analyze(program)
     lines: List[str] = ["call graph (callers first):"]
     for line in graph.render().splitlines():
         lines.append(f"  {line}")
-    if summaries:
-        lines.append("")
-        lines.append("function summaries:")
-        for name in graph.top_down():
-            lines.append(f"  {name}: {summaries[name].render()}")
-    if data["findings"]:
+    lines.append("")
+    lines.append("function summaries:")
+    for name in graph.top_down():
+        lines.append(f"  {name}: {summaries[name].render()}")
+    if findings:
         lines.append("")
         lines.append("static findings:")
-        for finding in data["findings"]:
+        for finding in findings:
             lines.append(
-                f"  [{finding['kind']}] {finding['function']}: "
-                f"{finding['detail']}"
+                f"  [{finding.kind}] {finding.function}: {finding.detail}"
             )
     return "\n".join(lines)

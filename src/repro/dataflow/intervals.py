@@ -216,8 +216,9 @@ class IntervalAnalysis(ForwardAnalysis):
     variables known on only one side dropping to TOP (they may hold
     anything on the other path).
 
-    With interprocedural ``summaries`` a call's destination takes the
-    callee's summarized return interval instead of dropping to TOP.
+    With function ``summaries`` (the whole-program listing's) a call's
+    destination takes the callee's summarized return interval instead
+    of dropping to TOP.
     """
 
     def __init__(

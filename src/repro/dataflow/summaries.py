@@ -2,7 +2,9 @@
 
 A :class:`FunctionSummary` condenses one function's externally visible
 effects so the intraprocedural analyses can consume a ``Call`` site
-precisely instead of clobbering to ⊤:
+precisely instead of clobbering to ⊤.  Only the whole-program listing
+(``repro analyze --whole-program``, :mod:`repro.dataflow.interproc`)
+computes them; the instrumentation passes treat every call as ⊤.
 
 * **per-parameter facts** (:class:`ParamFacts`) — which byte offsets of
   the pointee the callee may access, *must* access on every path, and
@@ -33,16 +35,15 @@ whole-program view adds those with :func:`whole_program_summaries`.
 Summaries are computed bottom-up over the call graph's SCC condensation
 (:mod:`repro.dataflow.callgraph`).  Members of non-trivial SCCs and
 self-recursive functions take the conservative ⊤ summary — exactly the
-pre-interprocedural treatment of every call — so recursion never needs
+passes' treatment of every call — so recursion never needs
 a cross-function fixpoint to stay sound.  Calls to targets missing from
 the program degrade the caller's summary the same way.
 
 The lattice ordering is "fewer claimed effects is above": ⊤ claims
 every effect (may free anything, accesses unknown) and guarantees none
 (no checked ranges, no fresh return).  Every consumer treats an absent
-summary as ⊤, which makes summaries an optional refinement: disable
-them (``ExecConfig(interprocedural=False)``; ``REPRO_INTERPROC=0`` in
-the CLI) and every analysis behaves byte-for-byte as before.
+summary as ⊤, which makes summaries an optional refinement: without
+them every analysis behaves exactly as the passes run it.
 """
 
 from __future__ import annotations
@@ -216,20 +217,6 @@ def call_is_opaque(summary: Optional[FunctionSummary]) -> bool:
     """True when a call must be treated with full conservatism."""
     return (
         summary is None or summary.recursive or summary.may_free_unknown
-    )
-
-
-def call_frees_nothing(
-    call: Call, summaries: Optional[Dict[str, FunctionSummary]]
-) -> bool:
-    """True when ``call`` provably cannot deallocate any object."""
-    if not summaries:
-        return False
-    summary = summaries.get(call.func)
-    return (
-        summary is not None
-        and not summary.recursive
-        and summary.frees_nothing
     )
 
 

@@ -2,7 +2,7 @@
 
 For each generated case the driver runs the same program under every
 tool in :data:`~repro.fuzz.expectations.ALL_TOOLS`, with the superblock
-fast path ON and OFF, and cross-checks five ways:
+fast path ON and OFF, and cross-checks four ways:
 
 1. **fastpath** — the ON/OFF observables (cycles, instruction counts,
    CheckStats, protection categories, return value, error log) must be
@@ -12,13 +12,10 @@ fast path ON and OFF, and cross-checks five ways:
 3. **invariant** — the :class:`~repro.fuzz.invariants.ShadowInvariantChecker`
    attached to every run must record zero violations;
 4. **cross-tool** — bug-free cases must return the same checksum under
-   every tool (all tools interpret the same program over zeroed memory);
-5. **interproc** — for the summary-consuming tools (GiantSan, ASan--)
-   the program is re-run with the interprocedural layer disabled, and
-   the two pipelines must agree semantically: same reported-at-all
-   verdict, same ground-truth match, same clean-run checksum.  (Error
-   lists and counts legitimately differ — check placement is the thing
-   being varied.)
+   every tool (all tools interpret the same program over zeroed memory).
+
+Each tool instruments the case once for both fast-path cells, so a
+case runs 6 pipelines over the default tool set.
 
 With ``audit_elisions`` enabled, each tool additionally runs in audit
 instrumentation mode: checks the static dataflow analysis elided are
@@ -47,10 +44,6 @@ from .invariants import ShadowInvariantChecker
 #: interpreter runaway into a visible crash-divergence instead of a hang.
 CASE_MAX_INSTRUCTIONS = 2_000_000
 
-#: Tools whose pipelines consume interprocedural summaries — the only
-#: ones where the summaries-on/off differential can differ at all.
-INTERPROC_TOOLS = ("GiantSan", "ASan--")
-
 
 @dataclass(frozen=True)
 class Divergence:
@@ -58,7 +51,7 @@ class Divergence:
 
     case_seed: int
     tool: str  # "*" for cross-tool findings
-    kind: str  # fastpath|oracle|invariant|cross-tool|elision|interproc|crash
+    kind: str  # fastpath|oracle|invariant|cross-tool|elision|crash
     detail: str
 
     def render(self) -> str:
@@ -149,56 +142,6 @@ def _audit_elisions(
     return divergences
 
 
-def _interproc_differential(
-    program, tool: str, config: ExecConfig, case: FuzzCase, baseline
-) -> List[Divergence]:
-    """Summaries-on vs summaries-off semantic equivalence.
-
-    Check placement legitimately differs between the two pipelines
-    (that is the point), and with ``halt_on_error=False`` a promoted
-    pre-loop region check can report a loop overflow once where
-    per-iteration checks report it each trip — so error *lists* and
-    instruction counts are not comparable.  What must agree is the
-    semantic surface: whether anything was reported at all, the ground
-    truth verdict, and the checksum of a clean execution.
-    """
-    plain = _session(
-        tool, config, fastpath=False, interprocedural=False
-    ).run(program)
-    divergences: List[Divergence] = []
-    if bool(plain.errors) != bool(baseline.errors):
-        divergences.append(
-            Divergence(
-                case.seed, tool, "interproc",
-                f"summaries flipped the verdict: with={bool(baseline.errors)} "
-                f"without={bool(plain.errors)}",
-            )
-        )
-    elif not plain.errors and plain.return_value != baseline.return_value:
-        divergences.append(
-            Divergence(
-                case.seed, tool, "interproc",
-                f"clean-run checksum differs: with={baseline.return_value} "
-                f"without={plain.return_value}",
-            )
-        )
-    expectation = expected_verdict(tool, case.bug)
-    mismatch = verdict_matches(
-        expectation,
-        reported=bool(plain.errors),
-        any_temporal=any(e.kind.is_temporal for e in plain.errors),
-        any_spatial=any(e.kind.is_spatial for e in plain.errors),
-    )
-    if mismatch is not None:
-        divergences.append(
-            Divergence(
-                case.seed, tool, "interproc",
-                f"summaries-off run misses ground truth: {mismatch}",
-            )
-        )
-    return divergences
-
-
 def run_case(
     case: FuzzCase,
     tools: Sequence[str] = ALL_TOOLS,
@@ -210,7 +153,7 @@ def run_case(
     invariant_checks = 0
     source = build_case(case)
     # constant propagation does not depend on the tool: fold once, and
-    # let each (tool, interprocedural, audit) pipeline start from there
+    # let each (tool, audit) pipeline start from there
     try:
         program = fold_program(source)
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
@@ -238,10 +181,6 @@ def run_case(
                     _audit_elisions(
                         program, tool, config, case, observables(off)
                     )
-                )
-            if tool in INTERPROC_TOOLS:
-                divergences.extend(
-                    _interproc_differential(program, tool, config, case, off)
                 )
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             divergences.append(

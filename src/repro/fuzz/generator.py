@@ -167,9 +167,9 @@ class HelperCall:
 class KernelCall:
     """Call a pointer-taking kernel that walks the caller's buffer.
 
-    The interprocedural shapes: the kernel's accesses show up in its
-    function summary, so callers can elide checks the callee repeats
-    (and vice versa).  ``alias_second`` passes the same buffer for both
+    The multi-function shapes: each call is opaque to the caller's
+    intraprocedural analyses, so the elision passes must treat it as a
+    may-free barrier.  ``alias_second`` passes the same buffer for both
     pointer parameters — the arg-aliasing shape the parameter-alias
     kill rule exists for.  ``free_in_callee`` has the kernel free its
     first parameter before returning; the caller's buffer is dead
@@ -189,9 +189,9 @@ class KernelCall:
 class RecursiveCall:
     """Call a bounded self-recursive walker over the caller's buffer.
 
-    Recursive functions get the conservative ⊤ summary, so this shape
-    pins the fall-back path: analyses must treat the call as opaque and
-    reports must stay byte-identical with summaries on or off.
+    Recursion through a caller's buffer: the analyses must treat the
+    call as opaque, as the whole-program listing's conservative ⊤
+    summary of a recursive function does.
     """
 
     name: str

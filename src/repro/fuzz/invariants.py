@@ -221,17 +221,7 @@ class ShadowInvariantChecker:
                     f"the folding invariant: degrees={degrees}"
                 )
             failures += self._check_redzones(allocation, enc)
-        for allocation in self.san.quarantine._queue:
-            first, count = self._object_segments(
-                allocation.base, allocation.usable_size
-            )
-            codes = shadow.view(first, count)
-            if any(code != enc.HEAP_FREED for code in codes):
-                failures.append(
-                    f"quarantined object #{allocation.allocation_id} not "
-                    f"fully freed-poisoned"
-                )
-        return failures
+        return failures + self._check_freed_poison(enc)
 
     def _check_asan_shadow(self) -> List[str]:
         enc = asan_encoding
@@ -250,12 +240,18 @@ class ShadowInvariantChecker:
                     f"{actual.hex()} != canonical {expected.hex()}"
                 )
             failures += self._check_redzones(allocation, enc)
+        return failures + self._check_freed_poison(enc)
+
+    def _check_freed_poison(self, enc) -> List[str]:
+        """Every quarantined object's shadow must be all ``HEAP_FREED``."""
+        shadow = self.san.shadow
+        failures = []
         for allocation in self.san.quarantine._queue:
             first, count = self._object_segments(
                 allocation.base, allocation.usable_size
             )
-            codes = shadow.view(first, count)
-            if any(code != enc.HEAP_FREED for code in codes):
+            codes = shadow.view(first, count).tobytes()
+            if codes.count(enc.HEAP_FREED) != count:
                 failures.append(
                     f"quarantined object #{allocation.allocation_id} not "
                     f"fully freed-poisoned"

@@ -53,10 +53,10 @@ class ProvenanceMap:
     always safe (passes treat unknown provenance as "may alias anything"
     and skip the optimization).
 
-    With interprocedural ``summaries``, a call whose callee definitely
-    returns a fresh heap allocation roots its destination at
-    ``callret:{id(call)}`` — a brand-new object the caller's analyses
-    can track like any allocation site.
+    With function ``summaries`` (the whole-program listing's), a call
+    whose callee definitely returns a fresh heap allocation roots its
+    destination at ``callret:{id(call)}`` — a brand-new object the
+    caller's analyses can track like any allocation site.
     """
 
     def __init__(self, function: Function, summaries=None):

@@ -26,28 +26,6 @@ with it).  The pass therefore iterates a shrinking candidate set: start
 from every covered check, re-run the analysis with the candidates
 generating *no* facts, and keep only the ones still covered — at the
 fixpoint every deleted check is covered by kept checks alone.
-
-**Interprocedural mode** (``interprocedural=True``) widens both sides
-of the elimination across calls, driven by an
-:class:`~repro.dataflow.interproc.InterproceduralContext`:
-
-* call sites stop killing everything — the summary-aware analysis
-  kills only summarized may-free effects and *generates* the callee's
-  must-checked ranges (see :mod:`repro.dataflow.available`);
-* functions are processed **top-down** (callers before callees), and
-  each finalized call site records its surviving coverage, translated
-  to parameter-relative offsets, into the callee's entry seed — the
-  pointwise intersection over all sites.  A callee prologue check
-  covered by the seed is redundant on every possible invocation and
-  dies.
-
-Eliminations that only the interprocedural facts justify (classified
-by re-running the fixpoint without them) are recorded as
-``ElisionRecord``s and, under ``audit=True``, wrapped in
-:class:`~repro.ir.nodes.CheckElided` instead of deleted, so the fuzz
-driver's ``--audit-elisions`` mode replays them against the shadow
-oracle exactly like safe-access elisions.  Intraprocedurally justified
-removals keep today's delete-outright behavior, byte for byte.
 """
 
 from __future__ import annotations
@@ -57,7 +35,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ir.nodes import (
     Call,
     CheckAccess,
-    CheckElided,
     CheckRegion,
     Const,
     Free,
@@ -73,11 +50,10 @@ from ..ir.nodes import (
     StackAlloc,
     Store,
     Strcpy,
-    Var,
 )
 from ..ir.program import Program, transform_blocks, walk
 from .alias import ProvenanceMap
-from .base import ElisionRecord, Pass, PassStats
+from .base import Pass, PassStats
 from .constprop import fold
 
 #: Instructions that end a merging window.
@@ -89,47 +65,12 @@ class CrossBlockCheckElimination(Pass):
 
     name = "cross-block-check-elimination"
 
-    def __init__(
-        self, audit: bool = False, interprocedural: bool = False
-    ):
-        self.audit = audit
-        self.interprocedural = interprocedural
-
     def run(self, program: Program, stats: PassStats) -> None:
-        from .. import dataflow  # lazy: dataflow lazily imports passes
-
         sites = _site_map(program)
-        ctx = None
-        functions = list(program.functions.values())
-        if self.interprocedural:
-            ctx = dataflow.InterproceduralContext(program)
-            # callers first, so every call site is finalized before its
-            # callee's entry seed is consumed
-            functions = [
-                program.functions[name] for name in ctx.graph.top_down()
-            ]
-        for function in functions:
-            summaries = ctx.summaries if ctx is not None else None
-            pmap = ProvenanceMap(function, summaries=summaries)
-            seeds = (
-                ctx.seeds_for(function.name) if ctx is not None else None
-            )
-            doomed, solution, analysis, cfg = self._converge(
-                function, pmap, summaries=summaries, entry_facts=seeds
-            )
-            cross_call: Set[int] = set()
-            if ctx is not None and doomed:
-                # which removals did the interprocedural facts enable?
-                base, _, _, _ = self._converge(
-                    function, ProvenanceMap(function)
-                )
-                cross_call = doomed - base
-            if ctx is not None:
-                self._note_call_sites(ctx, cfg, solution, analysis)
+        for function in program.functions.values():
+            doomed = self._converge(function, ProvenanceMap(function))
             if not doomed:
                 continue
-            removed = [0]
-            audited = [0]
 
             def prune(block: List[Instr]) -> List[Instr]:
                 kept: List[Instr] = []
@@ -137,103 +78,24 @@ class CrossBlockCheckElimination(Pass):
                     if id(instr) not in doomed:
                         kept.append(instr)
                         continue
-                    removed[0] += 1
                     site = sites.get(getattr(instr, "site_id", -1))
                     if site is not None:
                         site.protection = Protection.ELIMINATED
-                    if id(instr) in cross_call:
-                        audited[0] += 1
-                        record = self._cross_call_record(
-                            function, instr, pmap
-                        )
-                        stats.elisions.append(record)
-                        if self.audit:
-                            kept.append(
-                                CheckElided(
-                                    inner=instr, reason=record.reason
-                                )
-                            )
                 return kept
 
             function.body = transform_blocks(function.body, prune)
-            stats.eliminated += removed[0]
-            stats.bump(
-                "cross_block_eliminated", removed[0] - audited[0]
-            )
-            if audited[0]:
-                stats.bump("cross_call_eliminated", audited[0])
-
-    @staticmethod
-    def _cross_call_record(function, check, pmap) -> ElisionRecord:
-        prov = pmap.provenance(check.base)
-        root = prov.root if prov is not None else f"v:{check.base}"
-        return ElisionRecord(
-            function=function.name,
-            site_id=getattr(check, "site_id", -1),
-            root=root,
-            reason=(
-                "covered across calls: interprocedural facts "
-                f"(summaries/entry seeds) prove {root} already "
-                "validated on every path"
-            ),
-        )
-
-    @staticmethod
-    def _note_call_sites(ctx, cfg, solution, analysis) -> None:
-        """Record each reachable call site's surviving coverage,
-        translated parameter-relative, into the callee's entry seed."""
-        from .. import dataflow
-
-        for block in cfg.blocks:
-            if block.index not in solution.in_states:
-                continue  # unreachable sites never execute: no note
-            for instr, state in solution.replay(block):
-                if not isinstance(instr, Call):
-                    continue
-                callee = ctx.program.functions.get(instr.func)
-                if callee is None or instr.func in ctx.graph.recursive:
-                    continue
-                translated: Dict[object, tuple] = {}
-                for index, pname in enumerate(callee.params):
-                    arg = (
-                        instr.args[index]
-                        if index < len(instr.args)
-                        else None
-                    )
-                    if not isinstance(arg, Var):
-                        continue
-                    key, base_off = analysis._key_for(arg.name)
-                    ranges = state.get(key, ())
-                    if not ranges:
-                        continue
-                    translated[f"param:{pname}"] = dataflow.normalize(
-                        [
-                            (lo - base_off, hi - base_off)
-                            for lo, hi in ranges
-                        ]
-                    )
-                ctx.note_call_site(instr.func, translated)
+            stats.eliminated += len(doomed)
+            stats.bump("cross_block_eliminated", len(doomed))
 
     # ------------------------------------------------------------------
-    def _converge(
-        self,
-        function,
-        pmap: ProvenanceMap,
-        summaries=None,
-        entry_facts=None,
-    ) -> Tuple[Set[int], object, object, object]:
-        """``(doomed, solution, analysis, cfg)`` at the elimination
-        fixpoint.
+    @staticmethod
+    def _converge(function, pmap: ProvenanceMap) -> Set[int]:
+        """The ids of the checks that are safe to delete together.
 
-        ``doomed`` is the final set of check ids that are safe to
-        delete together — iterates ``D_{k+1} = covered(suppress=D_k) ∩
-        D_k`` to a fixpoint (monotonically shrinking, hence
-        terminating): at the end, every member is covered even when no
-        member generates facts, i.e. by surviving checks only.  The
-        returned solution is the last fixpoint solve (suppressing
-        exactly the doomed set, or a superset when it converged to
-        empty — an under-approximation, which is the sound direction
-        for the call-site notes built from it).
+        Iterates ``D_{k+1} = covered(suppress=D_k) ∩ D_k`` to a
+        fixpoint (monotonically shrinking, hence terminating): at the
+        end, every member is covered even when no member generates
+        facts, i.e. by surviving checks only.
         """
         from .. import dataflow  # lazy: dataflow lazily imports passes
 
@@ -241,11 +103,7 @@ class CrossBlockCheckElimination(Pass):
         doomed: Optional[Set[int]] = None
         while True:
             analysis = dataflow.AvailableCheckAnalysis(
-                function,
-                pmap,
-                suppressed=doomed or set(),
-                summaries=summaries,
-                entry_facts=entry_facts,
+                function, pmap, suppressed=doomed or set()
             )
             solution = dataflow.solve(cfg, analysis)
             covered: Set[int] = set()
@@ -263,7 +121,7 @@ class CrossBlockCheckElimination(Pass):
                         covered.add(id(instr))
             new = covered if doomed is None else (covered & doomed)
             if new == doomed or not new:
-                return new, solution, analysis, cfg
+                return new
             doomed = new
 
 

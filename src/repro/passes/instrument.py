@@ -96,7 +96,6 @@ def build_pipeline(
     caps: Capabilities,
     protect: bool = True,
     audit_elisions: bool = False,
-    interprocedural: bool = False,
 ) -> List[Pass]:
     """One tool's pass list, from :class:`CheckPlacement` on.
 
@@ -106,48 +105,22 @@ def build_pipeline(
     ``audit_elisions`` makes the static elision passes wrap elided
     checks in :class:`~repro.ir.nodes.CheckElided` markers (replayed
     against the shadow oracle at runtime) instead of deleting them.
-
-    ``interprocedural`` turns on the summary-based analysis layer
-    (:mod:`repro.dataflow.summaries`): call sites consume function
-    summaries instead of clobbering every fact, the cross-block
-    eliminator seeds callee entries from finalized caller coverage, and
-    loop barriers ignore provably non-freeing calls.
     """
     if not protect:
         return [CheckPlacement("none")]
     passes: List[Pass] = [CheckPlacement(placement_style(caps))]
     if caps.check_elimination:
-        passes.append(
-            AliasedCheckElimination(
-                audit=audit_elisions, interprocedural=interprocedural
-            )
-        )
+        passes.append(AliasedCheckElimination())
         if caps.constant_time_region:
             passes.append(ConstantOffsetMerging())
-            passes.append(
-                LoopCheckPromotion(
-                    "region", interprocedural=interprocedural
-                )
-            )
+            passes.append(LoopCheckPromotion("region"))
             # elide merged/promoted region checks the dataflow facts
             # prove in-bounds on a live object, before caching rewrites
-            passes.append(
-                SafeAccessElimination(
-                    audit=audit_elisions, interprocedural=interprocedural
-                )
-            )
+            passes.append(SafeAccessElimination(audit=audit_elisions))
         else:
             # ASan--: provably-safe removal + invariant hoisting
-            passes.append(
-                SafeAccessElimination(
-                    audit=audit_elisions, interprocedural=interprocedural
-                )
-            )
-            passes.append(
-                LoopCheckPromotion(
-                    "hoist", interprocedural=interprocedural
-                )
-            )
+            passes.append(SafeAccessElimination(audit=audit_elisions))
+            passes.append(LoopCheckPromotion("hoist"))
     if caps.history_caching:
         passes.append(HistoryCaching())
     return passes
@@ -208,7 +181,6 @@ def instrument_cached(
     tool: Optional[Sanitizer] = None,
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
-    interprocedural: bool = True,
 ) -> InstrumentedProgram:
     """Like :func:`instrument`, memoized by (fingerprint, config); a
     :class:`FoldedProgram` is keyed by its source's fingerprint."""
@@ -221,7 +193,6 @@ def instrument_cached(
         caps,
         protect,
         audit_elisions,
-        interprocedural,
     )
     cached = _MEMO.pop(key, None)
     if cached is None:
@@ -233,7 +204,6 @@ def instrument_cached(
             tool=tool,
             caps=caps,
             audit_elisions=audit_elisions,
-            interprocedural=interprocedural,
         )
     else:
         _MEMO_HITS += 1
@@ -263,7 +233,6 @@ def instrument(
     tool: Optional[Sanitizer] = None,
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
-    interprocedural: bool = True,
 ) -> InstrumentedProgram:
     """Instrument ``source`` for ``tool`` (or raw ``caps``).
 
@@ -279,10 +248,7 @@ def instrument(
         folded = fold_program(source)
         program = folded.program
     pipeline = build_pipeline(
-        caps,
-        protect=protect,
-        audit_elisions=audit_elisions,
-        interprocedural=interprocedural,
+        caps, protect=protect, audit_elisions=audit_elisions
     )
     stats = PassManager(pipeline).run(program)
     stats.notes = {

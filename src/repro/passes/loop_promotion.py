@@ -51,24 +51,10 @@ from .loop_bounds import (
 )
 
 
-def _body_has_barrier(loop: Loop, summaries=None) -> bool:
-    """A free — or a call that may free — bars promotion out of a loop.
-
-    With interprocedural summaries a call to a provably non-freeing
-    callee is harmless here: it cannot change any object's
-    addressability (its writes touch contents, not bounds), and its
-    only register effect is its destination variable, which
-    :func:`~repro.passes.loop_bounds.loop_killed_vars` already treats
-    as loop-varying.
-    """
-    from ..dataflow.summaries import call_frees_nothing
-
-    for i in walk(loop.body):
-        if isinstance(i, Free):
-            return True
-        if isinstance(i, Call) and not call_frees_nothing(i, summaries):
-            return True
-    return False
+def _body_has_barrier(loop: Loop) -> bool:
+    """A free — or a call, which may free — bars promotion out of a
+    loop."""
+    return any(isinstance(i, (Free, Call)) for i in walk(loop.body))
 
 
 class LoopCheckPromotion(Pass):
@@ -76,25 +62,17 @@ class LoopCheckPromotion(Pass):
 
     name = "loop-check-promotion"
 
-    def __init__(self, mode: str, interprocedural: bool = False):
+    def __init__(self, mode: str):
         if mode not in ("region", "hoist"):
             raise ValueError(f"unknown promotion mode: {mode}")
         self.mode = mode
-        self.interprocedural = interprocedural
 
     def run(self, program: Program, stats: PassStats) -> None:
-        from .. import dataflow  # lazy: dataflow lazily imports passes
-
         sites = _site_map(program)
-        summaries = (
-            dataflow.compute_summaries(program)
-            if self.interprocedural
-            else None
-        )
         for function in program.functions.values():
             # only hoist mode reads trip counts (the zero-trip guard)
             positive_trips = (
-                self._positive_trip_loops(function, summaries)
+                self._positive_trip_loops(function)
                 if self.mode == "hoist"
                 and any(isinstance(i, Loop) for i in walk(function.body))
                 else set()
@@ -102,19 +80,17 @@ class LoopCheckPromotion(Pass):
             function.body = transform_blocks(
                 function.body,
                 lambda block: self._process_block(
-                    block, stats, sites, positive_trips, summaries
+                    block, stats, sites, positive_trips
                 ),
             )
 
     @staticmethod
-    def _positive_trip_loops(function, summaries=None) -> Set[int]:
+    def _positive_trip_loops(function) -> Set[int]:
         """ids of loops whose trip count the intervals prove positive."""
         from .. import dataflow  # lazy: dataflow lazily imports passes
 
         cfg = dataflow.lower_function(function)
-        solution = dataflow.solve(
-            cfg, dataflow.IntervalAnalysis(summaries=summaries)
-        )
+        solution = dataflow.solve(cfg, dataflow.IntervalAnalysis())
         proven: Set[int] = set()
         for block in cfg.blocks:
             if block.loop is None or block.index not in solution.in_states:
@@ -139,13 +115,12 @@ class LoopCheckPromotion(Pass):
         stats,
         sites,
         positive_trips: Set[int],
-        summaries=None,
     ) -> List[Instr]:
         result: List[Instr] = []
         for instr in block:
             if isinstance(instr, Loop):
                 promoted = self._promote_from_loop(
-                    instr, stats, sites, positive_trips, summaries
+                    instr, stats, sites, positive_trips
                 )
                 result.extend(promoted)
             result.append(instr)
@@ -157,11 +132,10 @@ class LoopCheckPromotion(Pass):
         stats: PassStats,
         sites,
         positive_trips: Set[int],
-        summaries=None,
     ) -> List[Instr]:
         killed = loop_killed_vars(loop)
         trips = trip_range(loop, killed)
-        if trips is None or _body_has_barrier(loop, summaries):
+        if trips is None or _body_has_barrier(loop):
             return []
         hoisted: List[Instr] = []
         remaining: List[Instr] = []

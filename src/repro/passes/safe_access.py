@@ -47,29 +47,18 @@ from .check_merging import _site_map
 from .constprop import eval_const
 
 
-def _barred_check_ids(function, summaries=None) -> "set":
-    """Checks inside loops whose body frees or opaquely calls.
+def _barred_check_ids(function) -> "set":
+    """Checks inside loops whose body frees or calls.
 
     Same conservatism as :data:`~repro.passes.loop_promotion`'s loop
-    barriers: a free (or a call that may free) in a loop body keeps
+    barriers: a free (or a call, which may free) in a loop body keeps
     every per-iteration check in place, even when the allocation-state
     fixpoint can tell the freed object apart from the checked one.
-    With interprocedural summaries, a call to a provably non-freeing
-    callee is no barrier.
     """
-    from ..dataflow.summaries import call_frees_nothing
-
-    def is_barrier(i) -> bool:
-        if isinstance(i, Free):
-            return True
-        if isinstance(i, Call):
-            return not call_frees_nothing(i, summaries)
-        return False
-
     barred = set()
     for instr in walk(function.body):
         if isinstance(instr, Loop) and any(
-            is_barrier(i) for i in walk(instr.body)
+            isinstance(i, (Free, Call)) for i in walk(instr.body)
         ):
             for i in walk(instr.body):
                 if isinstance(i, (CheckAccess, CheckRegion)):
@@ -82,21 +71,15 @@ class SafeAccessElimination(Pass):
 
     name = "safe-access-elimination"
 
-    def __init__(self, audit: bool = False, interprocedural: bool = False):
+    def __init__(self, audit: bool = False):
         self.audit = audit
-        self.interprocedural = interprocedural
 
     def run(self, program: Program, stats: PassStats) -> None:
         from .. import dataflow  # lazy: dataflow lazily imports passes
 
         sites = _site_map(program)
-        summaries = (
-            dataflow.compute_summaries(program)
-            if self.interprocedural
-            else None
-        )
         for function in program.functions.values():
-            flow = dataflow.FunctionDataflow(function, summaries=summaries)
+            flow = dataflow.FunctionDataflow(function)
             stats.findings.extend(dataflow.detect_function(flow))
             decisions = self._decide(flow)
             if not decisions:
@@ -127,7 +110,7 @@ class SafeAccessElimination(Pass):
     def _decide(self, flow) -> Dict[int, ElisionRecord]:
         """``id(check) -> ElisionRecord`` for every elidable check."""
         decisions: Dict[int, ElisionRecord] = {}
-        barred = _barred_check_ids(flow.function, flow.summaries)
+        barred = _barred_check_ids(flow.function)
         for block in flow.cfg.blocks:
             if not flow.reachable(block.index):
                 continue

@@ -48,13 +48,10 @@ class ExecConfig:
     """The execution cell a session runs in.
 
     The superblock ``fastpath`` and the instrumentation ``memoize``
-    cache never change a result.  ``interprocedural`` check elision changes
-    which checks a program executes, so it may change CheckStats and
-    error reports, though not whether a run reports.
+    cache never change a result.
     """
 
     fastpath: bool = _switch(True, "REPRO_FASTPATH")
-    interprocedural: bool = _switch(True, "REPRO_INTERPROC")
     memoize: bool = _switch(True, "REPRO_INSTRUMENT_CACHE")
 
     @classmethod
@@ -143,7 +140,6 @@ class Session:
             program,
             tool=self.sanitizer,
             audit_elisions=self.audit_elisions,
-            interprocedural=self.config.interprocedural,
         )
 
     def run(
@@ -158,8 +154,8 @@ class Session:
         A :class:`~repro.passes.instrument.FoldedProgram` skips the
         fold, so callers running one source under many tools fold it
         once.  An :class:`InstrumentedProgram` runs as given: it must
-        have been instrumented for this session's tool,
-        ``audit_elisions`` and ``interprocedural`` setting.
+        have been instrumented for this session's tool and
+        ``audit_elisions`` setting.
         """
         iprogram = (
             program

@@ -3,9 +3,9 @@
 ``repro serve`` puts :class:`~repro.runtime.session.Session` and the
 study runners behind a small REST service
 (:func:`repro.server.app.create_app`): clients submit jobs — run an IR
-program under a chosen (tool × fastpath × interprocedural) config, run a
-table/figure sweep, launch a bounded fuzz campaign — that execute on a
-thread-pool job manager backed by the persistent process pool, and
+program under a chosen (tool × fastpath) config, run a table/figure
+sweep, launch a bounded fuzz campaign — that execute on a thread-pool
+job manager backed by the persistent process pool, and
 read job status, results, telemetry, and error reports via
 ``GET /jobs/{id}`` plus a streamed event feed.
 

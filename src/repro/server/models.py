@@ -1,9 +1,8 @@
 """Validated request/response models for the control plane.
 
 Everything a job needs is carried in its request model — the (tool ×
-fastpath × interprocedural) execution config included — so sessions are
-constructed from validated data instead of process environment
-variables.  Invalid configs are rejected at submission time with a
+fastpath) execution config included — so sessions are constructed from
+validated data instead of process environment variables.  Invalid configs are rejected at submission time with a
 422; a job that validated can only fail for runtime reasons.
 """
 
@@ -23,7 +22,7 @@ SWEEP_TARGETS = ("table2", "table3", "table4", "table5", "fig10", "fig11")
 
 
 class ExecutionConfig(BaseModel):
-    """The (tool × fastpath × interprocedural) cell a run job executes in.
+    """The (tool × fastpath) cell a run job executes in.
 
     ``None`` fields fall back to the server's
     :class:`~repro.runtime.session.ExecConfig` defaults, fixed when the
@@ -34,7 +33,6 @@ class ExecutionConfig(BaseModel):
 
     tool: str = "GiantSan"
     fastpath: Optional[bool] = None
-    interprocedural: Optional[bool] = None
     telemetry: bool = True
 
     @field_validator("tool")

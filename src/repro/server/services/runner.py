@@ -1,7 +1,6 @@
-"""The run-job service: one IR program, one (tool × fastpath ×
-interprocedural) cell, executed through a Session built from the
-validated request over the server's
-:class:`~repro.runtime.session.ExecConfig` defaults.
+"""The run-job service: one IR program, one (tool × fastpath) cell,
+executed through a Session built from the validated request over the
+server's :class:`~repro.runtime.session.ExecConfig` defaults.
 
 The result payload carries the full observable surface of the run:
 return value, cycle/instruction counts, CheckStats, the structured
@@ -27,9 +26,7 @@ def build_session(
     config, defaults: ExecConfig, max_instructions: int
 ) -> Session:
     """A Session for an :class:`ExecutionConfig` over ``defaults``."""
-    overrides = config.model_dump(
-        include={"fastpath", "interprocedural"}, exclude_none=True
-    )
+    overrides = config.model_dump(include={"fastpath"}, exclude_none=True)
     return Session(
         config.tool,
         replace(defaults, **overrides),

@@ -5,18 +5,15 @@ intraprocedural analyses cannot see through the calls, which models
 LLVM's default behaviour.  This workload is the stress version of that
 structure: almost every access happens on one side of a call boundary
 while the fact that would justify eliding its check lives on the other
-side.  It is the acceptance workload for the interprocedural summary
-layer — with summaries enabled the dynamic check count must drop
-measurably (callee effects no longer clobber caller facts, loops over
-non-freeing calls promote, and callee prologue checks die from
-caller-side coverage), while the execution semantics (checksum, error
-log) stay identical.
+side.  The ``repro analyze --whole-program`` listing summarizes its
+functions, and the configuration matrix runs it in every execution
+cell.
 
 The shapes, in order of appearance:
 
 * ``digest`` / ``scale8`` — pointer-taking kernels the entry calls
-  repeatedly; both are provably non-freeing, so with summaries a call
-  to them is no barrier to fact survival or loop promotion.
+  repeatedly; both are provably non-freeing, which their summaries
+  record.
 * ``digest_twice`` — a wrapper whose summary folds its callee's access
   range transitively.
 * ``countdown`` — bounded self-recursion; its conservative ⊤ summary
@@ -37,7 +34,7 @@ DEFAULT_SCALE = 6
 
 
 def build_callheavy_program() -> Program:
-    """The call-heavy acceptance workload; entry takes ``scale``."""
+    """The call-heavy workload; entry takes ``scale``."""
     b = ProgramBuilder()
     with b.function("digest", params=["table"]) as k:
         k.assign("dacc", 0)

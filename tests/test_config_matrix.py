@@ -22,8 +22,8 @@ runs, and is skipped.  The units (a program and a tool each) spread
 over the process pool.
 
 At study level the reference cell is every field off; Tables 2-5 and a
-fuzz span must come out equal from it, from the default cell and from
-CI's fast-path-off, memo-off cell, at any ``jobs``.
+fuzz span must come out equal from it and from the default cell, at
+any ``jobs``.
 """
 
 import importlib
@@ -218,17 +218,6 @@ def first_mismatch(entry, tool):
             failure = mismatch(got, want, where)
             if failure:
                 return failure
-    if entry.corpus == "table2":
-        # interprocedural elision removes no check a proxy executes
-        first, *others = walk.programs
-        for cell in others:
-            failure = mismatch(
-                walk(cell), walk(first),
-                f"reference {label(cell)} vs {label(first)}, program "
-                f"{entry.id}, tool {tool}",
-            )
-            if failure:
-                return failure
     return None
 
 
@@ -278,12 +267,7 @@ def test_every_cell_matches_its_reference(unit, mismatches):
 # ----------------------------------------------------------------------
 #: Every field off: with the memo off every run is a first run.
 REFERENCE = ExecConfig(**dict.fromkeys(FIELDS, False))
-#: The fast path and the memo off: the cell a second, environment-driven
-#: tier-1 run in CI used to cover.
-CI_CELL = ExecConfig(fastpath=False, memoize=False)
-STUDY_CELLS = [
-    (REFERENCE, (1,)), (ExecConfig(), (1, 2, 4)), (CI_CELL, (1, 2, 4)),
-]
+STUDY_CELLS = [(REFERENCE, (1, 2, 4)), (ExecConfig(), (1, 2, 4))]
 
 
 def _table2(config, jobs):
@@ -423,18 +407,6 @@ def test_attached_checker_changes_no_result(cell, spec, tool):
     if failure:
         pytest.fail(failure, pytrace=False)
     assert checker.checks_run > 0
-
-
-def test_interprocedural_elision_lowers_executed_checks():
-    entry = next(entry for entry in CORPUS if entry.corpus == "callheavy")
-    for tool in ("GiantSan", "ASan--"):
-        executed = [
-            Session(tool, replace(REFERENCE, interprocedural=on))
-            .run(entry.source(), entry.args)
-            .stats.checks_executed
-            for on in (True, False)
-        ]
-        assert executed[0] < executed[1], tool
 
 
 def _pid(seconds):

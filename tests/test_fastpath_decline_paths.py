@@ -19,7 +19,7 @@ from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Var
 from repro.runtime import CompiledEngine, ExecConfig, Interpreter, Session
 
-REFERENCE = ExecConfig(fastpath=False, interprocedural=False, memoize=False)
+REFERENCE = ExecConfig(fastpath=False, memoize=False)
 #: The fast path on, instrumenting afresh on every run.
 FASTPATH = ExecConfig(memoize=False)
 

@@ -266,6 +266,24 @@ class TestInvariantChecker:
         checker.verify("planted")
         assert any("held_bytes" in v for v in checker.violations)
 
+    @pytest.mark.parametrize("tool", ["GiantSan", "ASan"])
+    def test_catches_unpoisoned_quarantined_byte(self, tool):
+        from repro.memory.layout import segment_index
+        from repro.sanitizers import SANITIZER_FACTORIES
+
+        san = SANITIZER_FACTORIES[tool]()
+        checker = ShadowInvariantChecker.attach(san)
+        allocation = san.malloc(100)
+        san.free(allocation.base)
+        assert checker.violations == []
+        # leave the last of the freed object's 13 segments unpoisoned
+        san.shadow.store(segment_index(allocation.base) + 12, 0)
+        checker.verify("planted")
+        assert checker.violations == [
+            f"[planted] quarantined object #{allocation.allocation_id} "
+            f"not fully freed-poisoned"
+        ]
+
     def test_catches_hwasan_tag_divergence(self):
         from repro.sanitizers.hwasan import HWASan, untag
 

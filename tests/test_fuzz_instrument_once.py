@@ -1,17 +1,16 @@
 """The fuzz driver instruments each (case, tool) once for both fast-path
 cells: instrumentation does not depend on ``fastpath``.
 
-The interprocedural-off and elision-audit runs use other
-instrumentation configs, so they still instrument on their own.  Every
-pipeline starts from one shared fold, so constant propagation runs once
-per case.
+The elision-audit run uses another instrumentation config, so it still
+instruments on its own.  Every pipeline starts from one shared fold, so
+constant propagation runs once per case.
 """
 
 import pytest
 
 from repro.fuzz import ALL_TOOLS, case_seed_for, generate_case, run_case
 from repro.fuzz import driver
-from repro.fuzz.driver import INTERPROC_TOOLS, fuzz_span
+from repro.fuzz.driver import fuzz_span
 from repro.passes import ConstantPropagation
 from repro.runtime import ExecConfig
 from repro.runtime import session as session_module
@@ -40,15 +39,15 @@ def counts(monkeypatch):
 def test_one_instrumentation_per_tool(counts):
     run_case(generate_case(case_seed_for(0, 3)), ALL_TOOLS,
              config=ExecConfig())
-    assert counts["instrument"] == len(ALL_TOOLS) + len(INTERPROC_TOOLS)
+    assert counts["instrument"] == len(ALL_TOOLS)
     # no extra session just to instrument: two cells per tool
-    assert counts["sessions"] == 2 * len(ALL_TOOLS) + len(INTERPROC_TOOLS)
+    assert counts["sessions"] == 2 * len(ALL_TOOLS)
 
 
 def test_audit_adds_one_instrumentation_per_tool(counts):
     run_case(generate_case(case_seed_for(0, 3)), ALL_TOOLS,
              audit_elisions=True, config=ExecConfig())
-    assert counts["instrument"] == 2 * len(ALL_TOOLS) + len(INTERPROC_TOOLS)
+    assert counts["instrument"] == 2 * len(ALL_TOOLS)
 
 
 @pytest.mark.parametrize("audit", [False, True])

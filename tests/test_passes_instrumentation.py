@@ -150,8 +150,8 @@ class TestTable1ConstantPropagation:
         assert ip.stats.eliminated == 1
 
     def test_duplicate_elimination_stops_at_call(self):
-        """Intraprocedurally a call clobbers the fact; with summaries
-        the provably non-freeing callee is transparent."""
+        """A call clobbers the fact, even to a callee that frees
+        nothing: the passes are intraprocedural."""
         b = ProgramBuilder()
         with b.function("callee"):
             pass
@@ -162,14 +162,8 @@ class TestTable1ConstantPropagation:
         with b.function("main") as m:
             m.malloc("buf", 64)
             m.call("kernel", [V("buf")])
-        ip = instrument(
-            b.build(), tool=ASanMinusMinus(), interprocedural=False
-        )
+        ip = instrument(b.build(), tool=ASanMinusMinus())
         assert len(checks_in(ip.program)) == 2
-        ip = instrument(
-            b.build(), tool=ASanMinusMinus(), interprocedural=True
-        )
-        assert len(checks_in(ip.program)) == 1
 
     def test_asanmm_safe_access_removal_with_known_size(self):
         """When the allocation size IS visible (same function, constant),
@@ -357,7 +351,7 @@ def _equivalence_corpus():
     return corpus
 
 
-def _reference_instrument(source, tool, audit_elisions, interprocedural):
+def _reference_instrument(source, tool, audit_elisions):
     """The pipeline before the fold was shared: deep copy, number the
     sites, then constant propagation followed by the tool's passes."""
     import copy
@@ -370,10 +364,7 @@ def _reference_instrument(source, tool, audit_elisions, interprocedural):
     program = copy.deepcopy(source)
     assign_site_ids(program)
     pipeline = [ConstantPropagation()] + build_pipeline(
-        caps,
-        protect=protect,
-        audit_elisions=audit_elisions,
-        interprocedural=interprocedural,
+        caps, protect=protect, audit_elisions=audit_elisions
     )
     stats = PassManager(pipeline).run(program)
     stats.remaining_checks = len(checks_in(program))
@@ -423,25 +414,19 @@ def test_shared_fold_matches_the_unshared_pipeline():
         folded = fold_program(source)
         for tool_name, factory in SANITIZER_FACTORIES.items():
             tool = factory()
-            for interprocedural in (True, False):
-                for audit in (False, True):
-                    cell = (name, tool_name, interprocedural, audit)
-                    program, stats, caches = _reference_instrument(
-                        source, tool, audit, interprocedural
-                    )
-                    ip = instrument(
-                        folded,
-                        tool=tool,
-                        audit_elisions=audit,
-                        interprocedural=interprocedural,
-                    )
-                    assert _stable(program_fingerprint(ip.program)) == (
-                        _stable(program_fingerprint(program))
-                    ), cell
-                    assert _comparable(ip.stats) == _comparable(stats), cell
-                    assert ip.static_checks == stats.remaining_checks, cell
-                    assert ip.cache_count == caches, cell
-                    assert list(ip.stats.pass_timings())[0] == "constprop"
+            for audit in (False, True):
+                cell = (name, tool_name, audit)
+                program, stats, caches = _reference_instrument(
+                    source, tool, audit
+                )
+                ip = instrument(folded, tool=tool, audit_elisions=audit)
+                assert _stable(program_fingerprint(ip.program)) == (
+                    _stable(program_fingerprint(program))
+                ), cell
+                assert _comparable(ip.stats) == _comparable(stats), cell
+                assert ip.static_checks == stats.remaining_checks, cell
+                assert ip.cache_count == caches, cell
+                assert list(ip.stats.pass_timings())[0] == "constprop"
         # neither path touched the source or the shared fold
         assert program_fingerprint(source) == before, name
         assert program_fingerprint(folded.source) == before, name

@@ -145,6 +145,16 @@ class TestSubmissionValidation:
             assert response.status_code == 422
             assert response.json()["detail"][0]["loc"][-1] == "engine"
 
+    def test_interprocedural_field_is_422(self, client):
+        # the passes are intraprocedural: no request can ask otherwise
+        response = client.post(
+            "/jobs/run",
+            json={"program": {"corpus": "demo"},
+                  "config": {"interprocedural": False}},
+        )
+        assert response.status_code == 422
+        assert response.json()["detail"][0]["loc"][-1] == "interprocedural"
+
     def test_corpus_and_ir_both_is_422(self, client):
         response = client.post(
             "/jobs/run",
@@ -571,10 +581,10 @@ class TestConfig:
     ):
         # repro serve passes the CLI's config; the library never reads
         # the REPRO_* execution switches itself
-        monkeypatch.setenv("REPRO_INTERPROC", "0")
+        monkeypatch.setenv("REPRO_INSTRUMENT_CACHE", "0")
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         assert create_app(ServerConfig()).state.defaults == ExecConfig()
-        cell = ExecConfig(interprocedural=False, fastpath=False)
+        cell = ExecConfig(memoize=False, fastpath=False)
         assert create_app(ServerConfig(), cell).state.defaults == cell
 
     def test_stats_reports_config_echo(self, client):
