@@ -98,7 +98,8 @@ def _time_cell(program, engine: str, repeat: int) -> dict:
 
     The engine is picked by class, not by the session's rule, and the
     compiled cell compiles up front, so its runs execute closures from
-    the entry call instead of tree-walking until they tier up.  A
+    the entry call instead of tree-walking until a call boundary tiers
+    them up.  A
     throwaway warm-up run pays one-time costs (closure compilation,
     instrumentation, folding tables) so the timed runs measure steady
     state for both engines symmetrically.

@@ -8,9 +8,10 @@ Times the full Table 2 sweep three ways and writes the committed
   walker runs everything);
 * ``default`` — superblock fast path + instrumentation memo cache on,
   one process; each run then switches to the compile-to-closures
-  engine at its first call boundary past
-  :data:`repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS` executed
-  instructions;
+  engine at its first call boundary that reaches
+  :data:`repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS`
+  instructions, counting at a call's entry the callee's static work
+  estimate (so at its first kernel call at the latest);
 * ``parallel`` — the default cell plus ``--jobs max(default_jobs(), 2)``
   fabric workers (``default_jobs`` honours the CPU affinity mask, so
   containerized runs don't oversubscribe), floored at two so the

@@ -70,8 +70,10 @@ stats commutes with a later addition.
 So after any exception, everything its caller reaches equals the tree
 walker's at the same raise: the sanitizer's stats, error log, shadow,
 heap and address space.  A ``BudgetExceeded`` is raised at a flush,
-where the engine's own instruction and cycle counters may differ from
-the tree walker's (nothing reads them after it).  Every other
+where the engine's own counters may differ from the tree walker's
+(nothing reads them after it): its instruction and cycle counts, and
+its ``protection_counts``, to which the ``finally`` adds the accesses
+of a run that the tree walker had not yet reached.  Every other
 instruction is charged where the tree walker charges it, so an
 exception from its own effect (an error report under
 ``halt_on_error``, a negative shift) leaves even those equal.
@@ -110,9 +112,13 @@ so one closure table serves runs with and without telemetry.
 :meth:`repro.runtime.session.Session.run` runs every memoized program on
 this engine, which tiers up at call boundaries: a run starts on the
 tree-walker and compiles its whole program at the first call boundary
-past :data:`COMPILE_AFTER_INSTRUCTIONS`.  A program with a closure table
-runs its closures from the entry call.  With the memo off a session runs
-the plain :class:`Interpreter`, which remains the reference.
+that reaches :data:`COMPILE_AFTER_INSTRUCTIONS`.  At a call's entry
+that counts the callee's :func:`work_estimate`, so a run compiles at
+the call that starts its hot work, before running it; at a return it
+counts what the run executed, which covers loops whose bounds are not
+constants.  A program with a closure table runs its closures from the
+entry call.  With the memo off a session runs the plain
+:class:`Interpreter`, which remains the reference.
 """
 
 from __future__ import annotations
@@ -164,13 +170,20 @@ from .intrinsics import guarded_memcpy, guarded_memset, guarded_strcpy
 #: cache therefore compile once per process, like fastpath loop plans.
 _TABLE_ATTR = "_closure_tables"
 
+#: Attribute on :class:`~repro.ir.program.Function` memoizing its
+#: :func:`work_estimate`, as plans are memoized on loops.
+_WORK_ATTR = "_work_estimate"
+
 #: A :class:`CompiledEngine` run compiles its program at the first call
-#: boundary (entry or return) once it has executed this many IR
-#: instructions.  Compiling pays only over long runs, and the corpora
-#: split cleanly: Table 2 runs execute 6,399-441,987 instructions each,
+#: boundary where it reaches this many IR instructions: at a call's
+#: entry when the instructions executed so far plus the callee's
+#: :func:`work_estimate` reach it, or at a return once it has executed
+#: them.  Compiling pays only over long runs, and the corpora split
+#: cleanly: Table 2 runs execute 6,399-441,987 instructions each,
 #: detection runs (Tables 3-5) at most 1,332 and fuzz cases at most
-#: 312.  Both engines produce identical observables, so where a run
-#: tiers up never changes a result.
+#: 312, and neither compiles (fuzz runs never memoize).  Both engines
+#: produce identical observables, so where a run tiers up never changes
+#: a result.
 COMPILE_AFTER_INSTRUCTIONS = 4096
 
 
@@ -1259,6 +1272,44 @@ def compile_program(
     return table
 
 
+def _block_work(block: Sequence) -> int:
+    """The static work of ``block`` (see :func:`work_estimate`)."""
+    work = 0
+    for instr in block:
+        work += 1
+        kind = type(instr)
+        if kind is Loop:
+            body = _block_work(instr.body)
+            start, end, step = instr.start, instr.end, instr.step
+            if type(start) is Const and type(end) is Const and step:
+                # the trip count of the tree walker's range
+                if instr.reverse:
+                    trips = range(end.value - step, start.value - 1, -step)
+                else:
+                    trips = range(start.value, end.value, step)
+                body *= len(trips)
+            work += body
+        elif kind is If:
+            work += max(_block_work(instr.then), _block_work(instr.orelse))
+    return work
+
+
+def work_estimate(function: Function) -> int:
+    """The static work of ``function``'s body: one unit per instruction,
+    a loop's body times its trip count where both bounds are constants
+    and once otherwise, an ``If``'s larger branch, and no callee's body.
+
+    Memoized on the function, whose program's closure tables hold its
+    closures (an attribute, not a table on the program, keeps the many
+    short runs that never compile from growing a dict each).
+    """
+    work = getattr(function, _WORK_ATTR, None)
+    if work is None:
+        work = _block_work(function.body)
+        setattr(function, _WORK_ATTR, work)
+    return work
+
+
 class CompiledEngine(Interpreter):
     """Interpreter variant that runs pre-lowered closures where possible.
 
@@ -1269,9 +1320,11 @@ class CompiledEngine(Interpreter):
     expects from the reference interpreter.
 
     A run tree-walks until its program has a closure table: one compiled
-    by an earlier run, or compiled by this run at a call boundary once
-    it has executed :data:`COMPILE_AFTER_INSTRUCTIONS`.  A frame that
-    started on the tree-walker keeps tree-walking until it returns.
+    by an earlier run, or compiled by this run at a call boundary that
+    reaches :data:`COMPILE_AFTER_INSTRUCTIONS`, at a call's entry by the
+    instructions executed plus the callee's :func:`work_estimate`, at a
+    return by the instructions executed.  A frame that started on the
+    tree-walker keeps tree-walking until it returns.
     """
 
     def __init__(self, *args, **kwargs):
@@ -1288,19 +1341,27 @@ class CompiledEngine(Interpreter):
         ``compile_program(program, *engine.table_key())`` compiles it."""
         return (self.costs, self._needs_resolve, self.san.inline_stages())
 
-    def _closures(self) -> Optional[Dict[str, CompiledFunction]]:
-        """The program's closure table, compiled now if this run is long."""
+    def _closures(
+        self, callee: Optional[Function] = None
+    ) -> Optional[Dict[str, CompiledFunction]]:
+        """The program's closure table, compiled now if this run is long:
+        it has executed :data:`COMPILE_AFTER_INSTRUCTIONS`, or entering
+        ``callee`` carries it there by the callee's :func:`work_estimate`."""
         program = self._program
         tables = getattr(program, _TABLE_ATTR, None)
-        long_run = self.instructions >= COMPILE_AFTER_INSTRUCTIONS
         table = None
         # a short run of a program never compiled needs no key
-        if tables is not None or long_run:
+        if tables is not None:
             if self._key is None:
                 self._key = self.table_key()
-            if tables is not None:
-                table = tables.get(self._key)
-            if table is None and long_run:
+            table = tables.get(self._key)
+        if table is None:
+            due = self.instructions
+            if callee is not None and due < COMPILE_AFTER_INSTRUCTIONS:
+                due += work_estimate(callee)
+            if due >= COMPILE_AFTER_INSTRUCTIONS:
+                if self._key is None:
+                    self._key = self.table_key()
                 table = compile_program(program, *self._key)
         self._table = table
         return table
@@ -1309,7 +1370,7 @@ class CompiledEngine(Interpreter):
     def _call_function(self, function, args):
         table = self._table
         if table is None:
-            table = self._closures()
+            table = self._closures(function)
             if table is None:
                 value = super()._call_function(function, args)
                 self._closures()

@@ -8,10 +8,13 @@ How a session executes is one frozen :class:`ExecConfig`; only the
 ``repro`` CLI calls :meth:`ExecConfig.from_env`, the one reader of the
 ``REPRO_*`` switches, and everything else receives the value.  Which
 engine runs is not a switch: with ``memoize`` on, :meth:`Session.run`
-runs the :class:`CompiledEngine`, which tree-walks a run until it has
-executed :data:`~repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS` and
-then compiles the program at the next call boundary; with it off, the
-reference :class:`Interpreter` tree-walks every run.
+runs the :class:`CompiledEngine`, which tree-walks a run until a call
+boundary reaches
+:data:`~repro.runtime.compiler.COMPILE_AFTER_INSTRUCTIONS` and compiles
+the program there: a call's entry when the instructions executed plus
+the callee's :func:`~repro.runtime.compiler.work_estimate` reach it, a
+return when the instructions executed do; with it off, the reference
+:class:`Interpreter` tree-walks every run.
 """
 
 from __future__ import annotations

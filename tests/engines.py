@@ -6,7 +6,7 @@ instrument with ``Session.instrument``, then run
 :class:`~repro.runtime.Interpreter` or
 :class:`~repro.runtime.CompiledEngine` on the result.  The compiled
 engine gets its closure table up front, so it runs closures from the
-entry call instead of tree-walking until it tiers up.
+entry call instead of tree-walking until a call boundary tiers it up.
 
 :func:`observables` is the one surface every differential test
 compares; a test about one part of a run adds or drops keys.

@@ -9,7 +9,14 @@ tiers up.
 
 import pytest
 
-from engines import observables, run_on
+from engines import engine_on, observables, run_on
+from repro.analysis import run_overhead_study
+from repro.analysis.detection import (
+    run_juliet_study,
+    run_linux_flaw_study,
+    run_magma_study,
+)
+from repro.analysis.overhead import PERFORMANCE_TOOLS
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import CheckElided, Const, Var
 from repro.ir.program import walk
@@ -49,13 +56,20 @@ def _simple_program():
     return builder.build()
 
 
-def _long_program():
-    """A loop of well over COMPILE_AFTER_INSTRUCTIONS instructions."""
+#: ``main``'s argument in the long programs: the bound of a loop that
+#: :func:`~repro.runtime.compiler.work_estimate` counts as one trip, so
+#: a run reaches the tier-up point only by executing its instructions.
+LONG = [COMPILE_AFTER_INSTRUCTIONS]
+
+
+def _long_program(bound=Var("n")):
+    """``main(n)``: a loop of well over COMPILE_AFTER_INSTRUCTIONS
+    instructions, ``bound`` trips long (at ``n`` = ``LONG``)."""
     builder = ProgramBuilder()
-    with builder.function("main") as f:
+    with builder.function("main", params=["n"]) as f:
         f.malloc("buf", 64)
         total = f.assign("total", 0)
-        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+        with f.loop("i", 0, bound) as i:
             f.store("buf", (i % 8) * 8, 8, i)
             f.assign("total", total + i)
         f.free("buf")
@@ -65,7 +79,8 @@ def _long_program():
 
 # ----------------------------------------------------------------------
 # tier-up: a memoized run compiles its program at the first call
-# boundary past COMPILE_AFTER_INSTRUCTIONS
+# boundary where it reaches COMPILE_AFTER_INSTRUCTIONS, counting a
+# callee's work estimate at its entry
 # ----------------------------------------------------------------------
 def _session_run(program, tool="GiantSan", memoize=True, args=None,
                  **kwargs):
@@ -75,16 +90,16 @@ def _session_run(program, tool="GiantSan", memoize=True, args=None,
 
 
 def _late_callee_program():
-    """``main`` tree-walks past the threshold, then calls ``helper``."""
+    """``main(n)`` tree-walks past the threshold, then calls ``helper``."""
     builder = ProgramBuilder()
     with builder.function("helper", params=["p"]) as f:
         with f.loop("j", 0, 8) as j:
             f.store("p", j * 8, 8, j)
         f.ret(1)
-    with builder.function("main") as f:
+    with builder.function("main", params=["n"]) as f:
         f.malloc("buf", 64)
         total = f.assign("total", 0)
-        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+        with f.loop("i", 0, Var("n")) as i:
             f.assign("total", total + i)
         got = f.call("helper", [Var("buf")], dst="got")
         f.free("buf")
@@ -94,20 +109,113 @@ def _late_callee_program():
 
 def test_callee_called_past_the_threshold_runs_compiled(engine_log):
     program = _late_callee_program()
-    tiered = _session_run(program)
+    tiered = _session_run(program, args=LONG)
     assert engine_log == {"tree": ["main"], "compiles": 1}
     assert tiered["instructions"] >= COMPILE_AFTER_INSTRUCTIONS
-    assert tiered == _session_run(program, memoize=False)
+    assert tiered == _session_run(program, memoize=False, args=LONG)
 
 
 def test_long_entry_compiles_when_it_returns(engine_log):
     program = _long_program()
-    first = _session_run(program)
+    first = _session_run(program, args=LONG)
     assert engine_log == {"tree": ["main"], "compiles": 1}
-    second = _session_run(program)
+    second = _session_run(program, args=LONG)
     # the second run finds the table and enters main's closure
     assert engine_log == {"tree": ["main"], "compiles": 1}
     assert first == second
+
+
+def test_constant_bound_loop_compiles_at_entry(engine_log):
+    """``main``'s estimate counts its constant loop's every trip, so the
+    run compiles before it executes an instruction."""
+    program = _long_program(COMPILE_AFTER_INSTRUCTIONS)
+    entered = _session_run(program, args=LONG)
+    assert engine_log == {"tree": [], "compiles": 1}
+    assert entered == _session_run(program, memoize=False, args=LONG)
+
+
+def _kernel_call_program(trips):
+    """``main`` executes two instructions, then calls ``kernel``, whose
+    estimate is ``trips + 2``: its loop, the loop's ``trips`` stores
+    and its return."""
+    builder = ProgramBuilder()
+    with builder.function("kernel", params=["p"]) as f:
+        with f.loop("j", 0, trips) as j:
+            f.store("p", (j % 8) * 8, 8, j)
+        f.ret(1)
+    with builder.function("main") as f:
+        f.malloc("buf", 64)
+        f.call("kernel", [Var("buf")], dst="got")
+        f.free("buf")
+        f.ret(Var("got"))
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "short, walked", [(0, ["main"]), (1, ["main", "kernel"])],
+    ids=["reaches", "one-short"],
+)
+def test_callee_whose_estimate_reaches_the_threshold_compiles_at_the_call(
+    engine_log, short, walked
+):
+    """At ``kernel``'s entry the run has executed 2 instructions; 2 plus
+    its estimate reaching the threshold compiles there, one short of it
+    tree-walks ``kernel`` and compiles when it returns.  Native adds no
+    checks, so the estimate is of the program as built."""
+    program = _kernel_call_program(COMPILE_AFTER_INSTRUCTIONS - 4 - short)
+    instrumented = Session("Native").instrument(program).program
+    estimate = compiler.work_estimate(instrumented.functions["kernel"])
+    assert 2 + estimate == COMPILE_AFTER_INSTRUCTIONS - short
+    tiered = _session_run(program, "Native")
+    assert engine_log == {"tree": walked, "compiles": 1}
+    assert tiered == _session_run(program, "Native", memoize=False)
+
+
+def test_work_estimate_counts_constant_trips_and_other_loops_once():
+    builder = ProgramBuilder()
+    with builder.function("callee") as f:
+        with f.loop("k", 0, 1000):
+            f.compute(1.0)
+    with builder.function("main", params=["n"]) as f:
+        with f.loop("i", 2, 12) as i:  # 1 + 10 trips x 2
+            f.assign("x", i)
+            f.compute(1.0)
+        with f.loop("j", 0, Var("n")):  # 1 + 3, counted once
+            f.compute(1.0)
+            f.compute(1.0)
+            f.compute(1.0)
+        with f.loop("r", 0, 10, step=3, reverse=True):  # 1 + 3 trips x 1
+            f.compute(1.0)
+        with f.if_(Var("n")):  # 1 + the larger branch, 2
+            f.compute(1.0)
+            f.compute(1.0)
+        with f.else_():
+            f.compute(1.0)
+        f.call("callee", [])  # 1: the callee's body is not followed
+        f.ret(0)  # 1
+    functions = builder.build().functions
+    assert compiler.work_estimate(functions["main"]) == 21 + 4 + 4 + 3 + 1 + 1
+    assert compiler.work_estimate(functions["callee"]) == 1 + 1000
+    # memoized on each function
+    assert getattr(functions["main"], compiler._WORK_ATTR) == 34
+
+
+def test_warm_run_computes_no_estimate(engine_log, monkeypatch):
+    estimated = []
+    estimate = compiler.work_estimate
+
+    def spy(function):
+        estimated.append(function.name)
+        return estimate(function)
+
+    monkeypatch.setattr(compiler, "work_estimate", spy)
+    program = _kernel_call_program(COMPILE_AFTER_INSTRUCTIONS)
+    cold = _session_run(program)
+    assert estimated == ["main", "kernel"]
+    del estimated[:]
+    warm = _session_run(program)
+    assert estimated == [] and engine_log["compiles"] == 1
+    assert warm == cold
 
 
 def test_short_program_never_compiles(engine_log):
@@ -123,9 +231,10 @@ def test_short_program_never_compiles(engine_log):
 
 def test_memoize_off_never_compiles(engine_log):
     program = _long_program()
-    fresh = [_session_run(program, memoize=False) for _ in range(2)]
+    fresh = [_session_run(program, memoize=False, args=LONG)
+             for _ in range(2)]
     assert engine_log["compiles"] == 0
-    memoized = [_session_run(program) for _ in range(2)]
+    memoized = [_session_run(program, args=LONG) for _ in range(2)]
     assert fresh + memoized == fresh[:1] * 4
 
 
@@ -193,10 +302,10 @@ def _late_calls_program():
         with f.loop("j", 0, 8) as j:
             f.store("p", j * 8, 8, j)
         f.ret(1)
-    with builder.function("main") as f:
+    with builder.function("main", params=["n"]) as f:
         f.malloc("buf", 64)
         total = f.assign("total", 0)
-        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+        with f.loop("i", 0, Var("n")) as i:
             f.assign("total", total + i)
         a = f.call("declined", [Const(2)], dst="a")
         b = f.call("lowered", [Var("buf")], dst="b")
@@ -207,7 +316,7 @@ def _late_calls_program():
 
 def test_tier_up_with_an_uncompilable_next_callee(engine_log):
     walked = _assert_tier_up_matches(
-        engine_log, _late_calls_program(), "GiantSan"
+        engine_log, _late_calls_program(), "GiantSan", LONG
     )
     assert walked == ["main", "declined"]
     assert engine_log["compiles"] == 1
@@ -222,9 +331,9 @@ def test_budget_exceeded_just_past_the_tier_up_point(
     with builder.function("step", params=["p", "i"]) as f:
         f.store("p", (Var("i") % 8) * 8, 8, Var("i"))
         f.ret(Var("i"))
-    with builder.function("main") as f:
+    with builder.function("main", params=["n"]) as f:
         f.malloc("buf", 64)
-        with f.loop("i", 0, COMPILE_AFTER_INSTRUCTIONS) as i:
+        with f.loop("i", 0, Var("n")) as i:
             f.call("step", [Var("buf"), i])
         f.free("buf")
         f.ret(0)
@@ -238,16 +347,89 @@ def test_budget_exceeded_just_past_the_tier_up_point(
     messages = []
     for memoize in (False, True):
         with pytest.raises(BudgetExceeded) as excinfo:
-            _session_run(program, memoize=memoize, max_instructions=limit)
+            _session_run(
+                program, memoize=memoize, args=LONG, max_instructions=limit
+            )
         messages.append(str(excinfo.value))
     tree, tiered = engines
     assert type(tree) is Interpreter and tiered._table is not None
     assert messages[0] == messages[1]
     for engine in engines:
         assert engine.instructions == limit + 1
+    # the counters match here because the trip lands in ``step``'s
+    # closure at a flush that is also the tree walker's instruction; a
+    # trip elsewhere may leave them apart (see the sweep below)
     assert tiered.native_cycles == tree.native_cycles
     assert tiered.protection_counts == tree.protection_counts
     assert tiered.san.stats.as_dict() == tree.san.stats.as_dict()
+
+
+#: Budgets from the first instructions of a run to past the tier-up point.
+BUDGETS = [*range(1, 301, 7), 1000, 3000, 5000]
+
+
+@pytest.mark.parametrize("tool", ["GiantSan", "ASan", "LFP"])
+@pytest.mark.parametrize("spec", SPEC_TABLE2_ROWS[:4], ids=lambda s: s.name)
+def test_budget_trip_leaves_the_tree_walkers_state(spec, tool):
+    """A run compiled at entry that exceeds its budget raises the tree
+    walker's message and leaves the sanitizer's stats and error log as
+    the tree walker leaves them, at every budget.  The engine's own
+    counters (instructions, cycles, ``protection_counts``) are not
+    promised there."""
+    program = Session(tool).instrument(spec.build())
+
+    def tripped(engine, limit):
+        runner, iprogram = engine_on(
+            engine, program, tool, max_instructions=limit
+        )
+        with pytest.raises(BudgetExceeded) as excinfo:
+            runner.run(iprogram, [spec.default_scale])
+        san = runner.san
+        return str(excinfo.value), san.stats.as_dict(), [
+            (e.kind, e.address, e.size, e.access, e.shadow_value,
+             e.allocation_id, e.detail)
+            for e in san.log
+        ]
+
+    for limit in BUDGETS:
+        assert tripped(CompiledEngine, limit) == tripped(Interpreter, limit), (
+            limit
+        )
+
+
+def test_cold_table2_pass_tree_walks_less_than_the_threshold_per_run(
+    engine_log, monkeypatch
+):
+    """Every run of a cold Table 2 pass compiles at its first kernel
+    call at the latest, so the tree walker executes fewer than
+    COMPILE_AFTER_INSTRUCTIONS instructions in it; the pass still makes
+    one compile per instrumented program."""
+    walked = []
+    run, execute = Interpreter.run, Interpreter._exec
+
+    def spy_run(self, *args):
+        walked.append(0)
+        return run(self, *args)
+
+    def spy_exec(self, instr, env):
+        walked[-1] += 1
+        return execute(self, instr, env)
+
+    monkeypatch.setattr(Interpreter, "run", spy_run)
+    monkeypatch.setattr(Interpreter, "_exec", spy_exec)
+    run_overhead_study(PERFORMANCE_TOOLS)
+    assert engine_log["compiles"] == 70
+    assert max(walked) < COMPILE_AFTER_INSTRUCTIONS
+    assert sum(walked) < 40_000
+
+
+def test_detect_pass_compiles_nothing(engine_log):
+    """Detection runs are short, and no callee's estimate carries one
+    to the tier-up point."""
+    run_juliet_study()
+    run_linux_flaw_study()
+    run_magma_study()
+    assert engine_log["compiles"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +511,7 @@ def test_telemetry_runs_share_one_closure_table(engine_log):
         Session("GiantSan", config, telemetry=telemetry)
         for telemetry in (False, True)
     ]
-    plain, traced = (session.run(program) for session in sessions)
+    plain, traced = (session.run(program, LONG) for session in sessions)
     iprogram = sessions[0].instrument(program)
     assert sessions[1].instrument(program) is iprogram
     tables = getattr(iprogram.program, compiler._TABLE_ATTR)

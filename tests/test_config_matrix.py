@@ -16,10 +16,8 @@ call).  Every run must match, observable for observable, the
 tree-walker **reference** of its cell: the same cell with the fast
 path and the memo off.  The fast path's own telemetry
 (:func:`engines.telemetry_views`) is compared with the tree walker at
-the cell's ``fastpath`` instead.  A cell whose instrumented
-program and accelerations equal an earlier cell's would repeat its
-runs, and is skipped.  The units (a program and a tool each) spread
-over the process pool.
+the cell's ``fastpath`` instead.  The units (a program and a tool
+each) spread over the process pool.
 
 At study level the reference cell is every field off; Tables 2-5 and a
 fuzz span must come out equal from it and from the default cell, at
@@ -52,7 +50,7 @@ from repro.analysis.tables import render_table2
 from repro.fuzz import ShadowInvariantChecker
 from repro.fuzz.driver import fuzz_spans
 from repro.ir.nodes import Loop
-from repro.passes.instrument import fold_program, program_fingerprint
+from repro.passes.instrument import fold_program
 from repro.runtime import CompiledEngine, ExecConfig, Interpreter, Session
 from repro.runtime.fastpath import analyze_loop
 from repro.workloads.spec import SPEC_TABLE2_ROWS
@@ -62,8 +60,6 @@ from repro.workloads.spec import SPEC_TABLE2_ROWS
 INSTRUMENT = importlib.import_module("repro.passes.instrument")
 
 FIELDS = [field.name for field in fields(ExecConfig)]
-#: On before off: where two cells would repeat each other's runs, the
-#: first is the one checked.
 CELLS = [
     ExecConfig(**dict(zip(FIELDS, values)))
     for values in product((True, False), repeat=len(FIELDS))
@@ -131,38 +127,22 @@ def _observe(run, *args):
 
 class TreeWalks:
     """Memo-off session runs of one entry and tool, each cell run once.
-    Runs of one ``reference_of`` cell share its instrumented program,
-    whose first run is the reference's."""
+    Every cell's reference is the all-off cell, so every run shares its
+    one instrumented ``program``, whose first run is the reference's."""
 
     def __init__(self, entry, tool):
         self.entry, self.tool = entry, tool
         self.session = dict(entry.session)
-        self.programs, self.fingerprints, self.runs = {}, {}, {}
-
-    def instrumented(self, cell):
-        reference = reference_of(cell)
-        if reference not in self.programs:
-            session = Session(self.tool, reference, **self.session)
-            program = session.instrument(self.entry.source())
-            self.programs[reference] = program
-            self.fingerprints[reference] = program_fingerprint(program.program)
-        return self.programs[reference]
-
-    def runs_like(self, cell):
-        """What decides ``cell``'s runs: its accelerations and the
-        program its reference instruments."""
-        self.instrumented(cell)
-        return self.fingerprints[reference_of(cell)], *(
-            getattr(cell, name) for name in ACCELERATIONS
-        )
+        self.runs = {}
+        session = Session(tool, reference_of(CELLS[0]), **self.session)
+        self.program = session.instrument(entry.source())
 
     def __call__(self, cell):
         if cell not in self.runs:
-            program = self.instrumented(cell)
             if cell != reference_of(cell):
                 self(reference_of(cell))
             self.runs[cell] = _observe(
-                _session_run, self.tool, cell, program, self.entry.args,
+                _session_run, self.tool, cell, self.program, self.entry.args,
                 self.session,
             )
         return self.runs[cell]
@@ -192,7 +172,7 @@ def _cell_runs(walk, cell):
     else:
         if cell != reference_of(cell):
             yield "session", walk(cell)
-        program = walk.instrumented(cell)
+        program = walk.program
     yield "compiled", _observe(
         _compiled_run, tool, cell, program, entry.args, session
     )
@@ -201,14 +181,7 @@ def _cell_runs(walk, cell):
 def first_mismatch(entry, tool):
     """Run ``entry`` under ``tool`` in every cell; the first mismatch."""
     walk = TreeWalks(entry, tool)
-    checked = set()
     for cell in CELLS:
-        like = walk.runs_like(cell)
-        if like in checked:
-            # the same program under the same accelerations: the runs
-            # of a cell already checked, again
-            continue
-        checked.add(like)
         want = walk.expected(cell)
         for mode, got in _cell_runs(walk, cell):
             where = (

@@ -1,4 +1,5 @@
-"""EXPERIMENTS.md's rendered Table 5 follows every count of its results file."""
+"""EXPERIMENTS.md's rendered Table 5 and Figure 11c mitigation follow
+every count of their results files."""
 
 import importlib.util
 import re
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE5 = "table5_magma.txt"
+MITIGATION = "fig11_reverse_mitigation.txt"
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +23,29 @@ def render_module():
     return module
 
 
-def _count_cells():
-    """``(line index, match)`` for every count of the Table 5 rows."""
-    lines = (ROOT / "benchmarks" / "results" / TABLE5).read_text().splitlines()
+def _count_cells(name, first):
+    """``(line index, match)`` for every count of the rows of results
+    table ``name`` from line ``first`` on."""
+    lines = (ROOT / "benchmarks" / "results" / name).read_text().splitlines()
     return [
         (index, match.span())
-        for index, line in enumerate(lines[2:], 2)
+        for index, line in enumerate(lines[first:], first)
         for match in re.finditer(r"(?<= )\d+", line)
     ]
+
+
+def _bump(render_module, monkeypatch, tmp_path, name, cell):
+    """Render EXPERIMENTS.md from a copy of the results whose ``cell``
+    of table ``name`` is one more."""
+    results = tmp_path / "results"
+    shutil.copytree(ROOT / "benchmarks" / "results", results)
+    lines = (results / name).read_text().splitlines(True)
+    index, (start, end) = cell
+    line = lines[index]
+    lines[index] = line[:start] + str(int(line[start:end]) + 1) + line[end:]
+    (results / name).write_text("".join(lines))
+    monkeypatch.setattr(render_module, "RESULTS", results)
+    return render_module.render((ROOT / "EXPERIMENTS.md").read_text())
 
 
 def test_committed_document_is_rendered(render_module):
@@ -36,17 +53,22 @@ def test_committed_document_is_rendered(render_module):
     assert render_module.render(doc) == doc
 
 
-@pytest.mark.parametrize("cell", _count_cells())
+def test_check_passes_on_the_committed_document(render_module):
+    assert render_module.main(["--check"]) == 0
+
+
+@pytest.mark.parametrize("cell", _count_cells(TABLE5, 2))
 def test_editing_one_table5_count_changes_the_rendering(
     render_module, monkeypatch, tmp_path, cell
 ):
-    results = tmp_path / "results"
-    shutil.copytree(ROOT / "benchmarks" / "results", results)
-    lines = (results / TABLE5).read_text().splitlines(True)
-    index, (start, end) = cell
-    line = lines[index]
-    lines[index] = line[:start] + str(int(line[start:end]) + 1) + line[end:]
-    (results / TABLE5).write_text("".join(lines))
-    monkeypatch.setattr(render_module, "RESULTS", results)
     doc = (ROOT / "EXPERIMENTS.md").read_text()
-    assert render_module.render(doc) != doc
+    assert _bump(render_module, monkeypatch, tmp_path, TABLE5, cell) != doc
+
+
+@pytest.mark.parametrize("cell", _count_cells(MITIGATION, 1))
+def test_editing_one_mitigation_count_changes_the_rendering(
+    render_module, monkeypatch, tmp_path, cell
+):
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    bumped = _bump(render_module, monkeypatch, tmp_path, MITIGATION, cell)
+    assert bumped != doc
