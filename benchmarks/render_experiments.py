@@ -2,11 +2,14 @@
 
 Rewrites, from the tables the paper-claim benches write: the measured
 columns of the Table 1, Table 2, Table 2 (ablation), Table 3 and
-Figure 11 tables, Table 4's detection counts and LFP's misses, Table 5's
-measured column, the two Figure 10 means, the three cycle counts of the
-Figure 11c mitigation, and the HWASan and memory-overhead extension
-tables.  The prose around them, the words around a rendered number and
-the note after each of LFP's misses stay hand-written.
+Figure 11 tables, Table 2's measured prose figures (four per-program
+overheads, the share of ASan's overhead GiantSan removes and the
+ablation's EliminationOnly vs ASan-- means), Table 4's detection counts
+and LFP's misses, Table 5's measured column, the two Figure 10 means,
+the three cycle counts of the Figure 11c mitigation, and the HWASan and
+memory-overhead extension tables.  The paper's figures, the prose
+around them, the words around a rendered number and the note after
+each of LFP's misses stay hand-written.
 
     python benchmarks/render_experiments.py          # rewrite in place
     python benchmarks/render_experiments.py --check  # exit 1 on drift
@@ -263,6 +266,50 @@ def reverse_mitigation(text):
     return text
 
 
+def substitute(text, pattern, value, what):
+    """``text`` with the number in group 2 of the one match of
+    ``pattern`` (groups 1 and 3 around it) set to ``value``."""
+    text, count = re.subn(
+        pattern, lambda match: f"{match[1]}{value}{match[3]}", text
+    )
+    if count != 1:
+        raise SystemExit(f"no single {what}")
+    return text
+
+
+def table2_prose(text, table2, ablation):
+    """``text`` with Table 2's measured prose figures: four proxies'
+    overheads, the share of ASan's overhead over native that GiantSan
+    removes, and the ablation's EliminationOnly vs ASan-- means."""
+    rows = table_rows("table2_spec_overhead.txt")
+    removed = (
+        (Decimal(table2["ASan"].rstrip("%"))
+         - Decimal(table2["GiantSan"].rstrip("%")))
+        / (Decimal(table2["ASan"].rstrip("%")) - 100)
+    )
+    for what, pattern, value in (
+        ("lbm overhead", r"(paper: lbm [\d.]+%, measured )([\d.]+%)(\))",
+         rows["519.lbm_r"]["GiantSan"]),
+        ("perlbench overhead",
+         r"(paper [\d.]+%, measured )([\d.]+%)(; omnetpp)",
+         rows["500.perlbench_r"]["GiantSan"]),
+        ("omnetpp overhead", r"(omnetpp is\s+the worst here at )([\d.]+%)(\))",
+         rows["520.omnetpp_r"]["GiantSan"]),
+        ("xalancbmk overhead",
+         r"(xalancbmk is LFP's best \(paper [\d.]+%,\s+measured )([\d.]+%)"
+         r"(\))",
+         rows["523.xalancbmk_r"]["LFP"]),
+        ("share of ASan's overhead removed",
+         r"(ASan's overhead removed in the paper; )(\d+%)( here)",
+         f"{whole_percent(str(removed * 100))}%"),
+        ("ablation comparison",
+         r"(measured )([\d.]+% vs [\d.]+%)(\)\. Deviation)",
+         f"{ablation['GiantSan-EliminationOnly']} vs {ablation['ASan--']}"),
+    ):
+        text = substitute(text, pattern, value, what)
+    return text
+
+
 def whole_percent(cell):
     """``"132.9%"`` -> ``"133"`` (half rounds up)."""
     return str(Decimal(cell.rstrip("%")).quantize(Decimal(1), ROUND_HALF_UP))
@@ -278,6 +325,7 @@ def render(text):
         "CacheOnly": ablation["GiantSan-CacheOnly"],
         "EliminationOnly": ablation["GiantSan-EliminationOnly"],
     })
+    text = table2_prose(text, table2, ablation)
     optimized, fast_only = re.search(
         r"mean optimized: ([\d.]+%); fast-only share of unoptimized: "
         r"([\d.]+%)",
@@ -287,11 +335,10 @@ def render(text):
         ("mean optimized fraction is", optimized),
         ("fast-only share of the remainder", fast_only),
     ):
-        text, count = re.subn(
-            rf"({prose}\s+)[\d.]+%", rf"\g<1>{value}", text
+        text = substitute(
+            text, rf"({prose}\s+)([\d.]+%)()", value,
+            f"Figure 10 mean after {prose!r}",
         )
-        if count != 1:
-            raise SystemExit(f"no single Figure 10 mean after {prose!r}")
     text = fill_table(text, "## Table 3 — ", juliet_rows())
     text = linux_flaw(text)
     text = fill_table(text, "## Table 5 — ", magma_rows())

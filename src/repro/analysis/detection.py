@@ -10,6 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..passes.instrument import FoldedProgram
 from ..runtime import ExecConfig, Session
 from ..workloads.juliet import (
     JulietCase,
@@ -78,18 +79,18 @@ def run_juliet_study(
         for slice_outcomes in parallel_map(juliet_worker, payloads, jobs):
             for index, row in slice_outcomes:
                 outcomes[index] = row
-        errored = lambda case_index, tool: outcomes[case_index][tool]
     else:
-        errored = lambda case_index, tool: bool(
-            Session(tool, config).run(cases[case_index].program).errors
-        )
+        outcomes = {
+            index: juliet_row(case, tools, config)
+            for index, case in enumerate(cases)
+        }
     for case_index, case in enumerate(cases):
         if case.buggy:
             totals[case.cwe] += 1
             if case.latent:
                 latent[case.cwe] += 1
         for tool in tools:
-            has_errors = errored(case_index, tool)
+            has_errors = outcomes[case_index][tool]
             if case.buggy and has_errors:
                 detected[tool][case.cwe] += 1
             elif not case.buggy and has_errors:
@@ -100,6 +101,18 @@ def run_juliet_study(
         false_positives=false_positives,
         latent=dict(latent),
     )
+
+
+def juliet_row(
+    case: JulietCase, tools: List[str], config: ExecConfig
+) -> Dict[str, bool]:
+    """Whether each tool reports ``case``, from one handle on its
+    program: the case is fingerprinted and folded once for all tools."""
+    program = FoldedProgram(case.program)
+    return {
+        tool: bool(Session(tool, config).run(program).errors)
+        for tool in tools
+    }
 
 
 @dataclass
@@ -141,9 +154,11 @@ def run_linux_flaw_study(
 def cve_row(
     scenario: CveScenario, tools: List[str], config: ExecConfig
 ) -> Dict[str, bool]:
-    """One Table 4 row: whether each tool reports ``scenario``."""
+    """One Table 4 row: whether each tool reports ``scenario``, built
+    once and handed to every tool."""
+    program = FoldedProgram(scenario.build())
     return {
-        tool: bool(Session(tool, config).run(scenario.build()).errors)
+        tool: bool(Session(tool, config).run(program).errors)
         for tool in tools
     }
 
@@ -186,13 +201,12 @@ def run_magma_study(
 
 
 def magma_row(project, config: ExecConfig) -> Dict[str, int]:
-    """One Table 5 row: detections per redzone configuration."""
-    cases = generate_project_cases(project)
-    per_config: Dict[str, int] = {}
-    for label, tool, kwargs in TABLE5_CONFIGS:
-        per_config[label] = sum(
-            1
-            for case in cases
-            if Session(tool, config, **kwargs).run(case.build()).errors
-        )
+    """One Table 5 row: detections per redzone configuration.  Each
+    case is built once and run under every configuration."""
+    per_config = {label: 0 for label, _, _ in TABLE5_CONFIGS}
+    for case in generate_project_cases(project):
+        program = FoldedProgram(case.build())
+        for label, tool, kwargs in TABLE5_CONFIGS:
+            if Session(tool, config, **kwargs).run(program).errors:
+                per_config[label] += 1
     return per_config

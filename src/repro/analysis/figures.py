@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..passes.instrument import FoldedProgram
 from ..runtime import DEFAULT_COST_MODEL, CostModel, ExecConfig, Session
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
 from ..workloads.traversals import FIGURE11_PATTERNS, FIGURE11_SIZES
@@ -69,7 +70,7 @@ def measure_check_breakdown(
     config: ExecConfig = ExecConfig(),
 ) -> CheckBreakdown:
     """Run one proxy under GiantSan and collect Figure 10 categories."""
-    program = spec.build()
+    program = FoldedProgram(spec.build())
     args = [scale if scale is not None else spec.default_scale]
     result = Session("GiantSan", config).run(program, args)
     counts = {

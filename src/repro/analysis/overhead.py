@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..passes.instrument import FoldedProgram
 from ..runtime import DEFAULT_COST_MODEL, CostModel, RunResult, Session
 from ..runtime.session import ExecConfig
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
@@ -61,9 +62,10 @@ def measure_program(
 
     The Native run supplies the baseline cycle count; every tool's ratio
     is its *total* simulated cycles over the Native total, mirroring the
-    paper's wall-clock ratio column.
+    paper's wall-clock ratio column.  The proxy is built once, and one
+    :class:`~repro.passes.instrument.FoldedProgram` serves every run.
     """
-    program = spec.build()
+    program = FoldedProgram(spec.build())
     args = [scale if scale is not None else spec.default_scale]
 
     def run(tool: str) -> RunResult:

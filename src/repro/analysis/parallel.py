@@ -311,12 +311,13 @@ def figure10_worker(payload):
 def figure11_worker(payload):
     """One Figure 11 cell: one traversal pattern at one size, all tools."""
     pattern_index, size, cost_model, config = payload
+    from ..passes.instrument import FoldedProgram
     from ..runtime import Session
     from ..workloads.traversals import FIGURE11_PATTERNS
     from .figures import FIGURE11_TOOLS, TraversalPoint
 
     pattern = FIGURE11_PATTERNS[pattern_index]
-    program = pattern.build(size)
+    program = FoldedProgram(pattern.build(size))
     points = []
     for tool in FIGURE11_TOOLS:
         result = Session(tool, config, cost_model=cost_model).run(program)
@@ -349,18 +350,14 @@ def juliet_worker(payload):
     suite) generation work for an O(slice) run.
     """
     lo, hi, tools, config = payload
-    from ..runtime import Session
     from ..workloads.juliet import juliet_suite_cached
+    from .detection import juliet_row
 
     cases = juliet_suite_cached()[lo:hi]
-    outcomes = []
-    for offset, case in enumerate(cases):
-        row = {
-            tool: bool(Session(tool, config).run(case.program).errors)
-            for tool in tools
-        }
-        outcomes.append((lo + offset, row))
-    return outcomes
+    return [
+        (lo + offset, juliet_row(case, tools, config))
+        for offset, case in enumerate(cases)
+    ]
 
 
 def linux_flaw_worker(payload):

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..passes.instrument import FoldedProgram
 from ..runtime import ExecConfig, Session
 from ..sanitizers import SANITIZER_FACTORIES
 from ..telemetry import TelemetrySnapshot
@@ -68,7 +69,7 @@ def profile_program(
     config: ExecConfig = ExecConfig(),
 ) -> ProgramProfile:
     """Run one Table 2 proxy with telemetry on and snapshot it."""
-    program = spec.build()
+    program = FoldedProgram(spec.build())
     args = [scale if scale is not None else spec.default_scale]
     session = Session(tool, config, telemetry=True)
     started = time.perf_counter()

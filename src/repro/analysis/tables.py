@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..ir import CheckAccess, CheckCached, CheckRegion, walk
-from ..passes import instrument
+from ..passes import FoldedProgram
 from ..runtime import ExecConfig, Session
 from ..sanitizers import SANITIZER_FACTORIES
 from ..workloads.juliet import TABLE3_CWES
@@ -40,11 +40,11 @@ def render_table1(n: int = 64, config: ExecConfig = ExecConfig()) -> str:
         f"{'fast':>7s} {'slow':>7s}",
     ]
     for pattern in TABLE1_PATTERNS:
-        program = pattern.build()
+        program = FoldedProgram(pattern.build())
         giant = Session("GiantSan", config)
-        iprog = instrument(program, tool=giant.sanitizer)
+        iprog = giant.instrument(program)
         static_checks = _static_checks(iprog.program)
-        giant_run = Session("GiantSan", config).run(program)
+        giant_run = giant.run(iprog)
         asan_run = Session("ASan", config).run(program)
         giant_checks = giant_run.stats.checks_executed
         asan_checks = (

@@ -26,7 +26,8 @@ accumulate in ``checker.violations`` (fuzz-driver usage).
 from __future__ import annotations
 
 import weakref
-from typing import List
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from ..memory.allocator import AllocationState
 from ..memory.layout import SEGMENT_SIZE, segment_index
@@ -36,6 +37,21 @@ from ..sanitizers.giantsan import GiantSan
 from ..sanitizers.hwasan import HWASan, pointer_tag, untag
 from ..shadow import asan_encoding, giantsan_encoding
 from ..shadow.folding import verify_degrees
+
+
+@lru_cache(maxsize=4096)
+def _folding_violation(codes: bytes) -> Optional[Tuple[int, ...]]:
+    """The degrees of ``codes`` when they break the folding invariant,
+    else None.  The verdict depends only on the byte string, and the
+    checker passes only canonical ``object_codes`` sequences, one per
+    size class, so each is decoded once while it stays in the memo."""
+    degrees = []
+    for code in codes:
+        degree = giantsan_encoding.decode_degree(code)
+        if degree is None:
+            break  # trailing partial segment
+        degrees.append(degree)
+    return None if verify_degrees(degrees) else tuple(degrees)
 
 
 class InvariantViolation(AssertionError):
@@ -209,16 +225,12 @@ class ShadowInvariantChecker:
                     f"{actual.hex()} != canonical {expected.hex()}"
                 )
                 continue
-            degrees = []
-            for code in actual:
-                degree = enc.decode_degree(code)
-                if degree is None:
-                    break  # trailing partial segment
-                degrees.append(degree)
-            if not verify_degrees(degrees):
+            # the memoized table's own object: its hash is cached too
+            degrees = _folding_violation(expected)
+            if degrees is not None:
                 failures.append(
                     f"GiantSan object #{allocation.allocation_id} violates "
-                    f"the folding invariant: degrees={degrees}"
+                    f"the folding invariant: degrees={list(degrees)}"
                 )
             failures += self._check_redzones(allocation, enc)
         return failures + self._check_freed_poison(enc)
@@ -266,8 +278,8 @@ class ShadowInvariantChecker:
         if left_segments:
             codes = shadow.view(
                 segment_index(allocation.chunk_base), left_segments
-            )
-            if any(code != enc.HEAP_LEFT_REDZONE for code in codes):
+            ).tobytes()
+            if codes.count(enc.HEAP_LEFT_REDZONE) != left_segments:
                 failures.append(
                     f"object #{allocation.allocation_id} left redzone not "
                     f"poisoned"
@@ -277,8 +289,8 @@ class ShadowInvariantChecker:
         )
         end_seg = segment_index(allocation.chunk_end)
         if end_seg > first_rz:
-            codes = shadow.view(first_rz, end_seg - first_rz)
-            if any(code != enc.HEAP_RIGHT_REDZONE for code in codes):
+            codes = shadow.view(first_rz, end_seg - first_rz).tobytes()
+            if codes.count(enc.HEAP_RIGHT_REDZONE) != end_seg - first_rz:
                 failures.append(
                     f"object #{allocation.allocation_id} right redzone not "
                     f"poisoned"

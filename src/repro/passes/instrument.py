@@ -3,14 +3,14 @@
 Given a source program and a tool's :class:`Capabilities`, this builds
 the instrumented program the interpreter executes, in two stages:
 
-1. :func:`fold_program` is the tool-independent prefix: clone the
-   source, number its memory sites, and run constant propagation.  As
-   in a real build, where propagation runs once per module and not once
-   per sanitizer, a :class:`FoldedProgram` can feed any number of
-   pipelines.
+1. The fold is the tool-independent prefix: clone the source, number
+   its memory sites, and run constant propagation.  As in a real build,
+   where propagation runs once per module and not once per sanitizer, a
+   :class:`FoldedProgram` handle folds its source at most once and can
+   feed any number of pipelines.
 2. :func:`instrument` runs one tool's passes (:func:`build_pipeline`)
-   over a clone of a caller's folded program, or over its own fold of
-   a plain :class:`Program`.
+   over a clone of a caller's handle's fold, or over its own fold of a
+   plain :class:`Program`.
 
 The tool pipelines mirror the paper's configurations:
 
@@ -44,25 +44,69 @@ from .loop_promotion import LoopCheckPromotion
 from .safe_access import SafeAccessElimination
 
 
-@dataclass(frozen=True)
 class FoldedProgram:
-    """A source program numbered and constant-folded once.
+    """One source program's tool-independent work, each part done once.
 
-    Made only by :func:`fold_program`.  ``program`` has its site ids
-    assigned and constants propagated; :func:`instrument` clones a
-    caller's fold before running a tool's passes, so nothing mutates
-    it.  ``constprop_us`` is the fold's wall time, reported as every
+    A sweep wraps each source in one handle and hands it to every
+    tool's session.  The handle computes the source's
+    :func:`program_fingerprint` at the first memo lookup
+    (:attr:`fingerprint`) and folds it at the first memo miss
+    (:attr:`program`), so a warm pass folds nothing and an unmemoized
+    run fingerprints nothing.  ``program`` has its site ids assigned and
+    constants propagated; :func:`instrument` clones a caller's fold
+    before running a tool's passes, so nothing mutates it.
+    ``constprop_us`` is the fold's wall time, reported as every
     pipeline's ``pass_us:constprop`` note.
+
+    A handle keeps its fold alive, so it should live for one row or
+    case of a sweep, not across passes.  The source must not change
+    while the handle lives.
     """
 
-    source: Program
-    program: Program
-    constprop_us: int
+    __slots__ = ("source", "_program", "_constprop_us", "_fingerprint")
+
+    def __init__(
+        self,
+        source: Program,
+        program: Optional[Program] = None,
+        constprop_us: int = 0,
+    ):
+        self.source = source
+        self._program = program
+        self._constprop_us = constprop_us
+        self._fingerprint: Optional[str] = None
+
+    @property
+    def fingerprint(self) -> str:
+        """The source's :func:`program_fingerprint`, computed once."""
+        if self._fingerprint is None:
+            self._fingerprint = program_fingerprint(self.source)
+        return self._fingerprint
+
+    def _fold(self) -> None:
+        if self._program is None:
+            folded = fold_program(self.source)
+            self._program = folded.program
+            self._constprop_us = folded.constprop_us
+
+    @property
+    def program(self) -> Program:
+        """The folded program, folded on first use."""
+        self._fold()
+        return self._program
+
+    @property
+    def constprop_us(self) -> int:
+        self._fold()
+        return self._constprop_us
 
 
 def fold_program(source: Program) -> FoldedProgram:
-    """The tool-independent prefix of every pipeline, run once: clone
-    ``source``, assign site ids, then run :class:`ConstantPropagation`."""
+    """The tool-independent prefix of every pipeline, run now: clone
+    ``source``, assign site ids, then run :class:`ConstantPropagation`.
+
+    Unlike a bare ``FoldedProgram(source)``, which folds when first
+    instrumented, this raises a fold's crash here, at the caller."""
     program = source.clone()
     assign_site_ids(program)
     stats = PassManager([ConstantPropagation()]).run(program)
@@ -99,8 +143,8 @@ def build_pipeline(
 ) -> List[Pass]:
     """One tool's pass list, from :class:`CheckPlacement` on.
 
-    Constant propagation is not in it: it is the shared prefix that
-    :func:`fold_program` runs once per source program.
+    Constant propagation is not in it: it is the shared prefix that a
+    :class:`FoldedProgram` runs once per source program.
 
     ``audit_elisions`` makes the static elision passes wrap elided
     checks in :class:`~repro.ir.nodes.CheckElided` markers (replayed
@@ -153,16 +197,17 @@ def program_fingerprint(program: Program) -> str:
     return "\n".join(parts)
 
 
-#: Memoized instrumentation results, keyed by
-#: (program fingerprint, capabilities, protect).  Instrumented programs
-#: are immutable at runtime (the interpreter keeps all mutable state in
-#: its own environment/caches; the compiled engine only attaches its
-#: closure table), so sharing one instance across runs and sessions is
-#: safe — the 5-tool Table 2 sweep instruments each proxy once per
-#: configuration instead of once per run.  The memo is an LRU: a
-#: plain dict in recency order, where a hit re-inserts its entry at the
-#: end and a miss at the bound evicts only the first (least recently
-#: used) one.
+#: Memoized instrumentation results, keyed by (source fingerprint,
+#: capabilities, protect, audit_elisions).  The fingerprint is the one a
+#: :class:`FoldedProgram` handle computes once, so a sweep that hands one
+#: handle to every tool fingerprints each source once per row and folds
+#: it only on the row's first miss: a warm pass folds nothing.
+#: Instrumented programs are immutable at runtime (the interpreter keeps
+#: all mutable state in its own environment/caches; the compiled engine
+#: only attaches its closure table), so sharing one instance across runs
+#: and sessions is safe.  The memo is an LRU: a plain dict in recency
+#: order, where a hit re-inserts its entry at the end and a miss at the
+#: bound evicts only the first (least recently used) one.
 _MEMO: dict = {}
 #: Sized to a sweep: one process sweeping Tables 3-5 (1,525 distinct
 #: keys) plus Table 2 (120) and the figure studies stays warm.  An entry
@@ -182,18 +227,15 @@ def instrument_cached(
     caps: Optional[Capabilities] = None,
     audit_elisions: bool = False,
 ) -> InstrumentedProgram:
-    """Like :func:`instrument`, memoized by (fingerprint, config); a
-    :class:`FoldedProgram` is keyed by its source's fingerprint."""
+    """Like :func:`instrument`, memoized by (fingerprint, config).  The
+    fingerprint is a :class:`FoldedProgram`'s own, computed once per
+    handle; a plain :class:`Program` is wrapped in a handle for it."""
     global _MEMO_HITS, _MEMO_MISSES
     caps, protect = _resolve_config(tool, caps)
-    key = (
-        program_fingerprint(
-            source.source if isinstance(source, FoldedProgram) else source
-        ),
-        caps,
-        protect,
-        audit_elisions,
+    folded = source if isinstance(source, FoldedProgram) else (
+        FoldedProgram(source)
     )
+    key = (folded.fingerprint, caps, protect, audit_elisions)
     cached = _MEMO.pop(key, None)
     if cached is None:
         _MEMO_MISSES += 1
@@ -237,15 +279,15 @@ def instrument(
     """Instrument ``source`` for ``tool`` (or raw ``caps``).
 
     A :class:`FoldedProgram` from the caller may feed more pipelines,
-    so the tool's passes run over a clone of it.  A :class:`Program` is
-    folded here (:func:`fold_program`), and the passes rewrite that
-    private fold in place.
+    so the tool's passes run over a clone of its fold.  A
+    :class:`Program` is wrapped in a private handle, and the passes
+    rewrite that handle's fold in place.
     """
     caps, protect = _resolve_config(tool, caps)
     if isinstance(source, FoldedProgram):
         folded, program = source, source.program.clone()
     else:
-        folded = fold_program(source)
+        folded = FoldedProgram(source)
         program = folded.program
     pipeline = build_pipeline(
         caps, protect=protect, audit_elisions=audit_elisions

@@ -154,11 +154,13 @@ class Session:
         on the tiering :class:`CompiledEngine` when ``memoize`` is on,
         on the tree-walking :class:`Interpreter` when it is off.
 
-        A :class:`~repro.passes.instrument.FoldedProgram` skips the
-        fold, so callers running one source under many tools fold it
-        once.  An :class:`InstrumentedProgram` runs as given: it must
-        have been instrumented for this session's tool and
-        ``audit_elisions`` setting.
+        A :class:`~repro.passes.instrument.FoldedProgram` handle keeps
+        its fingerprint and fold across sessions, so callers running one
+        source under many tools fingerprint and fold it at most once; a
+        plain :class:`Program` gets a handle of its own.  An
+        :class:`InstrumentedProgram` runs as given: it must have been
+        instrumented for this session's tool and ``audit_elisions``
+        setting.
         """
         iprogram = (
             program
@@ -176,18 +178,21 @@ class Session:
 
 
 def run_with_tools(
-    program: Program,
+    program: Program | FoldedProgram,
     tools: List[str],
     args: Optional[List[int]] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     sanitizer_kwargs: Optional[Dict[str, dict]] = None,
     config: ExecConfig = ExecConfig(),
 ) -> Dict[str, RunResult]:
-    """Run one program under several tools with fresh state each.
+    """Run one program under several tools with fresh state each, from
+    one :class:`~repro.passes.instrument.FoldedProgram` handle.
 
     ``sanitizer_kwargs`` optionally maps tool name -> constructor kwargs
     (e.g. ``{"ASan": {"redzone": 512}}``).
     """
+    if not isinstance(program, FoldedProgram):
+        program = FoldedProgram(program)
     results: Dict[str, RunResult] = {}
     for tool in tools:
         kwargs = (sanitizer_kwargs or {}).get(tool, {})

@@ -380,10 +380,13 @@ _SUITE_CACHE: Optional[List[JulietCase]] = None
 def juliet_suite_cached() -> List[JulietCase]:
     """The canonical suite, generated once per process.
 
-    Fabric workers run many Table 3 slices back to back; regenerating
-    the whole suite per slice made every unit pay O(total) generation
-    work for an O(slice) run.  Callers must not mutate the returned
-    list; slice it instead.
+    The sequential Table 3 sweep and every worker of the shared
+    process pool (:mod:`repro.analysis.parallel`), which runs many
+    Table 3 slices back to back, read this one copy; regenerating the
+    whole suite per slice made every unit pay O(total) generation work
+    for an O(slice) run.  Callers must not mutate the returned list or
+    its programs; slice it, and wrap a case's program in a
+    :class:`~repro.passes.instrument.FoldedProgram` to run it.
     """
     global _SUITE_CACHE
     if _SUITE_CACHE is None:

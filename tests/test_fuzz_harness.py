@@ -255,6 +255,51 @@ class TestInvariantChecker:
         checker.verify("planted")
         assert any("shadow" in v for v in checker.violations)
 
+    def test_catches_wrong_degree_in_canonical_codes(self, monkeypatch):
+        from repro.memory.layout import segment_index
+        from repro.sanitizers.giantsan import GiantSan
+        from repro.shadow import giantsan_encoding as enc
+
+        san = GiantSan()
+        checker = ShadowInvariantChecker.attach(san)
+        allocation = san.malloc(128)
+        # a canonical table whose last segment over-claims degree 1: the
+        # shadow matches it, so only the folding verdict can object
+        wrong = enc.object_codes(128)[:-1] + bytes([enc.encode_folded(1)])
+        real = enc.object_codes
+        monkeypatch.setattr(
+            enc, "object_codes",
+            lambda size: wrong if size == 128 else real(size),
+        )
+        san.shadow.write_codes(segment_index(allocation.base), wrong)
+        checker.verify("planted")
+        assert checker.violations == [
+            f"[planted] GiantSan object #{allocation.allocation_id} "
+            f"violates the folding invariant: degrees="
+            f"{[enc.decode_degree(code) for code in wrong]}"
+        ]
+
+    @pytest.mark.parametrize("tool", ["GiantSan", "ASan"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_catches_unpoisoned_redzone_byte(self, tool, side):
+        from repro.memory.layout import segment_index
+        from repro.sanitizers import SANITIZER_FACTORIES
+
+        san = SANITIZER_FACTORIES[tool]()
+        checker = ShadowInvariantChecker.attach(san)
+        allocation = san.malloc(100)
+        assert checker.violations == []
+        segment = (
+            segment_index(allocation.chunk_base) if side == "left"
+            else segment_index(allocation.chunk_end) - 1
+        )
+        san.shadow.store(segment, 0)
+        checker.verify("planted")
+        assert checker.violations == [
+            f"[planted] object #{allocation.allocation_id} {side} redzone "
+            f"not poisoned"
+        ]
+
     def test_catches_quarantine_miscount(self):
         from repro.sanitizers.asan import ASan
 
