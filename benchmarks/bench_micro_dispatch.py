@@ -1,8 +1,9 @@
 """Micro benchmark: per-instruction dispatch cost across engines.
 
 The compile-to-closures engine exists to eliminate the tree walker's
-per-instruction ``type()`` dispatch and recursive expression
-evaluation.  This benchmark isolates exactly that cost with two kernels
+per-instruction dispatch (a budget count, then a lookup of the
+instruction's type in the handler table and a call of its handler) and
+recursive expression evaluation.  This benchmark isolates exactly that cost with two kernels
 the superblock fast path cannot absorb, so what is measured is the
 engine's dispatch loop and nothing else:
 

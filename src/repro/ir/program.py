@@ -30,9 +30,29 @@ class Function:
     params: List[str] = field(default_factory=list)
     body: List[Instr] = field(default_factory=list)
 
-    def stack_buffers(self) -> List[StackAlloc]:
-        """Top-level stack buffers of the function (frame contents)."""
-        return [i for i in self.body if isinstance(i, StackAlloc)]
+    def __post_init__(self) -> None:
+        # stack_buffers' memo, set at construction: an attribute added
+        # later, after the compiler's work estimate, would take the
+        # instance dict out of CPython's shared-key layout, 272 bytes a
+        # function
+        self._stack_buffers: Optional[Tuple[StackAlloc, ...]] = None
+
+    def stack_buffers(self) -> Tuple[StackAlloc, ...]:
+        """Top-level stack buffers of the function (frame contents).
+
+        Both engines read this at every call, so the body is scanned
+        once, at the first call, and the result memoized on the
+        function, as the compiler memoizes its work estimate: the
+        engines run a function only once instrumentation has finished
+        rewriting its body.  A function without stack buffers shares
+        the empty tuple.
+        """
+        buffers = self._stack_buffers
+        if buffers is None:
+            buffers = self._stack_buffers = tuple(
+                i for i in self.body if isinstance(i, StackAlloc)
+            )
+        return buffers
 
 
 @dataclass

@@ -7,6 +7,7 @@ from .layout import (
     DEFAULT_REDZONE,
     MIN_REDZONE,
     ArenaLayout,
+    DEFAULT_LAYOUT,
     align_up,
     align_down,
     is_aligned,
@@ -34,6 +35,7 @@ __all__ = [
     "DEFAULT_REDZONE",
     "MIN_REDZONE",
     "ArenaLayout",
+    "DEFAULT_LAYOUT",
     "align_up",
     "align_down",
     "is_aligned",

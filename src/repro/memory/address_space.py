@@ -19,7 +19,7 @@ import struct
 from typing import Iterable
 
 from ..errors import AddressSpaceError
-from .layout import ArenaLayout
+from .layout import DEFAULT_LAYOUT, ArenaLayout
 
 _STRUCT_BY_WIDTH = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
 _MASK_BY_WIDTH = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF, 8: 0xFFFFFFFFFFFFFFFF}
@@ -45,7 +45,7 @@ class AddressSpace:
     """
 
     def __init__(self, layout: ArenaLayout = None):
-        self.layout = layout or ArenaLayout()
+        self.layout = layout or DEFAULT_LAYOUT
         self._size = self.layout.total_size
         self._mem = mmap.mmap(-1, self._size, flags=mmap.MAP_PRIVATE)
 

@@ -121,3 +121,8 @@ class ArenaLayout:
         if self.globals_base <= address < self.globals_end:
             return "globals"
         return "wild"
+
+
+#: The layout of every sanitizer and address space built without one.
+#: It is frozen, so one instance serves the whole process.
+DEFAULT_LAYOUT = ArenaLayout()

@@ -1,13 +1,13 @@
 """Compile-to-closures execution engine and the runtime's code generator.
 
 The tree-walking :class:`~repro.runtime.interpreter.Interpreter` pays a
-``type(instr)`` dispatch and a recursive ``Expr`` walk for every executed
-instruction; across a Table 2 sweep that dispatch — not the sanitizer
-checks being studied — dominates wall-clock.  This module removes it: a
-one-time compile pass walks each instrumented function's IR once and
-lowers it to a flat Python function over a slot-indexed environment (a
-plain list), with real Python control flow standing in for
-``Loop``/``If`` nodes and every expression pre-flattened to
+handler-table lookup and call, and a recursive ``Expr`` walk, for every
+executed instruction; across a Table 2 sweep that dispatch — not the
+sanitizer checks being studied — dominates wall-clock.  This module
+removes it: a one-time compile pass walks each instrumented function's
+IR once and lowers it to a flat Python function over a slot-indexed
+environment (a plain list), with real Python control flow standing in
+for ``Loop``/``If`` nodes and every expression pre-flattened to
 straight-line source.  The hot path then runs compiled bytecode with
 zero per-instruction pattern matching.
 

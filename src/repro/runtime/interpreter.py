@@ -10,6 +10,10 @@ Responsibilities:
   every overhead ratio);
 * classify each dynamic memory access into the Figure 10 categories
   (eliminated / cached / fast-only / full-check).
+
+Each block's loop counts an instruction against the budget, then runs
+the handler :data:`_HANDLERS` maps its exact type to, one small method
+per instruction kind.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ _ARITH = {
     "==": lambda a, b: int(a == b),
     "!=": lambda a, b: int(a != b),
 }
+
+
+#: DIRECT accesses are classified at their check instruction; compared
+#: by identity, so the walker never hashes a Protection.
+_DIRECT = Protection.DIRECT
 
 
 class _ReturnSignal(Exception):
@@ -223,14 +232,15 @@ class Interpreter:
     # expression evaluation
     # ------------------------------------------------------------------
     def _eval(self, expr: Expr, env: Dict[str, int]) -> int:
-        if type(expr) is Const:
-            return expr.value
-        if type(expr) is Var:
+        kind = type(expr)
+        if kind is Var:
             try:
                 return env[expr.name]
             except KeyError:
                 raise NameError(f"undefined variable {expr.name!r}") from None
-        if type(expr) is BinOp:
+        if kind is Const:
+            return expr.value
+        if kind is BinOp:
             return _ARITH[expr.op](
                 self._eval(expr.left, env), self._eval(expr.right, env)
             )
@@ -240,161 +250,229 @@ class Interpreter:
     # instruction execution
     # ------------------------------------------------------------------
     def _exec_block(self, block, env: Dict[str, int]) -> None:
+        """Count each instruction against the budget, then run it
+        through its :data:`_HANDLERS` entry."""
+        handlers = _HANDLERS
         for instr in block:
-            self._exec(instr, env)
-
-    def _exec(self, instr, env: Dict[str, int]) -> None:
-        self.instructions += 1
-        if self.instructions > self.max_instructions:
-            raise BudgetExceeded(
-                f"exceeded {self.max_instructions} executed instructions"
-            )
-        kind = type(instr)
-
-        if kind is Compute:
-            self.native_cycles += instr.cycles
-        elif kind is Assign:
-            env[instr.dst] = self._eval(instr.expr, env)
-            self.native_cycles += self.costs.arith
-        elif kind is Load:
-            address = env[instr.base] + self._eval(instr.offset, env)
-            if self._needs_resolve:
-                address = self.san.resolve_address(address)
-            try:
-                env[instr.dst] = self.san.space.load(address, instr.width)
-            except AddressSpaceError:
-                # a real program would segfault here; keep running so the
-                # evaluation (halt_on_error=false) can finish the workload
-                env[instr.dst] = 0
-                self.hardware_faults += 1
-            self.native_cycles += self.costs.memory_access
-            self._classify_access(instr.protection)
-        elif kind is Store:
-            address = env[instr.base] + self._eval(instr.offset, env)
-            if self._needs_resolve:
-                address = self.san.resolve_address(address)
-            try:
-                self.san.space.store(
-                    address, instr.width, self._eval(instr.value, env)
+            self.instructions += 1
+            if self.instructions > self.max_instructions:
+                raise BudgetExceeded(
+                    f"exceeded {self.max_instructions} executed instructions"
                 )
-            except AddressSpaceError:
-                self.hardware_faults += 1
-            self.native_cycles += self.costs.memory_access
-            self._classify_access(instr.protection)
-        elif kind is Loop:
-            self._exec_loop(instr, env)
-        elif kind is If:
-            self.native_cycles += self.costs.branch
-            if self._eval(instr.cond, env):
-                self._exec_block(instr.then, env)
-            else:
-                self._exec_block(instr.orelse, env)
-        elif kind is CheckRegion:
-            base = env[instr.base]
-            start = base + self._eval(instr.start, env)
-            end = base + self._eval(instr.end, env)
-            before_fast = self.san.stats.fast_checks
-            self.san.check_region(
-                start, end, instr.access,
-                anchor=base if instr.use_anchor else None,
+            try:
+                handler = handlers[type(instr)]
+            except KeyError:
+                raise TypeError(f"cannot execute {instr!r}") from None
+            handler(self, instr, env)
+
+    # One handler per instruction kind, each ``(self, instr, env)``.  A
+    # ``Const`` offset is read in place, without an ``_eval`` call.  The
+    # Load and Store handlers count an access that is not DIRECT under
+    # its Figure 10 category, which is its Protection's value; a DIRECT
+    # access is classified at its check instruction.
+
+    def _exec_compute(self, instr: Compute, env: Dict[str, int]) -> None:
+        self.native_cycles += instr.cycles
+
+    def _exec_assign(self, instr: Assign, env: Dict[str, int]) -> None:
+        env[instr.dst] = self._eval(instr.expr, env)
+        self.native_cycles += self.costs.arith
+
+    def _exec_load(self, instr: Load, env: Dict[str, int]) -> None:
+        offset = instr.offset
+        address = env[instr.base] + (
+            offset.value if type(offset) is Const else self._eval(offset, env)
+        )
+        if self._needs_resolve:
+            address = self.san.resolve_address(address)
+        try:
+            env[instr.dst] = self.san.space.load(address, instr.width)
+        except AddressSpaceError:
+            # a real program would segfault here; keep running so the
+            # evaluation (halt_on_error=false) can finish the workload
+            env[instr.dst] = 0
+            self.hardware_faults += 1
+        self.native_cycles += self.costs.memory_access
+        protection = instr.protection
+        if protection is not _DIRECT:
+            self.protection_counts[protection._value_] += 1
+
+    def _exec_store(self, instr: Store, env: Dict[str, int]) -> None:
+        offset = instr.offset
+        address = env[instr.base] + (
+            offset.value if type(offset) is Const else self._eval(offset, env)
+        )
+        if self._needs_resolve:
+            address = self.san.resolve_address(address)
+        try:
+            self.san.space.store(
+                address, instr.width, self._eval(instr.value, env)
             )
-            self._classify_check(before_fast)
-        elif kind is CheckAccess:
-            address = env[instr.base] + self._eval(instr.offset, env)
-            before_fast = self.san.stats.fast_checks
-            self.san.check_access(address, instr.width, instr.access)
-            self._classify_check(before_fast)
-        elif kind is CheckElided:
-            self._replay_elided(instr, env)
-        elif kind is CheckCached:
-            cache = self.caches.get(instr.cache_id)
-            if cache is None:
-                cache = self.san.make_cache()
-                self.caches[instr.cache_id] = cache
-            # quasi-bound convergence: with telemetry on, count each
-            # update that extended this site's cached upper bound (§4.3
-            # claims at most ceil(log2(n/8)) of these per object on
-            # forward walks)
-            bound_before = cache.ub
-            self.san.check_cached(
-                cache,
-                env[instr.base],
-                self._eval(instr.offset, env),
-                instr.width,
-                instr.access,
-            )
-            if self.telemetry is not None and cache.ub > bound_before:
-                self.telemetry.note_convergence(instr.cache_id)
-        elif kind is CacheFinalize:
-            cache = self.caches.get(instr.cache_id)
-            if cache is not None and cache.ub > 0:
-                base = env[instr.base]
-                self.san.check_region(
-                    base, base + cache.ub, instr.access, anchor=base
-                )
-                cache.reset()
-        elif kind is Malloc:
-            size = self._eval(instr.size, env)
-            env[instr.dst] = self.san.malloc(size).base
-            self.native_cycles += self.costs.malloc
-        elif kind is GlobalAlloc:
-            env[instr.dst] = self.san.define_global(instr.dst, instr.size).base
-        elif kind is Free:
-            self.san.free(env[instr.ptr])
-            self.native_cycles += self.costs.free
-        elif kind is PtrAdd:
-            env[instr.dst] = env[instr.base] + self._eval(instr.offset, env)
-            self.native_cycles += self.costs.arith
-        elif kind is Memset:
-            base = env[instr.base]
-            address = base + self._eval(instr.offset, env)
-            length = self._eval(instr.length, env)
-            guarded_memset(
-                self.san, instr.protection, address, length,
-                self._eval(instr.byte, env), anchor=base,
-            )
-            self.native_cycles += self.costs.byte_move * max(length, 0)
-            self._classify_access(instr.protection)
-        elif kind is Memcpy:
-            dst_base = env[instr.dst_base]
-            src_base = env[instr.src_base]
-            dst = dst_base + self._eval(instr.dst_offset, env)
-            src = src_base + self._eval(instr.src_offset, env)
-            length = self._eval(instr.length, env)
-            guarded_memcpy(
-                self.san, instr.protection, dst, src, length,
-                dst_anchor=dst_base, src_anchor=src_base,
-            )
-            self.native_cycles += self.costs.byte_move * max(length, 0)
-            self._classify_access(instr.protection)
-        elif kind is Strcpy:
-            dst_base = env[instr.dst_base]
-            src_base = env[instr.src_base]
-            dst = dst_base + self._eval(instr.dst_offset, env)
-            src = src_base + self._eval(instr.src_offset, env)
-            copied = guarded_strcpy(
-                self.san, instr.protection, dst, src,
-                dst_anchor=dst_base, src_anchor=src_base,
-            )
-            self.native_cycles += self.costs.byte_scan * copied
-            self._classify_access(instr.protection)
-        elif kind is Call:
-            target = self._functions[instr.func]
-            values = [self._eval(a, env) for a in instr.args]
-            self.native_cycles += self.costs.call
-            result = self._call_function(target, values)
-            if instr.dst is not None:
-                env[instr.dst] = result if result is not None else 0
-        elif kind is Return:
-            self.native_cycles += self.costs.ret
-            value = (
-                self._eval(instr.expr, env) if instr.expr is not None else None
-            )
-            raise _ReturnSignal(value)
-        elif kind is StackAlloc:
-            pass  # materialized at function entry
+        except AddressSpaceError:
+            self.hardware_faults += 1
+        self.native_cycles += self.costs.memory_access
+        protection = instr.protection
+        if protection is not _DIRECT:
+            self.protection_counts[protection._value_] += 1
+
+    def _exec_loop_instr(self, instr: Loop, env: Dict[str, int]) -> None:
+        # through ``self``: the table holds this class's functions, and
+        # an engine may override _exec_loop
+        self._exec_loop(instr, env)
+
+    def _exec_if(self, instr: If, env: Dict[str, int]) -> None:
+        self.native_cycles += self.costs.branch
+        if self._eval(instr.cond, env):
+            self._exec_block(instr.then, env)
         else:
-            raise TypeError(f"cannot execute {instr!r}")
+            self._exec_block(instr.orelse, env)
+
+    def _exec_check_region(
+        self, instr: CheckRegion, env: Dict[str, int]
+    ) -> None:
+        base = env[instr.base]
+        start = base + self._eval(instr.start, env)
+        end = base + self._eval(instr.end, env)
+        san = self.san
+        before_fast = san.stats.fast_checks
+        san.check_region(
+            start, end, instr.access,
+            anchor=base if instr.use_anchor else None,
+        )
+        if san.stats.fast_checks > before_fast:
+            self.protection_counts["fast_only"] += 1
+        else:
+            self.protection_counts["full_check"] += 1
+
+    def _exec_check_access(
+        self, instr: CheckAccess, env: Dict[str, int]
+    ) -> None:
+        offset = instr.offset
+        address = env[instr.base] + (
+            offset.value if type(offset) is Const else self._eval(offset, env)
+        )
+        san = self.san
+        before_fast = san.stats.fast_checks
+        san.check_access(address, instr.width, instr.access)
+        if san.stats.fast_checks > before_fast:
+            self.protection_counts["fast_only"] += 1
+        else:
+            self.protection_counts["full_check"] += 1
+
+    def _exec_check_elided(
+        self, instr: CheckElided, env: Dict[str, int]
+    ) -> None:
+        self._replay_elided(instr, env)
+
+    def _exec_check_cached(
+        self, instr: CheckCached, env: Dict[str, int]
+    ) -> None:
+        cache = self.caches.get(instr.cache_id)
+        if cache is None:
+            cache = self.san.make_cache()
+            self.caches[instr.cache_id] = cache
+        # quasi-bound convergence: with telemetry on, count each update
+        # that extended this site's cached upper bound (§4.3 claims at
+        # most ceil(log2(n/8)) of these per object on forward walks)
+        bound_before = cache.ub
+        offset = instr.offset
+        self.san.check_cached(
+            cache,
+            env[instr.base],
+            offset.value if type(offset) is Const else self._eval(offset, env),
+            instr.width,
+            instr.access,
+        )
+        if self.telemetry is not None and cache.ub > bound_before:
+            self.telemetry.note_convergence(instr.cache_id)
+
+    def _exec_cache_finalize(
+        self, instr: CacheFinalize, env: Dict[str, int]
+    ) -> None:
+        cache = self.caches.get(instr.cache_id)
+        if cache is not None and cache.ub > 0:
+            base = env[instr.base]
+            self.san.check_region(
+                base, base + cache.ub, instr.access, anchor=base
+            )
+            cache.reset()
+
+    def _exec_malloc(self, instr: Malloc, env: Dict[str, int]) -> None:
+        size = self._eval(instr.size, env)
+        env[instr.dst] = self.san.malloc(size).base
+        self.native_cycles += self.costs.malloc
+
+    def _exec_global_alloc(
+        self, instr: GlobalAlloc, env: Dict[str, int]
+    ) -> None:
+        env[instr.dst] = self.san.define_global(instr.dst, instr.size).base
+
+    def _exec_free(self, instr: Free, env: Dict[str, int]) -> None:
+        self.san.free(env[instr.ptr])
+        self.native_cycles += self.costs.free
+
+    def _exec_ptr_add(self, instr: PtrAdd, env: Dict[str, int]) -> None:
+        offset = instr.offset
+        env[instr.dst] = env[instr.base] + (
+            offset.value if type(offset) is Const else self._eval(offset, env)
+        )
+        self.native_cycles += self.costs.arith
+
+    def _exec_memset(self, instr: Memset, env: Dict[str, int]) -> None:
+        base = env[instr.base]
+        address = base + self._eval(instr.offset, env)
+        length = self._eval(instr.length, env)
+        guarded_memset(
+            self.san, instr.protection, address, length,
+            self._eval(instr.byte, env), anchor=base,
+        )
+        self.native_cycles += self.costs.byte_move * max(length, 0)
+        self._classify_access(instr.protection)
+
+    def _exec_memcpy(self, instr: Memcpy, env: Dict[str, int]) -> None:
+        dst_base = env[instr.dst_base]
+        src_base = env[instr.src_base]
+        dst = dst_base + self._eval(instr.dst_offset, env)
+        src = src_base + self._eval(instr.src_offset, env)
+        length = self._eval(instr.length, env)
+        guarded_memcpy(
+            self.san, instr.protection, dst, src, length,
+            dst_anchor=dst_base, src_anchor=src_base,
+        )
+        self.native_cycles += self.costs.byte_move * max(length, 0)
+        self._classify_access(instr.protection)
+
+    def _exec_strcpy(self, instr: Strcpy, env: Dict[str, int]) -> None:
+        dst_base = env[instr.dst_base]
+        src_base = env[instr.src_base]
+        dst = dst_base + self._eval(instr.dst_offset, env)
+        src = src_base + self._eval(instr.src_offset, env)
+        copied = guarded_strcpy(
+            self.san, instr.protection, dst, src,
+            dst_anchor=dst_base, src_anchor=src_base,
+        )
+        self.native_cycles += self.costs.byte_scan * copied
+        self._classify_access(instr.protection)
+
+    def _exec_call(self, instr: Call, env: Dict[str, int]) -> None:
+        target = self._functions[instr.func]
+        values = [self._eval(a, env) for a in instr.args]
+        self.native_cycles += self.costs.call
+        result = self._call_function(target, values)
+        if instr.dst is not None:
+            env[instr.dst] = result if result is not None else 0
+
+    def _exec_return(self, instr: Return, env: Dict[str, int]) -> None:
+        self.native_cycles += self.costs.ret
+        value = (
+            self._eval(instr.expr, env) if instr.expr is not None else None
+        )
+        raise _ReturnSignal(value)
+
+    def _exec_stack_alloc(
+        self, instr: StackAlloc, env: Dict[str, int]
+    ) -> None:
+        pass  # materialized at function entry
 
     def _exec_loop(self, loop: Loop, env: Dict[str, int]) -> None:
         start = self._eval(loop.start, env)
@@ -468,19 +546,33 @@ class Interpreter:
     # Figure 10 classification
     # ------------------------------------------------------------------
     def _classify_access(self, protection: Protection) -> None:
-        if protection is Protection.ELIMINATED:
-            self.protection_counts["eliminated"] += 1
-        elif protection is Protection.CACHED:
-            self.protection_counts["cached"] += 1
-        elif protection is Protection.ELIDED:
-            self.protection_counts["elided"] += 1
-        elif protection is Protection.UNPROTECTED:
-            self.protection_counts["unprotected"] += 1
-        # DIRECT accesses are classified at their check instruction.
+        """Count a memory operation under its Figure 10 category, as the
+        Load and Store handlers do inline."""
+        if protection is not _DIRECT:
+            self.protection_counts[protection._value_] += 1
 
-    def _classify_check(self, fast_before: int) -> None:
-        if self.san.stats.fast_checks > fast_before:
-            self.protection_counts["fast_only"] += 1
-        else:
-            self.protection_counts["full_check"] += 1
 
+#: The walker's dispatch table: instruction type -> handler.
+_HANDLERS = {
+    Compute: Interpreter._exec_compute,
+    Assign: Interpreter._exec_assign,
+    Load: Interpreter._exec_load,
+    Store: Interpreter._exec_store,
+    Loop: Interpreter._exec_loop_instr,
+    If: Interpreter._exec_if,
+    CheckRegion: Interpreter._exec_check_region,
+    CheckAccess: Interpreter._exec_check_access,
+    CheckElided: Interpreter._exec_check_elided,
+    CheckCached: Interpreter._exec_check_cached,
+    CacheFinalize: Interpreter._exec_cache_finalize,
+    Malloc: Interpreter._exec_malloc,
+    GlobalAlloc: Interpreter._exec_global_alloc,
+    Free: Interpreter._exec_free,
+    PtrAdd: Interpreter._exec_ptr_add,
+    Memset: Interpreter._exec_memset,
+    Memcpy: Interpreter._exec_memcpy,
+    Strcpy: Interpreter._exec_strcpy,
+    Call: Interpreter._exec_call,
+    Return: Interpreter._exec_return,
+    StackAlloc: Interpreter._exec_stack_alloc,
+}

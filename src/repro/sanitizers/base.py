@@ -30,6 +30,7 @@ from ..memory import (
     AddressSpace,
     Allocation,
     ArenaLayout,
+    DEFAULT_LAYOUT,
     DEFAULT_REDZONE,
     GlobalAllocator,
     GlobalVariable,
@@ -256,7 +257,7 @@ class Sanitizer:
         halt_on_error: bool = False,
         size_policy=exact_size_policy,
     ):
-        self.layout = layout or ArenaLayout()
+        self.layout = layout or DEFAULT_LAYOUT
         self.space = AddressSpace(self.layout)
         self.shadow = self._fresh_shadow()
         # bounds used on every single check: cached as plain attributes

@@ -9,6 +9,10 @@ and compares each run with the tree-walker reference.  The corpora:
 * ``fuzz`` — the pinned fuzz slice: seed 20260806, 20 cases, under the
   fuzz driver's instruction budget;
 * ``callheavy`` — the call-heavy workload at scale 5;
+* ``juliet``, ``linux_flaw`` and ``magma`` — the programs Tables 3-5
+  run, under the tools those tables run them with: the first bad and
+  good case of each Juliet CWE, every Table 4 scenario, and the last
+  case of each Magma project under each Table 5 redzone;
 * ``telemetry`` and ``audit`` — GiantSan with the telemetry registry
   on, or with elided checks replayed against the shadow oracle.
 
@@ -18,11 +22,19 @@ To add a program, append an :class:`Entry`; every cell then runs it.
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
+from repro.analysis.detection import DETECTION_TOOLS
 from repro.fuzz import build_case, case_seed_for, generate_case
 from repro.fuzz.driver import CASE_MAX_INSTRUCTIONS
 from repro.ir.builder import ProgramBuilder
 from repro.passes.instrument import fold_program
 from repro.workloads import build_callheavy_program
+from repro.workloads.juliet import TABLE3_CWES, generate_juliet_suite
+from repro.workloads.linux_flaw import TABLE4_SCENARIOS
+from repro.workloads.magma import (
+    TABLE5_CONFIGS,
+    TABLE5_PROJECTS,
+    generate_project_cases,
+)
 from repro.workloads.spec import SPEC_TABLE2_ROWS
 
 TOOLS = ("Native", "GiantSan", "ASan", "ASan--", "LFP", "HWASan")
@@ -153,6 +165,33 @@ def _fuzz_case(index):
 
 _FUZZ_BUDGET = (("max_instructions", CASE_MAX_INSTRUCTIONS),)
 
+
+def _juliet_case(cwe, buggy):
+    """The first bad (or good) case Table 3 generates for ``cwe``."""
+    return lambda: next(
+        case.program
+        for case in generate_juliet_suite([cwe])
+        if case.buggy == buggy
+    )
+
+
+def _magma_entries():
+    """The last case of each Table 5 project, once per redzone, under
+    the tools Table 5 runs with that redzone."""
+    redzones = {}
+    for _, tool, kwargs in TABLE5_CONFIGS:
+        redzones.setdefault(kwargs["redzone"], []).append(tool)
+    entries = []
+    for project in TABLE5_PROJECTS:
+        case = generate_project_cases(project)[-1]
+        for redzone, tools in redzones.items():
+            entries.append(Entry(
+                "magma", f"{case.case_id}-rz{redzone}", case.build, None,
+                tuple(tools), (("redzone", redzone),),
+            ))
+    return entries
+
+
 CORPUS = (
     [
         Entry("table2", spec.name, spec.build, (SCALE,))
@@ -164,6 +203,18 @@ CORPUS = (
         for index in range(FUZZ_CASES)
     ]
     + [Entry("callheavy", "callheavy", build_callheavy_program, (5,))]
+    + [
+        Entry("juliet", f"{cwe}_{'bad' if buggy else 'good'}",
+              _juliet_case(cwe, buggy), None, tuple(DETECTION_TOOLS))
+        for cwe, _ in TABLE3_CWES
+        for buggy in (True, False)
+    ]
+    + [
+        Entry("linux_flaw", scenario.cve_id, scenario.build, None,
+              tuple(DETECTION_TOOLS))
+        for scenario in TABLE4_SCENARIOS
+    ]
+    + _magma_entries()
     + [
         Entry("telemetry", spec.name, spec.build, (SCALE,), ("GiantSan",),
               (("telemetry", True),))

@@ -16,7 +16,13 @@ import sys
 from hashlib import sha256
 
 from repro.passes.instrument import InstrumentedProgram
-from repro.runtime import CompiledEngine, ExecConfig, Session, compiler
+from repro.runtime import (
+    BudgetExceeded,
+    CompiledEngine,
+    ExecConfig,
+    Session,
+    compiler,
+)
 
 
 class MemoryImage(bytes):
@@ -136,3 +142,23 @@ def run_on(engine, program, tool, config=UNMEMOIZED, args=None,
     (by default in the :data:`UNMEMOIZED` cell)."""
     runner, iprogram = engine_on(engine, program, tool, config, **session_kwargs)
     return runner.run(iprogram, args)
+
+
+def budget_trip(engine, program, tool, limit, args=None):
+    """What a run of ``program`` under ``tool`` on the engine class
+    ``engine`` leaves when it exceeds a budget of ``limit``
+    instructions: the message, the sanitizer's stats and its error log.
+    The engine's own counters are not promised equal there."""
+    runner, iprogram = engine_on(engine, program, tool, max_instructions=limit)
+    try:
+        runner.run(iprogram, args)
+    except BudgetExceeded as exc:
+        message = str(exc)
+    else:
+        raise AssertionError(f"a budget of {limit} did not trip")
+    san = runner.san
+    return message, san.stats.as_dict(), [
+        (e.kind, e.address, e.size, e.access, e.shadow_value,
+         e.allocation_id, e.detail)
+        for e in san.log
+    ]

@@ -9,7 +9,7 @@ tiers up.
 
 import pytest
 
-from engines import engine_on, observables, run_on
+from engines import budget_trip, observables, run_on
 from repro.analysis import run_overhead_study
 from repro.analysis.detection import (
     run_juliet_study,
@@ -31,6 +31,7 @@ from repro.runtime import (
     compile_function,
     compile_program,
     compiler,
+    interpreter,
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.runtime.compiler import COMPILE_AFTER_INSTRUCTIONS
@@ -377,24 +378,11 @@ def test_budget_trip_leaves_the_tree_walkers_state(spec, tool):
     counters (instructions, cycles, ``protection_counts``) are not
     promised there."""
     program = Session(tool).instrument(spec.build())
-
-    def tripped(engine, limit):
-        runner, iprogram = engine_on(
-            engine, program, tool, max_instructions=limit
-        )
-        with pytest.raises(BudgetExceeded) as excinfo:
-            runner.run(iprogram, [spec.default_scale])
-        san = runner.san
-        return str(excinfo.value), san.stats.as_dict(), [
-            (e.kind, e.address, e.size, e.access, e.shadow_value,
-             e.allocation_id, e.detail)
-            for e in san.log
-        ]
-
+    args = [spec.default_scale]
     for limit in BUDGETS:
-        assert tripped(CompiledEngine, limit) == tripped(Interpreter, limit), (
-            limit
-        )
+        assert budget_trip(
+            CompiledEngine, program, tool, limit, args
+        ) == budget_trip(Interpreter, program, tool, limit, args), limit
 
 
 def test_cold_table2_pass_tree_walks_less_than_the_threshold_per_run(
@@ -403,24 +391,30 @@ def test_cold_table2_pass_tree_walks_less_than_the_threshold_per_run(
     """Every run of a cold Table 2 pass compiles at its first kernel
     call at the latest, so the tree walker executes fewer than
     COMPILE_AFTER_INSTRUCTIONS instructions in it; the pass still makes
-    one compile per instrumented program."""
+    one compile per instrumented program.  Each instruction is counted
+    where the walker dispatches it, at its handler table entry."""
     walked = []
-    run, execute = Interpreter.run, Interpreter._exec
+    run = Interpreter.run
 
     def spy_run(self, *args):
         walked.append(0)
         return run(self, *args)
 
-    def spy_exec(self, instr, env):
-        walked[-1] += 1
-        return execute(self, instr, env)
+    def counted(handler):
+        def spy(self, instr, env):
+            walked[-1] += 1
+            return handler(self, instr, env)
+
+        return spy
 
     monkeypatch.setattr(Interpreter, "run", spy_run)
-    monkeypatch.setattr(Interpreter, "_exec", spy_exec)
+    for kind, handler in list(interpreter._HANDLERS.items()):
+        monkeypatch.setitem(interpreter._HANDLERS, kind, counted(handler))
     run_overhead_study(PERFORMANCE_TOOLS)
     assert engine_log["compiles"] == 70
+    assert len(walked) == 120
     assert max(walked) < COMPILE_AFTER_INSTRUCTIONS
-    assert sum(walked) < 40_000
+    assert sum(walked) == 34_046
 
 
 def test_detect_pass_compiles_nothing(engine_log):

@@ -19,6 +19,7 @@ from repro.ir.nodes import (
     CheckElided,
     Const,
     If,
+    StackAlloc,
 )
 from repro.ir.program import Function, Program
 from repro.passes.instrument import program_fingerprint
@@ -192,3 +193,57 @@ class TestClone:
         (marker,) = program.clone().function("main").body
         assert marker.inner is not inner and marker.inner == inner
         assert marker.site_id == 4
+
+
+def stack_program():
+    b = ProgramBuilder()
+    with b.function("main") as f:
+        f.stack_alloc("a", 32)
+        f.assign("x", 1)
+        f.stack_alloc("b", 64)
+        with f.loop("i", 0, 4):
+            f.store("a", V("i") * 8, 8, V("i"))
+        f.ret(V("x"))
+    return b.build()
+
+
+def fresh_scan(function):
+    return tuple(i for i in function.body if isinstance(i, StackAlloc))
+
+
+class TestStackBuffers:
+    def test_memo_equals_a_fresh_scan(self):
+        function = stack_program().function("main")
+        first = function.stack_buffers()
+        assert [(sb.dst, sb.size) for sb in first] == [("a", 32), ("b", 64)]
+        assert first == fresh_scan(function)
+        assert function.stack_buffers() is first
+
+    def test_a_function_without_buffers_shares_the_empty_tuple(self):
+        b = ProgramBuilder()
+        with b.function("main") as f:
+            f.ret(0)
+        assert b.build().function("main").stack_buffers() is ()
+
+    def test_instrumented_functions_match_a_fresh_scan(self):
+        from repro.runtime import Session
+
+        source = stack_program()
+        source.function("main").stack_buffers()
+        for tool in ("ASan", "GiantSan", "LFP"):
+            iprogram = Session(tool).instrument(source)
+            for function in iprogram.program.functions.values():
+                assert function.stack_buffers() == fresh_scan(function)
+
+    def test_memo_is_not_part_of_a_functions_value(self):
+        source = stack_program().function("main")
+        other = stack_program().function("main")
+        source.stack_buffers()
+        assert source == other and repr(source) == repr(other)
+
+    def test_clone_does_not_copy_the_memo(self):
+        source = stack_program()
+        source.function("main").stack_buffers()
+        clone = source.clone().function("main")
+        assert clone._stack_buffers is None
+        assert clone.stack_buffers() == fresh_scan(clone)

@@ -1,10 +1,15 @@
 """Tests for arena layout and alignment helpers."""
 
+import dataclasses
+
 import pytest
 
+from repro.memory import AddressSpace
 from repro.memory.layout import (
+    DEFAULT_LAYOUT,
     ArenaLayout,
     NULL_GUARD_SIZE,
+    SEGMENT_SHIFT,
     SEGMENT_SIZE,
     align_down,
     align_up,
@@ -13,6 +18,8 @@ from repro.memory.layout import (
     segment_offset,
     segments_spanned,
 )
+from repro.sanitizers import SANITIZER_FACTORIES
+from repro.sanitizers import base as sanitizer_base
 
 
 class TestAlignment:
@@ -96,3 +103,53 @@ class TestArenaLayout:
     def test_total_size_segment_aligned(self):
         layout = ArenaLayout()
         assert layout.total_size % SEGMENT_SIZE == 0
+
+
+class TestSharedDefaultLayout:
+    """One frozen default layout serves every sanitizer and address
+    space built without a layout."""
+
+    @pytest.mark.parametrize("tool", sorted(SANITIZER_FACTORIES))
+    def test_sanitizers_without_a_layout_share_one(self, tool):
+        first = SANITIZER_FACTORIES[tool]()
+        second = SANITIZER_FACTORIES[tool]()
+        assert first.layout is DEFAULT_LAYOUT
+        assert second.layout is DEFAULT_LAYOUT
+        assert first.space.layout is DEFAULT_LAYOUT
+
+    def test_address_space_without_a_layout_shares_it(self):
+        assert AddressSpace().layout is DEFAULT_LAYOUT
+
+    def test_it_is_the_default_layout(self):
+        assert DEFAULT_LAYOUT == ArenaLayout()
+
+    @pytest.mark.parametrize(
+        "name", ["heap_size", "stack_size", "globals_size", "total_size"]
+    )
+    def test_assigning_to_it_raises(self, name):
+        before = getattr(DEFAULT_LAYOUT, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(DEFAULT_LAYOUT, name, 1 << 12)
+        assert getattr(DEFAULT_LAYOUT, name) == before
+
+    @pytest.mark.parametrize("tool", ["ASan", "GiantSan"])
+    def test_an_explicit_layout_is_honoured_with_its_own_image(
+        self, tool, monkeypatch
+    ):
+        monkeypatch.setattr(sanitizer_base, "_SHADOW_IMAGES", {})
+        small = ArenaLayout(
+            heap_size=1 << 16, stack_size=1 << 14, globals_size=1 << 13
+        )
+        custom = SANITIZER_FACTORIES[tool](layout=small)
+        default = SANITIZER_FACTORIES[tool]()
+        assert custom.layout is small and custom.space.layout is small
+        assert len(custom.space) == small.total_size
+        assert len(custom.shadow) == small.total_size >> SEGMENT_SHIFT
+        assert len(default.shadow) == DEFAULT_LAYOUT.total_size >> SEGMENT_SHIFT
+        images = sanitizer_base._SHADOW_IMAGES
+        assert set(images) == {
+            (type(custom), small), (type(default), DEFAULT_LAYOUT)
+        }
+        assert images[type(custom), small] is not images[
+            type(default), DEFAULT_LAYOUT
+        ]
