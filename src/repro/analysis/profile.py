@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..passes.instrument import FoldedProgram
 from ..runtime import ExecConfig, Session
 from ..sanitizers import SANITIZER_FACTORIES
-from ..telemetry import TelemetrySnapshot
+from ..telemetry import TelemetrySnapshot, merge_snapshots
 from ..workloads.spec import SPEC_TABLE2_ROWS, SpecProgram
 
 #: Default tool for the profile sweep (the paper's subject).
@@ -54,13 +54,13 @@ class ProfileStudy:
     tool: str
     rows: List[ProgramProfile]
 
+    def merged(self) -> TelemetrySnapshot:
+        """Every row's snapshot, merged by :func:`merge_snapshots`."""
+        return merge_snapshots(row.snapshot for row in self.rows)
+
     def totals(self) -> dict:
         """Counter sums across every row (split preserved)."""
-        merged: dict = {}
-        for row in self.rows:
-            for name, value in row.snapshot.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
+        return self.merged().counters
 
 
 def profile_program(
@@ -147,82 +147,55 @@ def render_profile(study: ProfileStudy) -> str:
     ]
     for row in study.rows:
         snap = row.snapshot
-        counters = snap.counters
-        fast, slow = snap.fast_slow_split
-        lines.append(
-            f"{row.program:20s} {counters.get('checks_executed', 0):>9d} "
-            f"{fast:>9d} {slow:>8d} {snap.fast_fraction * 100:>5.1f}% "
-            f"{counters.get('quasi_bound_hits', 0):>9d} "
-            f"{counters.get('quasi_bound_updates', 0):>7d} "
-            f"{snap.convergence_max_steps:>5d} "
-            f"{counters.get('shadow_bytes_loaded', 0):>10d} "
-            f"{snap.quarantine_peak_bytes:>10d} "
-            f"{counters.get('redzone_bytes_poisoned', 0):>9d} "
-            f"{counters.get('superblock_loops', 0):>5d} "
-            f"{counters.get('superblock_iterations', 0):>10d} "
-            f"{counters.get('superblock_bulk_iterations', 0):>10d} "
-            f"{row.seconds:>7.3f}"
-        )
-    totals = study.totals()
-    fast = totals.get("fast_check_hits", 0)
-    slow = totals.get("slow_path_entries", 0)
-    split = fast + slow
-    lines.append(
-        f"{'Total':20s} {totals.get('checks_executed', 0):>9d} "
-        f"{fast:>9d} {slow:>8d} "
-        f"{(fast / split * 100 if split else 0.0):>5.1f}% "
-        f"{totals.get('quasi_bound_hits', 0):>9d} "
-        f"{totals.get('quasi_bound_updates', 0):>7d} "
-        f"{max((r.snapshot.convergence_max_steps for r in study.rows), default=0):>5d} "
-        f"{totals.get('shadow_bytes_loaded', 0):>10d} "
-        f"{max((r.snapshot.quarantine_peak_bytes for r in study.rows), default=0):>10d} "
-        f"{totals.get('redzone_bytes_poisoned', 0):>9d} "
-        f"{totals.get('superblock_loops', 0):>5d} "
-        f"{totals.get('superblock_iterations', 0):>10d} "
-        f"{totals.get('superblock_bulk_iterations', 0):>10d} "
-        f"{sum(r.seconds for r in study.rows):>7.3f}"
-    )
-    phases = _merged_phases(study)
-    if phases:
+        lines.append(_profile_line(
+            row.program, snap, snap.convergence_max_steps, row.seconds
+        ))
+    merged = study.merged()
+    # steps add per site id in a merge and site ids repeat across
+    # programs, so the Total row's conv is the largest row's
+    lines.append(_profile_line(
+        "Total", merged,
+        max(row.snapshot.convergence_max_steps for row in study.rows),
+        sum(row.seconds for row in study.rows),
+    ))
+    if merged.phases:
         lines.append("")
-        lines.append("phase profile (sampled wall time across the sweep):")
-        lines.append(
-            f"  {'phase':<18s} {'events':>10s} {'samples':>9s} "
-            f"{'est. seconds':>13s}"
-        )
+        lines.append("phase timings (wall time across the sweep):")
+        lines.append(f"  {'phase':<18s} {'events':>10s} {'seconds':>10s}")
         for name, stat in sorted(
-            phases.items(), key=lambda kv: -kv[1]["estimated_seconds"]
+            merged.phases.items(), key=lambda kv: -kv[1]["seconds"]
         ):
             lines.append(
                 f"  {name:<18s} {stat['events']:>10d} "
-                f"{stat['samples']:>9d} {stat['estimated_seconds']:>13.4f}"
+                f"{stat['seconds']:>10.4f}"
             )
-    declines = _merged_declines(study)
-    if declines:
+    if merged.superblock_declines:
         lines.append("")
         lines.append("superblock declines by reason:")
-        for reason, count in sorted(declines.items(), key=lambda kv: -kv[1]):
+        for reason, count in sorted(
+            merged.superblock_declines.items(), key=lambda kv: -kv[1]
+        ):
             lines.append(f"  {reason:<28s} {count:>10d}")
     return "\n".join(lines)
 
 
-def _merged_phases(study: ProfileStudy) -> dict:
-    merged: dict = {}
-    for row in study.rows:
-        for name, stat in row.snapshot.phases.items():
-            into = merged.setdefault(
-                name,
-                {"events": 0, "samples": 0, "estimated_seconds": 0.0},
-            )
-            into["events"] += int(stat["events"])
-            into["samples"] += int(stat["samples"])
-            into["estimated_seconds"] += stat["estimated_seconds"]
-    return merged
-
-
-def _merged_declines(study: ProfileStudy) -> dict:
-    merged: dict = {}
-    for row in study.rows:
-        for reason, count in row.snapshot.superblock_declines.items():
-            merged[reason] = merged.get(reason, 0) + count
-    return merged
+def _profile_line(
+    label: str, snap: TelemetrySnapshot, conv: int, seconds: float
+) -> str:
+    """One row of the :func:`render_profile` table."""
+    counters = snap.counters
+    fast, slow = snap.fast_slow_split
+    return (
+        f"{label:20s} {counters.get('checks_executed', 0):>9d} "
+        f"{fast:>9d} {slow:>8d} {snap.fast_fraction * 100:>5.1f}% "
+        f"{counters.get('quasi_bound_hits', 0):>9d} "
+        f"{counters.get('quasi_bound_updates', 0):>7d} "
+        f"{conv:>5d} "
+        f"{counters.get('shadow_bytes_loaded', 0):>10d} "
+        f"{snap.quarantine_peak_bytes:>10d} "
+        f"{counters.get('redzone_bytes_poisoned', 0):>9d} "
+        f"{counters.get('superblock_loops', 0):>5d} "
+        f"{counters.get('superblock_iterations', 0):>10d} "
+        f"{counters.get('superblock_bulk_iterations', 0):>10d} "
+        f"{seconds:>7.3f}"
+    )

@@ -33,7 +33,8 @@ Both engines reach the superblock lowerings through
 charges every counter itself.  A superblock's namespace binds no
 per-loop constant, so its source text alone determines the function:
 :func:`superblock_function` compiles each distinct text once per
-process, in a small bounded cache that holds functions and no IR.
+process, in a 128-entry ``functools.lru_cache`` that holds functions
+and no IR.
 
 Observable equivalence is the contract: native cycles, instruction
 counts and the budget, CheckStats and the Figure 10 classification,
@@ -125,6 +126,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.nodes import (
@@ -812,14 +814,14 @@ class _Emitter:
             self.emit(depth + 1, f"TRY(E, {loop_ref}, _r{n}, {{}})")
 
         self.emit(depth, "if TEL is not None:")
-        self.emit(depth + 1, f'_p{n} = TEL.profiler.begin("interpreter_loop")')
+        self.emit(depth + 1, f'_p{n} = TEL.begin("interpreter_loop")')
         before = set(self.defined)
         self.emit(depth, f"for _i{n} in _r{n}:")
         self.emit(depth + 1, f"{self.write(loop.var)} = _i{n}")
         self.run_cycles.append(self.costs.loop_iteration)
         self.block(loop.body, depth + 1)
         self.emit(depth, "if TEL is not None:")
-        self.emit(depth + 1, f'TEL.profiler.end("interpreter_loop", _p{n})')
+        self.emit(depth + 1, f'TEL.end("interpreter_loop", _p{n})')
         # zero-trip rule: body definitions (and the induction variable)
         # are not definite after the loop
         self.defined = before
@@ -1158,29 +1160,19 @@ class _BulkEmitter(_SuperblockEmitter):
         return "\n".join(self.lines)
 
 
-#: Compiled superblock functions by source text, least recently used
-#: first.  A superblock's namespace is :data:`_SHARED_NS` alone, so
-#: equal text is an equal function: the fuzz driver's tools mostly
-#: plan identical bodies (checks lower to nothing), and table2 repeats
-#: each body across tools and runs.  Entries hold functions, no IR.
-_SUPERBLOCK_FUNCTIONS: Dict[str, Callable] = {}
-_SUPERBLOCK_FUNCTIONS_LIMIT = 128
-
-
+@lru_cache(maxsize=128)
 def superblock_function(source: str) -> Callable:
     """The ``_superblock`` function ``source`` defines, compiled at most
-    once while it stays among the most recently used."""
-    functions = _SUPERBLOCK_FUNCTIONS
-    function = functions.pop(source, None)
-    if function is None:
-        if len(functions) >= _SUPERBLOCK_FUNCTIONS_LIMIT:
-            del functions[next(iter(functions))]
-        defined: Dict[str, Callable] = {}
-        code = compile(source, "<superblock>", "exec")
-        exec(code, _SHARED_NS, defined)  # noqa: S102
-        function = defined["_superblock"]
-    functions[source] = function
-    return function
+    once while it stays among the 128 most recently used.
+
+    A superblock's namespace is :data:`_SHARED_NS` alone, so equal text
+    is an equal function: the fuzz driver's tools mostly plan identical
+    bodies (checks lower to nothing), and table2 repeats each body
+    across tools and runs.  The cache holds functions, no IR."""
+    defined: Dict[str, Callable] = {}
+    code = compile(source, "<superblock>", "exec")
+    exec(code, _SHARED_NS, defined)  # noqa: S102
+    return defined["_superblock"]
 
 
 class Superblock:

@@ -297,10 +297,9 @@ def try_execute(interpreter, loop: Loop, values: range, env: Dict[str, int]) -> 
     tele = interpreter.telemetry
     if tele is None:
         return _execute(interpreter, None, loop, values, env) is not None
-    profiler = tele.profiler
-    started = profiler.begin("superblock")
+    started = tele.begin("superblock")
     bulk = _execute(interpreter, tele, loop, values, env)
-    profiler.end("superblock", started)
+    tele.end("superblock", started)
     if bulk is None:
         return False
     tele.incr("superblock_loops")

@@ -143,7 +143,6 @@ class Interpreter:
         native_costs: NativeCosts = NativeCosts(),
         max_instructions: int = 50_000_000,
         fastpath: bool = True,
-        telemetry: Optional[object] = None,
     ):
         self.san = sanitizer
         # only tag-based tools need address resolution before raw access
@@ -154,10 +153,11 @@ class Interpreter:
         self.max_instructions = max_instructions
         #: Superblock fast path (see :mod:`repro.runtime.fastpath`).
         self.fastpath = fastpath
-        #: Telemetry registry (:class:`repro.telemetry.Telemetry`) or
+        #: The sanitizer's telemetry registry
+        #: (:class:`repro.telemetry.Telemetry`, set by its ``attach``) or
         #: None; gated per loop execution / cached-check site, never per
         #: instruction, so the disabled path stays at reference speed.
-        self.telemetry = telemetry
+        self.telemetry = sanitizer.telemetry
         self.native_cycles = 0.0
         self.instructions = 0
         self.hardware_faults = 0
@@ -182,11 +182,11 @@ class Interpreter:
         if tele is None:
             value = self._call_function(entry, list(args or []))
         else:
-            started = tele.profiler.begin("run")
+            started = tele.begin("run")
             try:
                 value = self._call_function(entry, list(args or []))
             finally:
-                tele.profiler.end("run", started)
+                tele.end("run", started)
         return RunResult(
             tool=self.san.name,
             native_cycles=self.native_cycles,
@@ -486,14 +486,14 @@ class Interpreter:
             return
         tele = self.telemetry
         if tele is not None:
-            started = tele.profiler.begin("interpreter_loop")
+            started = tele.begin("interpreter_loop")
         body = loop.body
         for value in values:
             env[loop.var] = value
             self.native_cycles += self.costs.loop_iteration
             self._exec_block(body, env)
         if tele is not None:
-            tele.profiler.end("interpreter_loop", started)
+            tele.end("interpreter_loop", started)
 
     # ------------------------------------------------------------------
     # elision audit replay

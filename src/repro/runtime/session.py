@@ -173,7 +173,6 @@ class Session:
             native_costs=self.cost_model.native,
             max_instructions=self.max_instructions,
             fastpath=self.config.fastpath,
-            telemetry=self.telemetry,
         ).run(iprogram, args)
 
 

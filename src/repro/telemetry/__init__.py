@@ -1,10 +1,9 @@
-"""Runtime telemetry: counters, quasi-bound convergence, phase profiler.
+"""Runtime telemetry: counters, quasi-bound convergence, phase timings.
 
 See :mod:`repro.telemetry.registry` for the design and
 ``docs/OBSERVABILITY.md`` for the user-facing guide.
 """
 
-from .profiler import PhaseProfiler, PhaseStat
 from .registry import (
     Telemetry,
     TelemetrySnapshot,
@@ -12,8 +11,6 @@ from .registry import (
 )
 
 __all__ = [
-    "PhaseProfiler",
-    "PhaseStat",
     "Telemetry",
     "TelemetrySnapshot",
     "merge_snapshots",

@@ -21,6 +21,11 @@ it measures:
   steps, superblock entry/decline counts, phase timings — come from
   the registry's ``observe`` hook on the sanitizer and explicitly gated
   call sites in the interpreter and fast path.
+* **Exact phase timings.**  Each phase event (a run, a superblock
+  attempt, a tree-walked or closure loop) is timed with
+  :meth:`Telemetry.begin`/:meth:`Telemetry.end`.  A whole Table 2 sweep
+  has about 1,300 of them, so timing every one costs well under a
+  millisecond.
 
 Enable per session with ``Session(tool, telemetry=True)``; read the
 result from ``RunResult.telemetry`` (a :class:`TelemetrySnapshot`), the
@@ -29,12 +34,15 @@ result from ``RunResult.telemetry`` (a :class:`TelemetrySnapshot`), the
 
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from ..sanitizers.base import EventKind
-from .profiler import PhaseProfiler, PhaseStat
+
+#: The clock phase timings read (tests monkeypatch it).
+_clock = time.perf_counter
 
 
 #: CheckStats fields mirrored into every snapshot, renamed to the
@@ -64,7 +72,8 @@ class TelemetrySnapshot:
     probe-only counters; ``convergence_per_site`` maps a history-cache
     site id to the number of quasi-bound *updates* (cache misses that
     extended the bound) it took — the paper claims at most
-    ``ceil(log2(n/8))`` per object for forward walks.  Plain dicts
+    ``ceil(log2(n/8))`` per object for forward walks; ``phases`` maps a
+    phase name to its ``{"events", "seconds"}``.  Plain dicts
     throughout so snapshots pickle cleanly across worker processes.
     """
 
@@ -132,7 +141,7 @@ def merge_snapshots(
     Sessions: registries stay scoped to one Session each, and callers
     (the server's process aggregate, sweep roll-ups) merge the immutable
     snapshots afterwards.  Counters, per-site convergence steps,
-    superblock declines, and phase events/samples/seconds add;
+    superblock declines, and phase events and seconds add;
     ``quarantine_peak_bytes`` takes the max (peaks of disjoint runs do
     not sum).  Merging snapshots from different tools raises — that is
     exactly the cross-contamination this API exists to prevent.
@@ -150,7 +159,7 @@ def merge_snapshots(
     counters: Dict[str, int] = {}
     convergence: Dict[int, int] = {}
     declines: Dict[str, int] = {}
-    phases: Dict[str, PhaseStat] = {}
+    phases: Dict[str, Dict[str, float]] = {}
     quarantine_peak = 0
     for snapshot in snapshots:
         for name, value in snapshot.counters.items():
@@ -160,10 +169,9 @@ def merge_snapshots(
         for reason, count in snapshot.superblock_declines.items():
             declines[reason] = declines.get(reason, 0) + count
         for name, stat in snapshot.phases.items():
-            merged = phases.setdefault(name, PhaseStat())
-            merged.events += int(stat.get("events", 0))
-            merged.samples += int(stat.get("samples", 0))
-            merged.sampled_seconds += float(stat.get("sampled_seconds", 0.0))
+            merged = phases.setdefault(name, {"events": 0, "seconds": 0.0})
+            merged["events"] += stat["events"]
+            merged["seconds"] += stat["seconds"]
         quarantine_peak = max(quarantine_peak, snapshot.quarantine_peak_bytes)
     return TelemetrySnapshot(
         tool=snapshots[0].tool,
@@ -171,7 +179,7 @@ def merge_snapshots(
         convergence_per_site=convergence,
         superblock_declines=declines,
         quarantine_peak_bytes=quarantine_peak,
-        phases={name: stat.as_dict() for name, stat in phases.items()},
+        phases=phases,
     )
 
 
@@ -180,16 +188,18 @@ class Telemetry:
 
     Create one per :class:`~repro.runtime.session.Session` (the session
     does this when ``telemetry`` resolves to on) and :meth:`attach` it
-    to the sanitizer; the interpreter and fast path receive the same
-    object and feed the probe counters.  Counters accumulate across
-    runs exactly like ``CheckStats`` does.
+    to the sanitizer; the engines read it back as
+    ``sanitizer.telemetry`` and feed the probe counters and phase
+    timings.  Counters accumulate across runs exactly like
+    ``CheckStats`` does.
     """
 
-    def __init__(self, sample_interval: int = 8):
+    def __init__(self):
         self.counters: Dict[str, int] = {}
         self.convergence: Dict[int, int] = {}
         self.declines: Dict[str, int] = {}
-        self.profiler = PhaseProfiler(sample_interval=sample_interval)
+        #: phase name -> ``{"events", "seconds"}``
+        self.phases: Dict[str, Dict[str, float]] = {}
         # set by attach(), weakly, for snapshot() with no argument
         self._sanitizer: Optional[weakref.ref] = None
 
@@ -204,29 +214,18 @@ class Telemetry:
     def note_superblock_decline(self, reason: str) -> None:
         self.declines[reason] = self.declines.get(reason, 0) + 1
 
-    # -- explicit aggregation ------------------------------------------
-    def merge(self, other: "Telemetry") -> "Telemetry":
-        """Fold another registry's *probe* counters into this one.
+    def begin(self, phase: str) -> float:
+        """Count one ``phase`` event and return its start time, which
+        the matching :meth:`end` takes."""
+        stat = self.phases.get(phase)
+        if stat is None:
+            stat = self.phases[phase] = {"events": 0, "seconds": 0.0}
+        stat["events"] += 1
+        return _clock()
 
-        Registries are scoped to one Session each; merging is the
-        explicit opt-in for roll-ups (never implicit sharing).  Only the
-        probe side merges — CheckStats mirrors belong to each
-        sanitizer's own snapshot, so merging attached registries' raw
-        counters directly would double-count.  Use
-        :func:`merge_snapshots` to combine *collected* snapshots.
-        """
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for site, steps in other.convergence.items():
-            self.convergence[site] = self.convergence.get(site, 0) + steps
-        for reason, count in other.declines.items():
-            self.declines[reason] = self.declines.get(reason, 0) + count
-        for name, stat in other.profiler.phases.items():
-            merged = self.profiler.phases.setdefault(name, PhaseStat())
-            merged.events += stat.events
-            merged.samples += stat.samples
-            merged.sampled_seconds += stat.sampled_seconds
-        return self
+    def end(self, phase: str, started: float) -> None:
+        """Add the time since :meth:`begin` returned ``started``."""
+        self.phases[phase]["seconds"] += _clock() - started
 
     # -- attachment ----------------------------------------------------
     def attach(self, sanitizer) -> "Telemetry":
@@ -279,5 +278,5 @@ class Telemetry:
             convergence_per_site=dict(self.convergence),
             superblock_declines=dict(self.declines),
             quarantine_peak_bytes=quarantine_peak,
-            phases=self.profiler.summary(),
+            phases={name: dict(stat) for name, stat in self.phases.items()},
         )

@@ -129,7 +129,6 @@ def engine_on(engine, program, tool, config=UNMEMOIZED, **session_kwargs):
         native_costs=session.cost_model.native,
         max_instructions=session.max_instructions,
         fastpath=config.fastpath,
-        telemetry=session.telemetry,
     )
     if issubclass(engine, CompiledEngine):
         compiler.compile_program(iprogram.program, *runner.table_key())

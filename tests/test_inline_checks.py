@@ -96,7 +96,6 @@ def _run(program, tool, engine, telemetry=True, args=None, prepare=None):
         native_costs=session.cost_model.native,
         max_instructions=session.max_instructions,
         fastpath=False,
-        telemetry=session.telemetry,
     )
     key = None
     if engine is CompiledEngine:

@@ -52,13 +52,13 @@ def client():
 def _normalized_telemetry(snapshot: dict) -> dict:
     """A snapshot dict with wall-clock phase timings zeroed.
 
-    Counters, convergence, declines, and phase *event/sample* counts
-    are deterministic; the sampled seconds are real wall time and
-    legitimately differ between two executions of the same program.
+    Counters, convergence, declines, and phase event counts are
+    deterministic; phase seconds are real wall time and legitimately
+    differ between two executions of the same program.
     """
     normalized = dict(snapshot)
     normalized["phases"] = {
-        name: {**stat, "sampled_seconds": 0.0, "estimated_seconds": 0.0}
+        name: {**stat, "seconds": 0.0}
         for name, stat in snapshot["phases"].items()
     }
     return normalized

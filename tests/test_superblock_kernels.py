@@ -392,6 +392,16 @@ def test_table2_kernels_run_as_slices():
         assert counters["superblock_bulk_iterations"] > 0, tool
 
 
+def test_superblock_function_compiles_equal_text_once():
+    """Equal source text is one function, from a 128-entry cache."""
+    source = "def _superblock(n):\n    return n + 1\n"
+    first = compiler.superblock_function(source)
+    equal = "".join(list(source))  # equal text, another str object
+    assert compiler.superblock_function(equal) is first
+    assert first(41) == 42
+    assert compiler.superblock_function.cache_info().maxsize == 128
+
+
 def test_every_table2_body_lowers():
     """Kernels decline only the LCG fills; each distinct body's source
     compiles once however many loops share it."""

@@ -1,4 +1,4 @@
-"""Telemetry registry, sampling profiler, and profile-study tests.
+"""Telemetry registry, phase timing, and profile-study tests.
 
 The load-bearing suite here validates the counters against ground
 truth: an independent shim around the sanitizer's check entry points
@@ -23,16 +23,18 @@ from repro.analysis import (
 from repro.errors import AccessType
 from repro.sanitizers import GiantSan
 from repro.shadow.oracle import giantsan_region_is_addressable
+from repro.runtime import fastpath
 from repro.telemetry import (
-    PhaseProfiler,
     Telemetry,
     TelemetrySnapshot,
+    merge_snapshots,
+    registry,
 )
 from repro.workloads.spec import SPEC_BY_NAME
 
 
 # ----------------------------------------------------------------------
-# sampling profiler
+# phase timing
 # ----------------------------------------------------------------------
 class FakeClock:
     def __init__(self):
@@ -43,46 +45,58 @@ class FakeClock:
         return self.now
 
 
-class TestPhaseProfiler:
-    def test_exhaustive_mode_times_every_event(self):
-        profiler = PhaseProfiler(sample_interval=1, clock=FakeClock())
+class TestPhaseTimings:
+    def test_every_event_is_timed(self, monkeypatch):
+        monkeypatch.setattr(registry, "_clock", FakeClock())
+        tele = Telemetry()
         for _ in range(5):
-            started = profiler.begin("loop")
-            assert started is not None
-            profiler.end("loop", started)
-        stat = profiler.phases["loop"]
-        assert stat.events == 5
-        assert stat.samples == 5
-        assert stat.sampled_seconds == 5.0  # fake clock: 1s per timing
-        assert stat.estimated_seconds == 5.0
+            tele.end("loop", tele.begin("loop"))
+        # fake clock: 1s per begin/end pair
+        assert tele.phases == {"loop": {"events": 5, "seconds": 5.0}}
 
-    def test_sampling_scales_estimate(self):
-        profiler = PhaseProfiler(sample_interval=4, clock=FakeClock())
-        for _ in range(8):
-            profiler.end("loop", profiler.begin("loop"))
-        stat = profiler.phases["loop"]
-        assert stat.events == 8
-        assert stat.samples == 2  # events 1 and 5
-        assert stat.estimated_seconds == stat.sampled_seconds * 4
+    def test_begin_counts_an_event_that_never_ends(self, monkeypatch):
+        monkeypatch.setattr(registry, "_clock", FakeClock())
+        tele = Telemetry()
+        tele.begin("loop")  # the loop raised before its end
+        tele.end("loop", tele.begin("loop"))
+        assert tele.phases["loop"] == {"events": 2, "seconds": 1.0}
 
-    def test_first_event_always_sampled(self):
-        profiler = PhaseProfiler(sample_interval=1000, clock=FakeClock())
-        assert profiler.begin("once") is not None
-        assert profiler.begin("once") is None
+    def test_snapshot_shape(self, monkeypatch):
+        monkeypatch.setattr(registry, "_clock", FakeClock())
+        tele = Telemetry()
+        tele.end("a", tele.begin("a"))
+        snapshot = tele.snapshot()
+        assert snapshot.phases == {"a": {"events": 1, "seconds": 1.0}}
+        assert snapshot.as_dict()["phases"] == snapshot.phases
+        tele.end("a", tele.begin("a"))
+        assert snapshot.phases["a"]["events"] == 1  # a copy, not a view
 
-    def test_end_without_sample_is_noop(self):
-        profiler = PhaseProfiler(sample_interval=2, clock=FakeClock())
-        profiler.end("loop", profiler.begin("loop"))
-        profiler.end("loop", profiler.begin("loop"))  # unsampled
-        assert profiler.phases["loop"].samples == 1
+    def test_phase_accounting_is_exact(self, monkeypatch):
+        """The tree walker reaches the fast path through the module, so
+        wrapping ``try_execute`` counts every superblock event."""
+        import time
 
-    def test_summary_shape(self):
-        profiler = PhaseProfiler(sample_interval=1, clock=FakeClock())
-        profiler.end("a", profiler.begin("a"))
-        summary = profiler.summary()
-        assert set(summary["a"]) == {
-            "events", "samples", "sampled_seconds", "estimated_seconds",
-        }
+        calls = []
+        original = fastpath.try_execute
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fastpath, "try_execute", counted)
+        session = Session(
+            "GiantSan", ExecConfig(memoize=False), telemetry=True
+        )
+        program = SPEC_BY_NAME["520.omnetpp_r"].build()
+        started = time.perf_counter()
+        phases = session.run(program, [1]).telemetry.phases
+        wall = time.perf_counter() - started
+        assert calls
+        assert phases["superblock"]["events"] == len(calls)
+        assert phases["run"]["events"] == 1
+        assert phases["interpreter_loop"]["events"] > 0
+        assert all(stat["seconds"] > 0 for stat in phases.values())
+        assert phases["run"]["seconds"] <= wall
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +434,6 @@ class TestMergeAPI:
     def test_merge_snapshots_is_additive(self):
         first = self._run_demo()
         second = self._run_demo()
-        from repro.telemetry import merge_snapshots
-
         merged = merge_snapshots([first, second])
         assert merged.tool == "GiantSan"
         for name in first.counters:
@@ -434,14 +446,14 @@ class TestMergeAPI:
         assert merged.quarantine_peak_bytes == max(
             first.quarantine_peak_bytes, second.quarantine_peak_bytes
         )
+        assert set(merged.phases) == set(first.phases)
         for name, stat in merged.phases.items():
-            assert stat["events"] == (
-                first.phases[name]["events"] + second.phases[name]["events"]
-            )
+            assert stat == {
+                key: first.phases[name][key] + second.phases[name][key]
+                for key in ("events", "seconds")
+            }
 
     def test_merge_snapshots_rejects_mixed_tools(self):
-        from repro.telemetry import merge_snapshots
-
         with pytest.raises(ValueError, match="different tools"):
             merge_snapshots([self._run_demo("GiantSan"),
                              self._run_demo("ASan")])
@@ -449,6 +461,8 @@ class TestMergeAPI:
             merge_snapshots([])
 
     def test_registry_merge_folds_probe_counters(self):
+        """Two registries' probe counters, convergence steps and
+        declines fold through the one aggregation, ``merge_snapshots``."""
         left, right = Telemetry(), Telemetry()
         left.incr("redzone_bytes_poisoned", 10)
         left.note_convergence(3)
@@ -456,11 +470,26 @@ class TestMergeAPI:
         right.note_convergence(3)
         right.note_convergence(7)
         right.note_superblock_decline("degree")
-        merged = left.merge(right)
-        assert merged is left
-        assert left.counters["redzone_bytes_poisoned"] == 15
-        assert left.convergence == {3: 2, 7: 1}
-        assert left.declines == {"degree": 1}
+        merged = merge_snapshots([left.snapshot(), right.snapshot()])
+        assert merged.counters["redzone_bytes_poisoned"] == 15
+        assert merged.convergence_per_site == {3: 2, 7: 1}
+        assert merged.superblock_declines == {"degree": 1}
+        # the registries themselves are left as they were
+        assert left.counters["redzone_bytes_poisoned"] == 10
+        assert left.declines == {}
+
+    def test_merge_snapshots_keeps_phases_of_either_side(self, monkeypatch):
+        monkeypatch.setattr(registry, "_clock", FakeClock())
+        left, right = Telemetry(), Telemetry()
+        left.end("run", left.begin("run"))
+        right.end("run", right.begin("run"))
+        right.end("superblock", right.begin("superblock"))
+        right.end("superblock", right.begin("superblock"))
+        merged = merge_snapshots([left.snapshot(), right.snapshot()])
+        assert merged.phases == {
+            "run": {"events": 2, "seconds": 2.0},
+            "superblock": {"events": 2, "seconds": 2.0},
+        }
 
     def test_concurrent_sessions_do_not_cross_contaminate(self):
         """Two telemetry Sessions running in parallel threads stay scoped."""
